@@ -54,7 +54,8 @@ def theorem_bound(p: ModelParams, tol: float = 1e-9) -> float:
     """
 
     def integrand(xi):
-        m = mu(xi, p)
+        # a node can hit a floating-point zero of mu, where log(tanh(0)) = -inf
+        m = np.maximum(mu(xi, p), np.finfo(float).tiny)
         return 0.5 * (
             np.log(np.tanh(0.5 * p.beta_l * m)) + np.log(np.tanh(0.5 * p.beta_r * m))
         )

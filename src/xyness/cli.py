@@ -24,7 +24,7 @@ from .model import ConsistencyError, ModelParams
 from .pipeline import DEFAULT_N_LIST, NumericalError, compute_series, sweep
 from .quadrature import QuadratureError
 from .selftest import run_selftest
-from .spectral import avram_parter_gap, indicator_log, square_plateau
+from .spectral import avram_parter_gap, avram_parter_limit, indicator_log, square_plateau
 from .toeplitz import assemble, dump_matrix, symbol_norm
 
 EXIT_OK = 0
@@ -121,6 +121,8 @@ def _emit(cfg: RunConfig, meta: dict, header: list[str], rows: list[list], p: Mo
 
 
 def cmd_correlations(cfg: RunConfig) -> int:
+    if cfg.dump_matrices and not cfg.out_path:
+        raise ValueError("--dump-matrices requires --out")
     p = ModelParams(cfg.gamma, cfg.lam, cfg.beta_l, cfg.beta_r)
     n_list = cfg.n_list or _default_n_values(cfg.n_max)
     series = compute_series(p, n_list=n_list, tol=cfg.tol)
@@ -159,11 +161,8 @@ def cmd_correlations(cfg: RunConfig) -> int:
         meta["fit_window"] = f"{series.fit.n_lo}:{series.fit.n_hi}"
     _emit(cfg, meta, header, rows, p)
     if cfg.dump_matrices:
-        if not cfg.out_path:
-            raise ValueError("--dump-matrices requires --out")
-        seq = build_block_sequence(max(n_list), p, cfg.tol)
         for n in n_list:
-            dump_matrix(assemble(n, seq), f"{cfg.out_path}.omega{n:04d}.bin")
+            dump_matrix(assemble(n, series.sequence), f"{cfg.out_path}.omega{n:04d}.bin")
     return EXIT_OK
 
 
@@ -186,10 +185,11 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         "limit_square",
         "gap_square",
     ]
+    limit_square = avram_parter_limit(g_sq, p)
     rows = []
     for n in n_list:
         s_log = avram_parter_gap(n, g_log, seq, p, eps=cfg.eps)
-        s_sq = avram_parter_gap(n, g_sq, seq, p, eps=cfg.eps)
+        emp_square = float(np.mean(g_sq(s_log.values)))
         rows.append(
             [
                 n,
@@ -199,9 +199,9 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                 s_log.empirical_mean,
                 s_log.limit_value,
                 s_log.gap,
-                s_sq.empirical_mean,
-                s_sq.limit_value,
-                s_sq.gap,
+                emp_square,
+                limit_square,
+                abs(emp_square - limit_square),
             ]
         )
     meta = {"n_list": ",".join(str(n) for n in n_list), "eps": cfg.eps}

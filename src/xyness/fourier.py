@@ -43,21 +43,22 @@ class Component(enum.Enum):
 
 @dataclass(frozen=True)
 class BlockSequence:
-    """Fourier coefficient blocks a_x for |x| <= n_max - 1.
+    """Fourier coefficient blocks a_x for |x| <= n_max - 1, in read-only arrays.
 
-    Exactly the range a truncation of n_max block rows consumes.  ``app``
-    covers |x| <= n_max - 1 (negative x filled by the oddness symmetry to
-    halve the quadrature work), ``apm`` covers y in [-n_max, n_max - 2].
-    ``err_estimate`` is the largest per-coefficient quadrature error
-    estimate.  Instances are immutable; do not mutate the dicts.
+    Exactly the range a truncation of N = n_max block rows consumes.  ``app``
+    holds x in [-(N-1), N-1] at index x + N - 1 (negative x filled by the
+    oddness symmetry to halve the quadrature work), ``apm`` holds y in
+    [-N, N-2] at index y + N, and ``blocks`` (shape (2N-1, 2, 2)) holds a_x at
+    index x + N - 1.  ``err_estimate`` is the largest per-coefficient
+    quadrature error estimate.
     """
 
     n_max: int
     params: ModelParams
     tol: float
-    app: dict
-    apm: dict
-    blocks: dict
+    app: np.ndarray
+    apm: np.ndarray
+    blocks: np.ndarray
     err_estimate: float
 
 
@@ -139,9 +140,6 @@ def fourier_coefficient(
     return complex(value)
 
 
-_SEQUENCE_CACHE: dict = {}
-
-
 def build_block_sequence(
     n_max: int, p: ModelParams, tol: float = 1e-12
 ) -> BlockSequence:
@@ -149,7 +147,7 @@ def build_block_sequence(
 
     app[x] is computed for x = 0 .. n_max-1 and mirrored to negative x via
     the oddness symmetry; apm[y] is computed for y = -n_max .. n_max-2.
-    Results are cached per (params, n_max, tol).
+    Nothing is cached: every call runs the quadratures afresh.
 
     Raises
     ------
@@ -161,13 +159,6 @@ def build_block_sequence(
         raise ValueError("n_max must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    key = (p, int(n_max), float(tol))
-    cached = _SEQUENCE_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    app: dict = {}
-    apm: dict = {}
     worst = 0.0
 
     def compute(x: int, which: Component):
@@ -179,25 +170,24 @@ def build_block_sequence(
                 f"coefficient {which.name}[{x}] did not converge", exc.achieved_error
             ) from exc
         worst = max(worst, err)
-        return complex(value)
+        return value
 
     if p.delta == 0.0:
-        app.update({x: 0.0 + 0.0j for x in range(-(n_max - 1), n_max)})
+        app = np.zeros(2 * n_max - 1, dtype=complex)
     else:
-        app[0] = compute(0, Component.PP)
-        for x in range(1, n_max):
-            app[x] = compute(x, Component.PP)
-            app[-x] = -app[x]
-    for y in range(-n_max, n_max - 1):
-        apm[y] = compute(y, Component.PM)
+        half = np.array([compute(x, Component.PP) for x in range(n_max)], dtype=complex)
+        app = np.concatenate([-half[:0:-1], half])
+    apm = np.array([compute(y, Component.PM) for y in range(-n_max, n_max - 1)], dtype=complex)
 
-    blocks = {}
-    for x in range(-(n_max - 1), n_max):
-        blocks[x] = np.array(
-            [[app[x], -apm[x - 1]], [apm[-x - 1], -app[x]]], dtype=complex
-        )
-
-    seq = BlockSequence(
+    # with these offsets apm[x-1] sits at the index of a_x, apm[-x-1] at its mirror
+    blocks = np.empty((2 * n_max - 1, 2, 2), dtype=complex)
+    blocks[:, 0, 0] = app
+    blocks[:, 1, 1] = -app
+    blocks[:, 0, 1] = -apm
+    blocks[:, 1, 0] = apm[::-1]
+    for arr in (app, apm, blocks):
+        arr.setflags(write=False)
+    return BlockSequence(
         n_max=int(n_max),
         params=p,
         tol=float(tol),
@@ -206,5 +196,3 @@ def build_block_sequence(
         blocks=blocks,
         err_estimate=worst,
     )
-    _SEQUENCE_CACHE[key] = seq
-    return seq

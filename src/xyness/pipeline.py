@@ -14,13 +14,13 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._version import __version__
 from .bounds import BoundReport, bound_report, weak_bound_log
-from .fourier import build_block_sequence
+from .fourier import BlockSequence, build_block_sequence
 from .model import ModelParams
 from .skewlinalg import log_det, pfaffian, singular_values
 from .toeplitz import assemble
@@ -60,6 +60,8 @@ class CorrelationSeries:
     fit: FitResult | None
     bound: BoundReport | None
     metadata: dict
+    #: the coefficient blocks the rows were assembled from (None on failure)
+    sequence: BlockSequence | None = None
 
 
 def fit_decay(series: CorrelationSeries, n_lo: int, n_hi: int) -> FitResult:
@@ -157,6 +159,7 @@ def compute_series(
             # in-memory provenance only: file emitters must stay byte-deterministic
             "created_unix": time.time(),
         },
+        sequence=seq,
     )
     if fit_window is None:
         ns = [r.n for r in rows]
@@ -164,14 +167,9 @@ def compute_series(
         start = max(0, min(len(ns) // 2, len(ns) - 4))
         fit_window = (ns[start], ns[-1])
     in_window = [r for r in rows if fit_window[0] <= r.n <= fit_window[1]]
-    fit = fit_decay(series, *fit_window) if len(in_window) >= 4 else None
-    return CorrelationSeries(
-        params=series.params,
-        rows=series.rows,
-        fit=fit,
-        bound=series.bound,
-        metadata=series.metadata,
-    )
+    if len(in_window) < 4:
+        return series
+    return replace(series, fit=fit_decay(series, *fit_window))
 
 
 def _worker_count() -> int:

@@ -83,7 +83,8 @@ def adaptive_panels(
     Raises
     ------
     QuadratureError
-        If the panel budget or recursion depth is exhausted first.
+        If the panel budget or recursion depth is exhausted first, or if the
+        total is not finite (inf or nan).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -131,4 +132,6 @@ def adaptive_panels(
     errs = np.concatenate(acc_err)
     order = np.argsort(lo, kind="stable")
     value = vals[order].sum()
+    if not np.isfinite(value):
+        raise QuadratureError("non-finite integral", float(errs.sum()))
     return (complex(value) if np.iscomplexobj(vals) else float(value)), float(errs.sum())

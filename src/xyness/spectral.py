@@ -113,6 +113,19 @@ def count_small(n: int, eps: float, seq: BlockSequence) -> int:
     return int(np.count_nonzero(sv <= eps))
 
 
+def avram_parter_limit(g, p: ModelParams, quad_tol: float = 1e-9) -> float:
+    """Limit of the singular-value mean of g: g integrated over the symbol's
+    closed-form singular values, with panels split at the zeros of mu."""
+
+    def integrand(xi):
+        lo, hi = symbol_singular_values(xi, p)
+        return 0.5 * (np.asarray(g(lo)) + np.asarray(g(hi)))
+
+    edges = np.concatenate([[0.0], mu_zeros(p), [_TWO_PI]])
+    value, _ = adaptive_panels(integrand, np.unique(edges), quad_tol * _TWO_PI)
+    return float(np.real(value)) / _TWO_PI
+
+
 def avram_parter_gap(
     n: int,
     g,
@@ -124,21 +137,11 @@ def avram_parter_gap(
     """Empirical singular-value mean of g versus its distributional limit.
 
     ``g`` must be vectorized, continuous, and compactly supported.  The limit
-    side integrates g over the symbol's closed-form singular values; the
-    integrand is smooth except at zeros of mu, which are used as panel
-    boundaries.
+    side is :func:`avram_parter_limit`.
     """
     sv = singular_values(assemble(n, seq).entries)
     empirical = float(np.mean(g(sv)))
-
-    def integrand(xi):
-        lo, hi = symbol_singular_values(xi, p)
-        return 0.5 * (np.asarray(g(lo)) + np.asarray(g(hi)))
-
-    edges = np.concatenate([[0.0], mu_zeros(p), [_TWO_PI]])
-    value, _ = adaptive_panels(integrand, np.unique(edges), quad_tol * _TWO_PI)
-    limit = float(np.real(value)) / _TWO_PI
-
+    limit = avram_parter_limit(g, p, quad_tol)
     return SpectralSummary(
         n=int(n),
         values=sv,

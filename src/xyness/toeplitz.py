@@ -50,10 +50,13 @@ def assemble(n: int, seq: BlockSequence) -> TruncatedToeplitz:
         raise ValueError("n must be >= 1")
     if seq.n_max < n:
         raise ValueError(f"sequence holds n_max={seq.n_max} < requested n={n}")
-    out = np.empty((2 * n, 2 * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = seq.blocks[i - j]
+    # one gather of entry (2i+a, 2j+b) = blocks[i-j+n_max-1][a, b], in (i, a, j, b)
+    # order; the offset index is a temporary, freed before the skew check
+    k = np.arange(n)
+    ab = np.arange(2)
+    out = seq.blocks[
+        k[:, None, None, None] - k[:, None] + (seq.n_max - 1), ab[:, None, None], ab
+    ].reshape(2 * n, 2 * n)
     asym = float(np.max(np.abs(out + out.T)))
     scale = float(np.max(np.abs(out))) if out.size else 0.0
     if asym > max(2.0 * seq.err_estimate, 1e-14 * scale):

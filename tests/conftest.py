@@ -1,28 +1,8 @@
-import math
-
-import numpy as np
 import pytest
 
 from xyness import ModelParams
-
-# the acceptance parameter grid: (gamma, lambda, beta_l, beta_r)
-ACCEPTANCE_SETS = (
-    ModelParams(0.5, 0.3, 2.0, 1.0),
-    ModelParams(0.5, 0.3, 1.0, 3.0),
-    ModelParams(-0.4, 1.7, 2.0, 2.0),
-    ModelParams(0.9, 0.0, 4.0, 1.0),
-)
-CRITICAL_SET = ModelParams(0.0, 0.5, 1.0, 3.0)
-
-
-def midpoint_grid(points: int) -> np.ndarray:
-    """Uniform grid shifted by half a step, avoiding the zeros of kappa.
-
-    At those isolated points the sign(0) = 0 convention collapses both
-    singular values of the symbol to phi_beta, so the closed-form pair holds
-    only almost everywhere; the offset grid tests it in general position.
-    """
-    return (np.arange(points) + 0.5) * (2.0 * math.pi / points)
+# one source for the acceptance data; the test modules import it from here
+from xyness.selftest import ACCEPTANCE_SETS, CRITICAL_SET, midpoint_grid  # noqa: F401
 
 
 @pytest.fixture(scope="session")

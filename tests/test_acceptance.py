@@ -97,16 +97,17 @@ def test_criterion_2_pfaffian_determinant(seqs512):
 def test_criterion_3_coefficient_symmetries(seqs512):
     p = ACCEPTANCE_SETS[1]  # out of equilibrium: nontrivial diagonal sequence
     seq = seqs512[p]
-    worst_imag = max(abs(seq.app[x].real) for x in range(-256, 257))
-    worst_zero = abs(seq.app[0])
+    o = seq.n_max - 1  # index of x = 0
+    worst_imag = max(abs(seq.app[x + o].real) for x in range(-256, 257))
+    worst_zero = abs(seq.app[0 + o])
     worst_odd = 0.0
     for x in range(1, 257):
         indep = fourier_coefficient(-x, Component.PP, p, TOL)
-        worst_odd = max(worst_odd, abs(indep + seq.app[x]))
+        worst_odd = max(worst_odd, abs(indep + seq.app[x + o]))
     worst_skew = 0.0
     for x in range(-256, 257):
         worst_skew = max(
-            worst_skew, float(np.max(np.abs(seq.blocks[-x] + seq.blocks[x].T)))
+            worst_skew, float(np.max(np.abs(seq.blocks[-x + o] + seq.blocks[x + o].T)))
         )
     assert worst_imag <= 2 * TOL
     assert worst_zero <= 2 * TOL
@@ -191,7 +192,7 @@ def test_criterion_9_equilibrium_reduction(seqs512, series_all):
     p = ACCEPTANCE_SETS[2]  # beta_l = beta_r = 2
     assert p.delta == 0.0
     seq = seqs512[p]
-    assert all(v == 0.0 for v in seq.app.values())
+    assert all(v == 0.0 for v in seq.app)
     a = symbol_matrices(midpoint_grid(1024), p)
     assert np.all(a[:, 0, 0] == 0.0) and np.all(a[:, 1, 1] == 0.0)
     fit = fit_decay(series_all[p], 64, 256)

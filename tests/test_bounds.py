@@ -5,6 +5,7 @@ import pytest
 
 from xyness import (
     ModelParams,
+    QuadratureError,
     bound_report,
     compute_series,
     mu,
@@ -62,6 +63,32 @@ class TestTheoremBound:
         assert p.critical
         B = theorem_bound(p, 1e-9)
         assert math.isfinite(B) and B < 0.0
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (0.0, -0.4228, 2.2819, 0.6596),
+            pytest.param(
+                (0.0, 0.6856, 1.4701, 0.7152),
+                marks=pytest.mark.xfail(
+                    raises=QuadratureError,
+                    reason="the lambda +- 1e-5 neighbours exhaust the panel budget",
+                ),
+            ),
+            (0.0, 0.425, 1.5022, 2.5108),
+        ],
+    )
+    def test_node_on_exact_mu_zero(self, point):
+        # a Gauss node lands on a floating-point zero of mu at these critical
+        # points; the rate must stay finite and continuous in lambda
+        gamma, lam, beta_l, beta_r = point
+        B = theorem_bound(ModelParams(*point), 1e-9)
+        assert math.isfinite(B)
+        neighbours = [
+            theorem_bound(ModelParams(gamma, lam + d, beta_l, beta_r), 1e-9)
+            for d in (-1e-5, 1e-5)
+        ]
+        assert B == pytest.approx(0.5 * sum(neighbours), abs=1e-6)
 
     def test_monotone_in_each_beta(self):
         # warmer reservoirs (smaller beta) push B further below 0

@@ -85,6 +85,7 @@ class TestCorrelationsCommand:
     def test_dump_requires_out(self):
         r = run_cli("correlations", *BASE, "--n-list", "2", "--dump-matrices")
         assert r.returncode == 2
+        assert r.stdout == ""  # rejected before any computation or output
 
 
 class TestExitCodes:

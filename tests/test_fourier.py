@@ -100,8 +100,8 @@ class TestSingleCoefficient:
 class TestBlockSequence:
     def test_minimal_sequence(self, base_params):
         seq = build_block_sequence(1, base_params)
-        assert set(seq.blocks) == {0}
-        c = seq.apm[-1]
+        assert seq.blocks.shape == (1, 2, 2)  # the single block a_0
+        c = seq.apm[0]  # apm[-1]
         a0 = seq.blocks[0]
         # the diagonal holds the honestly integrated app[0], zero within tol
         assert abs(a0[0, 0]) <= seq.err_estimate and abs(a0[1, 1]) <= seq.err_estimate
@@ -109,29 +109,31 @@ class TestBlockSequence:
 
     def test_blocks_match_single_calls_bitwise(self, base_params):
         seq = build_block_sequence(3, base_params)
+        # offsets: app[x] at x + 2, apm[y] at y + 3, blocks[x] at x + 2
         for x in (-2, -1, 0, 1, 2):
             expected = np.array(
                 [
-                    [seq.app[x], -seq.apm[x - 1]],
-                    [seq.apm[-x - 1], -seq.app[x]],
+                    [seq.app[x + 2], -seq.apm[x - 1 + 3]],
+                    [seq.apm[-x - 1 + 3], -seq.app[x + 2]],
                 ]
             )
-            assert np.array_equal(seq.blocks[x], expected)
+            assert np.array_equal(seq.blocks[x + 2], expected)
         # positive-x coefficients are fresh quadratures; identical inputs
         # must reproduce them bit-for-bit
-        assert seq.app[2] == fourier_coefficient(2, Component.PP, base_params)
-        assert seq.apm[1] == fourier_coefficient(1, Component.PM, base_params)
+        assert seq.app[2 + 2] == fourier_coefficient(2, Component.PP, base_params)
+        assert seq.apm[1 + 3] == fourier_coefficient(1, Component.PM, base_params)
 
     def test_equilibrium_zero_diagonal(self):
         p = ModelParams(-0.4, 1.7, 2.0, 2.0)
         seq = build_block_sequence(6, p)
-        assert all(v == 0.0 for v in seq.app.values())
-        assert all(seq.blocks[x][0, 0] == 0.0 for x in seq.blocks)
+        assert all(v == 0.0 for v in seq.app)
+        assert all(blk[0, 0] == 0.0 for blk in seq.blocks)
 
     def test_skew_assembly_consistency(self, base_seq):
+        o = base_seq.n_max - 1  # index of x = 0
         for x in range(-(base_seq.n_max - 1), base_seq.n_max):
-            lhs = base_seq.blocks[-x]
-            rhs = -base_seq.blocks[x].T
+            lhs = base_seq.blocks[-x + o]
+            rhs = -base_seq.blocks[x + o].T
             assert np.max(np.abs(lhs - rhs)) <= 2.0 * base_seq.err_estimate
 
     def test_parseval_from_below(self, base_params, base_seq):
@@ -142,9 +144,10 @@ class TestBlockSequence:
 
         total, _ = adaptive_panels(integrand, np.concatenate([breakpoints(base_params), [TWO_PI]]), 1e-10)
         total = float(np.real(total)) / TWO_PI
+        o = base_seq.n_max - 1  # index of x = 0
         partial = [
             sum(
-                float(np.sum(np.abs(base_seq.blocks[x]) ** 2))
+                float(np.sum(np.abs(base_seq.blocks[x + o]) ** 2))
                 for x in range(-k, k + 1)
             )
             for k in (4, 16, 32)
@@ -154,7 +157,8 @@ class TestBlockSequence:
 
     def test_coefficient_decay(self, base_seq):
         # |app[x]| <= C/|x|: the symbol has only jump discontinuities
-        scaled = {x: abs(x * base_seq.app[x]) for x in range(1, base_seq.n_max)}
+        o = base_seq.n_max - 1  # index of x = 0
+        scaled = {x: abs(x * base_seq.app[x + o]) for x in range(1, base_seq.n_max)}
         C = max(scaled[x] for x in range(1, 17))
         for x in range(17, base_seq.n_max):
             assert scaled[x] <= 1.05 * C
@@ -167,10 +171,18 @@ class TestBlockSequence:
         with pytest.raises(QuadratureError, match=r"PP\[0\]"):
             build_block_sequence(4, base_params, tol=1e-13)
 
-    def test_cache_returns_same_object(self, base_params):
+    def test_rebuild_is_bitwise_equal(self, base_params):
         a = build_block_sequence(5, base_params, tol=1e-10)
         b = build_block_sequence(5, base_params, tol=1e-10)
-        assert a is b
+        assert a is not b
+        for name in ("app", "apm", "blocks"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.err_estimate == b.err_estimate
+
+    @pytest.mark.parametrize("name", ["app", "apm", "blocks"])
+    def test_arrays_read_only(self, base_seq, name):
+        with pytest.raises(ValueError):
+            getattr(base_seq, name)[0] = 1.0
 
     def test_invalid_args(self, base_params):
         with pytest.raises(ValueError):
@@ -183,6 +195,6 @@ class TestCriticalParameters:
     def test_coefficients_finite_at_criticality(self):
         p = ModelParams(0.0, 0.5, 1.0, 3.0)
         seq = build_block_sequence(4, p, tol=1e-12)
-        for blk in seq.blocks.values():
+        for blk in seq.blocks:
             assert np.all(np.isfinite(blk))
         assert seq.err_estimate < 1e-11

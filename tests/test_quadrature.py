@@ -49,6 +49,12 @@ def test_budget_exhaustion_reports_achieved_error():
     assert exc_info.value.achieved_error >= 0.0
 
 
+def test_non_finite_total_raises():
+    # each panel converges to a finite value, but their sum overflows
+    with pytest.raises(QuadratureError, match="non-finite"), np.errstate(over="ignore"):
+        adaptive_panels(lambda x: np.full_like(x, 8e307), [0.0, 1.0, 2.0, 3.0], 1e-9)
+
+
 def test_invalid_tol():
     with pytest.raises(ValueError):
         adaptive_panels(np.sin, [0.0, 1.0], 0.0)

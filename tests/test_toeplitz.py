@@ -16,15 +16,25 @@ from conftest import ACCEPTANCE_SETS
 class TestAssemble:
     def test_single_block(self, base_params, base_seq):
         T = assemble(1, base_seq)
-        c = -base_seq.apm[-1]
+        c = -base_seq.apm[-1 + base_seq.n_max]
         assert T.entries[0, 1] == c and T.entries[1, 0] == -c
 
     def test_two_blocks_layout(self, base_seq):
         T = assemble(2, base_seq)
-        assert np.array_equal(T.entries[0:2, 0:2], base_seq.blocks[0])
-        assert np.array_equal(T.entries[0:2, 2:4], base_seq.blocks[-1])
-        assert np.array_equal(T.entries[2:4, 0:2], base_seq.blocks[1])
-        assert np.array_equal(T.entries[2:4, 2:4], base_seq.blocks[0])
+        o = base_seq.n_max - 1  # index of x = 0
+        assert np.array_equal(T.entries[0:2, 0:2], base_seq.blocks[0 + o])
+        assert np.array_equal(T.entries[0:2, 2:4], base_seq.blocks[-1 + o])
+        assert np.array_equal(T.entries[2:4, 0:2], base_seq.blocks[1 + o])
+        assert np.array_equal(T.entries[2:4, 2:4], base_seq.blocks[0 + o])
+
+    @pytest.mark.parametrize("n", [1, 5, 33])
+    def test_gather_matches_every_block_bitwise(self, base_seq, n):
+        T = assemble(n, base_seq)
+        o = base_seq.n_max - 1
+        for i in range(n):
+            for j in range(n):
+                block = T.entries[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+                assert block.tobytes() == base_seq.blocks[i - j + o].tobytes()
 
     def test_skew_symmetry(self, base_seq):
         for n in (1, 4, 16, 33):
