@@ -44,7 +44,14 @@ from .pipeline import (
     sweep,
 )
 from .quadrature import QuadratureError, adaptive_panels
-from .skewlinalg import LogScalar, log_det, pfaffian, pfaffian_brute, singular_values
+from .skewlinalg import (
+    LogScalar,
+    log_det,
+    nested_log_pfaffians,
+    pfaffian,
+    pfaffian_brute,
+    singular_values,
+)
 from .spectral import (
     SpectralSummary,
     avram_parter_gap,
@@ -91,6 +98,7 @@ __all__ = [
     "mu_min",
     "mu_sup",
     "mu_zeros",
+    "nested_log_pfaffians",
     "pfaffian",
     "pfaffian_brute",
     "phi",

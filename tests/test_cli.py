@@ -72,6 +72,16 @@ class TestCorrelationsCommand:
         assert [l["n"] for l in lines[1:]] == [2, 4]
         assert lines[1]["log_abs_C"] < 0.0
 
+    def test_pfaffian_diagnostics_stay_out_of_output(self, tmp_path):
+        # series.metadata carries them; the byte-deterministic files must not
+        for fmt in ("csv", "jsonl"):
+            out = tmp_path / f"c.{fmt}"
+            args = ["correlations", *BASE, "--n-list", "2,4", "--format", fmt]
+            assert run_cli(*args, "--out", str(out)).returncode == 0
+            text = out.read_text()
+            assert "pfaffian_min_pivot" not in text
+            assert "pfaffian_fallback_sizes" not in text
+
     def test_dump_matrices(self, tmp_path):
         out = tmp_path / "c.csv"
         r = run_cli(

@@ -7,14 +7,18 @@ from xyness import (
     Component,
     ModelParams,
     NumericalError,
+    assemble,
     compute_series,
     fit_decay,
     fourier_coefficient,
+    pfaffian,
     sweep,
 )
 import xyness.pipeline
-from xyness.pipeline import CorrelationSeries, SeriesRow
-from conftest import CRITICAL_SET
+from xyness.pipeline import DEFAULT_N_LIST, CorrelationSeries, SeriesRow
+from conftest import ACCEPTANCE_SETS, CRITICAL_SET
+
+HOT_SET = ModelParams(0.5, 0.3, 1e-3, 2e-3)
 
 
 def synthetic_series(values):
@@ -109,6 +113,20 @@ class TestComputeSeries:
             # first-order perturbation bound: dim * max entry error / smin
             allowance = 2 * rc.n * e_tot / rc.smin + 1e-12
             assert abs(rc.log_abs_C - rf.log_abs_C) <= allowance
+
+    @pytest.mark.parametrize(
+        "p",
+        [*ACCEPTANCE_SETS, CRITICAL_SET, HOT_SET],
+        ids=lambda p: f"{p.gamma},{p.lam},{p.beta_l},{p.beta_r}",
+    )
+    def test_rows_match_pivoted_pfaffian(self, p):
+        series = compute_series(p, n_list=DEFAULT_N_LIST, tol=1e-12)
+        seq = series.sequence
+        for row in series.rows:
+            ref = pfaffian(assemble(row.n, seq).entries, skew_tol=max(2.0 * seq.err_estimate, 1e-13))
+            assert abs(row.log_abs_C - ref.log_abs) <= 1e-10 * (1.0 + abs(ref.log_abs))
+        assert 0.0 < series.metadata["pfaffian_min_pivot"] <= 1.0
+        assert isinstance(series.metadata["pfaffian_fallback_sizes"], tuple)
 
     def test_input_validation(self, base_params):
         with pytest.raises(ValueError):
