@@ -53,9 +53,24 @@ def theorem_bound(p: ModelParams, tol: float = 1e-9) -> float:
         exception reports the achieved error.
     """
 
+    if p.gamma == 0.0 and abs(p.lam) <= 1.0:
+        # mu = |cos(xi) - cos(x0)| in product form: exact near the zeros
+        # +-x0, where cos(xi) - lam cancels to rounding noise that no panel
+        # refinement can resolve
+        x0 = math.acos(p.lam)
+
+        def mu_of(xi):
+            f = np.minimum(xi, _TWO_PI - xi)
+            return np.abs(2.0 * np.sin(0.5 * (f + x0)) * np.sin(0.5 * (f - x0)))
+
+    else:
+
+        def mu_of(xi):
+            return mu(xi, p)
+
     def integrand(xi):
         # a node can hit a floating-point zero of mu, where log(tanh(0)) = -inf
-        m = np.maximum(mu(xi, p), np.finfo(float).tiny)
+        m = np.maximum(mu_of(xi), np.finfo(float).tiny)
         return 0.5 * (
             np.log(np.tanh(0.5 * p.beta_l * m)) + np.log(np.tanh(0.5 * p.beta_r * m))
         )

@@ -120,24 +120,22 @@ def _emit(cfg: RunConfig, meta: dict, header: list[str], rows: list[list], p: Mo
             fh.close()
 
 
-def cmd_correlations(cfg: RunConfig) -> int:
-    if cfg.dump_matrices and not cfg.out_path:
-        raise ValueError("--dump-matrices requires --out")
-    p = ModelParams(cfg.gamma, cfg.lam, cfg.beta_l, cfg.beta_r)
-    n_list = cfg.n_list or _default_n_values(cfg.n_max)
-    series = compute_series(p, n_list=n_list, tol=cfg.tol)
-    rate = series.bound.theorem_rate
-    header = [
-        "n",
-        "log_abs_C",
-        "log_abs_det",
-        "pf_det_residual",
-        "smin",
-        "smax",
-        "weak_bound_log",
-        "theorem_rate_times_n",
-    ]
-    rows = [
+_SERIES_HEADER = (
+    "n",
+    "log_abs_C",
+    "log_abs_det",
+    "pf_det_residual",
+    "smin",
+    "smax",
+    "weak_bound_log",
+    "theorem_rate_times_n",
+)
+
+
+def _series_rows(series) -> list[list]:
+    """One output row per size, in the columns of ``_SERIES_HEADER``."""
+    p, rate = series.params, series.bound.theorem_rate
+    return [
         [
             r.n,
             r.log_abs_C,
@@ -150,16 +148,24 @@ def cmd_correlations(cfg: RunConfig) -> int:
         ]
         for r in series.rows
     ]
+
+
+def cmd_correlations(cfg: RunConfig) -> int:
+    if cfg.dump_matrices and not cfg.out_path:
+        raise ValueError("--dump-matrices requires --out")
+    p = ModelParams(cfg.gamma, cfg.lam, cfg.beta_l, cfg.beta_r)
+    n_list = cfg.n_list or _default_n_values(cfg.n_max)
+    series = compute_series(p, n_list=n_list, tol=cfg.tol)
     meta = {
         "n_list": ",".join(str(n) for n in n_list),
-        "theorem_rate": rate,
+        "theorem_rate": series.bound.theorem_rate,
         "weak_rate": series.bound.weak_rate,
         "mu_sup": series.bound.mu_sup,
     }
     if series.fit is not None:
         meta["fit_slope"] = series.fit.slope
         meta["fit_window"] = f"{series.fit.n_lo}:{series.fit.n_hi}"
-    _emit(cfg, meta, header, rows, p)
+    _emit(cfg, meta, list(_SERIES_HEADER), _series_rows(series), p)
     if cfg.dump_matrices:
         for n in n_list:
             dump_matrix(assemble(n, series.sequence), f"{cfg.out_path}.omega{n:04d}.bin")
@@ -232,21 +238,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         grid = [ModelParams(cfg.gamma, cfg.lam, cfg.beta_l, cfg.beta_r)]
     n_list = cfg.n_list or _default_n_values(cfg.n_max)
     results = sweep(grid, n_list=n_list, tol=cfg.tol)
-    header = [
-        "point",
-        "gamma",
-        "lambda",
-        "beta_l",
-        "beta_r",
-        "n",
-        "log_abs_C",
-        "log_abs_det",
-        "pf_det_residual",
-        "smin",
-        "smax",
-        "weak_bound_log",
-        "theorem_rate_times_n",
-    ]
+    header = ["point", "gamma", "lambda", "beta_l", "beta_r", *_SERIES_HEADER]
     rows = []
     failures = {}
     for i, series in enumerate(results):
@@ -254,25 +246,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         if "error" in series.metadata:
             failures[i] = series.metadata["error"]
             continue
-        rate = series.bound.theorem_rate
-        for r in series.rows:
-            rows.append(
-                [
-                    i,
-                    q.gamma,
-                    q.lam,
-                    q.beta_l,
-                    q.beta_r,
-                    r.n,
-                    r.log_abs_C,
-                    r.log_abs_det,
-                    r.pf_det_residual,
-                    r.smin,
-                    r.smax,
-                    weak_bound_log(r.n, q),
-                    rate * r.n,
-                ]
-            )
+        rows.extend([i, q.gamma, q.lam, q.beta_l, q.beta_r, *row] for row in _series_rows(series))
     meta = {
         "points": len(grid),
         "n_list": ",".join(str(n) for n in n_list),

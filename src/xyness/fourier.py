@@ -14,6 +14,15 @@ The diagonal weight sign(kappa)*phi_delta is odd on the circle, which forces
 app[0] = 0, app[-x] = -app[x], and purely imaginary app[x]; apm is real.
 These hold only up to quadrature error and are asserted by the test suite
 against independently computed integrals.
+
+Every coefficient of a sequence comes from one shared-node engine: a single
+adaptive refinement over panels split at the zeros of kappa and mu and capped
+at _PERIODS_PER_PANEL periods of the highest frequency.  The two
+frequency-independent weights are evaluated once per node, and each panel's
+sums for every frequency are one batched matrix product with a factored
+phase table.  A panel is accepted only when every coefficient passes the
+proportional error test on it, so no coefficient gets a weaker guarantee
+than an adaptive quadrature of its own would give it.
 """
 
 from __future__ import annotations
@@ -25,13 +34,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, kappa, mu, mu_zeros, phi
-from .quadrature import QuadratureError, adaptive_panels
+from .quadrature import _NODES, _WEIGHTS, QuadratureError, _refine, _split_edges
+from .quadrature import adaptive_panels  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
 TWO_PI = 2.0 * math.pi
 
-#: above this frequency, base panels are split to ~8 oscillation periods each
+#: above this highest frequency, base panels are split to ~8 of its periods each
 _OSC_SPLIT_THRESHOLD = 64
 _PERIODS_PER_PANEL = 8.0
+#: frequencies per row of the factored phase table
+_PHASE_BLOCK = 64
+#: panels per batched product, which bounds the phase tables to a few MiB
+_PANEL_CHUNK = 128
 
 
 class Component(enum.Enum):
@@ -91,31 +105,94 @@ def _dedupe(sorted_points, tol=1e-12) -> np.ndarray:
     return np.array(out)
 
 
-def _integrand(which: Component, x: int, p: ModelParams):
-    if which is Component.PP:
+def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, groups) -> np.ndarray:
+    """Gauss-Legendre sums of every coefficient integrand on each panel.
 
-        def f(xi):
-            return np.sign(kappa(xi, p)) * phi(p.delta, xi, p) * np.exp(-1j * x * xi)
+    ``groups`` lists (component, first frequency, count); the result is
+    (panels, total count), the groups' columns side by side.  The weights
+    sign(kappa)*phi_delta and chi*phi_beta do not depend on the frequency, so
+    they are evaluated once per node; the phases come from the factored table
+    e^{-i(k0+k)xi} = e^{-i*k0*xi} * e^{-i*k*xi}, 0 <= k < _PHASE_BLOCK, so
+    each panel's sums are one (blocks, nodes) @ (nodes, _PHASE_BLOCK) product.
+    """
+    half = 0.5 * (hi - lo)
+    xi = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES[None, :]
+    w = _WEIGHTS[None, :] * half[:, None]
+    rows = []
+    for which, first, count in groups:
+        if which is Component.PP:
+            weight = np.sign(kappa(xi, p)) * phi(p.delta, xi, p)
+        else:
+            chi = (np.cos(xi) - p.lam - 1j * p.gamma * np.sin(xi)) / mu(xi, p)
+            weight = chi * phi(p.beta, xi, p)
+        k0 = first + _PHASE_BLOCK * np.arange(math.ceil(count / _PHASE_BLOCK))
+        rows.append((weight * w)[:, None, :] * np.exp(-1j * k0[None, :, None] * xi[:, None, :]))
+    table = np.exp(-1j * xi[:, :, None] * np.arange(_PHASE_BLOCK)[None, None, :])
+    sums = (np.concatenate(rows, axis=1) @ table).reshape(lo.size, -1)
+    cols, start = [], 0
+    for _, _, count in groups:
+        cols.append(sums[:, start : start + count])
+        start += _PHASE_BLOCK * math.ceil(count / _PHASE_BLOCK)
+    return np.concatenate(cols, axis=1)
 
-    else:
 
-        def f(xi):
-            m = mu(xi, p)
-            chi = (np.cos(xi) - p.lam - 1j * p.gamma * np.sin(xi)) / m
-            return chi * phi(p.beta, xi, p) * np.exp(-1j * x * xi)
+def _coefficients(
+    n_max: int, p: ModelParams, tol: float, pp_first: int = 0
+) -> tuple[dict, float]:
+    """app[pp_first .. pp_first+N-1] and apm[-N .. N-2] on one shared panel set.
 
-    return f
+    N = n_max.  Returns the arrays by component (PP absent when delta = 0,
+    where phi_0 vanishes) and the largest per-coefficient error estimate,
+    which is at most ``tol``.  The panel arrays hold one column per
+    coefficient, about 3N, so the memory of a refinement level grows as
+    O(N * panels).
 
+    Raises
+    ------
+    QuadratureError
+        Naming the coefficient with the largest achieved error when the panel
+        budget runs out, or the first non-finite one.
+    """
+    groups = [(Component.PM, -n_max, 2 * n_max - 1)]
+    if p.delta != 0.0:
+        groups.insert(0, (Component.PP, pp_first, n_max))
 
-def _quad_coefficient(x: int, which: Component, p: ModelParams, tol: float):
-    edges = np.concatenate([breakpoints(p), [TWO_PI]])
-    max_width = None
-    if abs(x) > _OSC_SPLIT_THRESHOLD:
-        max_width = _PERIODS_PER_PANEL * TWO_PI / abs(x)
-    value, err = adaptive_panels(
-        _integrand(which, x, p), edges, tol * TWO_PI, max_width=max_width
-    )
-    return value / TWO_PI, err / TWO_PI
+    def name(column: int) -> str:
+        for which, first, count in groups:
+            if column < count:
+                return f"{which.name}[{first + column}]"
+            column -= count
+        raise IndexError(column)
+
+    columns = sum(count for _, _, count in groups)
+
+    def rule(lo, hi):
+        out = np.empty((lo.size, columns), dtype=complex)
+        for s in range(0, lo.size, _PANEL_CHUNK):
+            part = slice(s, s + _PANEL_CHUNK)
+            out[part] = _panel_sums(lo[part], hi[part], p, groups)
+        return out
+
+    max_width = _PERIODS_PER_PANEL * TWO_PI / n_max if n_max > _OSC_SPLIT_THRESHOLD else None
+    lo, hi = _split_edges(np.concatenate([breakpoints(p), [TWO_PI]]), max_width)
+    try:
+        vals, errs = _refine(rule, lo, hi, tol * TWO_PI, TWO_PI)
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"coefficient {name(exc.column)} did not converge", exc.achieved_error / TWO_PI
+        ) from exc
+    values = vals.sum(axis=0) / TWO_PI
+    errors = errs.sum(axis=0) / TWO_PI
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise QuadratureError(
+            f"coefficient {name(bad[0])} did not converge: non-finite integral", errors[bad[0]]
+        )
+    out, start = {}, 0
+    for which, _, count in groups:
+        out[which] = values[start : start + count]
+        start += count
+    return out, float(errors.max())
 
 
 def fourier_coefficient(
@@ -123,8 +200,13 @@ def fourier_coefficient(
 ) -> complex:
     """Single Fourier coefficient app[x] (which=PP) or apm[x] (which=PM).
 
-    Computed by adaptive Gauss-Legendre quadrature on the smooth panels
-    between breakpoints, to absolute error <= tol.
+    Runs the shared-panel engine of :func:`build_block_sequence` at the
+    smallest n_max whose range holds x, so for x >= 0 (and every PM index)
+    the value equals that sequence's entry bit for bit; absolute error <=
+    tol.  A negative PP index is integrated at its own frequency rather than
+    mirrored from app[|x|], so it checks the oddness of the diagonal weight
+    independently.  The run integrates about 3|x| coefficients, so the cost
+    grows as O(x**2).
 
     Raises
     ------
@@ -134,10 +216,15 @@ def fourier_coefficient(
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if which is Component.PP and p.delta == 0.0:
-        return 0.0 + 0.0j  # phi_0 vanishes identically
-    value, _ = _quad_coefficient(int(x), which, p, tol)
-    return complex(value)
+    x = int(x)
+    if which is Component.PP:
+        if p.delta == 0.0:
+            return 0.0 + 0.0j  # phi_0 vanishes identically
+        values, _ = _coefficients(abs(x) + 1, p, tol, pp_first=min(x, 0))
+        return complex(values[Component.PP][x - min(x, 0)])
+    n_max = max(1, x + 2, -x)
+    values, _ = _coefficients(n_max, p, tol)
+    return complex(values[Component.PM][x + n_max])
 
 
 def build_block_sequence(
@@ -146,38 +233,26 @@ def build_block_sequence(
     """All coefficient blocks needed for truncations up to n_max block rows.
 
     app[x] is computed for x = 0 .. n_max-1 and mirrored to negative x via
-    the oddness symmetry; apm[y] is computed for y = -n_max .. n_max-2.
-    Nothing is cached: every call runs the quadratures afresh.
+    the oddness symmetry; apm[y] is computed for y = -n_max .. n_max-2, all
+    by one run of the shared-node engine.  Nothing is cached: every call
+    integrates afresh.
 
     Raises
     ------
     QuadratureError
-        Re-raised from the offending coefficient, with its index in the
-        message.
+        Naming the failing coefficient's component and index.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    worst = 0.0
-
-    def compute(x: int, which: Component):
-        nonlocal worst
-        try:
-            value, err = _quad_coefficient(x, which, p, tol)
-        except QuadratureError as exc:
-            raise QuadratureError(
-                f"coefficient {which.name}[{x}] did not converge", exc.achieved_error
-            ) from exc
-        worst = max(worst, err)
-        return value
-
+    values, worst = _coefficients(n_max, p, tol)
     if p.delta == 0.0:
         app = np.zeros(2 * n_max - 1, dtype=complex)
     else:
-        half = np.array([compute(x, Component.PP) for x in range(n_max)], dtype=complex)
+        half = values[Component.PP]
         app = np.concatenate([-half[:0:-1], half])
-    apm = np.array([compute(y, Component.PM) for y in range(-n_max, n_max - 1)], dtype=complex)
+    apm = values[Component.PM]
 
     # with these offsets apm[x-1] sits at the index of a_x, apm[-x-1] at its mirror
     blocks = np.empty((2 * n_max - 1, 2, 2), dtype=complex)

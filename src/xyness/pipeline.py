@@ -28,7 +28,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +88,11 @@ def fit_decay(series: CorrelationSeries, n_lo: int, n_hi: int) -> FitResult:
     The slope estimates the asymptotic decay rate limsup log|C(n)|/n.
     Requires at least 4 rows inside the window.
     """
-    rows = [r for r in series.rows if n_lo <= r.n <= n_hi]
+    return _fit_rows(series.rows, n_lo, n_hi)
+
+
+def _fit_rows(rows, n_lo: int, n_hi: int) -> FitResult:
+    rows = [r for r in rows if n_lo <= r.n <= n_hi]
     if len(rows) < 4:
         raise ValueError(
             f"need at least 4 rows in [{n_lo}, {n_hi}], have {len(rows)}"
@@ -172,10 +176,16 @@ def compute_series(
             )
         )
 
-    series = CorrelationSeries(
+    if fit_window is None:
+        ns = [r.n for r in rows]
+        # upper half of the available sizes, widened just enough for 4 rows
+        start = max(0, min(len(ns) // 2, len(ns) - 4))
+        fit_window = (ns[start], ns[-1])
+    in_window = sum(fit_window[0] <= r.n <= fit_window[1] for r in rows)
+    return CorrelationSeries(
         params=p,
         rows=tuple(rows),
-        fit=None,
+        fit=_fit_rows(rows, *fit_window) if in_window >= 4 else None,
         bound=bound_report(p, bound_tol),
         metadata={
             "tol": float(tol),
@@ -190,15 +200,6 @@ def compute_series(
         },
         sequence=seq,
     )
-    if fit_window is None:
-        ns = [r.n for r in rows]
-        # upper half of the available sizes, widened just enough for 4 rows
-        start = max(0, min(len(ns) // 2, len(ns) - 4))
-        fit_window = (ns[start], ns[-1])
-    in_window = [r for r in rows if fit_window[0] <= r.n <= fit_window[1]]
-    if len(in_window) < 4:
-        return series
-    return replace(series, fit=fit_decay(series, *fit_window))
 
 
 def _worker_count() -> int:

@@ -5,6 +5,9 @@ of kappa, and of mu at criticality), so a fixed high-order rule per panel
 with dyadic subdivision converges spectrally.  The engine works on batches of
 panels: each refinement level evaluates the integrand once on a (panels,
 nodes) array, which keeps the Python overhead per level instead of per panel.
+One refinement loop (``_refine``) also serves batches of integrals over a
+shared panel set, such as every Fourier coefficient of the symbol at once: a
+panel is then accepted only when every integral of the batch passes on it.
 
 Integrable endpoint singularities (the log-type ones of the decay-rate
 integrand at zeros of mu) are handled by grading: panels touching a
@@ -24,9 +27,11 @@ _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 class QuadratureError(RuntimeError):
     """Adaptive refinement exhausted its budget before reaching the tolerance."""
 
-    def __init__(self, message: str, achieved_error: float):
+    def __init__(self, message: str, achieved_error: float, column: int | None = None):
         super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
         self.achieved_error = achieved_error
+        #: for a batch of integrals, the one with the largest achieved error
+        self.column = column
 
 
 def _gauss_batch(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -89,29 +94,76 @@ def adaptive_panels(
     if tol <= 0:
         raise ValueError("tol must be positive")
     edges = np.asarray(edges, dtype=float)
-    total = edges[-1] - edges[0]
-    width_floor = total * 2.0**-46
-
     lo, hi = _split_edges(edges, max_width)
-    coarse = _gauss_batch(f, lo, hi)
+    vals, errs = _refine(
+        lambda a, b: _gauss_batch(f, a, b)[:, None],
+        lo,
+        hi,
+        tol,
+        edges[-1] - edges[0],
+        max_depth,
+        max_panels,
+    )
+    vals, errs = vals[:, 0], errs[:, 0]
+    value = vals.sum()
+    if not np.isfinite(value):
+        raise QuadratureError("non-finite integral", float(errs.sum()))
+    return (complex(value) if np.iscomplexobj(vals) else float(value)), float(errs.sum())
 
+
+def _refine(
+    rule,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    tol: float,
+    total: float,
+    max_depth: int = 52,
+    max_panels: int = 400_000,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dyadic refinement of base panels [lo_i, hi_i] until every panel passes.
+
+    ``rule(lo, hi)`` returns a (panels, K) array: K integrals over each panel,
+    one per column (K = 1 for a scalar integrand).  A panel is accepted when
+    its coarse estimate and the sum over its two halves differ by at most
+    ``tol * width / total`` in every column, so each column's error estimate
+    sums to at most ``tol`` over a domain of length ``total``.  A panel that
+    reaches the width floor ``total * 2**-46`` without passing is accepted
+    with its whole magnitude charged to the error estimate.
+
+    The arrays of a level are (panels, K), so memory grows as panels * K;
+    ``max_panels`` counts panel evaluations only, whatever K is.
+
+    Returns
+    -------
+    values, errors : np.ndarray
+        (panels, K) arrays over the accepted panels, sorted by left endpoint,
+        so that column sums do not depend on the refinement schedule.
+
+    Raises
+    ------
+    QuadratureError
+        If the panel budget or depth is exhausted first; ``column`` names the
+        column with the largest achieved error estimate.
+    """
+    width_floor = total * 2.0**-46
+    coarse = rule(lo, hi)
     acc_lo, acc_val, acc_err = [], [], []
     n_evals = lo.size
     for _ in range(max_depth):
         if lo.size == 0:
             break
         mid = 0.5 * (lo + hi)
-        left = _gauss_batch(f, lo, mid)
-        right = _gauss_batch(f, mid, hi)
+        left = rule(lo, mid)
+        right = rule(mid, hi)
         n_evals += 2 * lo.size
         fine = left + right
         err = np.abs(fine - coarse)
         width = hi - lo
-        converged = err <= tol * width / total
+        converged = err.max(axis=1) <= tol * width / total
         floored = ~converged & (width <= width_floor)
         # floor-hit panels border an integrable singularity; their whole
         # magnitude is charged to the error budget
-        err = np.where(floored, err + np.abs(fine) + np.abs(coarse), err)
+        err = np.where(floored[:, None], err + np.abs(fine) + np.abs(coarse), err)
         done = converged | floored
         acc_lo.append(lo[done])
         acc_val.append(fine[done])
@@ -121,17 +173,15 @@ def adaptive_panels(
         hi = np.concatenate([mid[keep], hi[keep]])
         coarse = np.concatenate([left[keep], right[keep]])
         if n_evals + 2 * lo.size > max_panels:
-            achieved = float(sum(e.sum() for e in acc_err) + err[keep].sum())
-            raise QuadratureError("panel budget exhausted", achieved)
+            _raise_unfinished("panel budget exhausted", acc_err + [err[keep]])
     if lo.size:
-        achieved = float(sum(e.sum() for e in acc_err))
-        raise QuadratureError("max refinement depth reached", achieved)
+        _raise_unfinished("max refinement depth reached", acc_err)
 
-    lo = np.concatenate(acc_lo)
-    vals = np.concatenate(acc_val)
-    errs = np.concatenate(acc_err)
-    order = np.argsort(lo, kind="stable")
-    value = vals[order].sum()
-    if not np.isfinite(value):
-        raise QuadratureError("non-finite integral", float(errs.sum()))
-    return (complex(value) if np.iscomplexobj(vals) else float(value)), float(errs.sum())
+    order = np.argsort(np.concatenate(acc_lo), kind="stable")
+    return np.concatenate(acc_val)[order], np.concatenate(acc_err)[order]
+
+
+def _raise_unfinished(message: str, errors: list) -> None:
+    achieved = np.atleast_1d(sum(e.sum(axis=0) for e in errors))
+    column = int(np.argmax(achieved))
+    raise QuadratureError(message, float(achieved[column]), column)

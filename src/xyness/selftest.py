@@ -71,8 +71,8 @@ def coefficient_symmetry_deviation(seq, p: ModelParams, probe_x=(1, 2, 3, 8, 17)
     """Worst violation (in units of tol) of the coefficient symmetries.
 
     Checks app[0] = 0, app purely imaginary, apm purely real, and
-    app[-x] = -app[x] with the negative side recomputed by independent
-    quadrature for the probe offsets.
+    app[-x] = -app[x] with the negative side integrated at its own
+    (negative) frequency for the probe offsets, not mirrored from app[x].
     """
     tol = seq.tol
     zero = seq.n_max - 1  # index of app[0]

@@ -5,7 +5,6 @@ import pytest
 
 from xyness import (
     ModelParams,
-    QuadratureError,
     bound_report,
     compute_series,
     mu,
@@ -68,13 +67,7 @@ class TestTheoremBound:
         "point",
         [
             (0.0, -0.4228, 2.2819, 0.6596),
-            pytest.param(
-                (0.0, 0.6856, 1.4701, 0.7152),
-                marks=pytest.mark.xfail(
-                    raises=QuadratureError,
-                    reason="the lambda +- 1e-5 neighbours exhaust the panel budget",
-                ),
-            ),
+            (0.0, 0.6856, 1.4701, 0.7152),
             (0.0, 0.425, 1.5022, 2.5108),
         ],
     )
@@ -89,6 +82,31 @@ class TestTheoremBound:
             for d in (-1e-5, 1e-5)
         ]
         assert B == pytest.approx(0.5 * sum(neighbours), abs=1e-6)
+
+    def test_gamma_zero_critical_points_finish(self):
+        # gamma = 0, |lam| <= 1: before mu was evaluated in product form,
+        # rounding noise in cos(xi) - lam next to the zeros of mu exhausted the
+        # panel budget at about a third of these points
+        rng = np.random.default_rng(20261018)
+        points = [
+            (0.0, lam + d, bl, br)
+            for (_, lam, bl, br) in (
+                (0.0, -0.4228, 2.2819, 0.6596),
+                (0.0, 0.6856, 1.4701, 0.7152),
+                (0.0, 0.425, 1.5022, 2.5108),
+            )
+            for d in (-1e-5, 0.0, 1e-5)
+        ]
+        points += [(0.0, 0.5, 1.0, 3.0)] + [(0.0, lam, 1.0, 3.0) for lam in (-1.0, 0.0, 1.0)]
+        points += [
+            (0.0, float(lam), float(bl), float(br))
+            for lam, bl, br in zip(
+                rng.uniform(-1.0, 1.0, 40), rng.uniform(0.2, 4.0, 40), rng.uniform(0.2, 4.0, 40)
+            )
+        ]
+        for point in points:
+            B = theorem_bound(ModelParams(*point), 1e-9)
+            assert math.isfinite(B) and B < 0.0, point
 
     def test_monotone_in_each_beta(self):
         # warmer reservoirs (smaller beta) push B further below 0

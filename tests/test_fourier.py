@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -10,12 +11,26 @@ from xyness import (
     breakpoints,
     build_block_sequence,
     fourier_coefficient,
+    kappa,
+    mu,
+    phi,
     symbol_matrices,
 )
 import xyness.fourier
-from xyness.quadrature import adaptive_panels
+from xyness.quadrature import _refine, adaptive_panels
+from conftest import ACCEPTANCE_SETS, CRITICAL_SET
 
 TWO_PI = 2.0 * math.pi
+TOL = 1e-12
+
+#: the acceptance sets, the critical set, a hot set and |gamma| -> 1
+ORACLE_SETS = (
+    *ACCEPTANCE_SETS,
+    CRITICAL_SET,
+    ModelParams(0.5, 0.3, 1e-3, 2e-3),
+    ModelParams(0.999, 0.3, 1.0, 3.0),
+    ModelParams(-0.999, 0.3, 1.0, 3.0),
+)
 
 
 def trapezoid_oracle(which, x, p, points_per_panel=2**18):
@@ -40,6 +55,127 @@ def trapezoid_oracle(which, x, p, points_per_panel=2**18):
             w = (np.cos(xs) - p.lam - 1j * p.gamma * np.sin(xs)) / m * np.sinh(p.beta * m) / den
         total += np.trapezoid(w * np.exp(-1j * x * xs), xs)
     return total / TWO_PI
+
+
+def per_coefficient_route(n_max, p, tol):
+    """The route the shared-panel engine replaced: one adaptive quadrature per
+    coefficient, its base panels capped at 8 periods of its own frequency
+    above frequency 64.  Returns app[0 .. n_max-1] and apm[-n_max .. n_max-2].
+    """
+    edges = np.concatenate([breakpoints(p), [TWO_PI]])
+
+    def coefficient(weight, x):
+        max_width = 8.0 * TWO_PI / abs(x) if abs(x) > 64 else None
+        value, _ = adaptive_panels(
+            lambda xi: weight(xi) * np.exp(-1j * x * xi), edges, tol * TWO_PI, max_width=max_width
+        )
+        return value / TWO_PI
+
+    def w_pp(xi):
+        return np.sign(kappa(xi, p)) * phi(p.delta, xi, p)
+
+    def w_pm(xi):
+        return (np.cos(xi) - p.lam - 1j * p.gamma * np.sin(xi)) / mu(xi, p) * phi(p.beta, xi, p)
+
+    app = [coefficient(w_pp, x) if p.delta else 0.0 for x in range(n_max)]
+    apm = [coefficient(w_pm, y) for y in range(-n_max, n_max - 1)]
+    return np.array(app), np.array(apm)
+
+
+def mp_coefficients(p, x_max, panel_width=0.2, dps=30):
+    """app[-x_max .. x_max] and apm[-x_max .. x_max] in 30-digit arithmetic.
+
+    Composite 48-point Gauss-Legendre on equal subpanels of each smooth piece
+    between the zeros of kappa and of mu, all computed in mpmath; only the
+    parameters come from the package.  sign(kappa) is constant on a piece and
+    taken at its midpoint.  Negative frequencies are integrated like positive
+    ones, so app[-x] = -app[x] is a result here, not an assumption.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    from mpmath.calculus.quadrature import GaussLegendre
+
+    mp = mpmath.mp
+    with mp.workdps(dps):
+        gamma, lam = mp.mpf(p.gamma), mp.mpf(p.lam)
+        beta, delta = mp.mpf(p.beta), mp.mpf(p.delta)
+        cuts = [mp.zero, mp.pi, 2 * mp.pi]
+        ratio = lam / (1 - gamma**2)
+        if abs(ratio) <= 1:
+            cuts += [mp.acos(ratio), 2 * mp.pi - mp.acos(ratio)]
+        if gamma == 0 and abs(lam) <= 1:
+            cuts += [mp.acos(lam), 2 * mp.pi - mp.acos(lam)]
+        cuts = sorted(cuts)
+        edges = [c for i, c in enumerate(cuts) if i == 0 or c - cuts[i - 1] > mp.mpf(10) ** (5 - dps)]
+        rule = GaussLegendre(mp).calc_nodes(5, mp.prec)
+        app = [mp.zero] * (2 * x_max + 1)
+        apm = [mp.zero] * (2 * x_max + 1)
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid = (a + b) / 2
+            sign_kappa = mp.sign(2 * lam * mp.sin(mid) - (1 - gamma**2) * mp.sin(2 * mid))
+            parts = int(mp.ceil((b - a) / panel_width))
+            h = (b - a) / parts
+            for j in range(parts):
+                c = a + (j + mp.mpf(0.5)) * h
+                for t, w in rule:
+                    xi = c + t * h / 2
+                    m = mp.sqrt((mp.cos(xi) - lam) ** 2 + (gamma * mp.sin(xi)) ** 2)
+                    den = mp.cosh(beta * m) + mp.cosh(delta * m)
+                    w_pp = w * h / 2 * sign_kappa * mp.sinh(delta * m) / den
+                    w_pm = w * h / 2 * (mp.cos(xi) - lam - 1j * gamma * mp.sin(xi)) / m * mp.sinh(beta * m) / den
+                    step = mp.expj(-xi)
+                    phase = mp.expj(x_max * xi)  # e^{-i x xi} at x = -x_max
+                    for k in range(2 * x_max + 1):
+                        apm[k] += w_pm * phase
+                        app[k] += w_pp * phase
+                        phase *= step
+        return (
+            np.array([complex(v / (2 * mp.pi)) for v in app]),
+            np.array([complex(v / (2 * mp.pi)) for v in apm]),
+        )
+
+
+def set_id(p):
+    return f"{p.gamma:g},{p.lam:g},{p.beta_l:g},{p.beta_r:g}"
+
+
+@pytest.fixture(scope="module")
+def engine512():
+    return {p: build_block_sequence(512, p, TOL) for p in ORACLE_SETS}
+
+
+class TestEngineOracles:
+    @pytest.mark.parametrize("p", ORACLE_SETS, ids=set_id)
+    def test_matches_high_precision_oracle(self, p, engine512):
+        seq = engine512[p]
+        app, apm = mp_coefficients(p, 8)
+        o = seq.n_max - 1  # index of x = 0 in seq.app
+        x = np.arange(-8, 9)
+        # the negative side of seq.app is mirrored; the oracle's is integrated
+        assert np.max(np.abs(seq.app[o + x] - app)) <= 2 * TOL
+        assert np.max(np.abs(seq.apm[x + seq.n_max] - apm)) <= 2 * TOL
+        assert seq.err_estimate <= TOL
+
+    @pytest.mark.parametrize("p", ORACLE_SETS, ids=set_id)
+    def test_negative_pp_matches_high_precision_oracle(self, p):
+        # fourier_coefficient integrates a negative PP index at its own
+        # frequency, so this checks the engine's diagonal weight for oddness
+        app, _ = mp_coefficients(p, 8)
+        got = [fourier_coefficient(x, Component.PP, p, TOL) for x in range(-8, 0)]
+        assert np.max(np.abs(np.array(got) - app[:8])) <= 2 * TOL
+
+    def test_oracle_resolved(self):
+        # halving the subpanels moves no value beyond the oracle's own noise
+        p = ORACLE_SETS[1]
+        coarse, fine = mp_coefficients(p, 8), mp_coefficients(p, 8, panel_width=0.1)
+        for a, b in zip(coarse, fine):
+            assert np.max(np.abs(a - b)) <= 1e-20
+
+    @pytest.mark.parametrize("p", ORACLE_SETS, ids=set_id)
+    def test_matches_per_coefficient_route(self, p, engine512):
+        seq = engine512[p]
+        app, apm = per_coefficient_route(512, p, TOL)
+        assert np.max(np.abs(seq.app[511:] - app)) <= 2 * TOL
+        assert np.max(np.abs(seq.apm - apm)) <= 2 * TOL
 
 
 class TestBreakpoints:
@@ -74,6 +210,16 @@ class TestSingleCoefficient:
             plus = fourier_coefficient(x, Component.PP, base_params)
             minus = fourier_coefficient(-x, Component.PP, base_params)
             assert abs(plus + minus) < 2e-12
+
+    def test_pp_odd_symmetry_sees_broken_weight(self, base_params, monkeypatch):
+        # a diagonal weight with an even part must fail the oddness check
+        def skewed_phi(d, xi, p):
+            return phi(d, xi, p) * (1.0 + 0.1 * np.sin(xi))
+
+        monkeypatch.setattr(xyness.fourier, "phi", skewed_phi)
+        plus = fourier_coefficient(1, Component.PP, base_params)
+        minus = fourier_coefficient(-1, Component.PP, base_params)
+        assert abs(plus + minus) > 1e-4
 
     def test_pp_purely_imaginary(self, base_params):
         for x in (1, 3, 12):
@@ -164,12 +310,11 @@ class TestBlockSequence:
             assert scaled[x] <= 1.05 * C
 
     def test_budget_failure_names_coefficient(self, base_params, monkeypatch):
-        def exploding(*args, **kwargs):
-            raise QuadratureError("boom", 1e-3)
-
-        monkeypatch.setattr(xyness.fourier, "adaptive_panels", exploding)
-        with pytest.raises(QuadratureError, match=r"PP\[0\]"):
+        # a budget of 8 panel evaluations runs out after the first refinement
+        monkeypatch.setattr(xyness.fourier, "_refine", functools.partial(_refine, max_panels=8))
+        with pytest.raises(QuadratureError, match=r"coefficient P[PM]\[-?\d+\] did not converge") as info:
             build_block_sequence(4, base_params, tol=1e-13)
+        assert "panel budget exhausted" in str(info.value.__cause__)
 
     def test_rebuild_is_bitwise_equal(self, base_params):
         a = build_block_sequence(5, base_params, tol=1e-10)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xyness import QuadratureError, adaptive_panels
+from xyness.quadrature import _gauss_batch, _refine
 
 
 def test_polynomial_exact():
@@ -53,6 +54,22 @@ def test_non_finite_total_raises():
     # each panel converges to a finite value, but their sum overflows
     with pytest.raises(QuadratureError, match="non-finite"), np.errstate(over="ignore"):
         adaptive_panels(lambda x: np.full_like(x, 8e307), [0.0, 1.0, 2.0, 3.0], 1e-9)
+
+
+def test_batch_refines_until_every_column_passes():
+    # one shared panel set for a smooth and an oscillatory integral: the
+    # smooth column passes on the single base panel, the other does not
+    k = 200.0
+
+    def rule(lo, hi):
+        return np.stack([_gauss_batch(np.cos, lo, hi), _gauss_batch(lambda x: np.cos(k * x), lo, hi)], axis=1)
+
+    vals, errs = _refine(rule, np.array([0.0]), np.array([1.0]), 1e-12, 1.0)
+    assert vals.shape[1] == 2 and vals.shape[0] > 1
+    total = vals.sum(axis=0)
+    assert total[0] == pytest.approx(math.sin(1.0), abs=1e-12)
+    assert total[1] == pytest.approx(math.sin(k) / k, abs=1e-12)
+    assert np.all(errs.sum(axis=0) <= 1e-12)
 
 
 def test_invalid_tol():
