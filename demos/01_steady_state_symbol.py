@@ -14,7 +14,7 @@ from xyness import (
     mu,
     mu_sup,
     phi,
-    symbol,
+    symbol_matrices,
     symbol_singular_values,
     two_point_operator,
 )
@@ -36,11 +36,11 @@ print()
 # the 2x2 symbol has singular values tanh(beta_l*mu/2), tanh(beta_r*mu/2):
 # the two reservoir temperatures are readable directly from the spectrum
 xi = 1.2
-a = symbol(xi, p)
-sv = np.linalg.svd(a.entries, compute_uv=False)
+a = symbol_matrices(xi, p)
+sv = np.linalg.svd(a, compute_uv=False)
 lo, hi = symbol_singular_values(xi, p)
 print(f"symbol at xi = {xi}:")
-print(np.array_str(a.entries, precision=4))
+print(np.array_str(a, precision=4))
 print(f"singular values from SVD:         {sv[1]:.12f}, {sv[0]:.12f}")
 print(f"closed-form tanh(beta_lr mu / 2): {lo:.12f}, {hi:.12f}")
 print()
@@ -55,5 +55,5 @@ print()
 # out of equilibrium the symbol picks up a diagonal part whose sign follows
 # the current direction sign(kappa); at equal temperatures it vanishes
 eq = ModelParams(gamma=0.5, lam=0.3, beta_l=2.0, beta_r=2.0)
-print("diagonal of the symbol at equal temperatures:", symbol(xi, eq).entries[0, 0])
-print("diagonal out of equilibrium:                 ", symbol(xi, p).entries[0, 0])
+print("diagonal of the symbol at equal temperatures:", symbol_matrices(xi, eq)[0, 0])
+print("diagonal out of equilibrium:                 ", symbol_matrices(xi, p)[0, 0])

@@ -48,7 +48,7 @@ print(f"plateau-log statistic at n = 128: empirical {s.empirical_mean:.8f}, limi
 # term-by-term inequality: discarding singular values below the plateau can
 # only increase the sum, because each discarded log is negative
 T = assemble(128, seq)
-sv = singular_values(T.entries)
+sv = singular_values(T)
 lhs = float(np.sum(np.log(sv)))
 rhs = float(np.sum(g_log(sv)))
 print(f"log|det T_n| = {lhs:.4f} <= smoothed sum {rhs:.4f}: {lhs <= rhs}")

@@ -20,7 +20,6 @@ from .model import (
     ConsistencyError,
     DomainError,
     ModelParams,
-    SymbolValue,
     kappa,
     mu,
     mu_min,
@@ -28,7 +27,6 @@ from .model import (
     mu_zeros,
     phi,
     q_factor,
-    symbol,
     symbol_matrices,
     symbol_singular_values,
     two_point_operator,
@@ -60,7 +58,7 @@ from .spectral import (
     smooth_indicator,
     square_plateau,
 )
-from .toeplitz import TruncatedToeplitz, assemble, dump_matrix, symbol_norm
+from .toeplitz import assemble, dump_matrix, symbol_norm
 
 __all__ = [
     "__version__",
@@ -78,8 +76,6 @@ __all__ = [
     "QuadratureError",
     "SeriesRow",
     "SpectralSummary",
-    "SymbolValue",
-    "TruncatedToeplitz",
     "adaptive_panels",
     "assemble",
     "avram_parter_gap",
@@ -107,7 +103,6 @@ __all__ = [
     "smooth_indicator",
     "square_plateau",
     "sweep",
-    "symbol",
     "symbol_matrices",
     "symbol_norm",
     "symbol_singular_values",

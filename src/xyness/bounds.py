@@ -29,6 +29,9 @@ from .quadrature import adaptive_panels
 
 _TWO_PI = 2.0 * math.pi
 
+#: absolute tolerance of the rate integral in every library and CLI report
+RATE_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -40,7 +43,7 @@ class BoundReport:
     critical: bool
 
 
-def theorem_bound(p: ModelParams, tol: float = 1e-9) -> float:
+def theorem_bound(p: ModelParams, tol: float = RATE_TOL) -> float:
     """The rate integral B, to absolute error ``tol``.
 
     Adaptive panel quadrature with panels split at the zeros of mu; the
@@ -92,7 +95,7 @@ def weak_bound_log(n: int, p: ModelParams) -> float:
     return n * weak_rate(p)
 
 
-def bound_report(p: ModelParams, tol: float = 1e-9) -> BoundReport:
+def bound_report(p: ModelParams, tol: float = RATE_TOL) -> BoundReport:
     return BoundReport(
         theorem_rate=theorem_bound(p, tol),
         weak_rate=weak_rate(p),

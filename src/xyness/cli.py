@@ -12,13 +12,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 import scipy
 
 from ._version import __version__
-from .bounds import bound_report, weak_bound_log
+from .bounds import RATE_TOL, bound_report, weak_bound_log
 from .fourier import build_block_sequence
 from .model import ConsistencyError, ModelParams
 from .pipeline import DEFAULT_N_LIST, NumericalError, compute_series, sweep
@@ -33,42 +32,24 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    gamma: float = 0.5
-    lam: float = 0.3
-    beta_l: float = 1.0
-    beta_r: float = 3.0
-    n_max: int = 256
-    n_list: list | None = None
-    tol: float = 1e-12
-    eps: float = 1e-3
-    out_path: str = ""
-    format: str = "csv"
-    dump_matrices: bool = False
-    points: list = field(default_factory=list)
-
-
 def _fmt(x: float) -> str:
     """17 significant digits, scientific; deterministic and locale-free."""
     return f"{float(x):.16e}"
 
 
-def _writer(cfg: RunConfig):
-    if cfg.out_path:
-        return open(cfg.out_path, "w", newline="\n")
+def _writer(args):
+    if args.out_path:
+        return open(args.out_path, "w", newline="\n")
     return sys.stdout
 
 
-def _meta_lines(cfg: RunConfig, p: ModelParams, extra: dict) -> list[str]:
+def _meta_lines(args, p: ModelParams, extra: dict) -> list[str]:
     lines = [
         f"# xyness={__version__} numpy={np.__version__} scipy={scipy.__version__}",
-        f"# command={cfg.subcommand}",
+        f"# command={args.subcommand}",
         f"# gamma={p.gamma!r} lambda={p.lam!r} beta_l={p.beta_l!r} beta_r={p.beta_r!r}",
         f"# beta={p.beta!r} delta={p.delta!r}",
         f"# swapped={str(p.swapped).lower()} critical={str(p.critical).lower()}",
-        f"# tol={cfg.tol!r}",
     ]
     lines.extend(f"# {k}={v}" for k, v in extra.items())
     return lines
@@ -83,23 +64,27 @@ def _default_n_values(n_max: int, base=DEFAULT_N_LIST) -> list[int]:
     return ns
 
 
-def _emit(cfg: RunConfig, meta: dict, header: list[str], rows: list[list], p: ModelParams) -> None:
-    fh = _writer(cfg)
+def _emit(args, meta: dict, header: list[str], rows: list[list], p: ModelParams) -> None:
+    """Write the run description, then ``header`` and ``rows``.
+
+    ``meta`` leads with ``tol``, the quadrature tolerance the numbers were
+    computed to.
+    """
+    fh = _writer(args)
     try:
-        if cfg.format == "jsonl":
+        if args.format == "jsonl":
             full = {
                 "type": "meta",
                 "xyness": __version__,
                 "numpy": np.__version__,
                 "scipy": scipy.__version__,
-                "command": cfg.subcommand,
+                "command": args.subcommand,
                 "gamma": p.gamma,
                 "lambda": p.lam,
                 "beta_l": p.beta_l,
                 "beta_r": p.beta_r,
                 "swapped": p.swapped,
                 "critical": p.critical,
-                "tol": cfg.tol,
                 **meta,
             }
             fh.write(json.dumps(full, sort_keys=True) + "\n")
@@ -107,7 +92,7 @@ def _emit(cfg: RunConfig, meta: dict, header: list[str], rows: list[list], p: Mo
                 obj = {"type": "row", **dict(zip(header, row))}
                 fh.write(json.dumps(obj, sort_keys=True) + "\n")
         else:
-            for line in _meta_lines(cfg, p, meta):
+            for line in _meta_lines(args, p, meta):
                 fh.write(line + "\n")
             fh.write(",".join(header) + "\n")
             for row in rows:
@@ -150,13 +135,14 @@ def _series_rows(series) -> list[list]:
     ]
 
 
-def cmd_correlations(cfg: RunConfig) -> int:
-    if cfg.dump_matrices and not cfg.out_path:
+def cmd_correlations(args) -> int:
+    if args.dump_matrices and not args.out_path:
         raise ValueError("--dump-matrices requires --out")
-    p = ModelParams(cfg.gamma, cfg.lam, cfg.beta_l, cfg.beta_r)
-    n_list = cfg.n_list or _default_n_values(cfg.n_max)
-    series = compute_series(p, n_list=n_list, tol=cfg.tol)
+    p = ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)
+    n_list = args.n_list or _default_n_values(args.n_max)
+    series = compute_series(p, n_list=n_list, tol=args.tol)
     meta = {
+        "tol": args.tol,
         "n_list": ",".join(str(n) for n in n_list),
         "theorem_rate": series.bound.theorem_rate,
         "weak_rate": series.bound.weak_rate,
@@ -165,19 +151,21 @@ def cmd_correlations(cfg: RunConfig) -> int:
     if series.fit is not None:
         meta["fit_slope"] = series.fit.slope
         meta["fit_window"] = f"{series.fit.n_lo}:{series.fit.n_hi}"
-    _emit(cfg, meta, list(_SERIES_HEADER), _series_rows(series), p)
-    if cfg.dump_matrices:
+    _emit(args, meta, list(_SERIES_HEADER), _series_rows(series), p)
+    if args.dump_matrices:
+        # every size is a leading corner of the largest truncation
+        omega = assemble(max(n_list), series.sequence)
         for n in n_list:
-            dump_matrix(assemble(n, series.sequence), f"{cfg.out_path}.omega{n:04d}.bin")
+            dump_matrix(omega[: 2 * n, : 2 * n], f"{args.out_path}.omega{n:04d}.bin")
     return EXIT_OK
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    p = ModelParams(cfg.gamma, cfg.lam, cfg.beta_l, cfg.beta_r)
-    n_list = cfg.n_list or _default_n_values(cfg.n_max, base=(64, 128, 256, 512))
-    seq = build_block_sequence(max(n_list), p, cfg.tol)
+def cmd_spectrum(args) -> int:
+    p = ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)
+    n_list = args.n_list or _default_n_values(args.n_max, base=(64, 128, 256, 512))
+    seq = build_block_sequence(max(n_list), p, args.tol)
     ceiling = symbol_norm(p)
-    g_log = indicator_log(cfg.eps, ceiling)
+    g_log = indicator_log(args.eps, ceiling)
     g_sq = square_plateau(max(1.0, ceiling))
     header = [
         "n",
@@ -194,7 +182,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     limit_square = avram_parter_limit(g_sq, p)
     rows = []
     for n in n_list:
-        s_log = avram_parter_gap(n, g_log, seq, p, eps=cfg.eps)
+        s_log = avram_parter_gap(n, g_log, seq, p, eps=args.eps)
         emp_square = float(np.mean(g_sq(s_log.values)))
         rows.append(
             [
@@ -210,34 +198,34 @@ def cmd_spectrum(cfg: RunConfig) -> int:
                 abs(emp_square - limit_square),
             ]
         )
-    meta = {"n_list": ",".join(str(n) for n in n_list), "eps": cfg.eps}
-    _emit(cfg, meta, header, rows, p)
+    meta = {"tol": args.tol, "n_list": ",".join(str(n) for n in n_list), "eps": args.eps}
+    _emit(args, meta, header, rows, p)
     return EXIT_OK
 
 
-def cmd_bound(cfg: RunConfig) -> int:
-    p = ModelParams(cfg.gamma, cfg.lam, cfg.beta_l, cfg.beta_r)
-    rep = bound_report(p, tol=1e-9)
+def cmd_bound(args) -> int:
+    p = ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)
+    rep = bound_report(p)
     print(f"theorem_rate = {_fmt(rep.theorem_rate)}")
     print(f"weak_rate    = {_fmt(rep.weak_rate)}  (per unit n, on log|det|)")
     print(f"mu_sup       = {_fmt(rep.mu_sup)}")
     print(f"critical     = {str(rep.critical).lower()}")
     if p.delta == 0.0:
         print("equilibrium  = true  (equal reservoir temperatures)")
-    if cfg.out_path:
+    if args.out_path:
         header = ["theorem_rate", "weak_rate", "mu_sup", "critical"]
         rows = [[rep.theorem_rate, rep.weak_rate, rep.mu_sup, int(rep.critical)]]
-        _emit(cfg, {}, header, rows, p)
+        _emit(args, {"tol": RATE_TOL}, header, rows, p)
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    if cfg.points:
-        grid = [ModelParams(*pt) for pt in cfg.points]
+def cmd_sweep(args) -> int:
+    if args.points:
+        grid = [ModelParams(*pt) for pt in args.points]
     else:
-        grid = [ModelParams(cfg.gamma, cfg.lam, cfg.beta_l, cfg.beta_r)]
-    n_list = cfg.n_list or _default_n_values(cfg.n_max)
-    results = sweep(grid, n_list=n_list, tol=cfg.tol)
+        grid = [ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)]
+    n_list = args.n_list or _default_n_values(args.n_max)
+    results = sweep(grid, n_list=n_list, tol=args.tol)
     header = ["point", "gamma", "lambda", "beta_l", "beta_r", *_SERIES_HEADER]
     rows = []
     failures = {}
@@ -248,16 +236,17 @@ def cmd_sweep(cfg: RunConfig) -> int:
             continue
         rows.extend([i, q.gamma, q.lam, q.beta_l, q.beta_r, *row] for row in _series_rows(series))
     meta = {
+        "tol": args.tol,
         "points": len(grid),
         "n_list": ",".join(str(n) for n in n_list),
     }
     for i, msg in failures.items():
         meta[f"point_{i}_error"] = msg
-    _emit(cfg, meta, header, rows, grid[0])
+    _emit(args, meta, header, rows, grid[0])
     return EXIT_OK
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
+def cmd_selftest(args) -> int:
     results = run_selftest(verbose=True)
     failed = [r for r in results if not r.ok]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
@@ -284,6 +273,7 @@ def _parse_n_list(text: str):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``xyness`` parser; each subcommand accepts only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="xyness",
         description="Steady-state XY chain correlations via Pfaffians of block Toeplitz truncations",
@@ -291,24 +281,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(sp, n_max_default=256):
+    def add_point(sp):
         sp.add_argument("--gamma", type=float, default=0.5, help="anisotropy, |gamma| < 1")
         sp.add_argument("--lambda", dest="lam", type=float, default=0.3, help="magnetic field")
         sp.add_argument("--beta-l", type=float, default=1.0, help="left inverse temperature")
         sp.add_argument("--beta-r", type=float, default=3.0, help="right inverse temperature")
+
+    def add_sizes(sp, n_max_default=256):
         sp.add_argument("--n-max", type=int, default=n_max_default, help="largest truncation size")
         sp.add_argument("--n-list", type=_parse_n_list, default=None, help="explicit sizes, comma-separated")
         sp.add_argument("--tol", type=float, default=1e-12, help="coefficient quadrature tolerance")
-        sp.add_argument("--eps", type=float, default=1e-3, help="small singular-value threshold")
+
+    def add_output(sp):
         sp.add_argument("--out", dest="out_path", default="", help="output path (default: stdout)")
         sp.add_argument("--format", choices=("csv", "jsonl"), default="csv")
-        sp.add_argument("--dump-matrices", action="store_true", help="write raw truncation dumps next to --out")
 
-    add_common(sub.add_parser("correlations", help="log|C(n)| series with bounds"))
-    add_common(sub.add_parser("spectrum", help="singular-value distribution diagnostics"), n_max_default=512)
-    add_common(sub.add_parser("bound", help="decay-rate bound report"))
+    sp = sub.add_parser("correlations", help="log|C(n)| series with bounds")
+    add_point(sp)
+    add_sizes(sp)
+    add_output(sp)
+    sp.add_argument("--dump-matrices", action="store_true", help="write raw truncation dumps next to --out")
+
+    sp = sub.add_parser("spectrum", help="singular-value distribution diagnostics")
+    add_point(sp)
+    add_sizes(sp, n_max_default=512)
+    add_output(sp)
+    sp.add_argument("--eps", type=float, default=1e-3, help="small singular-value threshold")
+
+    sp = sub.add_parser("bound", help="decay-rate bound report")
+    add_point(sp)
+    add_output(sp)
+
     sp = sub.add_parser("sweep", help="independent series over parameter points")
-    add_common(sp)
+    add_point(sp)
+    add_sizes(sp)
+    add_output(sp)
     sp.add_argument(
         "--point",
         dest="points",
@@ -318,8 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="G,L,BL,BR",
         help="parameter point; repeatable",
     )
-    add_common(sub.add_parser("selftest", help="run the built-in invariant suite"))
 
+    sub.add_parser("selftest", help="run the built-in invariant suite")
     return parser
 
 
@@ -333,25 +340,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        gamma=args.gamma,
-        lam=args.lam,
-        beta_l=args.beta_l,
-        beta_r=args.beta_r,
-        n_max=args.n_max,
-        n_list=args.n_list,
-        tol=args.tol,
-        eps=args.eps,
-        out_path=args.out_path,
-        format=args.format,
-        dump_matrices=args.dump_matrices,
-        points=getattr(args, "points", []),
-    )
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[cfg.subcommand](cfg)
+        return _COMMANDS[args.subcommand](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

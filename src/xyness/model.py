@@ -93,18 +93,6 @@ class ModelParams:
         object.__setattr__(self, "swapped", swapped)
 
 
-@dataclass(frozen=True)
-class SymbolValue:
-    """Value of the 2x2 matrix symbol at one angle.
-
-    ``entries`` has a real trace-free diagonal and off-diagonal entries of
-    equal modulus phi_beta(xi).
-    """
-
-    entries: np.ndarray
-    xi: float
-
-
 def kappa(xi, p: ModelParams):
     """Current-direction dispersion 2*lam*sin(xi) - (1 - gamma^2)*sin(2*xi).
 
@@ -185,12 +173,15 @@ def q_factor(xi, p: ModelParams):
 
 
 def symbol_matrices(xi, p: ModelParams) -> np.ndarray:
-    """Stack of symbol values a(xi) with shape (..., 2, 2).
+    """Symbol values a(xi) with shape (..., 2, 2); (2, 2) for a scalar angle.
 
     a(xi) = [[ sign(kappa)*phi_delta, -q*phi_beta          ],
              [ conj(q)*phi_beta,      -sign(kappa)*phi_delta]]
 
-    with sign(0) taken as 0; see :func:`symbol`.
+    The diagonal is real and trace-free; the off-diagonal entries have equal
+    modulus phi_beta(xi).  At zeros of kappa the diagonal uses sign(0) = 0;
+    these points form a measure-zero set and never enter the coefficient
+    integrals because the quadrature panels are split exactly there.
     """
     xi = np.asarray(xi, dtype=float)
     diag = np.sign(kappa(xi, p)) * phi(p.delta, xi, p)
@@ -201,16 +192,6 @@ def symbol_matrices(xi, p: ModelParams) -> np.ndarray:
     out[..., 1, 0] = np.conj(off)
     out[..., 1, 1] = -diag
     return out
-
-
-def symbol(xi: float, p: ModelParams) -> SymbolValue:
-    """Symbol value a(xi) at one angle.
-
-    At zeros of kappa the diagonal uses sign(0) = 0; these points form a
-    measure-zero set and never enter the coefficient integrals because the
-    quadrature panels are split exactly there.
-    """
-    return SymbolValue(entries=symbol_matrices(float(xi), p), xi=float(xi))
 
 
 def _pauli_direction(xi, p: ModelParams):

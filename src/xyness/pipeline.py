@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .bounds import BoundReport, bound_report, weak_bound_log
+from .bounds import RATE_TOL, BoundReport, bound_report, weak_bound_log
 from .fourier import BlockSequence, build_block_sequence
 from .model import ModelParams
 from .skewlinalg import log_det, nested_log_pfaffians, pfaffian, singular_values
@@ -111,22 +111,16 @@ def _fit_rows(rows, n_lo: int, n_hi: int) -> FitResult:
     )
 
 
-def compute_series(
-    p: ModelParams,
-    n_list=DEFAULT_N_LIST,
-    tol: float = 1e-12,
-    bound_tol: float = 1e-9,
-    fit_window: tuple[int, int] | None = None,
-) -> CorrelationSeries:
+def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) -> CorrelationSeries:
     """Correlation magnitudes log|C(n)| for each n in ``n_list``.
 
     One block sequence and one truncation are built at max(n_list); every
     size is its leading corner.  One nested Pfaffian pass gives every size's
     Pfaffian, with the pivoted fallback of the module notes.  Each row
     carries the Pfaffian/determinant cross-check residual and the extreme
-    singular values.  The fit window defaults to the upper half of the
-    available sizes; the fit is omitted when fewer than 4 rows fall inside
-    the window.
+    singular values.  The decay fit runs over the upper half of the sizes,
+    widened to at least 4 of them, and is omitted for fewer than 4 sizes.
+    The rate bound is integrated to ``RATE_TOL``.
 
     Raises
     ------
@@ -142,12 +136,12 @@ def compute_series(
 
     seq = build_block_sequence(max(n_list), p, tol)
     skew_tol = max(2.0 * seq.err_estimate, 1e-13)
-    omega = assemble(max(n_list), seq).entries
+    omega = assemble(max(n_list), seq)
     nested = nested_log_pfaffians(omega, skew_tol=skew_tol)
     rows = []
     fallback_sizes = []
     for n in n_list:
-        corner = omega[: 2 * n, : 2 * n]  # equals assemble(n, seq).entries
+        corner = omega[: 2 * n, : 2 * n]  # equals assemble(n, seq)
         det = log_det(corner)
         pf = nested.corner(n)
         if not abs(2.0 * pf.log_abs - det.log_abs) <= NESTED_PF_DET_RTOL * (1.0 + abs(det.log_abs)):
@@ -176,20 +170,16 @@ def compute_series(
             )
         )
 
-    if fit_window is None:
-        ns = [r.n for r in rows]
-        # upper half of the available sizes, widened just enough for 4 rows
-        start = max(0, min(len(ns) // 2, len(ns) - 4))
-        fit_window = (ns[start], ns[-1])
-    in_window = sum(fit_window[0] <= r.n <= fit_window[1] for r in rows)
+    # upper half of the sizes, widened just enough for 4 rows
+    start = max(0, min(len(rows) // 2, len(rows) - 4))
     return CorrelationSeries(
         params=p,
         rows=tuple(rows),
-        fit=_fit_rows(rows, *fit_window) if in_window >= 4 else None,
-        bound=bound_report(p, bound_tol),
+        fit=_fit_rows(rows, rows[start].n, rows[-1].n) if len(rows) >= 4 else None,
+        bound=bound_report(p),
         metadata={
             "tol": float(tol),
-            "bound_tol": float(bound_tol),
+            "bound_tol": RATE_TOL,
             "swapped": p.swapped,
             "coefficient_err_estimate": seq.err_estimate,
             "pfaffian_min_pivot": nested.min_pivot,

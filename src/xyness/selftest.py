@@ -107,17 +107,17 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
     record("coefficient-symmetries", dev <= 2.0 * seq.tol, f"max dev {dev:.2e}")
 
     # skew-symmetric assembly
-    dev = skew_deviation(assemble(16, seq).entries)
+    dev = skew_deviation(assemble(16, seq))
     record("skew-assembly", dev <= max(2 * seq.err_estimate, 1e-13), f"max dev {dev:.2e}")
 
     # Pfaffian squared vs determinant, plus the brute-force oracle
     worst = 0.0
     for n in (1, 2, 4, 8, 16, 32):
-        worst = max(worst, pf_det_residual(assemble(n, seq).entries))
+        worst = max(worst, pf_det_residual(assemble(n, seq)))
     ok = worst <= 1e-6
     brute_dev = 0.0
     for n in (1, 2, 3):
-        entries = assemble(n, seq).entries
+        entries = assemble(n, seq)
         ref = pfaffian_brute(entries)
         val = pfaffian(entries).to_value()
         brute_dev = max(brute_dev, abs(val - ref) / abs(ref))
@@ -129,7 +129,7 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
 
     # norm bound
     bound = symbol_norm(p, grid=1024)
-    smax = max(float(singular_values(assemble(n, seq).entries)[-1]) for n in (8, 32))
+    smax = max(float(singular_values(assemble(n, seq))[-1]) for n in (8, 32))
     record("norm-bound", smax <= bound + 1e-8, f"smax {smax:.6f} <= {bound:.6f}")
 
     # Avram-Parter with the compact square test function

@@ -27,6 +27,9 @@ from .toeplitz import assemble
 
 _TWO_PI = 2.0 * math.pi
 
+#: absolute tolerance of the distributional limit, a mean over the circle
+LIMIT_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SpectralSummary:
@@ -109,11 +112,11 @@ def count_small(n: int, eps: float, seq: BlockSequence) -> int:
     """Number of singular values of the n-block truncation in [0, eps]."""
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    sv = singular_values(assemble(n, seq).entries)
+    sv = singular_values(assemble(n, seq))
     return int(np.count_nonzero(sv <= eps))
 
 
-def avram_parter_limit(g, p: ModelParams, quad_tol: float = 1e-9) -> float:
+def avram_parter_limit(g, p: ModelParams) -> float:
     """Limit of the singular-value mean of g: g integrated over the symbol's
     closed-form singular values, with panels split at the zeros of mu."""
 
@@ -122,26 +125,19 @@ def avram_parter_limit(g, p: ModelParams, quad_tol: float = 1e-9) -> float:
         return 0.5 * (np.asarray(g(lo)) + np.asarray(g(hi)))
 
     edges = np.concatenate([[0.0], mu_zeros(p), [_TWO_PI]])
-    value, _ = adaptive_panels(integrand, np.unique(edges), quad_tol * _TWO_PI)
+    value, _ = adaptive_panels(integrand, np.unique(edges), LIMIT_TOL * _TWO_PI)
     return float(np.real(value)) / _TWO_PI
 
 
-def avram_parter_gap(
-    n: int,
-    g,
-    seq: BlockSequence,
-    p: ModelParams,
-    eps: float = 1e-3,
-    quad_tol: float = 1e-9,
-) -> SpectralSummary:
+def avram_parter_gap(n: int, g, seq: BlockSequence, p: ModelParams, eps: float = 1e-3) -> SpectralSummary:
     """Empirical singular-value mean of g versus its distributional limit.
 
     ``g`` must be vectorized, continuous, and compactly supported.  The limit
     side is :func:`avram_parter_limit`.
     """
-    sv = singular_values(assemble(n, seq).entries)
+    sv = singular_values(assemble(n, seq))
     empirical = float(np.mean(g(sv)))
-    limit = avram_parter_limit(g, p, quad_tol)
+    limit = avram_parter_limit(g, p)
     return SpectralSummary(
         n=int(n),
         values=sv,

@@ -10,7 +10,6 @@ supremum of the symbol's largest singular value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,25 +19,11 @@ from .model import ModelParams, mu
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class TruncatedToeplitz:
-    """Dense truncation with ``n`` block rows (``2n x 2n`` entries)."""
+def assemble(n: int, seq: BlockSequence) -> np.ndarray:
+    """Dense ``(2n, 2n)`` truncation of ``n`` block rows from ``seq``.
 
-    n: int
-    entries: np.ndarray
-    source_params: ModelParams
-    source_err: float
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
-
-
-def assemble(n: int, seq: BlockSequence) -> TruncatedToeplitz:
-    """Dense truncation of ``n`` block rows from ``seq``.
-
-    The leading 2m x 2m corner equals ``assemble(m, seq).entries``
-    bit-for-bit for every m <= n.
+    The leading 2m x 2m corner equals ``assemble(m, seq)`` bit-for-bit for
+    every m <= n.
 
     Raises
     ------
@@ -61,9 +46,7 @@ def assemble(n: int, seq: BlockSequence) -> TruncatedToeplitz:
     scale = float(np.max(np.abs(out))) if out.size else 0.0
     if asym > max(2.0 * seq.err_estimate, 1e-14 * scale):
         raise ValueError(f"assembled truncation is not skew-symmetric (dev {asym:.3e})")
-    return TruncatedToeplitz(
-        n=int(n), entries=out, source_params=seq.params, source_err=seq.err_estimate
-    )
+    return out
 
 
 def symbol_norm(p: ModelParams, grid: int = 4096) -> float:
@@ -101,8 +84,8 @@ def symbol_norm(p: ModelParams, grid: int = 4096) -> float:
     return float(max(vals[k], fc, fd))
 
 
-def dump_matrix(t: TruncatedToeplitz, path) -> None:
+def dump_matrix(entries: np.ndarray, path) -> None:
     """Raw binary dump: row-major (re, im) float64 pairs, little-endian."""
-    data = np.ascontiguousarray(t.entries.astype("<c16"))
+    data = np.ascontiguousarray(entries.astype("<c16"))
     with open(path, "wb") as fh:
         fh.write(data.tobytes())

@@ -49,7 +49,7 @@ def series_all():
     n_list = (8, 16, 32, 64, 96, 128, 160, 192, 224, 256)
     out = {}
     for p in (*ACCEPTANCE_SETS, CRITICAL_SET):
-        out[p] = compute_series(p, n_list=n_list, tol=TOL, fit_window=(64, 256))
+        out[p] = compute_series(p, n_list=n_list, tol=TOL)
     return out
 
 
@@ -73,7 +73,7 @@ def test_criterion_2_pfaffian_determinant(seqs512):
     for p in ACCEPTANCE_SETS:
         seq = seqs512[p]
         for n in (1, 2, 4, 8, 16, 32, 64, 128, 256):
-            entries = assemble(n, seq).entries
+            entries = assemble(n, seq)
             pf = pfaffian(entries, skew_tol=max(2 * seq.err_estimate, 1e-13))
             det = log_det(entries)
             worst = max(worst, abs(2.0 * pf.log_abs - det.log_abs))
@@ -82,7 +82,7 @@ def test_criterion_2_pfaffian_determinant(seqs512):
     brute_worst = 0.0
     for p in ACCEPTANCE_SETS:
         for n in (1, 2, 3):
-            entries = assemble(n, seqs512[p]).entries
+            entries = assemble(n, seqs512[p])
             ref = pfaffian_brute(entries)
             got = pfaffian(entries).to_value()
             brute_worst = max(brute_worst, abs(got - ref) / abs(ref))

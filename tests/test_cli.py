@@ -1,11 +1,15 @@
+import argparse
 import json
 import math
 import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from xyness import ModelParams, symbol_matrices
+from xyness.bounds import RATE_TOL
+from xyness.cli import build_parser
 from xyness.selftest import skew_deviation, symbol_svd_deviation
 from conftest import midpoint_grid
 
@@ -20,6 +24,68 @@ def run_cli(*args, **kwargs):
 
 
 BASE = ["--gamma", "0.5", "--lambda", "0.3", "--beta-l", "1", "--beta-r", "2"]
+
+#: every flag of any subcommand, with arguments that parse
+FLAG_ARGS = {
+    "--gamma": ["0.5"],
+    "--lambda": ["0.3"],
+    "--beta-l": ["1"],
+    "--beta-r": ["2"],
+    "--n-max": ["64"],
+    "--n-list": ["2,4"],
+    "--tol": ["1e-12"],
+    "--eps": ["1e-3"],
+    "--out": ["out.csv"],
+    "--format": ["jsonl"],
+    "--dump-matrices": [],
+    "--point": ["0.5,0.3,1,2"],
+}
+
+#: the flags each subcommand reads; every other flag is a usage error
+ACCEPTED = {
+    "correlations": {
+        "--gamma", "--lambda", "--beta-l", "--beta-r", "--n-max", "--n-list", "--tol",
+        "--out", "--format", "--dump-matrices",
+    },
+    "spectrum": {
+        "--gamma", "--lambda", "--beta-l", "--beta-r", "--n-max", "--n-list", "--tol",
+        "--eps", "--out", "--format",
+    },
+    "bound": {"--gamma", "--lambda", "--beta-l", "--beta-r", "--out", "--format"},
+    "sweep": {
+        "--gamma", "--lambda", "--beta-l", "--beta-r", "--n-max", "--n-list", "--tol",
+        "--out", "--format", "--point",
+    },
+    "selftest": set(),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("subcommand", sorted(ACCEPTED))
+    @pytest.mark.parametrize("flag", sorted(FLAG_ARGS))
+    def test_flag_parses_iff_read(self, subcommand, flag, capsys):
+        argv = [subcommand, flag, *FLAG_ARGS[flag]]
+        if flag in ACCEPTED[subcommand]:
+            build_parser().parse_args(argv)
+        else:
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_table_lists_every_flag(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(ACCEPTED)
+        for name, sp in sub.choices.items():
+            flags = {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
+            assert flags == ACCEPTED[name], name
+        assert sum(len(flags) for flags in ACCEPTED.values()) == 36
+
+    def test_unread_flags_exit_2(self):
+        for argv in (["selftest", "--gamma", "0.5"], ["spectrum", "--dump-matrices"]):
+            r = run_cli(*argv)
+            assert r.returncode == 2, argv
+            assert r.stdout == ""
 
 
 class TestCorrelationsCommand:
@@ -140,6 +206,15 @@ class TestBoundCommand:
         rate = float(r.stdout.split("theorem_rate =")[1].splitlines()[0])
         assert math.isfinite(rate) and rate < 0.0
 
+    def test_out_header_reports_rate_tolerance(self, tmp_path):
+        # the rate integral runs at RATE_TOL whatever the coefficient tolerance
+        csv, jsonl = tmp_path / "b.csv", tmp_path / "b.jsonl"
+        assert run_cli("bound", *BASE, "--out", str(csv)).returncode == 0
+        assert "# tol=1e-09" in csv.read_text().splitlines()
+        assert run_cli("bound", *BASE, "--format", "jsonl", "--out", str(jsonl)).returncode == 0
+        assert json.loads(jsonl.read_text().splitlines()[0])["tol"] == RATE_TOL == 1e-9
+        assert run_cli("bound", *BASE, "--tol", "1e-3").returncode == 2
+
     def test_equilibrium_flag(self):
         r = run_cli("bound", "--gamma", "0.5", "--lambda", "0.3", "--beta-l", "2", "--beta-r", "2")
         assert r.returncode == 0
@@ -193,9 +268,9 @@ class TestNegativeControls:
         from xyness import assemble
 
         T = assemble(4, base_seq)
-        corrupted = T.entries.copy()
+        corrupted = T.copy()
         corrupted[0, 1] = -corrupted[0, 1]  # sign error in one a_x entry
-        assert skew_deviation(T.entries) <= 2 * base_seq.err_estimate
+        assert skew_deviation(T) <= 2 * base_seq.err_estimate
         assert skew_deviation(corrupted) > 1e-3
 
     def test_injected_phi_error_fails_svd_check(self):

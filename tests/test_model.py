@@ -14,7 +14,6 @@ from xyness import (
     mu_zeros,
     phi,
     q_factor,
-    symbol,
     symbol_matrices,
     symbol_singular_values,
     two_point_operator,
@@ -185,7 +184,7 @@ class TestQFactor:
 class TestSymbol:
     def test_structure(self, base_params):
         for xi in midpoint_grid(64):
-            a = symbol(float(xi), base_params).entries
+            a = symbol_matrices(float(xi), base_params)
             assert a[0, 0].imag == 0.0 and a[1, 1].imag == 0.0
             assert a[0, 0] == -a[1, 1]
             assert abs(a[0, 1]) == pytest.approx(abs(a[1, 0]), abs=1e-15)

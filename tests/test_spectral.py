@@ -60,7 +60,7 @@ class TestSmoothIndicator:
 
 class TestCountSmall:
     def test_trivial_bounds(self, base_params, base_seq):
-        sv_min = float(np.min(np.abs(np.linalg.svd(assemble(8, base_seq).entries, compute_uv=False))))
+        sv_min = float(np.min(np.abs(np.linalg.svd(assemble(8, base_seq), compute_uv=False))))
         assert count_small(8, sv_min / 2, base_seq) == 0
         assert count_small(8, 0.999999, base_seq) == 16
 
@@ -105,7 +105,7 @@ class TestAvramParter:
         for n in (8, 24):
             s = avram_parter_gap(n, g, base_seq, base_params)
             T = assemble(n, base_seq)
-            frob = float(np.sum(np.abs(T.entries) ** 2)) / (2 * n)
+            frob = float(np.sum(np.abs(T) ** 2)) / (2 * n)
             assert s.empirical_mean == pytest.approx(frob, rel=1e-12)
 
         # independent limit: integral of phi_beta^2 + phi_delta^2
@@ -141,7 +141,7 @@ class TestAvramParter:
         for n in (4, 16, 32):
             T = assemble(n, base_seq)
             s = avram_parter_gap(n, g, base_seq, base_params)
-            lhs = log_det(T.entries).log_abs
+            lhs = log_det(T).log_abs
             rhs = float(np.sum(g(s.values)))
             assert lhs <= rhs + 1e-10
             assert np.all(s.values < 1.0)

@@ -17,15 +17,15 @@ class TestAssemble:
     def test_single_block(self, base_params, base_seq):
         T = assemble(1, base_seq)
         c = -base_seq.apm[-1 + base_seq.n_max]
-        assert T.entries[0, 1] == c and T.entries[1, 0] == -c
+        assert T[0, 1] == c and T[1, 0] == -c
 
     def test_two_blocks_layout(self, base_seq):
         T = assemble(2, base_seq)
         o = base_seq.n_max - 1  # index of x = 0
-        assert np.array_equal(T.entries[0:2, 0:2], base_seq.blocks[0 + o])
-        assert np.array_equal(T.entries[0:2, 2:4], base_seq.blocks[-1 + o])
-        assert np.array_equal(T.entries[2:4, 0:2], base_seq.blocks[1 + o])
-        assert np.array_equal(T.entries[2:4, 2:4], base_seq.blocks[0 + o])
+        assert np.array_equal(T[0:2, 0:2], base_seq.blocks[0 + o])
+        assert np.array_equal(T[0:2, 2:4], base_seq.blocks[-1 + o])
+        assert np.array_equal(T[2:4, 0:2], base_seq.blocks[1 + o])
+        assert np.array_equal(T[2:4, 2:4], base_seq.blocks[0 + o])
 
     @pytest.mark.parametrize("n", [1, 5, 33])
     def test_gather_matches_every_block_bitwise(self, base_seq, n):
@@ -33,20 +33,20 @@ class TestAssemble:
         o = base_seq.n_max - 1
         for i in range(n):
             for j in range(n):
-                block = T.entries[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
+                block = T[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
                 assert block.tobytes() == base_seq.blocks[i - j + o].tobytes()
 
     def test_skew_symmetry(self, base_seq):
         for n in (1, 4, 16, 33):
             T = assemble(n, base_seq)
-            dev = float(np.max(np.abs(T.entries + T.entries.T)))
+            dev = float(np.max(np.abs(T + T.T)))
             assert dev <= 2.0 * base_seq.err_estimate
 
     def test_nested_truncation_bitwise(self, base_seq):
         big = assemble(20, base_seq)
         for m in (1, 5, 13, 20):
             small = assemble(m, base_seq)
-            assert np.array_equal(big.entries[: 2 * m, : 2 * m], small.entries)
+            assert np.array_equal(big[: 2 * m, : 2 * m], small)
 
     def test_insufficient_range(self, base_seq):
         with pytest.raises(ValueError):
@@ -55,7 +55,7 @@ class TestAssemble:
             assemble(0, base_seq)
 
     def test_dim(self, base_seq):
-        assert assemble(7, base_seq).dim == 14
+        assert assemble(7, base_seq).shape == (14, 14)
 
 
 class TestSymbolNorm:
@@ -88,7 +88,7 @@ class TestNormBound:
     def test_truncation_norm_below_symbol_norm(self, base_params, base_seq):
         bound = symbol_norm(base_params)
         for n in (2, 8, 32):
-            sv = singular_values(assemble(n, base_seq).entries)
+            sv = singular_values(assemble(n, base_seq))
             assert sv[-1] <= bound + 1e-8
 
 
@@ -98,4 +98,4 @@ class TestDump:
         path = tmp_path / "omega.bin"
         dump_matrix(T, path)
         raw = np.frombuffer(path.read_bytes(), dtype="<c16").reshape(6, 6)
-        assert np.array_equal(raw, T.entries)
+        assert np.array_equal(raw, T)
