@@ -26,6 +26,7 @@ import numpy as np
 
 from .model import ModelParams, mu, mu_sup, mu_zeros
 from .quadrature import adaptive_panels
+from .toeplitz import symbol_norm
 
 _TWO_PI = 2.0 * math.pi
 
@@ -84,8 +85,8 @@ def theorem_bound(p: ModelParams, tol: float = RATE_TOL) -> float:
 
 
 def weak_rate(p: ModelParams) -> float:
-    """Per-n log-scale rate of the all-n determinant bound."""
-    return 2.0 * math.log(math.tanh(0.5 * p.beta_r * mu_sup(p)))
+    """Per-n log-scale rate of the all-n determinant bound: 2 log of the symbol norm."""
+    return 2.0 * math.log(symbol_norm(p))
 
 
 def weak_bound_log(n: int, p: ModelParams) -> float:

@@ -3,8 +3,8 @@
 Exit codes (stable contract): 0 success, 1 selftest failure, 2 usage error,
 3 numerical failure.  Output is locale-independent: '.' decimal separator,
 LF line endings, reals in 17-significant-digit scientific notation.  Repeated
-runs with identical flags produce byte-identical files (no timestamps, fixed
-summation orders).
+runs with identical flags and the same BLAS thread count produce
+byte-identical files (no timestamps, fixed summation orders).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from ._version import __version__
 from .bounds import RATE_TOL, bound_report, weak_bound_log
 from .fourier import build_block_sequence
 from .model import ConsistencyError, ModelParams
-from .pipeline import DEFAULT_N_LIST, NumericalError, compute_series, sweep
+from .pipeline import DEFAULT_N_LIST, NumericalError, check_sizes, compute_series, sweep
 from .quadrature import QuadratureError
 from .selftest import run_selftest
 from .spectral import avram_parter_gap, avram_parter_limit, indicator_log, square_plateau
@@ -163,10 +163,11 @@ def cmd_correlations(args) -> int:
 def cmd_spectrum(args) -> int:
     p = ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)
     n_list = args.n_list or _default_n_values(args.n_max, base=(64, 128, 256, 512))
+    n_list = check_sizes(n_list, args.tol)
     seq = build_block_sequence(max(n_list), p, args.tol)
     ceiling = symbol_norm(p)
     g_log = indicator_log(args.eps, ceiling)
-    g_sq = square_plateau(max(1.0, ceiling))
+    g_sq = square_plateau(1.0)
     header = [
         "n",
         "smin",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, kappa, mu, mu_zeros, phi
+from .model import ModelParams, kappa, mu, phi
 from .quadrature import _NODES, _WEIGHTS, QuadratureError, _refine, _split_edges
 from .quadrature import adaptive_panels  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
@@ -68,7 +68,6 @@ class BlockSequence:
     """
 
     n_max: int
-    params: ModelParams
     tol: float
     app: np.ndarray
     apm: np.ndarray
@@ -81,16 +80,15 @@ def breakpoints(p: ModelParams) -> np.ndarray:
 
     kappa factors as 2*sin(xi)*(lam - (1-gamma^2)*cos(xi)), so the zeros are
     {0, pi} plus, when |lam| <= 1 - gamma^2, the two roots of
-    cos(xi) = lam/(1-gamma^2).  Zeros of mu (critical parameters) are merged
-    in as well; they are always kappa zeros already, so this is a no-op
-    except for deduplication safety.
+    cos(xi) = lam/(1-gamma^2).  These include every zero of mu (critical
+    parameters): at gamma = 0 they are the roots of cos(xi) = lam, otherwise
+    0 or pi.
     """
     pts = [0.0, math.pi]
     ratio = p.lam / (1.0 - p.gamma**2)
     if abs(ratio) <= 1.0:
         x0 = math.acos(ratio)
         pts.extend([x0, TWO_PI - x0])
-    pts.extend(float(z) for z in mu_zeros(p))
     return _dedupe(sorted(x % TWO_PI for x in pts))
 
 
@@ -264,7 +262,6 @@ def build_block_sequence(
         arr.setflags(write=False)
     return BlockSequence(
         n_max=int(n_max),
-        params=p,
         tol=float(tol),
         app=app,
         apm=apm,

@@ -4,9 +4,8 @@ For each truncation size n the correlation magnitude is obtained from the
 Pfaffian of the assembled skew matrix, log|C(n)| = log|Pf Omega(n)|, with the
 determinant recomputed independently as a cross check: 2*log|Pf| must equal
 log|det| to 1e-6 at every n or the run aborts.  The Pfaffian is the primary
-value (half the log-scale error accumulation of the determinant); the overall
-phase is recorded but not interpreted, since only the magnitude carries
-ordering-convention-independent meaning.
+value (half the log-scale error accumulation of the determinant).  Only its
+magnitude is kept: the overall phase depends on a row-ordering convention.
 
 The truncations are nested leading corners of the largest one, so one
 unpivoted elimination of that matrix (:func:`nested_log_pfaffians`) yields
@@ -59,7 +58,6 @@ class SeriesRow:
     pf_det_residual: float  # |2*log|Pf| - log|det||
     smin: float
     smax: float
-    pf_phase: complex  # convention-dependent; recorded, not interpreted
 
 
 @dataclass(frozen=True)
@@ -111,6 +109,25 @@ def _fit_rows(rows, n_lo: int, n_hi: int) -> FitResult:
     )
 
 
+def check_sizes(n_list, tol: float) -> list[int]:
+    """``n_list`` as ints, after checking the sizes and the tolerance.
+
+    Raises
+    ------
+    ValueError
+        Unless ``n_list`` is a nonempty, strictly ascending list of positive
+        integers and ``tol`` is positive.
+    """
+    n_list = [int(n) for n in n_list]
+    if not n_list:
+        raise ValueError("n_list must be nonempty")
+    if any(b <= a for a, b in zip(n_list[:-1], n_list[1:])) or n_list[0] < 1:
+        raise ValueError("n_list must be strictly ascending positive integers")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    return n_list
+
+
 def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) -> CorrelationSeries:
     """Correlation magnitudes log|C(n)| for each n in ``n_list``.
 
@@ -124,16 +141,13 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
 
     Raises
     ------
+    ValueError
+        If :func:`check_sizes` rejects ``n_list`` or ``tol``.
     NumericalError
         If the Pfaffian-determinant residual exceeds 1e-6 or the all-n
         determinant bound is violated at some n.
     """
-    n_list = [int(n) for n in n_list]
-    if not n_list:
-        raise ValueError("n_list must be nonempty")
-    if any(b <= a for a, b in zip(n_list[:-1], n_list[1:])) or n_list[0] < 1:
-        raise ValueError("n_list must be strictly ascending positive integers")
-
+    n_list = check_sizes(n_list, tol)
     seq = build_block_sequence(max(n_list), p, tol)
     skew_tol = max(2.0 * seq.err_estimate, 1e-13)
     omega = assemble(max(n_list), seq)
@@ -166,7 +180,6 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
                 pf_det_residual=residual,
                 smin=float(sv[0]),
                 smax=float(sv[-1]),
-                pf_phase=pf.phase,
             )
         )
 
@@ -203,14 +216,16 @@ def _worker_count() -> int:
 def sweep(grid, n_list=DEFAULT_N_LIST, tol: float = 1e-12) -> list[CorrelationSeries]:
     """Independent :func:`compute_series` per grid point, input order preserved.
 
-    A failure at one point is recorded in that point's metadata (empty rows,
-    ``metadata["error"]``) without aborting the rest.  Parallelism is capped
-    by the XYNESS_THREADS environment variable (default: serial); results do
-    not depend on the execution schedule.
+    An invalid ``n_list`` or ``tol`` raises the :func:`check_sizes` error
+    before any point runs.  A failure at one point is recorded in that
+    point's metadata (empty rows, ``metadata["error"]``) without aborting the
+    rest.  Parallelism is capped by the XYNESS_THREADS environment variable
+    (default: serial); results do not depend on the execution schedule.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
+    n_list = check_sizes(n_list, tol)
 
     def run(p: ModelParams) -> CorrelationSeries:
         try:

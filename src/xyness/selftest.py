@@ -128,7 +128,7 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
     )
 
     # norm bound
-    bound = symbol_norm(p, grid=1024)
+    bound = symbol_norm(p)
     smax = max(float(singular_values(assemble(n, seq))[-1]) for n in (8, 32))
     record("norm-bound", smax <= bound + 1e-8, f"smax {smax:.6f} <= {bound:.6f}")
 

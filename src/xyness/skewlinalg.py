@@ -42,40 +42,19 @@ class LogScalar:
     """A complex number as (log magnitude, unit phase).
 
     ``log_abs = -inf`` encodes an exact zero, in which case ``phase`` is
-    meaningless (kept at 1).  Multiplication adds log magnitudes and
-    multiplies phases.
-
-    Round-trip through ``from_value``/``to_value`` is exact up to
-    ~|log_abs| * eps relative (the irreducible exp(log(x)) error of the
-    representation): far below 1e-14 at working magnitudes, ~1e-13 at the
-    extremes of the double range.
+    meaningless (kept at 1).  ``to_value`` is exact up to ~|log_abs| * eps
+    relative (the irreducible exp(log(x)) error of the representation): far
+    below 1e-14 at working magnitudes, ~1e-13 at the extremes of the double
+    range.
     """
 
     log_abs: float
     phase: complex = 1.0 + 0.0j
 
-    @classmethod
-    def from_value(cls, value: complex) -> "LogScalar":
-        value = complex(value)
-        r = abs(value)
-        if r == 0.0:
-            return cls(-math.inf, 1.0 + 0.0j)
-        return cls(math.log(r), value / r)
-
     def to_value(self) -> complex:
         if self.log_abs == -math.inf:
             return 0.0 + 0.0j
         return math.exp(self.log_abs) * self.phase
-
-    def __mul__(self, other: "LogScalar") -> "LogScalar":
-        if self.is_zero or other.is_zero:
-            return LogScalar(-math.inf)
-        return LogScalar(self.log_abs + other.log_abs, self.phase * other.phase)
-
-    def squared(self) -> "LogScalar":
-        if self.is_zero:
-            return LogScalar(-math.inf)
-        return LogScalar(2.0 * self.log_abs, self.phase**2)
 
     @property
     def is_zero(self) -> bool:

@@ -37,8 +37,7 @@ class SpectralSummary:
 
     n: int
     values: np.ndarray  # ascending, length 2n
-    eps: float
-    count_small: int
+    count_small: int  # values <= the eps of avram_parter_gap
     empirical_mean: float
     limit_value: float
     gap: float
@@ -141,7 +140,6 @@ def avram_parter_gap(n: int, g, seq: BlockSequence, p: ModelParams, eps: float =
     return SpectralSummary(
         n=int(n),
         values=sv,
-        eps=float(eps),
         count_small=int(np.count_nonzero(sv <= eps)),
         empirical_mean=empirical,
         limit_value=limit,

@@ -14,9 +14,7 @@ import math
 import numpy as np
 
 from .fourier import BlockSequence
-from .model import ModelParams, mu
-
-_TWO_PI = 2.0 * math.pi
+from .model import ModelParams, mu_sup
 
 
 def assemble(n: int, seq: BlockSequence) -> np.ndarray:
@@ -49,39 +47,16 @@ def assemble(n: int, seq: BlockSequence) -> np.ndarray:
     return out
 
 
-def symbol_norm(p: ModelParams, grid: int = 4096) -> float:
+def symbol_norm(p: ModelParams) -> float:
     """Largest singular value of the symbol, maximized over the circle.
 
     The largest singular value at angle xi is tanh(beta_r*mu(xi)/2) (the
-    identity is verified independently in the model tests), so this maximizes
-    that expression on a uniform grid and then refines around the best grid
-    point by golden-section search.  A grid approximation of the essential
-    supremum; strictly below 1 for finite temperatures.
+    identity is verified independently in the model tests), and mu peaks at
+    mu_sup = 1 + |lam| at xi in {0, pi}, so the supremum is
+    tanh(beta_r*mu_sup/2) in closed form.  Strictly below 1 for finite
+    temperatures, though it rounds to 1 once beta_r*mu_sup/2 exceeds ~19.
     """
-    if grid < 64:
-        raise ValueError("grid must be >= 64")
-
-    def top_sv(xi):
-        return np.tanh(0.5 * p.beta_r * mu(xi, p))
-
-    xi = np.arange(grid) * (_TWO_PI / grid)
-    vals = top_sv(xi)
-    k = int(np.argmax(vals))
-    lo, hi = xi[k] - _TWO_PI / grid, xi[k] + _TWO_PI / grid
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
-    fc, fd = top_sv(c), top_sv(d)
-    for _ in range(60):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = top_sv(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = top_sv(d)
-    return float(max(vals[k], fc, fd))
+    return math.tanh(0.5 * p.beta_r * mu_sup(p))
 
 
 def dump_matrix(entries: np.ndarray, path) -> None:

@@ -160,7 +160,6 @@ class TestWeakBound:
             pf_det_residual=0.0,
             smin=0.1,
             smax=0.9,
-            pf_phase=1.0 + 0j,
         )
         doctored = CorrelationSeries(
             params=series.params,

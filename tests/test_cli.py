@@ -191,6 +191,24 @@ class TestExitCodes:
         assert "n=8" in capsys.readouterr().err
 
 
+#: size and tolerance arguments every size-taking subcommand rejects
+BAD_SIZES = {
+    "descending": ["--n-list", "8,4"],
+    "zero": ["--n-list", "0"],
+    "negative-tol": ["--tol", "-1", "--n-max", "8"],
+}
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("bad", BAD_SIZES.values(), ids=BAD_SIZES.keys())
+    @pytest.mark.parametrize("subcommand", ["correlations", "spectrum", "sweep"])
+    def test_bad_sizes_exit_2_without_output(self, subcommand, bad):
+        r = run_cli(subcommand, *BASE, *bad)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert any(line.startswith("error: ") for line in r.stderr.splitlines())
+
+
 class TestBoundCommand:
     def test_plain_output(self):
         r = run_cli("bound", *BASE)

@@ -30,7 +30,6 @@ def synthetic_series(values):
             pf_det_residual=0.0,
             smin=0.1,
             smax=0.9,
-            pf_phase=1.0 + 0j,
         )
         for n, y in values
     )
@@ -190,3 +189,12 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             sweep([])
+
+    def test_bad_sizes_rejected_before_any_point(self, base_params, monkeypatch):
+        def never(p, **kwargs):
+            raise AssertionError("a point ran")
+
+        monkeypatch.setattr(xyness.pipeline, "compute_series", never)
+        for n_list, tol in (((8, 4), 1e-12), ((0,), 1e-12), ((8,), -1.0)):
+            with pytest.raises(ValueError):
+                xyness.pipeline.sweep([base_params], n_list=n_list, tol=tol)

@@ -9,8 +9,10 @@ from xyness import (
     dump_matrix,
     singular_values,
     symbol_norm,
+    symbol_singular_values,
 )
-from conftest import ACCEPTANCE_SETS
+from xyness.bounds import weak_rate
+from conftest import ACCEPTANCE_SETS, CRITICAL_SET
 
 
 class TestAssemble:
@@ -79,9 +81,24 @@ class TestSymbolNorm:
             expected = math.tanh(0.5 * p.beta_r * (1.0 + abs(p.lam)))
             assert symbol_norm(p) == pytest.approx(expected, abs=1e-14)
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            symbol_norm(ACCEPTANCE_SETS[0], grid=32)
+    def test_matches_sampled_maximum(self):
+        # independent of mu_sup: the sampled top singular value of the symbol,
+        # on a grid that holds both candidate maximizers 0 and pi
+        xi = np.arange(4096) * (2.0 * math.pi / 4096)
+        assert xi[0] == 0.0 and xi[2048] == math.pi
+        points = (
+            *ACCEPTANCE_SETS,
+            CRITICAL_SET,
+            ModelParams(0.0, 0.0, 50.0, 50.0),  # tanh saturates
+            ModelParams(0.99, 0.3, 1.0, 3.0),
+            ModelParams(-0.99, 0.3, 1.0, 3.0),
+            ModelParams(0.5, 0.0, 1.0, 3.0),
+            ModelParams(0.5, -1.7, 1.0, 2.0),
+        )
+        for p in points:
+            sampled = float(np.max(symbol_singular_values(xi, p)[1]))
+            assert abs(symbol_norm(p) - sampled) <= 1e-15, p
+            assert weak_rate(p) == 2 * math.log(symbol_norm(p))
 
 
 class TestNormBound:
