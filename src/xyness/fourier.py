@@ -5,7 +5,7 @@ The scalar coefficient sequences are
     app[x] = (1/2pi) Int_0^{2pi} sign(kappa)*phi_delta * e^{-i*x*xi} dxi
     apm[y] = (1/2pi) Int_0^{2pi} (cos(xi)-lam-i*gamma*sin(xi))/mu * phi_beta * e^{-i*y*xi} dxi
 
-and the 2x2 blocks are assembled as
+and the paper's 2x2 blocks are
 
     a_x = [[ app[x],    -apm[x-1] ],
            [ apm[-x-1], -app[x]   ]].
@@ -14,6 +14,19 @@ The diagonal weight sign(kappa)*phi_delta is odd on the circle, which forces
 app[0] = 0, app[-x] = -app[x], and purely imaginary app[x]; apm is real.
 These hold only up to quadrature error and are asserted by the test suite
 against independently computed integrals.
+
+The blocks are stored in the real gauge: conjugated by the per-site unitary
+D = diag(e^{-i*pi/4}, e^{i*pi/4}), which has det D = 1,
+
+    D a_x D = [[ Im app[x],  -apm[x-1] ],
+               [ apm[-x-1],  Im app[x] ]],
+
+a real matrix.  Every truncation D_n Omega(n) D_n (D_n = D on each site) is
+then real skew-symmetric, with Omega(n)'s Pfaffian, determinant and singular
+values, so the linear algebra runs in real arithmetic.  The dropped parts,
+Re app and Im apm, are quadrature noise; :func:`build_block_sequence`
+checks them against the skew threshold of :func:`toeplitz.assemble` before
+dropping them.  ``app`` and ``apm`` keep the complex coefficients.
 
 Every coefficient of a sequence comes from one shared-node engine: a single
 adaptive refinement over panels split at the zeros of kappa and mu and capped
@@ -63,8 +76,10 @@ class BlockSequence:
     holds x in [-(N-1), N-1] at index x + N - 1 (negative x filled by the
     oddness symmetry to halve the quadrature work), ``apm`` holds y in
     [-N, N-2] at index y + N, and ``blocks`` (shape (2N-1, 2, 2)) holds a_x at
-    index x + N - 1.  ``err_estimate`` is the largest per-coefficient
-    quadrature error estimate.
+    index x + N - 1.  The blocks are real: D a_x D in the gauge of the
+    module notes, while ``app`` and ``apm`` are the complex coefficients.
+    ``err_estimate`` is the largest per-coefficient quadrature error
+    estimate.
     """
 
     n_max: int
@@ -225,6 +240,23 @@ def fourier_coefficient(
     return complex(values[Component.PM][x + n_max])
 
 
+def _check_gauge(app: np.ndarray, apm: np.ndarray, n_max: int, err: float) -> None:
+    """Check that Re app[0 .. N-1] and Im apm[-N .. N-2] are noise.
+
+    The threshold is that of the skew check in :func:`toeplitz.assemble`.
+    """
+    scale = max(float(np.abs(app).max()), float(np.abs(apm).max()))
+    limit = max(2.0 * err, 1e-14 * scale)
+    for which, dropped, first in ((Component.PP, app.real, 0), (Component.PM, apm.imag, -n_max)):
+        i = int(np.argmax(np.abs(dropped)))
+        if abs(dropped[i]) > limit:
+            raise QuadratureError(
+                f"coefficient {which.name}[{first + i}] breaks the real gauge: "
+                f"dropped part {abs(dropped[i]):.3e} > {limit:.3e}",
+                err,
+            )
+
+
 def build_block_sequence(
     n_max: int, p: ModelParams, tol: float = 1e-12
 ) -> BlockSequence:
@@ -233,12 +265,15 @@ def build_block_sequence(
     app[x] is computed for x = 0 .. n_max-1 and mirrored to negative x via
     the oddness symmetry; apm[y] is computed for y = -n_max .. n_max-2, all
     by one run of the shared-node engine.  Nothing is cached: every call
-    integrates afresh.
+    integrates afresh.  The blocks are built in the real gauge of the module
+    notes.
 
     Raises
     ------
     QuadratureError
-        Naming the failing coefficient's component and index.
+        Naming the failing coefficient's component and index, also when the
+        part the gauge drops (Re app, Im apm) exceeds the skew threshold
+        max(2 * err_estimate, 1e-14 * max|coefficient|).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -251,13 +286,15 @@ def build_block_sequence(
         half = values[Component.PP]
         app = np.concatenate([-half[:0:-1], half])
     apm = values[Component.PM]
+    _check_gauge(app[n_max - 1 :], apm, n_max, worst)
 
-    # with these offsets apm[x-1] sits at the index of a_x, apm[-x-1] at its mirror
-    blocks = np.empty((2 * n_max - 1, 2, 2), dtype=complex)
-    blocks[:, 0, 0] = app
-    blocks[:, 1, 1] = -app
-    blocks[:, 0, 1] = -apm
-    blocks[:, 1, 0] = apm[::-1]
+    # with these offsets apm[x-1] sits at the index of a_x, apm[-x-1] at its
+    # mirror; the blocks are D a_x D, whose entries are real
+    blocks = np.empty((2 * n_max - 1, 2, 2))
+    blocks[:, 0, 0] = app.imag
+    blocks[:, 1, 1] = app.imag
+    blocks[:, 0, 1] = -apm.real
+    blocks[:, 1, 0] = apm.real[::-1]
     for arr in (app, apm, blocks):
         arr.setflags(write=False)
     return BlockSequence(

@@ -7,6 +7,11 @@ log|det| to 1e-6 at every n or the run aborts.  The Pfaffian is the primary
 value (half the log-scale error accumulation of the determinant).  Only its
 magnitude is kept: the overall phase depends on a row-ordering convention.
 
+Omega(n) is handled in the real gauge of :mod:`xyness.fourier`: the assembled
+matrix is D_n Omega(n) D_n, real skew-symmetric with the same Pfaffian,
+determinant and singular values, so the Pfaffian pass, the LU and the SVD
+all run in real arithmetic.
+
 The truncations are nested leading corners of the largest one, so one
 unpivoted elimination of that matrix (:func:`nested_log_pfaffians`) yields
 the Pfaffian of every size.  Unpivoted elimination has no a-priori accuracy

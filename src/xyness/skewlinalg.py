@@ -27,6 +27,11 @@ trailing matrix a skew rank-2 update.
   whatever the entries, at the price of one Python-level step, with a
   trailing-matrix ``argmax``, per pivot and per size.  It is the reference
   and the fallback for sizes the nested pass cannot serve.
+
+Every routine works in the input's arithmetic: a real matrix, such as the
+real-gauge truncations of :func:`toeplitz.assemble`, is factored in real
+arithmetic (LAPACK's d-routines, real Parlett-Reid updates) and its phases
+are exactly +-1; a complex matrix is factored in complex arithmetic.
 """
 
 from __future__ import annotations
@@ -148,10 +153,11 @@ def nested_log_pfaffians(M: np.ndarray, skew_tol: float | None = None) -> Nested
     M = _check_square_finite(M, "nested_log_pfaffians")
     dim = M.shape[0]
     scale = _check_skew(M, skew_tol) if dim else 0.0
+    dtype = np.result_type(M, float)
     if dim < 2:
-        return NestedPfaffians(np.zeros(0), np.ones(0, dtype=complex), math.inf)
+        return NestedPfaffians(np.zeros(0), np.ones(0, dtype=dtype), math.inf)
 
-    A = np.asarray(M - M.T, dtype=complex)  # a fresh array: scaled in place
+    A = np.asarray(M - M.T, dtype=dtype)  # a fresh array: scaled in place
     A *= 0.5
     end = dim - dim % 2
     pivots = []
@@ -159,7 +165,7 @@ def nested_log_pfaffians(M: np.ndarray, skew_tol: float | None = None) -> Nested
         k1 = min(k0 + 2 * PANEL_STEPS, end)
         # the panel's skew rank-2 updates so far: A_now = A + U W^T - W U^T on
         # rows and columns k0 onward (column s is zero above row 2s + 2)
-        U = np.zeros((dim - k0, (k1 - k0) // 2), dtype=complex, order="F")
+        U = np.zeros((dim - k0, (k1 - k0) // 2), dtype=A.dtype, order="F")
         W = np.zeros_like(U)
         for s in range(U.shape[1]):
             r = 2 * s
@@ -184,10 +190,10 @@ def nested_log_pfaffians(M: np.ndarray, skew_tol: float | None = None) -> Nested
 
 
 def _nested_result(pivots: list, steps: int, scale: float) -> NestedPfaffians:
-    piv = np.array(pivots, dtype=complex)
+    piv = np.array(pivots)
     mag = np.abs(piv)
     log_abs = np.full(steps, -math.inf)
-    phase = np.ones(steps, dtype=complex)
+    phase = np.ones(steps, dtype=piv.dtype)
     with np.errstate(divide="ignore"):  # log 0 = -inf marks a zero pivot
         log_abs[: piv.size] = np.cumsum(np.log(mag))
     phase[: piv.size] = np.cumprod(piv / np.where(mag > 0.0, mag, 1.0))
@@ -221,7 +227,7 @@ def pfaffian(M: np.ndarray, skew_tol: float | None = None) -> LogScalar:
     if n % 2 == 1:
         return LogScalar(-math.inf)
 
-    A = 0.5 * (M - M.T).astype(complex)
+    A = 0.5 * (M - M.T).astype(np.result_type(M, float))
     log_abs = 0.0
     phase = 1.0 + 0.0j
     for k in range(0, n - 2, 2):

@@ -5,6 +5,12 @@ block is a_{i-j}.  Because the blocks satisfy a_{-x} = -a_x^T exactly by
 assembly, the truncation is skew-symmetric, which is what makes its Pfaffian
 meaningful.  The operator norm of any truncation is bounded by the essential
 supremum of the symbol's largest singular value.
+
+The blocks come in the real gauge of :mod:`xyness.fourier`, so
+:func:`assemble` returns the real matrix R = D_n Omega(n) D_n, where D_n
+applies D = diag(e^{-i*pi/4}, e^{i*pi/4}) on every site.  D_n is unitary
+with det D_n = 1: R has Omega(n)'s Pfaffian, determinant and singular
+values.  :func:`dump_matrix` undoes D_n and writes Omega(n) itself.
 """
 
 from __future__ import annotations
@@ -18,10 +24,10 @@ from .model import ModelParams, mu_sup
 
 
 def assemble(n: int, seq: BlockSequence) -> np.ndarray:
-    """Dense ``(2n, 2n)`` truncation of ``n`` block rows from ``seq``.
+    """Dense real ``(2n, 2n)`` truncation of ``n`` block rows from ``seq``.
 
-    The leading 2m x 2m corner equals ``assemble(m, seq)`` bit-for-bit for
-    every m <= n.
+    The matrix is in the real gauge (module notes).  The leading 2m x 2m
+    corner equals ``assemble(m, seq)`` bit-for-bit for every m <= n.
 
     Raises
     ------
@@ -60,7 +66,23 @@ def symbol_norm(p: ModelParams) -> float:
 
 
 def dump_matrix(entries: np.ndarray, path) -> None:
-    """Raw binary dump: row-major (re, im) float64 pairs, little-endian."""
-    data = np.ascontiguousarray(entries.astype("<c16"))
+    """Raw binary dump of Omega(n): row-major (re, im) float64 pairs, little-endian.
+
+    ``entries`` is a real-gauge truncation R from :func:`assemble`; the dump
+    is D_n^{-1} R D_n^{-1}, which multiplies the entries of the diagonal
+    positions of each 2x2 block by i and -i and keeps the off-diagonal ones.
+
+    Raises
+    ------
+    ValueError
+        If ``entries`` is complex, so not a real-gauge truncation.
+    """
+    if np.iscomplexobj(entries):
+        raise ValueError("dump_matrix expects the real truncation from assemble")
+    data = entries.astype("<c16")
+    for a, sign in ((0, 1.0), (1, -1.0)):
+        site = data[a::2, a::2]
+        site.imag = sign * site.real
+        site.real = 0.0
     with open(path, "wb") as fh:
         fh.write(data.tobytes())

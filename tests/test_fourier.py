@@ -134,6 +134,32 @@ def mp_coefficients(p, x_max, panel_width=0.2, dps=30):
         )
 
 
+def _random_points(count, seed=20261018):
+    rng = np.random.default_rng(seed)
+    points = []
+    for _ in range(count):
+        beta_l = float(rng.uniform(0.1, 5.0))
+        points.append(
+            ModelParams(
+                float(rng.uniform(-0.95, 0.95)),
+                float(rng.uniform(-2.0, 2.0)),
+                beta_l,
+                beta_l * float(rng.uniform(1.0, 4.0)),
+            )
+        )
+    return points
+
+
+#: the oracle sets, cold reservoirs (beta = 50) and 20 random generic points
+GAUGE_SETS = (
+    *ORACLE_SETS,
+    ModelParams(0.5, 0.3, 1.0, 50.0),
+    ModelParams(0.5, 0.3, 50.0, 50.0),
+    ModelParams(0.0, 0.5, 20.0, 50.0),
+    *_random_points(20),
+)
+
+
 def set_id(p):
     return f"{p.gamma:g},{p.lam:g},{p.beta_l:g},{p.beta_r:g}"
 
@@ -255,12 +281,13 @@ class TestBlockSequence:
 
     def test_blocks_match_single_calls_bitwise(self, base_params):
         seq = build_block_sequence(3, base_params)
-        # offsets: app[x] at x + 2, apm[y] at y + 3, blocks[x] at x + 2
+        # offsets: app[x] at x + 2, apm[y] at y + 3, blocks[x] at x + 2;
+        # the blocks are D a_x D, D = diag(e^{-i pi/4}, e^{i pi/4})
         for x in (-2, -1, 0, 1, 2):
             expected = np.array(
                 [
-                    [seq.app[x + 2], -seq.apm[x - 1 + 3]],
-                    [seq.apm[-x - 1 + 3], -seq.app[x + 2]],
+                    [seq.app[x + 2].imag, -seq.apm[x - 1 + 3].real],
+                    [seq.apm[-x - 1 + 3].real, seq.app[x + 2].imag],
                 ]
             )
             assert np.array_equal(seq.blocks[x + 2], expected)
@@ -315,6 +342,32 @@ class TestBlockSequence:
         with pytest.raises(QuadratureError, match=r"coefficient P[PM]\[-?\d+\] did not converge") as info:
             build_block_sequence(4, base_params, tol=1e-13)
         assert "panel budget exhausted" in str(info.value.__cause__)
+
+    @pytest.mark.parametrize("p", GAUGE_SETS, ids=set_id)
+    def test_gauge_drops_only_noise(self, p):
+        # Re app and Im apm, which the real blocks drop, stay well inside the
+        # threshold of the gauge gate
+        for n_max in (64, 512):
+            seq = build_block_sequence(n_max, p, TOL)
+            scale = max(np.abs(seq.app).max(), np.abs(seq.apm).max())
+            limit = max(2.0 * seq.err_estimate, 1e-14 * scale)
+            dropped = max(np.abs(seq.app.real).max(), np.abs(seq.apm.imag).max())
+            assert dropped <= 0.5 * limit
+
+    @pytest.mark.parametrize(
+        "p, which",
+        [(ModelParams(0.5, 0.3, 1.0, 2.0), "PP"), (ModelParams(0.5, 0.3, 2.0, 2.0), "PM")],
+        ids=["pp", "pm-at-equilibrium"],
+    )
+    def test_gauge_gate_sees_broken_weight(self, p, which, monkeypatch):
+        # a weight with an even part gives app a real part and apm an
+        # imaginary one; at delta = 0 only the off-diagonal sequence exists
+        def skewed_phi(d, xi, q):
+            return phi(d, xi, q) * (1.0 + 0.1 * np.sin(xi))
+
+        monkeypatch.setattr(xyness.fourier, "phi", skewed_phi)
+        with pytest.raises(QuadratureError, match=rf"coefficient {which}\[-?\d+\] breaks the real gauge"):
+            build_block_sequence(8, p, TOL)
 
     def test_rebuild_is_bitwise_equal(self, base_params):
         a = build_block_sequence(5, base_params, tol=1e-10)

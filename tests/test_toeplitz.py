@@ -6,7 +6,11 @@ import pytest
 from xyness import (
     ModelParams,
     assemble,
+    build_block_sequence,
     dump_matrix,
+    log_det,
+    nested_log_pfaffians,
+    pfaffian,
     singular_values,
     symbol_norm,
     symbol_singular_values,
@@ -15,10 +19,55 @@ from xyness.bounds import weak_rate
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET
 
 
+def complex_assembly(n, seq):
+    """The paper's complex Omega(n), gathered from the blocks
+    a_x = [[app[x], -apm[x-1]], [apm[-x-1], -app[x]]] of ``seq.app``/``seq.apm``."""
+    blocks = np.empty((2 * seq.n_max - 1, 2, 2), dtype=complex)
+    blocks[:, 0, 0] = seq.app
+    blocks[:, 1, 1] = -seq.app
+    blocks[:, 0, 1] = -seq.apm
+    blocks[:, 1, 0] = seq.apm[::-1]
+    k = np.arange(n)
+    ab = np.arange(2)
+    return blocks[
+        k[:, None, None, None] - k[:, None] + (seq.n_max - 1), ab[:, None, None], ab
+    ].reshape(2 * n, 2 * n)
+
+
+def ungauged(R):
+    """D_n^{-1} R D_n^{-1}, D = diag(e^{-i pi/4}, e^{i pi/4}) on every site:
+    i and -i on the diagonal positions of each 2x2 block, the off-diagonal
+    positions as they are."""
+    out = R.astype(complex)
+    out[0::2, 0::2] = 1j * R[0::2, 0::2]
+    out[1::2, 1::2] = -1j * R[1::2, 1::2]
+    return out
+
+
+#: the acceptance sets, the critical set, a hot set and |gamma| -> 1
+CROSS_SETS = (
+    *ACCEPTANCE_SETS,
+    CRITICAL_SET,
+    ModelParams(0.5, 0.3, 1e-3, 2e-3),
+    ModelParams(0.999, 0.3, 1.0, 3.0),
+    ModelParams(-0.999, 0.3, 1.0, 3.0),
+)
+CROSS_SIZES = (1, 2, 8, 16, 32, 64, 128, 256)
+
+#: sizes whose smallest singular value lies below the part the gauge drops:
+#: at this equilibrium point one singular-value pair decays into quadrature
+#: noise, so log|det| and log|Pf| are noise there on either route
+UNRESOLVED = {ModelParams(-0.4, 1.7, 2.0, 2.0): (32, 64, 128, 256)}
+
+
+def set_id(p):
+    return f"{p.gamma:g},{p.lam:g},{p.beta_l:g},{p.beta_r:g}"
+
+
 class TestAssemble:
     def test_single_block(self, base_params, base_seq):
         T = assemble(1, base_seq)
-        c = -base_seq.apm[-1 + base_seq.n_max]
+        c = -base_seq.apm[-1 + base_seq.n_max].real  # real gauge
         assert T[0, 1] == c and T[1, 0] == -c
 
     def test_two_blocks_layout(self, base_seq):
@@ -115,4 +164,60 @@ class TestDump:
         path = tmp_path / "omega.bin"
         dump_matrix(T, path)
         raw = np.frombuffer(path.read_bytes(), dtype="<c16").reshape(6, 6)
-        assert np.array_equal(raw, T)
+        # the dump undoes the real gauge
+        assert np.array_equal(raw, ungauged(T))
+
+    def test_rejects_complex_entries(self, base_seq, tmp_path):
+        with pytest.raises(ValueError, match="real truncation"):
+            dump_matrix(complex_assembly(2, base_seq), tmp_path / "omega.bin")
+
+    @pytest.mark.parametrize("p", CROSS_SETS[:6], ids=set_id)
+    def test_dump_is_the_complex_omega(self, p, tmp_path):
+        seq = build_block_sequence(16, p)
+        path = tmp_path / "omega.bin"
+        dump_matrix(assemble(16, seq), path)
+        raw = np.frombuffer(path.read_bytes(), dtype="<c16").reshape(32, 32)
+        assert np.max(np.abs(raw - complex_assembly(16, seq))) <= 1e-14
+
+
+class TestRealGauge:
+    """The real route against the paper's complex Omega(n) of the same coefficients."""
+
+    @pytest.mark.parametrize("p", CROSS_SETS, ids=set_id)
+    def test_matches_complex_route(self, p):
+        seq = build_block_sequence(max(CROSS_SIZES), p)
+        R = assemble(seq.n_max, seq)
+        C = complex_assembly(seq.n_max, seq)
+        assert R.dtype == np.float64
+        nested_r, nested_c = nested_log_pfaffians(R), nested_log_pfaffians(C)
+        unresolved = []
+        for n in CROSS_SIZES:
+            r, c = R[: 2 * n, : 2 * n], C[: 2 * n, : 2 * n]
+            sv_r, sv_c = singular_values(r), singular_values(c)
+            assert np.max(np.abs(sv_r - sv_c)) <= 1e-13 * sv_c[-1]
+            # Weyl: each singular value moves by at most the norm of the
+            # dropped part, which bounds the move of every log-magnitude
+            dropped = np.linalg.norm(c - ungauged(r))  # Frobenius >= spectral
+            lowest = np.minimum(sv_r, sv_c)
+            if dropped >= lowest[0]:
+                unresolved.append(n)
+                continue
+            weyl = float(np.sum(-np.log1p(-dropped / lowest)))
+            det_r, det_c = log_det(r).log_abs, log_det(c).log_abs
+            assert abs(det_r - det_c) <= max(1e-12 * (1.0 + abs(det_c)), weyl)
+            pf_r, pf_c = nested_r.log_abs[n - 1], nested_c.log_abs[n - 1]
+            assert abs(pf_r - pf_c) <= max(1e-12 * (1.0 + abs(pf_c)), 0.5 * weyl)
+        assert tuple(unresolved) == UNRESOLVED.get(p, ())
+
+    @pytest.mark.parametrize("p", CROSS_SETS, ids=set_id)
+    def test_real_phases_are_signs(self, p):
+        seq = build_block_sequence(16, p)
+        R = assemble(16, seq)
+        nested = nested_log_pfaffians(R)
+        assert nested.phase.dtype == np.float64  # the pass stayed real
+        assert np.all(np.abs(nested.phase) == 1.0)
+        for n in (1, 2, 8, 16):
+            corner = R[: 2 * n, : 2 * n]
+            assert log_det(corner).phase in (1.0, -1.0)
+            assert pfaffian(corner).phase in (1.0, -1.0)
+            assert nested.corner(n).phase in (1.0, -1.0)
