@@ -1,10 +1,11 @@
 """Command-line surface: deterministic CSV/JSONL emitters over the pipeline.
 
-Exit codes (stable contract): 0 success, 1 selftest failure, 2 usage error,
-3 numerical failure.  Output is locale-independent: '.' decimal separator,
-LF line endings, reals in 17-significant-digit scientific notation.  Repeated
-runs with identical flags and the same BLAS thread count produce
-byte-identical files (no timestamps, fixed summation orders).
+Exit codes (stable contract): 0 success, 1 selftest failure, 2 usage error
+or unwritable output path, 3 numerical failure, LAPACK's included.  Output is
+locale-independent: '.' decimal separator, LF line endings, reals in
+17-significant-digit scientific notation.  Repeated runs with identical
+flags and the same BLAS thread count produce byte-identical files (no
+timestamps, fixed summation orders).
 """
 
 from __future__ import annotations
@@ -164,9 +165,8 @@ def cmd_spectrum(args) -> int:
     p = ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)
     n_list = args.n_list or _default_n_values(args.n_max, base=(64, 128, 256, 512))
     n_list = check_sizes(n_list, args.tol)
+    g_log = indicator_log(args.eps, symbol_norm(p))  # rejects a bad --eps before integrating
     seq = build_block_sequence(max(n_list), p, args.tol)
-    ceiling = symbol_norm(p)
-    g_log = indicator_log(args.eps, ceiling)
     g_sq = square_plateau(1.0)
     header = [
         "n",
@@ -344,12 +344,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (QuadratureError, NumericalError, ConsistencyError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

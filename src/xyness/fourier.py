@@ -21,12 +21,13 @@ D = diag(e^{-i*pi/4}, e^{i*pi/4}), which has det D = 1,
     D a_x D = [[ Im app[x],  -apm[x-1] ],
                [ apm[-x-1],  Im app[x] ]],
 
-a real matrix.  Every truncation D_n Omega(n) D_n (D_n = D on each site) is
-then real skew-symmetric, with Omega(n)'s Pfaffian, determinant and singular
-values, so the linear algebra runs in real arithmetic.  The dropped parts,
-Re app and Im apm, are quadrature noise; :func:`build_block_sequence`
-checks them against the skew threshold of :func:`toeplitz.assemble` before
-dropping them.  ``app`` and ``apm`` keep the complex coefficients.
+a real matrix.  a_0's diagonal is set to exactly 0 (app[0] = -app[0]), so
+every truncation D_n Omega(n) D_n (D_n = D on each site) is real and
+skew-symmetric bit for bit, with Omega(n)'s Pfaffian, determinant and
+singular values: the linear algebra runs in real arithmetic.  The dropped
+parts, Re app, Im app[0] and Im apm, are quadrature noise;
+:func:`build_block_sequence` checks them against the gate's own threshold
+before dropping them.  ``app`` and ``apm`` keep the complex coefficients.
 
 Every coefficient of a sequence comes from one shared-node engine: a single
 adaptive refinement over panels split at the zeros of kappa and mu and capped
@@ -241,13 +242,14 @@ def fourier_coefficient(
 
 
 def _check_gauge(app: np.ndarray, apm: np.ndarray, n_max: int, err: float) -> None:
-    """Check that Re app[0 .. N-1] and Im apm[-N .. N-2] are noise.
-
-    The threshold is that of the skew check in :func:`toeplitz.assemble`.
-    """
+    """Check that Re app[0 .. N-1], Im app[0] and Im apm[-N .. N-2] are noise."""
     scale = max(float(np.abs(app).max()), float(np.abs(apm).max()))
     limit = max(2.0 * err, 1e-14 * scale)
-    for which, dropped, first in ((Component.PP, app.real, 0), (Component.PM, apm.imag, -n_max)):
+    for which, dropped, first in (
+        (Component.PP, app.real, 0),
+        (Component.PP, app.imag[:1], 0),
+        (Component.PM, apm.imag, -n_max),
+    ):
         i = int(np.argmax(np.abs(dropped)))
         if abs(dropped[i]) > limit:
             raise QuadratureError(
@@ -266,14 +268,14 @@ def build_block_sequence(
     the oddness symmetry; apm[y] is computed for y = -n_max .. n_max-2, all
     by one run of the shared-node engine.  Nothing is cached: every call
     integrates afresh.  The blocks are built in the real gauge of the module
-    notes.
+    notes, where every truncation is skew-symmetric bit for bit.
 
     Raises
     ------
     QuadratureError
         Naming the failing coefficient's component and index, also when the
-        part the gauge drops (Re app, Im apm) exceeds the skew threshold
-        max(2 * err_estimate, 1e-14 * max|coefficient|).
+        part the gauge drops (Re app, Im app[0], Im apm) exceeds the gate's
+        threshold max(2 * err_estimate, 1e-14 * max|coefficient|).
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -292,7 +294,8 @@ def build_block_sequence(
     # mirror; the blocks are D a_x D, whose entries are real
     blocks = np.empty((2 * n_max - 1, 2, 2))
     blocks[:, 0, 0] = app.imag
-    blocks[:, 1, 1] = app.imag
+    blocks[n_max - 1, 0, 0] = 0.0  # app[0] = -app[0]: a_0's diagonal is exactly 0
+    blocks[:, 1, 1] = blocks[:, 0, 0]
     blocks[:, 0, 1] = -apm.real
     blocks[:, 1, 0] = apm.real[::-1]
     for arr in (app, apm, blocks):

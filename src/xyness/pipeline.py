@@ -8,9 +8,9 @@ value (half the log-scale error accumulation of the determinant).  Only its
 magnitude is kept: the overall phase depends on a row-ordering convention.
 
 Omega(n) is handled in the real gauge of :mod:`xyness.fourier`: the assembled
-matrix is D_n Omega(n) D_n, real skew-symmetric with the same Pfaffian,
-determinant and singular values, so the Pfaffian pass, the LU and the SVD
-all run in real arithmetic.
+matrix is D_n Omega(n) D_n, real and skew-symmetric bit for bit, with the
+same Pfaffian, determinant and singular values, so the Pfaffian pass, the LU
+and the SVD all run in real arithmetic.
 
 The truncations are nested leading corners of the largest one, so one
 unpivoted elimination of that matrix (:func:`nested_log_pfaffians`) yields
@@ -154,9 +154,8 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
     """
     n_list = check_sizes(n_list, tol)
     seq = build_block_sequence(max(n_list), p, tol)
-    skew_tol = max(2.0 * seq.err_estimate, 1e-13)
     omega = assemble(max(n_list), seq)
-    nested = nested_log_pfaffians(omega, skew_tol=skew_tol)
+    nested = nested_log_pfaffians(omega)
     rows = []
     fallback_sizes = []
     for n in n_list:
@@ -164,7 +163,7 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
         det = log_det(corner)
         pf = nested.corner(n)
         if not abs(2.0 * pf.log_abs - det.log_abs) <= NESTED_PF_DET_RTOL * (1.0 + abs(det.log_abs)):
-            pf = pfaffian(corner, skew_tol=skew_tol)
+            pf = pfaffian(corner)
             fallback_sizes.append(n)
         residual = abs(2.0 * pf.log_abs - det.log_abs)
         if not residual <= 1e-6:

@@ -32,6 +32,10 @@ Every routine works in the input's arithmetic: a real matrix, such as the
 real-gauge truncations of :func:`toeplitz.assemble`, is factored in real
 arithmetic (LAPACK's d-routines, real Parlett-Reid updates) and its phases
 are exactly +-1; a complex matrix is factored in complex arithmetic.
+
+Both Pfaffian routines reject input with max|M + M^T|/2 > 1e-10 * max|M|, a
+fixed check of outside input (the truncations are skew bit for bit), and
+eliminate the skew part (M - M^T)/2.
 """
 
 from __future__ import annotations
@@ -90,15 +94,14 @@ def log_det(M: np.ndarray) -> LogScalar:
     return LogScalar(float(logabs), complex(sign))
 
 
-def _check_skew(M: np.ndarray, skew_tol: float | None) -> float:
-    """max|M|, after checking max|M + M^T|/2 <= ``skew_tol`` (default 1e-10 max|M|)."""
+def _check_skew(M: np.ndarray) -> float:
+    """max|M|, after checking max|M + M^T|/2 <= 1e-10 max|M|."""
     scale = float(np.max(np.abs(M)))
-    if skew_tol is None:
-        skew_tol = 1e-10 * scale
+    limit = 1e-10 * scale
     asym = 0.5 * float(np.max(np.abs(M + M.T)))
-    if asym > skew_tol:
+    if asym > limit:
         raise ValueError(
-            f"matrix is not skew-symmetric: max|M + M^T|/2 = {asym:.3e} > {skew_tol:.3e}"
+            f"matrix is not skew-symmetric: max|M + M^T|/2 = {asym:.3e} > {limit:.3e}"
         )
     return scale
 
@@ -129,7 +132,7 @@ class NestedPfaffians:
         return LogScalar(float(self.log_abs[k - 1]), complex(self.phase[k - 1]))
 
 
-def nested_log_pfaffians(M: np.ndarray, skew_tol: float | None = None) -> NestedPfaffians:
+def nested_log_pfaffians(M: np.ndarray) -> NestedPfaffians:
     """Pfaffians of every leading 2k x 2k corner of M from one elimination.
 
     Unpivoted, blocked Parlett-Reid elimination (see the module notes); the
@@ -139,20 +142,17 @@ def nested_log_pfaffians(M: np.ndarray, skew_tol: float | None = None) -> Nested
     Parameters
     ----------
     M : ndarray
-        Square matrix, skew-symmetric within ``skew_tol``; the check and the
-        symmetrization are those of :func:`pfaffian`.  Because ``skew_tol``
-        is absolute, checking M checks every corner.
-    skew_tol : float, optional
-        Largest tolerated entry of (M + M^T)/2; defaults to 1e-10 * max|M|.
+        Square matrix, skew-symmetric within the module notes' tolerance;
+        checking M checks every corner.
 
     Raises
     ------
     ValueError
-        On non-finite entries or skew-symmetry violation beyond ``skew_tol``.
+        On non-finite entries or a skew-symmetry violation.
     """
     M = _check_square_finite(M, "nested_log_pfaffians")
     dim = M.shape[0]
-    scale = _check_skew(M, skew_tol) if dim else 0.0
+    scale = _check_skew(M) if dim else 0.0
     dtype = np.result_type(M, float)
     if dim < 2:
         return NestedPfaffians(np.zeros(0), np.ones(0, dtype=dtype), math.inf)
@@ -201,29 +201,25 @@ def _nested_result(pivots: list, steps: int, scale: float) -> NestedPfaffians:
     return NestedPfaffians(log_abs, phase, float(mag.min()) / scale if scale else 0.0)
 
 
-def pfaffian(M: np.ndarray, skew_tol: float | None = None) -> LogScalar:
+def pfaffian(M: np.ndarray) -> LogScalar:
     """Pfaffian of a skew-symmetric matrix in log representation.
 
     Parameters
     ----------
     M : ndarray
-        Square matrix, skew-symmetric within ``skew_tol``.  Odd dimension
-        returns an exact zero.
-    skew_tol : float, optional
-        Largest tolerated entry of (M + M^T)/2; defaults to 1e-10 * max|M|.
-        The input is symmetrized to (M - M^T)/2 before elimination, which
-        removes quadrature-level asymmetry without biasing the value.
+        Square matrix, skew-symmetric within the module notes' tolerance;
+        its skew part is eliminated.  Odd dimension returns an exact zero.
 
     Raises
     ------
     ValueError
-        On non-finite entries or skew-symmetry violation beyond ``skew_tol``.
+        On non-finite entries or a skew-symmetry violation.
     """
     M = _check_square_finite(M, "pfaffian")
     n = M.shape[0]
     if n == 0:
         return LogScalar(0.0)  # Pf of the empty matrix is 1
-    _check_skew(M, skew_tol)
+    _check_skew(M)
     if n % 2 == 1:
         return LogScalar(-math.inf)
 

@@ -190,6 +190,29 @@ class TestExitCodes:
         assert code == 3
         assert "n=8" in capsys.readouterr().err
 
+    def test_lapack_failure_maps_to_exit_3(self, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, which is the usage-error clause
+        import xyness.cli as cli
+        import xyness.pipeline
+
+        def no_convergence(M):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(xyness.pipeline, "singular_values", no_convergence)
+        code = cli.main(["correlations", *BASE, "--n-list", "2,4"])
+        assert code == 3
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args", [["correlations", "--n-list", "2,4"], ["bound"]], ids=["correlations", "bound"]
+    )
+    def test_unwritable_out_path_exits_2(self, args, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        r = run_cli(*args, *BASE, "--out", str(out))
+        assert r.returncode == 2
+        assert "error: " in r.stderr
+        assert "Traceback" not in r.stderr
+
 
 #: size and tolerance arguments every size-taking subcommand rejects
 BAD_SIZES = {
@@ -200,6 +223,17 @@ BAD_SIZES = {
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("eps", ["0", "1"])
+    def test_bad_eps_exits_2_before_integrating(self, eps, monkeypatch, capsys):
+        import xyness.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("coefficients integrated before --eps was checked")
+
+        monkeypatch.setattr(cli, "build_block_sequence", never)
+        assert cli.main(["spectrum", *BASE, "--eps", eps]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("bad", BAD_SIZES.values(), ids=BAD_SIZES.keys())
     @pytest.mark.parametrize("subcommand", ["correlations", "spectrum", "sweep"])
     def test_bad_sizes_exit_2_without_output(self, subcommand, bad):

@@ -18,7 +18,7 @@ from xyness import (
 )
 import xyness.fourier
 from xyness.quadrature import _refine, adaptive_panels
-from conftest import ACCEPTANCE_SETS, CRITICAL_SET
+from conftest import ACCEPTANCE_SETS, CRITICAL_SET, random_points
 
 TWO_PI = 2.0 * math.pi
 TOL = 1e-12
@@ -134,29 +134,13 @@ def mp_coefficients(p, x_max, panel_width=0.2, dps=30):
         )
 
 
-def _random_points(count, seed=20261018):
-    rng = np.random.default_rng(seed)
-    points = []
-    for _ in range(count):
-        beta_l = float(rng.uniform(0.1, 5.0))
-        points.append(
-            ModelParams(
-                float(rng.uniform(-0.95, 0.95)),
-                float(rng.uniform(-2.0, 2.0)),
-                beta_l,
-                beta_l * float(rng.uniform(1.0, 4.0)),
-            )
-        )
-    return points
-
-
 #: the oracle sets, cold reservoirs (beta = 50) and 20 random generic points
 GAUGE_SETS = (
     *ORACLE_SETS,
     ModelParams(0.5, 0.3, 1.0, 50.0),
     ModelParams(0.5, 0.3, 50.0, 50.0),
     ModelParams(0.0, 0.5, 20.0, 50.0),
-    *_random_points(20),
+    *random_points(20, seed=20261018),
 )
 
 
@@ -275,7 +259,7 @@ class TestBlockSequence:
         assert seq.blocks.shape == (1, 2, 2)  # the single block a_0
         c = seq.apm[0]  # apm[-1]
         a0 = seq.blocks[0]
-        # the diagonal holds the honestly integrated app[0], zero within tol
+        # the diagonal is app[0] = -app[0], set to exactly 0
         assert abs(a0[0, 0]) <= seq.err_estimate and abs(a0[1, 1]) <= seq.err_estimate
         assert a0[0, 1] == -c and a0[1, 0] == c
 
@@ -368,6 +352,20 @@ class TestBlockSequence:
         monkeypatch.setattr(xyness.fourier, "phi", skewed_phi)
         with pytest.raises(QuadratureError, match=rf"coefficient {which}\[-?\d+\] breaks the real gauge"):
             build_block_sequence(8, p, TOL)
+
+    def test_gauge_gate_sees_imaginary_app0(self, base_params, monkeypatch):
+        # the blocks set a_0's diagonal to 0, so Im app[0] is a dropped part
+        integrate = xyness.fourier._coefficients
+
+        def shifted(*args):
+            values, err = integrate(*args)
+            values[Component.PP] = values[Component.PP].copy()
+            values[Component.PP][0] += 1e-3j  # app[0]
+            return values, err
+
+        monkeypatch.setattr(xyness.fourier, "_coefficients", shifted)
+        with pytest.raises(QuadratureError, match=r"coefficient PP\[0\] breaks the real gauge"):
+            build_block_sequence(8, base_params, TOL)
 
     def test_rebuild_is_bitwise_equal(self, base_params):
         a = build_block_sequence(5, base_params, tol=1e-10)
