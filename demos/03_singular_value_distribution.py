@@ -28,7 +28,7 @@ print(f"symbol operator norm (caps every truncation): {norm_cap:.10f}")
 print()
 
 print("empirical mean of g(s) = s^2 versus its distributional limit:")
-g_sq = square_plateau(1.0)
+g_sq = square_plateau()
 print(f"{'n':>5} {'empirical':>12} {'limit':>12} {'gap':>10} {'smax':>10}")
 for n in (16, 32, 64, 128, 256):
     s = avram_parter_gap(n, g_sq, seq, p)

@@ -1,21 +1,23 @@
 """Command-line surface: deterministic CSV/JSONL emitters over the pipeline.
 
 Exit codes (stable contract): 0 success, 1 selftest failure, 2 usage error
-or unwritable output path, 3 numerical failure, LAPACK's included.  Output is
-locale-independent: '.' decimal separator, LF line endings, reals in
-17-significant-digit scientific notation.  Repeated runs with identical
-flags and the same BLAS thread count produce byte-identical files (no
-timestamps, fixed summation orders).
+or unwritable output path, 3 numerical failure, LAPACK's included.  ``--out``
+is opened before any computing; a run that fails removes it if it is a
+regular file.  Output is locale-independent: '.' decimal separator, LF line
+endings, reals in 17-significant-digit scientific notation.  Repeated runs
+with identical flags and the same BLAS thread count produce byte-identical
+files (no timestamps, fixed summation orders).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
-import scipy
 
 from ._version import __version__
 from .bounds import RATE_TOL, bound_report, weak_bound_log
@@ -38,24 +40,6 @@ def _fmt(x: float) -> str:
     return f"{float(x):.16e}"
 
 
-def _writer(args):
-    if args.out_path:
-        return open(args.out_path, "w", newline="\n")
-    return sys.stdout
-
-
-def _meta_lines(args, p: ModelParams, extra: dict) -> list[str]:
-    lines = [
-        f"# xyness={__version__} numpy={np.__version__} scipy={scipy.__version__}",
-        f"# command={args.subcommand}",
-        f"# gamma={p.gamma!r} lambda={p.lam!r} beta_l={p.beta_l!r} beta_r={p.beta_r!r}",
-        f"# beta={p.beta!r} delta={p.delta!r}",
-        f"# swapped={str(p.swapped).lower()} critical={str(p.critical).lower()}",
-    ]
-    lines.extend(f"# {k}={v}" for k, v in extra.items())
-    return lines
-
-
 def _default_n_values(n_max: int, base=DEFAULT_N_LIST) -> list[int]:
     ns = [n for n in base if n <= n_max]
     if not ns:
@@ -66,44 +50,42 @@ def _default_n_values(n_max: int, base=DEFAULT_N_LIST) -> list[int]:
 
 
 def _emit(args, meta: dict, header: list[str], rows: list[list], p: ModelParams) -> None:
-    """Write the run description, then ``header`` and ``rows``.
+    """Write the run description, then ``header`` and ``rows``, to ``args.out``.
 
     ``meta`` leads with ``tol``, the quadrature tolerance the numbers were
     computed to.
     """
-    fh = _writer(args)
-    try:
-        if args.format == "jsonl":
-            full = {
-                "type": "meta",
-                "xyness": __version__,
-                "numpy": np.__version__,
-                "scipy": scipy.__version__,
-                "command": args.subcommand,
-                "gamma": p.gamma,
-                "lambda": p.lam,
-                "beta_l": p.beta_l,
-                "beta_r": p.beta_r,
-                "swapped": p.swapped,
-                "critical": p.critical,
-                **meta,
-            }
-            fh.write(json.dumps(full, sort_keys=True) + "\n")
-            for row in rows:
-                obj = {"type": "row", **dict(zip(header, row))}
-                fh.write(json.dumps(obj, sort_keys=True) + "\n")
-        else:
-            for line in _meta_lines(args, p, meta):
-                fh.write(line + "\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(
-                    ",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row)
-                    + "\n"
-                )
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    fh = args.out
+    if args.format == "jsonl":
+        full = {
+            "type": "meta",
+            "xyness": __version__,
+            "numpy": np.__version__,
+            "command": args.subcommand,
+            "gamma": p.gamma,
+            "lambda": p.lam,
+            "beta_l": p.beta_l,
+            "beta_r": p.beta_r,
+            "swapped": p.swapped,
+            "critical": p.critical,
+            **meta,
+        }
+        fh.write(json.dumps(full, sort_keys=True) + "\n")
+        for row in rows:
+            obj = {"type": "row", **dict(zip(header, row))}
+            fh.write(json.dumps(obj, sort_keys=True) + "\n")
+    else:
+        lines = [
+            f"# xyness={__version__} numpy={np.__version__}",
+            f"# command={args.subcommand}",
+            f"# gamma={p.gamma!r} lambda={p.lam!r} beta_l={p.beta_l!r} beta_r={p.beta_r!r}",
+            f"# beta={p.beta!r} delta={p.delta!r}",
+            f"# swapped={str(p.swapped).lower()} critical={str(p.critical).lower()}",
+            *(f"# {k}={v}" for k, v in meta.items()),
+            ",".join(header),
+            *(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) for row in rows),
+        ]
+        fh.write("".join(line + "\n" for line in lines))
 
 
 _SERIES_HEADER = (
@@ -167,7 +149,7 @@ def cmd_spectrum(args) -> int:
     n_list = check_sizes(n_list, args.tol)
     g_log = indicator_log(args.eps, symbol_norm(p))  # rejects a bad --eps before integrating
     seq = build_block_sequence(max(n_list), p, args.tol)
-    g_sq = square_plateau(1.0)
+    g_sq = square_plateau()
     header = [
         "n",
         "smin",
@@ -340,10 +322,26 @@ _COMMANDS = {
 }
 
 
+def _run(args) -> int:
+    """Run the subcommand with ``args.out`` open; a failed run removes ``--out``."""
+    path = getattr(args, "out_path", "")
+    # opened before any computing, so a path open() rejects fails at once
+    with open(path, "w", newline="\n") if path else nullcontext(sys.stdout) as args.out:
+        try:
+            return _COMMANDS[args.subcommand](args)
+        except BaseException:
+            if path:
+                args.out.close()
+                # what the run wrote goes, never a device or a symlink
+                if os.path.isfile(path) and not os.path.islink(path):
+                    os.remove(path)
+            raise
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.subcommand](args)
+        return _run(args)
     # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (QuadratureError, NumericalError, ConsistencyError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 
 class DomainError(ValueError):
@@ -236,10 +235,10 @@ def two_point_operator(xi: float, p: ModelParams) -> np.ndarray:
     S_pauli = np.array([[s0 + s3, -1j * s2], [1j * s2, s0 - s3]], dtype=complex)
 
     # route (i): Fermi weights on the +-mu eigenspaces of h.  The Fermi
-    # function is evaluated through expit, which saturates instead of
-    # overflowing for large arguments.
-    w_plus = expit(p.beta * m + p.delta * s * m)
-    w_minus = expit(-p.beta * m + p.delta * s * m)
+    # function 1/(1 + e^-x) is evaluated as (1 + tanh(x/2))/2, which
+    # saturates instead of overflowing for large arguments.
+    w_plus = 0.5 + 0.5 * math.tanh(0.5 * (p.beta * m + p.delta * s * m))
+    w_minus = 0.5 + 0.5 * math.tanh(0.5 * (-p.beta * m + p.delta * s * m))
     hhat = np.array([[h3, -1j * h2], [1j * h2, -h3]], dtype=complex)
     eye = np.eye(2, dtype=complex)
     S_fermi = w_plus * (eye + hhat) / 2 + w_minus * (eye - hhat) / 2

@@ -22,6 +22,8 @@ import numpy as np
 
 GAUSS_ORDER = 40
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+#: most halvings of a base panel; the width floor total * 2**-46 comes first
+MAX_DEPTH = 52
 
 
 class QuadratureError(RuntimeError):
@@ -59,7 +61,6 @@ def adaptive_panels(
     edges,
     tol: float,
     max_width: float | None = None,
-    max_depth: int = 52,
     max_panels: int = 400_000,
 ) -> tuple[complex, float]:
     """Integrate ``f`` over [edges[0], edges[-1]] to absolute tolerance ``tol``.
@@ -101,7 +102,6 @@ def adaptive_panels(
         hi,
         tol,
         edges[-1] - edges[0],
-        max_depth,
         max_panels,
     )
     vals, errs = vals[:, 0], errs[:, 0]
@@ -117,7 +117,6 @@ def _refine(
     hi: np.ndarray,
     tol: float,
     total: float,
-    max_depth: int = 52,
     max_panels: int = 400_000,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dyadic refinement of base panels [lo_i, hi_i] until every panel passes.
@@ -149,7 +148,7 @@ def _refine(
     coarse = rule(lo, hi)
     acc_lo, acc_val, acc_err = [], [], []
     n_evals = lo.size
-    for _ in range(max_depth):
+    for _ in range(MAX_DEPTH):
         if lo.size == 0:
             break
         mid = 0.5 * (lo + hi)

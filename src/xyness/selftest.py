@@ -133,7 +133,7 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
     record("norm-bound", smax <= bound + 1e-8, f"smax {smax:.6f} <= {bound:.6f}")
 
     # Avram-Parter with the compact square test function
-    g = square_plateau(1.0)
+    g = square_plateau()
     seq64 = build_block_sequence(64, p, 1e-12)
     gaps = [avram_parter_gap(n, g, seq64, p).gap for n in (16, 64)]
     ok = all(math.isfinite(v) and v > 0 for v in gaps) and gaps[1] <= gaps[0]

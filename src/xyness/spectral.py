@@ -91,17 +91,17 @@ def indicator_log(eps: float, ceiling: float):
     return g
 
 
-def square_plateau(ceiling: float = 1.0):
-    """g(s) = s^2 up to ``ceiling``, smoothly cut off to 0 by ``ceiling + 1``.
+def square_plateau():
+    """g(s) = s^2 up to 1, smoothly cut off to 0 by 2.
 
-    A compactly supported extension of s^2: on [0, ceiling] it is exactly
-    s^2, so for singular values below ``ceiling`` the empirical mean is the
-    squared Frobenius norm over the dimension.
+    A compactly supported extension of s^2: on [0, 1] it is exactly s^2.
+    Singular values never exceed the symbol norm, which is below 1, so the
+    empirical mean is the squared Frobenius norm over the dimension.
     """
 
     def g(s):
         s = np.asarray(s, dtype=float)
-        out = s * s * _smoothstep(ceiling + 1.0 - s)
+        out = s * s * _smoothstep(2.0 - s)
         return out if out.ndim else float(out)
 
     return g

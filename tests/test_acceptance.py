@@ -122,7 +122,7 @@ def test_criterion_3_coefficient_symmetries(seqs512):
 
 @pytest.fixture(scope="module")
 def spectral_summaries(seqs512):
-    g = square_plateau(1.0)
+    g = square_plateau()
     out = {}
     for p in ACCEPTANCE_SETS:
         out[p] = {

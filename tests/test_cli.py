@@ -213,6 +213,58 @@ class TestExitCodes:
         assert "error: " in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("subcommand", ["correlations", "spectrum", "sweep", "bound"])
+    def test_unwritable_out_path_exits_2_before_computing(self, subcommand, tmp_path, monkeypatch):
+        import xyness.cli as cli
+
+        def never(*args, **kwargs):
+            raise AssertionError("computed before --out was opened")
+
+        for name in ("compute_series", "build_block_sequence", "sweep", "bound_report"):
+            monkeypatch.setattr(cli, name, never)
+        out = tmp_path / "missing" / "x.csv"
+        assert cli.main([subcommand, *BASE, "--out", str(out)]) == 2
+
+    def test_failed_run_leaves_no_out_file(self, tmp_path, monkeypatch):
+        import xyness.cli as cli
+        import xyness.pipeline
+
+        def no_convergence(M):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(xyness.pipeline, "singular_values", no_convergence)
+        out = tmp_path / "c.csv"
+        assert cli.main(["correlations", *BASE, "--n-list", "2,4", "--out", str(out)]) == 3
+        assert not out.exists()
+        # a path that is not a regular file, such as /dev/null, is never removed
+        link = tmp_path / "link.csv"
+        link.symlink_to(tmp_path / "target.csv")
+        assert cli.main(["correlations", *BASE, "--n-list", "2,4", "--out", str(link)]) == 3
+        assert link.is_symlink()
+
+
+#: runs every subcommand but selftest with scipy made unimportable
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+from xyness import ModelParams, cli, two_point_operator
+two_point_operator(0.3, ModelParams(0.5, 0.3, 1.0, 3.0))
+for argv in (
+    ["correlations", "--n-max", "16"],
+    ["spectrum", "--n-max", "64"],
+    ["bound"],
+    ["sweep", "--n-max", "16", "--point", "0.5,0.3,1,3", "--point", "0,0.5,1,3"],
+):
+    assert cli.main(argv) == 0, argv
+print("numpy only")
+"""
+
+
+def test_runs_without_scipy():
+    r = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "numpy only"
+
 
 #: size and tolerance arguments every size-taking subcommand rejects
 BAD_SIZES = {

@@ -225,6 +225,18 @@ class TestTwoPointOperator:
                 ev = np.linalg.eigvalsh(S)
                 assert np.all(ev > 0.0) and np.all(ev < 1.0)
 
+    @pytest.mark.parametrize(
+        "beta_l,beta_r", [(1e-6, 2e-6), (1e3, 2e3), (1e-6, 1e3)], ids=["hot", "cold", "hot-cold"]
+    )
+    def test_extreme_temperatures(self, beta_l, beta_r):
+        # the Fermi weights saturate: no overflow, and the routes still agree
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for q in ACCEPTANCE_SETS:
+                p = ModelParams(q.gamma, q.lam, beta_l, beta_r)
+                for xi in midpoint_grid(64):
+                    ev = np.linalg.eigvalsh(two_point_operator(float(xi), p))
+                    assert np.all(ev >= -1e-12) and np.all(ev <= 1.0 + 1e-12)
+
     def test_no_sigma1_component(self, base_params):
         for xi in midpoint_grid(32):
             S = two_point_operator(float(xi), base_params)

@@ -52,7 +52,7 @@ class TestSmoothIndicator:
         assert g(0.5) == pytest.approx(math.log(0.5))
 
     def test_square_plateau_exact_below_ceiling(self):
-        g = square_plateau(1.0)
+        g = square_plateau()
         s = np.linspace(0.0, 1.0, 101)
         assert np.allclose(g(s), s * s, atol=0.0)
         assert g(2.5) == 0.0
@@ -101,7 +101,7 @@ class TestAvramParter:
         assert s.empirical_mean == 0.0 and s.limit_value == 0.0 and s.gap == 0.0
 
     def test_square_matches_frobenius_and_parseval(self, base_params, base_seq):
-        g = square_plateau(1.0)
+        g = square_plateau()
         for n in (8, 24):
             s = avram_parter_gap(n, g, base_seq, base_params)
             T = assemble(n, base_seq)
@@ -121,7 +121,7 @@ class TestAvramParter:
         assert s.limit_value == pytest.approx(float(np.real(ref)) / TWO_PI, abs=1e-9)
 
     def test_gap_decreases(self, base_params, base_seq):
-        g = square_plateau(1.0)
+        g = square_plateau()
         gaps = [avram_parter_gap(n, g, base_seq, base_params).gap for n in (8, 16, 32)]
         assert all(v > 0.0 and math.isfinite(v) for v in gaps)
         assert gaps[2] <= gaps[1] <= gaps[0]
@@ -129,7 +129,7 @@ class TestAvramParter:
     def test_values_within_norm_bound(self, base_params, base_seq):
         bound = symbol_norm(base_params)
         for n in (8, 32):
-            s = avram_parter_gap(n, square_plateau(1.0), base_seq, base_params)
+            s = avram_parter_gap(n, square_plateau(), base_seq, base_params)
             assert s.values[0] >= 0.0
             assert s.values[-1] <= bound + 1e-8
 
