@@ -5,7 +5,8 @@ Library layout:
 * :mod:`xyness.model` -- parameters, dispersion functions, the 2x2 symbol
   and the steady-state 2-point operator;
 * :mod:`xyness.fourier` -- block Fourier coefficients by panel quadrature;
-* :mod:`xyness.toeplitz` -- truncated block Toeplitz assembly and norm facts;
+* :mod:`xyness.toeplitz` -- truncated block Toeplitz assembly, its fold
+  and norm facts;
 * :mod:`xyness.skewlinalg` -- log-scale determinants, Pfaffians, SVDs;
 * :mod:`xyness.spectral` -- singular-value distribution diagnostics;
 * :mod:`xyness.bounds` -- decay-rate bounds;
@@ -58,7 +59,7 @@ from .spectral import (
     smooth_indicator,
     square_plateau,
 )
-from .toeplitz import assemble, dump_matrix, symbol_norm
+from .toeplitz import assemble, dump_matrix, fold, symbol_norm
 
 __all__ = [
     "__version__",
@@ -86,6 +87,7 @@ __all__ = [
     "count_small",
     "dump_matrix",
     "fit_decay",
+    "fold",
     "fourier_coefficient",
     "indicator_log",
     "kappa",

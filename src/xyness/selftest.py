@@ -19,7 +19,7 @@ from .model import ModelParams, symbol_matrices, symbol_singular_values
 from .pipeline import compute_series, fit_decay
 from .skewlinalg import log_det, pfaffian, pfaffian_brute, singular_values
 from .spectral import avram_parter_gap, square_plateau
-from .toeplitz import assemble, symbol_norm
+from .toeplitz import assemble, fold, symbol_norm
 
 #: parameter sets exercised by the full acceptance suite
 ACCEPTANCE_SETS = (
@@ -109,6 +109,22 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
     # skew-symmetric assembly: bit for bit, by construction of the blocks
     dev = skew_deviation(assemble(16, seq))
     record("skew-assembly", dev == 0.0, f"max dev {dev:.2e}")
+
+    # reflection symmetry, and the fold's SVD and determinant against R's
+    bitwise, sv_dev, det_dev = True, 0.0, 0.0
+    for n in (8, 32):
+        R = assemble(n, seq)
+        X = fold(R)
+        bitwise = bitwise and np.array_equal(R[::-1, ::-1], -R)
+        sv = singular_values(R)
+        sv_dev = max(sv_dev, float(np.max(np.abs(np.repeat(singular_values(X), 2) - sv))) / sv[-1])
+        det = log_det(R).log_abs
+        det_dev = max(det_dev, abs(2.0 * log_det(X).log_abs - det) / abs(det))
+    record(
+        "reflection-fold",
+        bitwise and sv_dev <= 1e-13 and det_dev <= 1e-12,
+        f"J R J = -R {'bitwise' if bitwise else 'BROKEN'}, sv dev {sv_dev:.2e}, det dev {det_dev:.2e}",
+    )
 
     # Pfaffian squared vs determinant, plus the brute-force oracle
     worst = 0.0

@@ -10,6 +10,12 @@ where sv_lo/sv_hi = tanh(beta_{l,r}*mu/2) are the symbol's singular values in
 closed form.  This module computes both sides and their gap, counts
 near-kernel singular values, and provides the smooth plateau functions that
 turn log into a compactly supported test function.
+
+The truncation's singular values are those of its n x n fold
+(:func:`toeplitz.fold`), each counted twice: the reflection symmetry
+J T_n J = -T_n of the real gauge makes T_n orthogonally similar to
+[[0, X], [-X^T, 0]].  So each size takes one SVD of an n x n matrix, and
+the 2n values are X's repeated in place, still ascending.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .fourier import BlockSequence
 from .model import ModelParams, mu_zeros, symbol_singular_values
 from .quadrature import adaptive_panels
 from .skewlinalg import singular_values
-from .toeplitz import assemble
+from .toeplitz import assemble, fold
 
 _TWO_PI = 2.0 * math.pi
 
@@ -111,7 +117,7 @@ def count_small(n: int, eps: float, seq: BlockSequence) -> int:
     """Number of singular values of the n-block truncation in [0, eps]."""
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps}")
-    sv = singular_values(assemble(n, seq))
+    sv = np.repeat(singular_values(fold(assemble(n, seq))), 2)
     return int(np.count_nonzero(sv <= eps))
 
 
@@ -134,7 +140,7 @@ def avram_parter_gap(n: int, g, seq: BlockSequence, p: ModelParams, eps: float =
     ``g`` must be vectorized, continuous, and compactly supported.  The limit
     side is :func:`avram_parter_limit`.
     """
-    sv = singular_values(assemble(n, seq))
+    sv = np.repeat(singular_values(fold(assemble(n, seq))), 2)
     empirical = float(np.mean(g(sv)))
     limit = avram_parter_limit(g, p)
     return SpectralSummary(

@@ -237,32 +237,36 @@ class TestNestedPfaffians:
         assert str(nested.value).replace("nested_log_pfaffians", "pfaffian") == str(pivoted.value)
 
     def test_zero_leading_block_falls_back(self, monkeypatch):
-        # a unit-determinant congruence B^T Omega B with B = I + t e_2 e_1^T
-        # zeroes Omega'[0, 1] (up to rounding, then exactly) and keeps every
-        # corner's Pfaffian from n = 2 on
+        # the nested pass alone eliminates a unit-determinant congruence
+        # B^T R B with B = I + t e_2 e_1^T, which zeroes R'[0, 1] (up to
+        # rounding, then exactly) and keeps every corner's Pfaffian from
+        # n = 2 on; the determinant and the SVD still see the real corners,
+        # whose fold needs the reflection symmetry the congruence breaks
         p = ModelParams(0.5, 0.3, 1.0, 2.0)
-        real = xyness.pipeline.assemble
+        real_pass = xyness.pipeline.nested_log_pfaffians
 
-        def zero_leading_block(n, seq):
-            t = real(n, seq)
-            B = np.eye(2 * n, dtype=complex)
-            B[2, 1] = -t[0, 1] / t[0, 2]
-            entries = B.T @ t @ B
+        def zero_leading_block(omega):
+            B = np.eye(omega.shape[0])
+            B[2, 1] = -omega[0, 1] / omega[0, 2]
+            entries = B.T @ omega @ B
             entries = 0.5 * (entries - entries.T)
             entries[0, 1] = entries[1, 0] = 0.0
             return entries
 
-        monkeypatch.setattr(xyness.pipeline, "assemble", zero_leading_block)
+        monkeypatch.setattr(
+            xyness.pipeline, "nested_log_pfaffians", lambda M: real_pass(zero_leading_block(M))
+        )
         n_list = (2, 4, 8, 16)
         series = compute_series(p, n_list=n_list)
         assert series.metadata["pfaffian_min_pivot"] == 0.0
         assert series.metadata["pfaffian_fallback_sizes"] == n_list
-        omega = zero_leading_block(max(n_list), series.sequence)
+        omega = xyness.pipeline.assemble(max(n_list), series.sequence)
+        patched = zero_leading_block(omega)
         for row in series.rows:
             corner = omega[: 2 * row.n, : 2 * row.n]
             assert row.log_abs_C == pfaffian(corner).log_abs
-            original = pfaffian(real(row.n, series.sequence))
-            assert row.log_abs_C == pytest.approx(original.log_abs, rel=1e-12)
+            stand_in = pfaffian(patched[: 2 * row.n, : 2 * row.n])
+            assert row.log_abs_C == pytest.approx(stand_in.log_abs, rel=1e-12)
 
 
 class TestSingularValues:

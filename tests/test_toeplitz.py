@@ -8,9 +8,11 @@ from xyness import (
     assemble,
     build_block_sequence,
     dump_matrix,
+    fold,
     log_det,
     nested_log_pfaffians,
     pfaffian,
+    pfaffian_brute,
     singular_values,
     symbol_norm,
     symbol_singular_values,
@@ -118,6 +120,57 @@ class TestAssemble:
 
     def test_dim(self, base_seq):
         assert assemble(7, base_seq).shape == (14, 14)
+
+
+class TestFold:
+    """The reflection symmetry J R J = -R and the n x n fold it gives."""
+
+    def test_reflection_symmetry(self):
+        # bit for bit, by construction: fold checks nothing, so this is the
+        # guard; the reflection of a leading corner is about its own centre
+        for p in SKEW_SETS:
+            for n_max in (64, 512):
+                R = assemble(n_max, build_block_sequence(n_max, p))
+                assert np.array_equal(R[::-1, ::-1], -R), (set_id(p), n_max)
+                corner = R[:34, :34]
+                assert np.array_equal(corner[::-1, ::-1], -corner), (set_id(p), n_max)
+
+    @pytest.mark.parametrize("p", CROSS_SETS, ids=set_id)
+    def test_is_the_block_of_the_dense_rotation(self, p):
+        seq = build_block_sequence(16, p)
+        for n in (1, 2, 3, 8, 16):
+            R = assemble(n, seq)
+            eye, J = np.eye(n), np.eye(n)[::-1]
+            Q = np.block([[eye, eye], [J, -J]]) / math.sqrt(2.0)
+            assert np.allclose(Q.T @ Q, np.eye(2 * n), rtol=0.0, atol=1e-15)
+            rotated = Q.T @ R @ Q
+            atol = 1e-15 * np.max(np.abs(R))
+            assert np.allclose(rotated[:n, n:], fold(R), rtol=0.0, atol=atol)
+            assert np.allclose(rotated[n:, :n], -fold(R).T, rtol=0.0, atol=atol)
+            assert np.max(np.abs(rotated[:n, :n])) <= atol
+            assert np.max(np.abs(rotated[n:, n:])) <= atol
+
+    @pytest.mark.parametrize("p", CROSS_SETS, ids=set_id)
+    def test_singular_values_and_determinant(self, p):
+        seq = build_block_sequence(max(CROSS_SIZES), p)
+        R = assemble(seq.n_max, seq)
+        for n in CROSS_SIZES:
+            corner = R[: 2 * n, : 2 * n]
+            X = fold(corner)
+            assert X.shape == (n, n)
+            sv = singular_values(corner)
+            doubled = np.repeat(singular_values(X), 2)
+            assert np.max(np.abs(doubled - sv)) <= 1e-13 * sv[-1], n
+            det = log_det(corner).log_abs
+            assert abs(2.0 * log_det(X).log_abs - det) <= 1e-12 * abs(det), n
+
+    @pytest.mark.parametrize("p", CROSS_SETS[:5], ids=set_id)
+    def test_determinant_is_the_brute_pfaffian(self, p):
+        seq = build_block_sequence(6, p)
+        for n in range(1, 7):
+            R = assemble(n, seq)
+            brute = abs(pfaffian_brute(R))
+            assert abs(np.linalg.det(fold(R))) == pytest.approx(brute, rel=1e-12), n
 
 
 class TestSymbolNorm:
