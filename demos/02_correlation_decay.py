@@ -1,9 +1,11 @@
 """Exponential decay of the transversal spin-spin correlation.
 
 |C(n)| is the Pfaffian magnitude of a 2n x 2n skew-symmetric block Toeplitz
-truncation.  The values shrink exponentially, so everything is carried in
-log scale.  The fitted decay rate is compared against the rate integral,
-which upper-bounds the asymptotic slope of log|C(n)|/n.
+truncation, computed as |det X| of its n x n fold X.  The values shrink
+exponentially, so everything is carried in log scale.  The "LU resid" column
+compares the LU of X with the LU of its column-reversed copy.  The fitted
+decay rate is compared against the rate integral, which upper-bounds the
+asymptotic slope of log|C(n)|/n.
 """
 
 from xyness import ModelParams, compute_series, fit_decay
@@ -19,7 +21,7 @@ N_LIST = (8, 16, 32, 64, 96, 128, 160, 192)
 for label, p in SETS.items():
     series = compute_series(p, n_list=N_LIST, tol=1e-12)
     print(f"--- {label} ---")
-    print(f"{'n':>5} {'log|C(n)|':>14} {'pf/det resid':>14} {'smin':>8}")
+    print(f"{'n':>5} {'log|C(n)|':>14} {'LU resid':>14} {'smin':>8}")
     for r in series.rows:
         print(f"{r.n:5d} {r.log_abs_C:14.6f} {r.pf_det_residual:14.2e} {r.smin:8.4f}")
     fit = fit_decay(series, 64, 192)

@@ -46,7 +46,6 @@ from .quadrature import QuadratureError, adaptive_panels
 from .skewlinalg import (
     LogScalar,
     log_det,
-    nested_log_pfaffians,
     pfaffian,
     pfaffian_brute,
     singular_values,
@@ -96,7 +95,6 @@ __all__ = [
     "mu_min",
     "mu_sup",
     "mu_zeros",
-    "nested_log_pfaffians",
     "pfaffian",
     "pfaffian_brute",
     "phi",

@@ -1,40 +1,31 @@
 """End-to-end computation of correlation series, decay fits and sweeps.
 
-For each truncation size n the correlation magnitude is obtained from the
-Pfaffian of the assembled skew matrix, log|C(n)| = log|Pf Omega(n)|, with the
-determinant recomputed independently as a cross check: 2*log|Pf| must equal
-log|det| to 1e-6 at every n or the run aborts.  The Pfaffian is the primary
-value (half the log-scale error accumulation of the determinant).  Only its
-magnitude is kept: the overall phase depends on a row-ordering convention.
+For each truncation size n the correlation magnitude is |C(n)| = |Pf
+Omega(n)|.  Only its magnitude is kept: the overall phase depends on a
+row-ordering convention.
 
 Omega(n) is handled in the real gauge of :mod:`xyness.fourier`: the assembled
 matrix R = D_n Omega(n) D_n is real and skew-symmetric bit for bit, with the
-same Pfaffian, determinant and singular values, so the Pfaffian pass, the LU
-and the SVD all run in real arithmetic.
+same Pfaffian, determinant and singular values, so the LU and the SVD run in
+real arithmetic.
 
-The determinant and the singular values come from the fold, the Pfaffian
-from R itself.  Each corner R satisfies J R J = -R, so an orthogonal change
-of basis brings it to [[0, X], [-X^T, 0]], X = fold(R) of size n x n (proof
-sketch in :mod:`xyness.toeplitz`): log|det R| = 2 log|det X|, and R's
-singular values are X's, each counted twice.  The LU and the SVD of each
-size thus take 8x fewer flops.  The reflection is about each corner's own
-centre, so every size folds its own corner.  The cross check stays between
-independent routes: an unpivoted skew elimination of R against a pivoted
-LU of X.
+Each corner R satisfies J R J = -R, so an orthogonal change of basis brings
+it to [[0, X], [-X^T, 0]], X = fold(R) of size n x n (proof sketch in
+:mod:`xyness.toeplitz`): |Pf R| = |det X|, log|det R| = 2 log|det X|, and
+R's singular values are X's, each counted twice.  The reflection is about
+each corner's own centre, so every size folds its own corner, and one
+pivoted LU of X gives log|C(n)|.
 
-The truncations are nested leading corners of the largest one, so one
-unpivoted elimination of that matrix (:func:`nested_log_pfaffians`) yields
-the Pfaffian of every size.  Unpivoted elimination has no a-priori accuracy
-guarantee, so each size's nested value must also agree with log|det| to
-``NESTED_PF_DET_RTOL`` relative.  A size where it does not, or where the pass
-met an exact zero pivot at or below n, is recomputed by the fully pivoted
-:func:`pfaffian`.  The threshold is four orders tighter than the 1e-6 gate,
-so it catches a nested value that lost accuracy the gate would let through,
-and about thirty times above the largest disagreement between the two routes
-measured at sizes up to 512 (3.5e-12 relative, over the reference, critical
-and hot parameter sets and 40 random generic points), so on such inputs it
-does not fire.  The fallback sizes and the pass's smallest relative pivot are
-recorded in ``series.metadata``.
+The cross check compares two elimination routes on X: the LU of X against
+the LU of its column-reversed copy X J_n, a different pivot sequence and
+elimination order with the same |det|.  Twice their log difference must stay
+below 1e-6 at every n or the run aborts.  The check is not made against
+sum log sigma_i(X) from the SVD the row also runs: where the smallest
+singular value sits at quadrature noise, the LU and the SVD are backward
+stable for different perturbations of X and differ by far more than
+rounding, while the two LUs still agree within 1e-11 relative (ROADMAP
+item 1).  The paper's Pfaffian itself is checked against log|det X| off
+this path, by the pivoted :func:`pfaffian` in ``selftest`` and the tests.
 """
 
 from __future__ import annotations
@@ -50,15 +41,12 @@ from ._version import __version__
 from .bounds import RATE_TOL, BoundReport, bound_report, weak_bound_log
 from .fourier import BlockSequence, build_block_sequence
 from .model import ModelParams
-from .skewlinalg import log_det, nested_log_pfaffians, pfaffian, singular_values
+from .skewlinalg import log_det, singular_values
+from .skewlinalg import pfaffian  # noqa: F401 (perfbench/tracer.py wraps this binding)
 from .toeplitz import assemble, fold
 
 #: default truncation sizes: powers of two padded inside the fit window
 DEFAULT_N_LIST = (8, 16, 32, 64, 96, 128, 160, 192, 224, 256)
-
-#: largest |2 log|Pf| - log|det|| / (1 + |log|det||) accepted from the nested
-#: pass; beyond it the size falls back to the pivoted Pfaffian
-NESTED_PF_DET_RTOL = 1e-10
 
 
 class NumericalError(RuntimeError):
@@ -68,9 +56,9 @@ class NumericalError(RuntimeError):
 @dataclass(frozen=True)
 class SeriesRow:
     n: int
-    log_abs_C: float  # log|Pf Omega(n)|
-    log_abs_det: float
-    pf_det_residual: float  # |2*log|Pf| - log|det||
+    log_abs_C: float  # log|Pf Omega(n)| = log|det X| from the LU of the fold X
+    log_abs_det: float  # log|det Omega(n)| = 2 * log_abs_C
+    pf_det_residual: float  # |2 log|det X J_n| - log_abs_det|: the second LU route
     smin: float
     smax: float
 
@@ -147,40 +135,33 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
     """Correlation magnitudes log|C(n)| for each n in ``n_list``.
 
     One block sequence and one truncation are built at max(n_list); every
-    size is its leading corner.  One nested Pfaffian pass gives every size's
-    Pfaffian, with the pivoted fallback of the module notes.  Each row
-    carries the Pfaffian/determinant cross-check residual and the extreme
-    singular values, the determinant and the singular values taken from the
-    fold of the size's corner.  The decay fit runs over the upper half of
-    the sizes, widened to at least 4 of them, and is omitted for fewer than
-    4 sizes.  The rate bound is integrated to ``RATE_TOL``.
+    size is its leading corner.  Each row takes log|C(n)| from the LU of
+    the fold of its corner, carries the residual against the LU of the
+    column-reversed fold (module notes) and the extreme singular values of
+    the fold.  The decay fit runs over the upper half of the sizes, widened
+    to at least 4 of them, and is omitted for fewer than 4 sizes.  The rate
+    bound is integrated to ``RATE_TOL``.
 
     Raises
     ------
     ValueError
         If :func:`check_sizes` rejects ``n_list`` or ``tol``.
     NumericalError
-        If the Pfaffian-determinant residual exceeds 1e-6 or the all-n
+        If the residual between the two LU routes exceeds 1e-6 or the all-n
         determinant bound is violated at some n.
     """
     n_list = check_sizes(n_list, tol)
     seq = build_block_sequence(max(n_list), p, tol)
     omega = assemble(max(n_list), seq)
-    nested = nested_log_pfaffians(omega)
     rows = []
-    fallback_sizes = []
     for n in n_list:
-        corner = omega[: 2 * n, : 2 * n]  # equals assemble(n, seq)
-        folded = fold(corner)  # about the corner's own centre
-        log_abs_det = 2.0 * log_det(folded).log_abs
-        pf = nested.corner(n)
-        if not abs(2.0 * pf.log_abs - log_abs_det) <= NESTED_PF_DET_RTOL * (1.0 + abs(log_abs_det)):
-            pf = pfaffian(corner)
-            fallback_sizes.append(n)
-        residual = abs(2.0 * pf.log_abs - log_abs_det)
+        folded = fold(omega[: 2 * n, : 2 * n])  # equals fold(assemble(n, seq))
+        log_abs_C = log_det(folded).log_abs
+        log_abs_det = 2.0 * log_abs_C
+        residual = abs(2.0 * log_det(folded[:, ::-1]).log_abs - log_abs_det)
         if not residual <= 1e-6:
             raise NumericalError(
-                f"Pfaffian/determinant cross-check failed at n={n}: residual {residual:.3e}"
+                f"LU/reversed-LU cross-check failed at n={n}: residual {residual:.3e}"
             )
         wb = weak_bound_log(n, p)
         if not log_abs_det <= wb + 1e-8:
@@ -191,7 +172,7 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
         rows.append(
             SeriesRow(
                 n=n,
-                log_abs_C=pf.log_abs,
+                log_abs_C=log_abs_C,
                 log_abs_det=log_abs_det,
                 pf_det_residual=residual,
                 smin=float(sv[0]),
@@ -211,8 +192,6 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
             "bound_tol": RATE_TOL,
             "swapped": p.swapped,
             "coefficient_err_estimate": seq.err_estimate,
-            "pfaffian_min_pivot": nested.min_pivot,
-            "pfaffian_fallback_sizes": tuple(fallback_sizes),
             "version": __version__,
             # in-memory provenance only: file emitters must stay byte-deterministic
             "created_unix": time.time(),

@@ -143,6 +143,16 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
         f"residual {worst:.2e}, brute dev {brute_dev:.2e}",
     )
 
+    # the paper's Pfaffian, pivoted, against the fold's LU that the
+    # pipeline reports as log|C(n)|
+    seq128 = build_block_sequence(128, p, 1e-12)
+    fold_dev = 0.0
+    for n in (8, 32, 128):
+        R = assemble(n, seq128)
+        det = log_det(fold(R)).log_abs
+        fold_dev = max(fold_dev, abs(pfaffian(R).log_abs - det) / abs(det))
+    record("pfaffian-fold", fold_dev <= 1e-12, f"max rel dev {fold_dev:.2e} (tol 1e-12)")
+
     # norm bound
     bound = symbol_norm(p)
     smax = max(float(singular_values(assemble(n, seq))[-1]) for n in (8, 32))

@@ -5,37 +5,27 @@ leave the double-precision range long before the truncation sizes of
 interest, so determinants and Pfaffians are carried in a log-magnitude plus
 unit-phase representation (:class:`LogScalar`).
 
-Two Pfaffian routines share the skew-symmetric Parlett-Reid elimination: each
-2x2 step takes the pivot A[k, k+1], accumulates it in log scale, and gives the
-trailing matrix a skew rank-2 update.
-
-* :func:`nested_log_pfaffians` eliminates without pivoting, in natural block
-  order.  Eliminating rows k, k+1 leaves the leading corners of the trailing
-  matrix as the Schur complements of the leading corners of the input, so the
-  running pivot product is the Pfaffian of *every* leading 2k x 2k corner:
-  one O(N^3) pass serves all nested truncation sizes.  The pass is blocked
-  after Wimmer, "Algorithm 923" (ACM TOMS 38(4), 2012): inside a panel of
-  ``PANEL_STEPS`` block steps only the two pivot rows are brought up to date,
-  from the panel's accumulated update vectors, and the trailing matrix then
-  receives one GEMM-based skew rank-2m update.  Without pivoting a small
-  pivot can lose accuracy; callers gate its values (the pipeline compares
-  them against the determinant) and report the smallest relative pivot.
-* :func:`pfaffian` uses full pivoting: at each step the largest-magnitude
-  entry of the trailing submatrix is brought to the super-diagonal position
-  by a permutation congruence (each transposition flips the Pfaffian's sign).
-  Magnitude ordering preserves the relative accuracy of the accumulated log
-  whatever the entries, at the price of one Python-level step, with a
-  trailing-matrix ``argmax``, per pivot and per size.  It is the reference
-  and the fallback for sizes the nested pass cannot serve.
+The pivoted :func:`pfaffian` is the skew-symmetric Parlett-Reid elimination
+with full pivoting: at each 2x2 step the largest-magnitude entry of the
+trailing submatrix is brought to the super-diagonal position by a
+permutation congruence (each transposition flips the Pfaffian's sign), the
+pivot is accumulated in log scale, and the trailing matrix gets a skew
+rank-2 update.  Magnitude ordering preserves the relative accuracy of the
+accumulated log whatever the entries, at the price of one Python-level step,
+with a trailing-matrix ``argmax``, per pivot.  The correlation pipeline does
+not call it: there |Pf R| = |det X| for the n x n fold X of
+:mod:`xyness.toeplitz`, and :func:`log_det` of X gives it.  It stays as the
+independent Pfaffian route that ``selftest`` and the tests compare against,
+with :func:`pfaffian_brute` as its own oracle at small sizes.
 
 Every routine works in the input's arithmetic: a real matrix, such as the
 real-gauge truncations of :func:`toeplitz.assemble`, is factored in real
 arithmetic (LAPACK's d-routines, real Parlett-Reid updates) and its phases
 are exactly +-1; a complex matrix is factored in complex arithmetic.
 
-Both Pfaffian routines reject input with max|M + M^T|/2 > 1e-10 * max|M|, a
-fixed check of outside input (the truncations are skew bit for bit), and
-eliminate the skew part (M - M^T)/2.
+:func:`pfaffian` rejects input with max|M + M^T|/2 > 1e-10 * max|M|, a fixed
+check of outside input (the truncations are skew bit for bit), and
+eliminates the skew part (M - M^T)/2.
 """
 
 from __future__ import annotations
@@ -94,113 +84,6 @@ def log_det(M: np.ndarray) -> LogScalar:
     return LogScalar(float(logabs), complex(sign))
 
 
-def _check_skew(M: np.ndarray) -> float:
-    """max|M|, after checking max|M + M^T|/2 <= 1e-10 max|M|."""
-    scale = float(np.max(np.abs(M)))
-    limit = 1e-10 * scale
-    asym = 0.5 * float(np.max(np.abs(M + M.T)))
-    if asym > limit:
-        raise ValueError(
-            f"matrix is not skew-symmetric: max|M + M^T|/2 = {asym:.3e} > {limit:.3e}"
-        )
-    return scale
-
-
-#: block steps per panel of :func:`nested_log_pfaffians`
-PANEL_STEPS = 32
-
-
-@dataclass(frozen=True)
-class NestedPfaffians:
-    """Pfaffians of the leading 2k x 2k corners, k = 1 .. dim // 2.
-
-    ``log_abs[k - 1]`` and ``phase[k - 1]`` belong to the corner with k block
-    rows.  From an exact zero pivot on, ``log_abs`` reads ``-inf``: that
-    corner's Pfaffian is zero, and the larger ones are out of this route's
-    reach.  ``min_pivot`` is the smallest |pivot| / max|entry| met (0 after
-    a zero pivot), the measure of how far the unpivoted pass strayed from
-    the magnitude ordering of full pivoting.
-    """
-
-    log_abs: np.ndarray
-    phase: np.ndarray
-    min_pivot: float
-
-    def corner(self, k: int) -> LogScalar:
-        if self.log_abs[k - 1] == -math.inf:
-            return LogScalar(-math.inf)
-        return LogScalar(float(self.log_abs[k - 1]), complex(self.phase[k - 1]))
-
-
-def nested_log_pfaffians(M: np.ndarray) -> NestedPfaffians:
-    """Pfaffians of every leading 2k x 2k corner of M from one elimination.
-
-    Unpivoted, blocked Parlett-Reid elimination (see the module notes); the
-    Pfaffian of the corner with k block rows is the product of the first k
-    pivots.  Costs about as much as one LU factorization of M.
-
-    Parameters
-    ----------
-    M : ndarray
-        Square matrix, skew-symmetric within the module notes' tolerance;
-        checking M checks every corner.
-
-    Raises
-    ------
-    ValueError
-        On non-finite entries or a skew-symmetry violation.
-    """
-    M = _check_square_finite(M, "nested_log_pfaffians")
-    dim = M.shape[0]
-    scale = _check_skew(M) if dim else 0.0
-    dtype = np.result_type(M, float)
-    if dim < 2:
-        return NestedPfaffians(np.zeros(0), np.ones(0, dtype=dtype), math.inf)
-
-    A = np.asarray(M - M.T, dtype=dtype)  # a fresh array: scaled in place
-    A *= 0.5
-    end = dim - dim % 2
-    pivots = []
-    for k0 in range(0, end, 2 * PANEL_STEPS):
-        k1 = min(k0 + 2 * PANEL_STEPS, end)
-        # the panel's skew rank-2 updates so far: A_now = A + U W^T - W U^T on
-        # rows and columns k0 onward (column s is zero above row 2s + 2)
-        U = np.zeros((dim - k0, (k1 - k0) // 2), dtype=A.dtype, order="F")
-        W = np.zeros_like(U)
-        for s in range(U.shape[1]):
-            r = 2 * s
-            # up-to-date rows k, k + 1 of A_now, columns k + 1 onward
-            rows = (
-                A[k0 + r : k0 + r + 2, k0 + r + 1 :]
-                + U[r : r + 2, :s] @ W[r + 1 :, :s].T
-                - W[r : r + 2, :s] @ U[r + 1 :, :s].T
-            )
-            c = rows[0, 0]
-            pivots.append(c)
-            if c == 0.0:
-                return _nested_result(pivots, dim // 2, scale)
-            U[r + 2 :, s] = rows[0, 1:] / c
-            W[r + 2 :, s] = -rows[1, 1:]
-        # one skew rank-2m update of the trailing matrix
-        S = U[k1 - k0 :] @ W[k1 - k0 :].T
-        trailing = A[k1:, k1:]
-        trailing += S
-        trailing -= S.T
-    return _nested_result(pivots, dim // 2, scale)
-
-
-def _nested_result(pivots: list, steps: int, scale: float) -> NestedPfaffians:
-    piv = np.array(pivots)
-    mag = np.abs(piv)
-    log_abs = np.full(steps, -math.inf)
-    phase = np.ones(steps, dtype=piv.dtype)
-    with np.errstate(divide="ignore"):  # log 0 = -inf marks a zero pivot
-        log_abs[: piv.size] = np.cumsum(np.log(mag))
-    phase[: piv.size] = np.cumprod(piv / np.where(mag > 0.0, mag, 1.0))
-    # scale = 0 only for the zero matrix, whose first pivot is 0
-    return NestedPfaffians(log_abs, phase, float(mag.min()) / scale if scale else 0.0)
-
-
 def pfaffian(M: np.ndarray) -> LogScalar:
     """Pfaffian of a skew-symmetric matrix in log representation.
 
@@ -219,7 +102,12 @@ def pfaffian(M: np.ndarray) -> LogScalar:
     n = M.shape[0]
     if n == 0:
         return LogScalar(0.0)  # Pf of the empty matrix is 1
-    _check_skew(M)
+    limit = 1e-10 * float(np.max(np.abs(M)))
+    asym = 0.5 * float(np.max(np.abs(M + M.T)))
+    if asym > limit:
+        raise ValueError(
+            f"matrix is not skew-symmetric: max|M + M^T|/2 = {asym:.3e} > {limit:.3e}"
+        )
     if n % 2 == 1:
         return LogScalar(-math.inf)
 

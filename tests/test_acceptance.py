@@ -68,7 +68,7 @@ def test_criterion_1_symbol_singular_values():
     report(1, f"symbol SVD matches tanh pair on 4096-point grid, max dev {worst:.2e}")
 
 
-def test_criterion_2_pfaffian_determinant(seqs512):
+def test_criterion_2_pfaffian_determinant(seqs512, series_all):
     worst = 0.0
     for p in ACCEPTANCE_SETS:
         seq = seqs512[p]
@@ -78,6 +78,15 @@ def test_criterion_2_pfaffian_determinant(seqs512):
             det = log_det(entries)
             worst = max(worst, abs(2.0 * pf.log_abs - det.log_abs))
     assert worst <= 1e-6
+
+    # the reported log|C(n)| (the fold's LU) against the pivoted Pfaffian
+    fold_worst = 0.0
+    for p in ACCEPTANCE_SETS:
+        series = series_all[p]
+        for row in series.rows:
+            pf = pfaffian(assemble(row.n, series.sequence)).log_abs
+            fold_worst = max(fold_worst, abs(pf - row.log_abs_C) / abs(pf))
+    assert fold_worst <= 1e-12
 
     brute_worst = 0.0
     for p in ACCEPTANCE_SETS:
@@ -90,6 +99,7 @@ def test_criterion_2_pfaffian_determinant(seqs512):
     report(
         2,
         f"2 log|Pf| vs log|det| max residual {worst:.2e}; "
+        f"log|Pf| vs reported log|C| rel dev {fold_worst:.2e}; "
         f"brute-force oracle rel dev {brute_worst:.2e}",
     )
 

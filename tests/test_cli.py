@@ -138,15 +138,15 @@ class TestCorrelationsCommand:
         assert [l["n"] for l in lines[1:]] == [2, 4]
         assert lines[1]["log_abs_C"] < 0.0
 
-    def test_pfaffian_diagnostics_stay_out_of_output(self, tmp_path):
+    def test_series_metadata_stays_out_of_output(self, tmp_path):
         # series.metadata carries them; the byte-deterministic files must not
         for fmt in ("csv", "jsonl"):
             out = tmp_path / f"c.{fmt}"
             args = ["correlations", *BASE, "--n-list", "2,4", "--format", fmt]
             assert run_cli(*args, "--out", str(out)).returncode == 0
             text = out.read_text()
-            assert "pfaffian_min_pivot" not in text
-            assert "pfaffian_fallback_sizes" not in text
+            for key in ("created_unix", "coefficient_err_estimate", "bound_tol"):
+                assert key not in text
 
     def test_dump_matrices(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -364,7 +364,7 @@ class TestSelftestCommand:
     def test_passes_on_correct_build(self):
         r = run_cli("selftest")
         assert r.returncode == 0, r.stdout + r.stderr
-        assert "11/11 checks passed" in r.stdout
+        assert "12/12 checks passed" in r.stdout
 
 
 class TestNegativeControls:

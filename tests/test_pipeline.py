@@ -5,13 +5,17 @@ import pytest
 
 from xyness import (
     Component,
+    LogScalar,
     ModelParams,
     NumericalError,
     assemble,
     compute_series,
     fit_decay,
+    fold,
     fourier_coefficient,
+    log_det,
     pfaffian,
+    singular_values,
     sweep,
 )
 import xyness.pipeline
@@ -124,8 +128,47 @@ class TestComputeSeries:
         for row in series.rows:
             ref = pfaffian(assemble(row.n, seq))
             assert abs(row.log_abs_C - ref.log_abs) <= 1e-10 * (1.0 + abs(ref.log_abs))
-        assert 0.0 < series.metadata["pfaffian_min_pivot"] <= 1.0
-        assert isinstance(series.metadata["pfaffian_fallback_sizes"], tuple)
+
+    @pytest.mark.parametrize(
+        "p",
+        [ACCEPTANCE_SETS[1], ACCEPTANCE_SETS[2]],
+        ids=lambda p: f"{p.gamma},{p.lam},{p.beta_l},{p.beta_r}",
+    )
+    def test_rows_are_the_fold_lu(self, p):
+        series = compute_series(p, n_list=(1, 2, 8, 32, 64, 96))
+        for row in series.rows:
+            X = fold(assemble(row.n, series.sequence))
+            assert row.log_abs_C == log_det(X).log_abs
+            assert row.log_abs_det == 2 * row.log_abs_C
+            assert row.pf_det_residual == abs(2 * log_det(X[:, ::-1]).log_abs - row.log_abs_det)
+
+    def test_reversed_lu_gate_names_stage_and_n(self, base_params, monkeypatch):
+        # shift the log|det| of the column-reversed fold, the second route
+        real = xyness.pipeline.log_det
+
+        def shifted(M):
+            d = real(M)
+            return LogScalar(d.log_abs + 1e-5, d.phase) if M.strides[1] < 0 else d
+
+        monkeypatch.setattr(xyness.pipeline, "log_det", shifted)
+        with pytest.raises(NumericalError, match=r"LU/reversed-LU cross-check failed at n=4:"):
+            compute_series(base_params, n_list=(4, 8))
+
+    def test_svd_and_lu_disagree_on_unresolved_rows(self):
+        # sum log sigma_i(X) is not a second route for the gate: at this
+        # equilibrium point smin sits at quadrature noise from n = 64 on
+        # (ROADMAP item 1), and the SVD and the LU see different noise
+        def gaps(p):
+            series = compute_series(p, n_list=DEFAULT_N_LIST)
+            out = {}
+            for row in series.rows:
+                X = fold(assemble(row.n, series.sequence))
+                out[row.n] = abs(float(np.sum(np.log(singular_values(X)))) - row.log_abs_C)
+            return out
+
+        unresolved = gaps(ModelParams(0.5, 1.5, 2.0, 2.0))
+        assert all(gap > 1e-3 for n, gap in unresolved.items() if n >= 64), unresolved
+        assert max(gaps(ModelParams(0.5, 0.3, 1.0, 3.0)).values()) <= 1e-8
 
     def test_input_validation(self, base_params):
         with pytest.raises(ValueError):

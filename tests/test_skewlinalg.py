@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import xyness.pipeline
 from xyness import (
     LogScalar,
-    ModelParams,
-    compute_series,
     log_det,
-    nested_log_pfaffians,
     pfaffian,
     pfaffian_brute,
     singular_values,
@@ -21,23 +17,6 @@ from xyness import (
 def random_skew(rng, dim, scale=1.0):
     M = scale * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
     return M - M.T
-
-
-def stepwise_nested(M):
-    """Unblocked, unpivoted Parlett-Reid: (log|Pf|, phase) of every leading corner."""
-    A = 0.5 * (M - M.T).astype(complex)
-    log_abs, phase = [], []
-    total, unit = 0.0, 1.0 + 0.0j
-    for k in range(0, A.shape[0] - 1, 2):
-        c = A[k, k + 1]
-        total += math.log(abs(c))
-        unit *= c / abs(c)
-        log_abs.append(total)
-        phase.append(unit)
-        tau = A[k, k + 2 :] / c
-        col = A[k + 2 :, k + 1]
-        A[k + 2 :, k + 2 :] += np.outer(tau, col) - np.outer(col, tau)
-    return np.array(log_abs), np.array(phase)
 
 
 def naive_det(M):
@@ -187,86 +166,15 @@ class TestPfaffian:
 
 
 class TestNestedPfaffians:
+    """The pivoted Pfaffian of every leading corner, as the series sizes are."""
+
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
     def test_every_corner_matches_brute(self, dim, seed):
         A = random_skew(np.random.default_rng(seed), dim)
-        nested = nested_log_pfaffians(A)
-        assert nested.log_abs.shape == (dim // 2,)
         for k in range(1, dim // 2 + 1):
             ref = pfaffian_brute(A[: 2 * k, : 2 * k])
-            assert nested.corner(k).to_value() == pytest.approx(ref, rel=1e-9, abs=1e-9)
-
-    @pytest.mark.parametrize("dim", [2, 64, 66, 130, 1024])
-    def test_blocked_equals_stepwise(self, dim):
-        # block-dominant, so that no pivot is small and the two summation
-        # orders may differ only by rounding: dim * 8 ulp of log|Pf|
-        rng = np.random.default_rng(dim)
-        A = np.kron(np.eye(dim // 2), [[0.0, 1.0], [-1.0, 0.0]]) + random_skew(
-            rng, dim, scale=0.5 / math.sqrt(dim)
-        )
-        log_abs, phase = stepwise_nested(A)
-        nested = nested_log_pfaffians(A)
-        tol = 8 * dim * np.finfo(float).eps
-        assert np.max(np.abs(nested.log_abs - log_abs) / (1.0 + np.abs(log_abs))) <= tol
-        assert np.max(np.abs(nested.phase - phase)) <= tol
-        assert 0.0 < nested.min_pivot <= 1.0
-
-    def test_zero_pivot_ends_the_pass(self):
-        A = random_skew(np.random.default_rng(4), 6)
-        A[0, 1] = A[1, 0] = 0.0
-        nested = nested_log_pfaffians(A)
-        assert nested.corner(1).is_zero and nested.corner(3).is_zero
-        assert nested.min_pivot == 0.0
-        assert not pfaffian(A).is_zero
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            np.array([[0.0, np.inf], [-np.inf, 0.0]]),
-            np.array([[0.0, np.nan], [0.0, 0.0]]),
-            np.eye(4),
-            np.ones((2, 3)),
-        ],
-    )
-    def test_rejects_like_pfaffian(self, bad):
-        with pytest.raises(ValueError) as pivoted:
-            pfaffian(bad)
-        with pytest.raises(ValueError) as nested:
-            nested_log_pfaffians(bad)
-        assert str(nested.value).replace("nested_log_pfaffians", "pfaffian") == str(pivoted.value)
-
-    def test_zero_leading_block_falls_back(self, monkeypatch):
-        # the nested pass alone eliminates a unit-determinant congruence
-        # B^T R B with B = I + t e_2 e_1^T, which zeroes R'[0, 1] (up to
-        # rounding, then exactly) and keeps every corner's Pfaffian from
-        # n = 2 on; the determinant and the SVD still see the real corners,
-        # whose fold needs the reflection symmetry the congruence breaks
-        p = ModelParams(0.5, 0.3, 1.0, 2.0)
-        real_pass = xyness.pipeline.nested_log_pfaffians
-
-        def zero_leading_block(omega):
-            B = np.eye(omega.shape[0])
-            B[2, 1] = -omega[0, 1] / omega[0, 2]
-            entries = B.T @ omega @ B
-            entries = 0.5 * (entries - entries.T)
-            entries[0, 1] = entries[1, 0] = 0.0
-            return entries
-
-        monkeypatch.setattr(
-            xyness.pipeline, "nested_log_pfaffians", lambda M: real_pass(zero_leading_block(M))
-        )
-        n_list = (2, 4, 8, 16)
-        series = compute_series(p, n_list=n_list)
-        assert series.metadata["pfaffian_min_pivot"] == 0.0
-        assert series.metadata["pfaffian_fallback_sizes"] == n_list
-        omega = xyness.pipeline.assemble(max(n_list), series.sequence)
-        patched = zero_leading_block(omega)
-        for row in series.rows:
-            corner = omega[: 2 * row.n, : 2 * row.n]
-            assert row.log_abs_C == pfaffian(corner).log_abs
-            stand_in = pfaffian(patched[: 2 * row.n, : 2 * row.n])
-            assert row.log_abs_C == pytest.approx(stand_in.log_abs, rel=1e-12)
+            assert pfaffian(A[: 2 * k, : 2 * k]).to_value() == pytest.approx(ref, rel=1e-9, abs=1e-9)
 
 
 class TestSingularValues:
