@@ -56,7 +56,8 @@ TWO_PI = 2.0 * math.pi
 #: above this highest frequency, base panels are split to ~8 of its periods each
 _OSC_SPLIT_THRESHOLD = 64
 _PERIODS_PER_PANEL = 8.0
-#: frequencies per row of the factored phase table
+#: frequencies per row of the factored phase table; a power of two, since
+#: the table is built by doubling
 _PHASE_BLOCK = 64
 #: panels per batched product, which bounds the phase tables to a few MiB
 _PANEL_CHUNK = 128
@@ -119,6 +120,23 @@ def _dedupe(sorted_points, tol=1e-12) -> np.ndarray:
     return np.array(out)
 
 
+def _phase_table(xi: np.ndarray) -> np.ndarray:
+    """e^{-i*k*xi} for 0 <= k < _PHASE_BLOCK, along a new last axis.
+
+    Built by doubling: columns m .. 2m-1 are columns 0 .. m-1 times
+    e^{-i*m*xi} for m = 1, 2, 4, ..., so it takes log2(_PHASE_BLOCK)
+    exponentials per node where one per entry would take _PHASE_BLOCK, and
+    each entry is at most that many roundings from its own exponential.
+    """
+    table = np.empty(xi.shape + (_PHASE_BLOCK,), dtype=complex)
+    table[..., 0] = 1.0
+    m = 1
+    while m < _PHASE_BLOCK:
+        np.multiply(table[..., :m], np.exp(-1j * m * xi)[..., None], out=table[..., m : 2 * m])
+        m *= 2
+    return table
+
+
 def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, groups) -> np.ndarray:
     """Gauss-Legendre sums of every coefficient integrand on each panel.
 
@@ -127,7 +145,10 @@ def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, groups) -> np.nd
     sign(kappa)*phi_delta and chi*phi_beta do not depend on the frequency, so
     they are evaluated once per node; the phases come from the factored table
     e^{-i(k0+k)xi} = e^{-i*k0*xi} * e^{-i*k*xi}, 0 <= k < _PHASE_BLOCK, so
-    each panel's sums are one (blocks, nodes) @ (nodes, _PHASE_BLOCK) product.
+    each panel's sums are one (blocks, nodes) @ (nodes, _PHASE_BLOCK) product
+    with the :func:`_phase_table` of its nodes.  The e^{-i*k0*xi} factors
+    are one exponential each: powers of e^{-i*_PHASE_BLOCK*xi} would compound
+    their roundings over the hundreds of rows a large n_max needs.
     """
     half = 0.5 * (hi - lo)
     xi = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES[None, :]
@@ -141,8 +162,7 @@ def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, groups) -> np.nd
             weight = chi * phi(p.beta, xi, p)
         k0 = first + _PHASE_BLOCK * np.arange(math.ceil(count / _PHASE_BLOCK))
         rows.append((weight * w)[:, None, :] * np.exp(-1j * k0[None, :, None] * xi[:, None, :]))
-    table = np.exp(-1j * xi[:, :, None] * np.arange(_PHASE_BLOCK)[None, None, :])
-    sums = (np.concatenate(rows, axis=1) @ table).reshape(lo.size, -1)
+    sums = (np.concatenate(rows, axis=1) @ _phase_table(xi)).reshape(lo.size, -1)
     cols, start = [], 0
     for _, _, count in groups:
         cols.append(sums[:, start : start + count])

@@ -4,17 +4,18 @@ For each truncation size n the correlation magnitude is |C(n)| = |Pf
 Omega(n)|.  Only its magnitude is kept: the overall phase depends on a
 row-ordering convention.
 
-Omega(n) is handled in the real gauge of :mod:`xyness.fourier`: the assembled
-matrix R = D_n Omega(n) D_n is real and skew-symmetric bit for bit, with the
-same Pfaffian, determinant and singular values, so the LU and the SVD run in
-real arithmetic.
+Omega(n) is handled in the real gauge of :mod:`xyness.fourier`: the
+truncation R = D_n Omega(n) D_n is real and skew-symmetric bit for bit, with
+the same Pfaffian, determinant and singular values, so the LU and the SVD
+run in real arithmetic.
 
-Each corner R satisfies J R J = -R, so an orthogonal change of basis brings
-it to [[0, X], [-X^T, 0]], X = fold(R) of size n x n (proof sketch in
-:mod:`xyness.toeplitz`): |Pf R| = |det X|, log|det R| = 2 log|det X|, and
-R's singular values are X's, each counted twice.  The reflection is about
-each corner's own centre, so every size folds its own corner, and one
-pivoted LU of X gives log|C(n)|.
+Each truncation R satisfies J R J = -R, so an orthogonal change of basis
+brings it to [[0, X], [-X^T, 0]], X = fold(R) of size n x n (proof sketch
+in :mod:`xyness.toeplitz`): |Pf R| = |det X|, log|det R| = 2 log|det X|,
+and R's singular values are X's, each counted twice.  Each size gathers its
+own X straight from the coefficient blocks (:func:`xyness.toeplitz.folded`,
+byte for byte the fold of R), so R is never built, and one pivoted LU of X
+gives log|C(n)|.
 
 The cross check compares two elimination routes on X: the LU of X against
 the LU of its column-reversed copy X J_n, a different pivot sequence and
@@ -43,7 +44,8 @@ from .fourier import BlockSequence, build_block_sequence
 from .model import ModelParams
 from .skewlinalg import log_det, singular_values
 from .skewlinalg import pfaffian  # noqa: F401 (perfbench/tracer.py wraps this binding)
-from .toeplitz import assemble, fold
+from .toeplitz import assemble  # noqa: F401 (perfbench/tracer.py wraps this binding)
+from .toeplitz import folded
 
 #: default truncation sizes: powers of two padded inside the fit window
 DEFAULT_N_LIST = (8, 16, 32, 64, 96, 128, 160, 192, 224, 256)
@@ -79,7 +81,7 @@ class CorrelationSeries:
     fit: FitResult | None
     bound: BoundReport | None
     metadata: dict
-    #: the coefficient blocks the rows were assembled from (None on failure)
+    #: the coefficient blocks each row's fold was gathered from (None on failure)
     sequence: BlockSequence | None = None
 
 
@@ -134,13 +136,13 @@ def check_sizes(n_list, tol: float) -> list[int]:
 def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) -> CorrelationSeries:
     """Correlation magnitudes log|C(n)| for each n in ``n_list``.
 
-    One block sequence and one truncation are built at max(n_list); every
-    size is its leading corner.  Each row takes log|C(n)| from the LU of
-    the fold of its corner, carries the residual against the LU of the
-    column-reversed fold (module notes) and the extreme singular values of
-    the fold.  The decay fit runs over the upper half of the sizes, widened
-    to at least 4 of them, and is omitted for fewer than 4 sizes.  The rate
-    bound is integrated to ``RATE_TOL``.
+    One block sequence is built at max(n_list), and every size gathers its
+    n x n fold from it without assembling the truncation.  Each row takes
+    log|C(n)| from the LU of its fold, carries the residual against the LU
+    of the column-reversed fold (module notes) and the extreme singular
+    values of the fold.  The decay fit runs over the upper half of the
+    sizes, widened to at least 4 of them, and is omitted for fewer than 4
+    sizes.  The rate bound is integrated to ``RATE_TOL``.
 
     Raises
     ------
@@ -152,13 +154,12 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
     """
     n_list = check_sizes(n_list, tol)
     seq = build_block_sequence(max(n_list), p, tol)
-    omega = assemble(max(n_list), seq)
     rows = []
     for n in n_list:
-        folded = fold(omega[: 2 * n, : 2 * n])  # equals fold(assemble(n, seq))
-        log_abs_C = log_det(folded).log_abs
+        X = folded(n, seq)
+        log_abs_C = log_det(X).log_abs
         log_abs_det = 2.0 * log_abs_C
-        residual = abs(2.0 * log_det(folded[:, ::-1]).log_abs - log_abs_det)
+        residual = abs(2.0 * log_det(X[:, ::-1]).log_abs - log_abs_det)
         if not residual <= 1e-6:
             raise NumericalError(
                 f"LU/reversed-LU cross-check failed at n={n}: residual {residual:.3e}"
@@ -168,7 +169,7 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
             raise NumericalError(
                 f"determinant bound violated at n={n}: {log_abs_det:.6e} > {wb:.6e}"
             )
-        sv = singular_values(folded)  # each of R's singular values, once
+        sv = singular_values(X)  # each of R's singular values, once
         rows.append(
             SeriesRow(
                 n=n,

@@ -19,7 +19,7 @@ from .model import ModelParams, symbol_matrices, symbol_singular_values
 from .pipeline import compute_series, fit_decay
 from .skewlinalg import log_det, pfaffian, pfaffian_brute, singular_values
 from .spectral import avram_parter_gap, square_plateau
-from .toeplitz import assemble, fold, symbol_norm
+from .toeplitz import assemble, fold, folded, symbol_norm
 
 #: parameter sets exercised by the full acceptance suite
 ACCEPTANCE_SETS = (
@@ -124,6 +124,14 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
         "reflection-fold",
         bitwise and sv_dev <= 1e-13 and det_dev <= 1e-12,
         f"J R J = -R {'bitwise' if bitwise else 'BROKEN'}, sv dev {sv_dev:.2e}, det dev {det_dev:.2e}",
+    )
+
+    # the fold gathered from the blocks is the fold of the assembled R
+    same = all(folded(n, seq).tobytes() == fold(assemble(n, seq)).tobytes() for n in (1, 7, 8, 33))
+    record(
+        "direct-fold",
+        same,
+        f"folded == fold(assemble) {'bytewise' if same else 'BROKEN'} at n = 1, 7, 8, 33",
     )
 
     # Pfaffian squared vs determinant, plus the brute-force oracle

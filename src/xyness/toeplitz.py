@@ -22,6 +22,22 @@ to [[0, X], [-X^T, 0]] with the n x n X = R_11 - R_12 J_n of
 :func:`fold`.  So R's singular values are X's, each counted twice,
 |det R| = det(X)^2 and |Pf R| = |det X|: the SVD and the LU of R can run on
 X, with 8x fewer flops.
+
+:func:`folded` gathers X without R: entry (r, s) is R[r, s] - R[r, 2n-1-s],
+two entries of the blocks i-j and i+j-(n-1) for r = 2i+a, s = 2j+b, read
+in place, so it equals fold(assemble(n)) byte for byte.  With alpha_x =
+Im app[x] and c_x = -apm[x-1], the (0, 0) and (0, 1) entries of block x,
+and pi = (0, n-1, 1, n-2, 2, ...), the same entries are
+
+    X[i, j] = (-1)^j * (alpha[pi_i - pi_j] - c[pi_i + pi_j - (n-1)]),
+
+because alpha_{-x} = -alpha_x and the (1, 0) entry of block x is -c_{-x}.
+In matrix form X = P (T_n(alpha) - H_n) P^T S, with the skew Toeplitz
+T_n(alpha)[k, l] = alpha_{k-l}, the Hankel H_n[k, l] = c_{k+l-(n-1)}, P
+the permutation pi and S = diag((-1)^j): a fixed signed permutation of
+T_n(alpha) - H_n, with its singular values and |det|.  The equality holds
+value for value, not byte for byte: a sign flip of an exact zero
+difference gives -0.0 where R's entries give +0.0.
 """
 
 from __future__ import annotations
@@ -45,16 +61,42 @@ def assemble(n: int, seq: BlockSequence) -> np.ndarray:
     ValueError
         If ``n < 1`` or ``seq.n_max < n``.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if seq.n_max < n:
-        raise ValueError(f"sequence holds n_max={seq.n_max} < requested n={n}")
+    _check_size(n, seq)
     # one gather of entry (2i+a, 2j+b) = blocks[i-j+n_max-1][a, b], in (i, a, j, b) order
     k = np.arange(n)
     ab = np.arange(2)
     return seq.blocks[
         k[:, None, None, None] - k[:, None] + (seq.n_max - 1), ab[:, None, None], ab
     ].reshape(2 * n, 2 * n)
+
+
+def _check_size(n: int, seq: BlockSequence) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if seq.n_max < n:
+        raise ValueError(f"sequence holds n_max={seq.n_max} < requested n={n}")
+
+
+def folded(n: int, seq: BlockSequence) -> np.ndarray:
+    """The n x n fold of the ``n``-block truncation, gathered without R.
+
+    Equals ``fold(assemble(n, seq))`` byte for byte: each entry is the same
+    difference of the same two block entries (module notes).
+
+    Raises
+    ------
+    ValueError
+        If ``n < 1`` or ``seq.n_max < n``.
+    """
+    _check_size(n, seq)
+    k = np.arange(n)
+    site, parity = k // 2, k % 2
+    # flat index of blocks[i + N - 1][a, 0] for row r = 2i + a
+    row = (4 * (site + seq.n_max - 1) + 2 * parity)[:, None]
+    entries = seq.blocks.ravel()
+    # column s = 2j + b reads entry (a, b) of block i - j and entry (a, 1 - b)
+    # of block i + j - (n - 1), which is R[r, 2n - 1 - s]
+    return entries[row + (parity - 4 * site)] - entries[row + (4 * (site - n + 1) + 1 - parity)]
 
 
 def fold(R: np.ndarray) -> np.ndarray:

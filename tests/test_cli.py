@@ -364,7 +364,7 @@ class TestSelftestCommand:
     def test_passes_on_correct_build(self):
         r = run_cli("selftest")
         assert r.returncode == 0, r.stdout + r.stderr
-        assert "12/12 checks passed" in r.stdout
+        assert "13/13 checks passed" in r.stdout
 
 
 class TestNegativeControls:

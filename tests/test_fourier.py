@@ -17,7 +17,7 @@ from xyness import (
     symbol_matrices,
 )
 import xyness.fourier
-from xyness.quadrature import _refine, adaptive_panels
+from xyness.quadrature import _NODES, _refine, adaptive_panels
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET, random_points
 
 TWO_PI = 2.0 * math.pi
@@ -80,6 +80,11 @@ def per_coefficient_route(n_max, p, tol):
     app = [coefficient(w_pp, x) if p.delta else 0.0 for x in range(n_max)]
     apm = [coefficient(w_pm, y) for y in range(-n_max, n_max - 1)]
     return np.array(app), np.array(apm)
+
+
+def exponential_phase_table(xi):
+    """One exponential per entry: the phase table before it was built by doubling."""
+    return np.exp(-1j * xi[:, :, None] * np.arange(xyness.fourier._PHASE_BLOCK)[None, None, :])
 
 
 def mp_coefficients(p, x_max, panel_width=0.2, dps=30):
@@ -186,6 +191,31 @@ class TestEngineOracles:
         app, apm = per_coefficient_route(512, p, TOL)
         assert np.max(np.abs(seq.app[511:] - app)) <= 2 * TOL
         assert np.max(np.abs(seq.apm - apm)) <= 2 * TOL
+
+
+class TestPhaseTable:
+    def test_doubling_matches_exponentials(self):
+        # against e^{-i k xi} with k*xi and its cosine and sine in extended
+        # precision: np.exp(-1j*k*xi) itself is off by up to 2.9e-14 near
+        # 2 pi, where the rounding of its argument k*xi is that large, while
+        # m*xi is exact for the powers of two m that the doubling uses
+        if np.finfo(np.longdouble).eps > 1e-18:
+            pytest.skip("long double has no extra precision on this platform")
+        # Gauss nodes of 66 panels across [0, 2 pi]
+        edges = np.linspace(0.0, TWO_PI, 67)
+        half = 0.5 * np.diff(edges)
+        xi = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _NODES[None, :]
+        table = xyness.fourier._phase_table(xi)
+        assert table.shape == xi.shape + (64,)
+        angle = xi.astype(np.longdouble)[..., None] * np.arange(64)
+        exact = np.cos(angle).astype(float) - 1j * np.sin(angle).astype(float)
+        assert np.max(np.abs(table - exact)) <= 1e-15
+
+    @pytest.mark.parametrize("p", ORACLE_SETS, ids=set_id)
+    def test_blocks_match_the_exponential_table(self, p, engine512, monkeypatch):
+        monkeypatch.setattr(xyness.fourier, "_phase_table", exponential_phase_table)
+        reference = build_block_sequence(512, p, TOL)
+        assert np.max(np.abs(engine512[p].blocks - reference.blocks)) <= 1e-14
 
 
 class TestBreakpoints:

@@ -19,6 +19,7 @@ from xyness import (
     sweep,
 )
 import xyness.pipeline
+import xyness.toeplitz
 from xyness.pipeline import DEFAULT_N_LIST, CorrelationSeries, SeriesRow
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET
 
@@ -141,6 +142,17 @@ class TestComputeSeries:
             assert row.log_abs_C == log_det(X).log_abs
             assert row.log_abs_det == 2 * row.log_abs_C
             assert row.pf_det_residual == abs(2 * log_det(X[:, ::-1]).log_abs - row.log_abs_det)
+
+    def test_no_truncation_is_assembled(self, base_params, monkeypatch):
+        # every row's fold is gathered from the blocks; R is never built
+        expected = compute_series(base_params, n_list=(1, 4, 8, 16, 33))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("assemble called")
+
+        monkeypatch.setattr(xyness.toeplitz, "assemble", refuse)
+        monkeypatch.setattr(xyness.pipeline, "assemble", refuse)
+        assert compute_series(base_params, n_list=(1, 4, 8, 16, 33)).rows == expected.rows
 
     def test_reversed_lu_gate_names_stage_and_n(self, base_params, monkeypatch):
         # shift the log|det| of the column-reversed fold, the second route

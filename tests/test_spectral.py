@@ -17,6 +17,8 @@ from xyness import (
     square_plateau,
     symbol_norm,
 )
+import xyness.spectral
+import xyness.toeplitz
 from xyness.quadrature import adaptive_panels
 TWO_PI = 2.0 * math.pi
 
@@ -93,6 +95,23 @@ class TestCountSmall:
             seq = build_block_sequence(32, p, 1e-12)
             expected = 2 if abs(p.lam) > 1.0 else 0
             assert count_small(32, 1e-6, seq) == expected
+
+
+class TestNoAssembly:
+    def test_fold_is_gathered_from_the_blocks(self, base_params, base_seq, monkeypatch):
+        # count_small and avram_parter_gap never build the 2n x 2n truncation
+        g = square_plateau()
+        expected = (count_small(16, 0.5, base_seq), avram_parter_gap(16, g, base_seq, base_params))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("assemble called")
+
+        monkeypatch.setattr(xyness.toeplitz, "assemble", refuse)
+        monkeypatch.setattr(xyness.spectral, "assemble", refuse)
+        assert count_small(16, 0.5, base_seq) == expected[0]
+        summary = avram_parter_gap(16, g, base_seq, base_params)
+        assert summary.values.tobytes() == expected[1].values.tobytes()
+        assert summary.gap == expected[1].gap
 
 
 class TestAvramParter:

@@ -9,6 +9,7 @@ from xyness import (
     build_block_sequence,
     dump_matrix,
     fold,
+    folded,
     log_det,
     pfaffian,
     pfaffian_brute,
@@ -170,6 +171,44 @@ class TestFold:
             R = assemble(n, seq)
             brute = abs(pfaffian_brute(R))
             assert abs(np.linalg.det(fold(R))) == pytest.approx(brute, rel=1e-12), n
+
+
+class TestFolded:
+    """The fold gathered from the blocks, without R."""
+
+    @pytest.mark.parametrize("p", SKEW_SETS, ids=set_id)
+    def test_is_the_fold_of_the_assembly_bytewise(self, p):
+        N = 97
+        seq = build_block_sequence(N, p)
+        for n in (1, 2, 3, 8, 33, N - 1, N):
+            X = folded(n, seq)
+            assert X.shape == (n, n) and X.flags.c_contiguous, n
+            assert X.tobytes() == fold(assemble(n, seq)).tobytes(), n
+
+    @pytest.mark.parametrize("p", CROSS_SETS, ids=set_id)
+    def test_is_toeplitz_minus_hankel_up_to_a_signed_permutation(self, p):
+        # X[i, j] = (-1)^j (alpha[pi_i - pi_j] - c[pi_i + pi_j - (n-1)]) with
+        # pi = (0, n-1, 1, n-2, ...): equal in value, where a sign flip of an
+        # exact zero difference may give -0.0 in place of +0.0
+        seq = build_block_sequence(33, p)
+        o = seq.n_max - 1
+        alpha, c = seq.blocks[:, 0, 0], seq.blocks[:, 0, 1]
+        for n in (1, 2, 7, 8, 33):
+            k = np.arange(n)
+            T = alpha[k[:, None] - k + o]
+            H = c[k[:, None] + k - (n - 1) + o]
+            pi = np.where(k % 2 == 0, k // 2, n - 1 - k // 2)
+            assert sorted(pi) == list(k)
+            expected = (T - H)[np.ix_(pi, pi)] * (-1.0) ** k
+            assert np.array_equal(folded(n, seq), expected), n
+
+    def test_size_errors_match_assemble(self, base_seq):
+        for n in (0, -1, base_seq.n_max + 1):
+            with pytest.raises(ValueError) as assembled:
+                assemble(n, base_seq)
+            with pytest.raises(ValueError) as gathered:
+                folded(n, base_seq)
+            assert str(gathered.value) == str(assembled.value)
 
 
 class TestSymbolNorm:
