@@ -12,6 +12,7 @@ from xyness import (
     ModelParams,
     assemble,
     avram_parter_gap,
+    avram_parter_limit,
     build_block_sequence,
     count_small,
     indicator_log,
@@ -29,9 +30,10 @@ print()
 
 print("empirical mean of g(s) = s^2 versus its distributional limit:")
 g_sq = square_plateau()
+limit_sq = avram_parter_limit(g_sq, p)  # independent of n: integrated once
 print(f"{'n':>5} {'empirical':>12} {'limit':>12} {'gap':>10} {'smax':>10}")
 for n in (16, 32, 64, 128, 256):
-    s = avram_parter_gap(n, g_sq, seq, p)
+    s = avram_parter_gap(n, g_sq, seq, limit_sq)
     print(
         f"{n:5d} {s.empirical_mean:12.8f} {s.limit_value:12.8f}"
         f" {s.gap:10.2e} {s.values[-1]:10.6f}"
@@ -42,7 +44,7 @@ print()
 # the test function used in the decay proof: a smooth plateau times log,
 # supported away from 0 so the small singular values cannot dominate
 g_log = indicator_log(1e-3, norm_cap)
-s = avram_parter_gap(128, g_log, seq, p)
+s = avram_parter_gap(128, g_log, seq, avram_parter_limit(g_log, p))
 print(f"plateau-log statistic at n = 128: empirical {s.empirical_mean:.8f}, limit {s.limit_value:.8f}")
 
 # term-by-term inequality: discarding singular values below the plateau can

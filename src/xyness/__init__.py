@@ -53,6 +53,7 @@ from .skewlinalg import (
 from .spectral import (
     SpectralSummary,
     avram_parter_gap,
+    avram_parter_limit,
     count_small,
     indicator_log,
     smooth_indicator,
@@ -79,6 +80,7 @@ __all__ = [
     "adaptive_panels",
     "assemble",
     "avram_parter_gap",
+    "avram_parter_limit",
     "bound_report",
     "breakpoints",
     "build_block_sequence",

@@ -163,9 +163,10 @@ def cmd_spectrum(args) -> int:
         "gap_square",
     ]
     limit_square = avram_parter_limit(g_sq, p)
+    limit_log = avram_parter_limit(g_log, p)
     rows = []
     for n in n_list:
-        s_log = avram_parter_gap(n, g_log, seq, p, eps=args.eps)
+        s_log = avram_parter_gap(n, g_log, seq, limit_log, eps=args.eps)
         emp_square = float(np.mean(g_sq(s_log.values)))
         rows.append(
             [

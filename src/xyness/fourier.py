@@ -12,8 +12,7 @@ and the paper's 2x2 blocks are
 
 The diagonal weight sign(kappa)*phi_delta is odd on the circle, which forces
 app[0] = 0, app[-x] = -app[x], and purely imaginary app[x]; apm is real.
-These hold only up to quadrature error and are asserted by the test suite
-against independently computed integrals.
+The test suite asserts these against independently computed integrals.
 
 The blocks are stored in the real gauge: conjugated by the per-site unitary
 D = diag(e^{-i*pi/4}, e^{i*pi/4}), which has det D = 1,
@@ -25,18 +24,35 @@ a real matrix.  a_0's diagonal is set to exactly 0 (app[0] = -app[0]), so
 every truncation D_n Omega(n) D_n (D_n = D on each site) is real and
 skew-symmetric bit for bit, with Omega(n)'s Pfaffian, determinant and
 singular values: the linear algebra runs in real arithmetic.  The dropped
-parts, Re app, Im app[0] and Im apm, are quadrature noise;
-:func:`build_block_sequence` checks them against the gate's own threshold
-before dropping them.  ``app`` and ``apm`` keep the complex coefficients.
+parts are Re app, Im app[0] and Im apm; :func:`build_block_sequence` checks
+them against the gate's own threshold before dropping them.  ``app`` and
+``apm`` keep the complex coefficients.
 
 Every coefficient of a sequence comes from one shared-node engine: a single
 adaptive refinement over panels split at the zeros of kappa and mu and capped
-at _PERIODS_PER_PANEL periods of the highest frequency.  The two
-frequency-independent weights are evaluated once per node, and each panel's
-sums for every frequency are one batched matrix product with a factored
-phase table.  A panel is accepted only when every coefficient passes the
-proportional error test on it, so no coefficient gets a weaker guarantee
-than an adaptive quadrature of its own would give it.
+at _PERIODS_PER_PANEL periods of the highest frequency.  The panels cover
+[0, pi] only, by the fold identity, which holds for any f:
+
+    Int_0^{2pi} f e^{-ik xi} dxi
+        = Int_0^pi [(f(xi) + f(-xi)) cos(k xi) - i (f(xi) - f(-xi)) sin(k xi)] dxi.
+
+The two frequency-independent weights are evaluated at each Gauss node xi
+and at -xi, so one node serves both, and no parity is assumed.  The cosine
+and sine sums run over k >= 0 only, so the negative frequencies of apm come
+from the same sums as the positive ones; each panel's sums for every
+frequency are one batched matrix product with a factored phase table.
+np.sin and np.cos are exactly odd and even in floating point, so the model
+weights' parities hold exactly at every node pair: the dropped parts come
+out as exact zeros, and the engine skips the products they would take.  A
+weight with a parity defect gets every product, so the gauge gate sees its
+true dropped parts.
+
+A panel is accepted only when every coefficient passes the proportional
+error test on it, so no coefficient gets a weaker guarantee than an
+adaptive quadrature of its own would give it.  A folded panel stands for
+two circle panels: it gets their share of the error budget, and the panel
+budget counts it twice, so the budget runs out at the same refinement as
+on the full circle.
 """
 
 from __future__ import annotations
@@ -76,7 +92,7 @@ class BlockSequence:
 
     Exactly the range a truncation of N = n_max block rows consumes.  ``app``
     holds x in [-(N-1), N-1] at index x + N - 1 (negative x filled by the
-    oddness symmetry to halve the quadrature work), ``apm`` holds y in
+    oddness symmetry), ``apm`` holds y in
     [-N, N-2] at index y + N, and ``blocks`` (shape (2N-1, 2, 2)) holds a_x at
     index x + N - 1.  The blocks are real: D a_x D in the gauge of the
     module notes, while ``app`` and ``apm`` are the complex coefficients.
@@ -120,54 +136,136 @@ def _dedupe(sorted_points, tol=1e-12) -> np.ndarray:
     return np.array(out)
 
 
-def _phase_table(xi: np.ndarray) -> np.ndarray:
-    """e^{-i*k*xi} for 0 <= k < _PHASE_BLOCK, along a new last axis.
+def _doubled(xi: np.ndarray, step: int, count: int) -> np.ndarray:
+    """e^{-i*step*r*xi} for 0 <= r < count, along a new first axis.
 
-    Built by doubling: columns m .. 2m-1 are columns 0 .. m-1 times
-    e^{-i*m*xi} for m = 1, 2, 4, ..., so it takes log2(_PHASE_BLOCK)
-    exponentials per node where one per entry would take _PHASE_BLOCK, and
-    each entry is at most that many roundings from its own exponential.
+    Built by doubling: rows m .. 2m-1 are rows 0 .. m-1 times
+    e^{-i*step*m*xi} for m = 1, 2, 4, ..., so it takes about log2(count)
+    exponentials per node where one per entry would take count, and each
+    entry is at most that many roundings from its own exponential.  For a
+    power-of-two ``step`` every argument step*m*xi is exact.
     """
-    table = np.empty(xi.shape + (_PHASE_BLOCK,), dtype=complex)
-    table[..., 0] = 1.0
+    table = np.empty((count,) + xi.shape, dtype=complex)
+    table[0] = 1.0
     m = 1
-    while m < _PHASE_BLOCK:
-        np.multiply(table[..., :m], np.exp(-1j * m * xi)[..., None], out=table[..., m : 2 * m])
+    while m < count:
+        n = min(m, count - m)
+        np.multiply(table[:n], np.exp(-1j * (step * m) * xi), out=table[m : m + n])
         m *= 2
     return table
 
 
-def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, groups) -> np.ndarray:
-    """Gauss-Legendre sums of every coefficient integrand on each panel.
+def _phase_table(xi: np.ndarray) -> np.ndarray:
+    """e^{-i*k*xi} for 0 <= k < _PHASE_BLOCK, along a new last axis.
 
-    ``groups`` lists (component, first frequency, count); the result is
-    (panels, total count), the groups' columns side by side.  The weights
-    sign(kappa)*phi_delta and chi*phi_beta do not depend on the frequency, so
-    they are evaluated once per node; the phases come from the factored table
-    e^{-i(k0+k)xi} = e^{-i*k0*xi} * e^{-i*k*xi}, 0 <= k < _PHASE_BLOCK, so
-    each panel's sums are one (blocks, nodes) @ (nodes, _PHASE_BLOCK) product
-    with the :func:`_phase_table` of its nodes.  The e^{-i*k0*xi} factors
-    are one exponential each: powers of e^{-i*_PHASE_BLOCK*xi} would compound
-    their roundings over the hundreds of rows a large n_max needs.
+    A view of :func:`_doubled` rows, which are contiguous in k-major order.
     """
+    return np.moveaxis(_doubled(xi, 1, _PHASE_BLOCK), 0, -1)
+
+
+def _weight(which: Component, xi: np.ndarray, p: ModelParams) -> np.ndarray:
+    """The frequency-independent factor of a component's integrand."""
+    if which is Component.PP:
+        return np.sign(kappa(xi, p)) * phi(p.delta, xi, p)
+    chi = (np.cos(xi) - p.lam - 1j * p.gamma * np.sin(xi)) / mu(xi, p)
+    return chi * phi(p.beta, xi, p)
+
+
+def _signed(dest: np.ndarray, c_sum, n_sum, sign: int) -> None:
+    """dest = c_sum + sign * n_sum, a part that is None (identically zero) read as 0."""
+    if n_sum is None:
+        dest[...] = 0.0 if c_sum is None else c_sum
+    elif c_sum is None:
+        np.multiply(n_sum, sign, out=dest)
+    else:
+        (np.add if sign > 0 else np.subtract)(c_sum, n_sum, out=dest)
+
+
+def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, groups, out: np.ndarray) -> None:
+    """Gauss-Legendre sums of every coefficient integrand on folded panels.
+
+    Each panel [lo, hi] lies in [0, pi] and stands for itself and its mirror
+    [-hi, -lo].  ``groups`` lists (component, first frequency, count); ``out``
+    (panels, total count) receives the groups' columns side by side.  With
+    E = f(xi) + f(-xi) and O = f(xi) - f(-xi) for the :func:`_weight` f,
+    evaluated at both nodes, the fold identity gives the coefficient at
+    frequency s*k (s = +-1, k >= 0) as
+
+        C_k(E) + i*s*N_k(O),  C_k(v) = sum v cos(k xi),  N_k(v) = -sum v sin(k xi),
+
+    whose real part is C(Re E) - s*N(Im O) and imaginary part
+    C(Im E) + s*N(Re O).  Every sum runs over k >= 0, so one set of rows
+    serves both signs and both sequences.  A part Re E, Im E, Re O or Im O
+    that is exactly zero on every node contributes exact zeros and is
+    skipped: with the model's exact parities only Re O is left for PP and
+    Re E, Im O for PM.
+
+    C and N come from the factored phase e^{-i(k0+k)xi} = e^{-i*k0*xi} *
+    e^{-i*k*xi}, 0 <= k < _PHASE_BLOCK, k0 a multiple of _PHASE_BLOCK.  As
+    real vectors over the (Re, Im) pairs of the nodes, the row v*conj(z0)
+    against the :func:`_phase_table` z gives C(v) and the row i*v*conj(z0)
+    gives N(v), so each panel's sums are one real (rows, 2*nodes) @
+    (2*nodes, _PHASE_BLOCK) product.  The e^{-i*k0*xi} rows are built by
+    doubling from exact arguments, like the table: successive powers of
+    e^{-i*_PHASE_BLOCK*xi} would compound their roundings over the rows.
+    """
+    nodes = _NODES.size
     half = 0.5 * (hi - lo)
     xi = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES[None, :]
     w = _WEIGHTS[None, :] * half[:, None]
-    rows = []
-    for which, first, count in groups:
-        if which is Component.PP:
-            weight = np.sign(kappa(xi, p)) * phi(p.delta, xi, p)
-        else:
-            chi = (np.cos(xi) - p.lam - 1j * p.gamma * np.sin(xi)) / mu(xi, p)
-            weight = chi * phi(p.beta, xi, p)
-        k0 = first + _PHASE_BLOCK * np.arange(math.ceil(count / _PHASE_BLOCK))
-        rows.append((weight * w)[:, None, :] * np.exp(-1j * k0[None, :, None] * xi[:, None, :]))
-    sums = (np.concatenate(rows, axis=1) @ _phase_table(xi)).reshape(lo.size, -1)
-    cols, start = [], 0
-    for _, _, count in groups:
-        cols.append(sums[:, start : start + count])
-        start += _PHASE_BLOCK * math.ceil(count / _PHASE_BLOCK)
-    return np.concatenate(cols, axis=1)
+    both = np.concatenate([xi, -xi], axis=1)
+
+    # per group, (C part, N part) for the real and for the imaginary part of
+    # the result: indices into ``vectors``, None where a part is identically 0
+    vectors, terms = [], []
+
+    def kept(v, is_n):
+        if not v.any():
+            return None
+        vectors.append((v, is_n))
+        return len(vectors) - 1
+
+    for which, _, _ in groups:
+        f = _weight(which, both, p)
+        even = (f[:, :nodes] + f[:, nodes:]) * w
+        odd = (f[:, :nodes] - f[:, nodes:]) * w
+        terms.append(
+            [
+                (kept(even.real, False), kept(odd.imag, True)),
+                (kept(even.imag, False), kept(odd.real, True)),
+            ]
+        )
+
+    rows = max(max(-first, first + count - 1) for _, first, count in groups) // _PHASE_BLOCK + 1
+    z0 = np.conj(_doubled(xi, _PHASE_BLOCK, rows)).transpose(1, 0, 2)
+    factor = {False: z0, True: 1j * z0}
+    left = np.empty((lo.size, len(vectors), rows, nodes), dtype=complex)
+    for i, (v, is_n) in enumerate(vectors):
+        np.multiply(v[:, None, :], factor[is_n], out=left[:, i])
+    z = np.ascontiguousarray(np.moveaxis(_phase_table(xi), -1, 0))
+    table = z.view(float).transpose(1, 2, 0)  # (panels, 2 * nodes, _PHASE_BLOCK)
+    sums = left.view(float).reshape(lo.size, -1, 2 * nodes) @ table
+    sums = sums.reshape(lo.size, len(vectors), -1)
+
+    split = out.view(float).reshape(lo.size, -1, 2)
+    start = 0
+    for (_, first, count), parts in zip(groups, terms):
+        neg = min(count, max(-first, 0))
+        # columns of frequencies first .. -1 read k = -first .. 1, the rest k >= 0
+        halves = (
+            (slice(0, neg), slice(-first, -first - neg, -1), -1),
+            (slice(neg, count), slice(first + neg, first + count), 1),
+        )
+        for target, ((c, n), n_sign) in enumerate(zip(parts, (-1, 1))):
+            dest = split[:, start : start + count, target]
+            for cols, ks, s in halves:
+                _signed(
+                    dest[:, cols],
+                    None if c is None else sums[:, c, ks],
+                    None if n is None else sums[:, n, ks],
+                    s * n_sign,
+                )
+        start += count
 
 
 def _coefficients(
@@ -177,9 +275,14 @@ def _coefficients(
 
     N = n_max.  Returns the arrays by component (PP absent when delta = 0,
     where phi_0 vanishes) and the largest per-coefficient error estimate,
-    which is at most ``tol``.  The panel arrays hold one column per
-    coefficient, about 3N, so the memory of a refinement level grows as
-    O(N * panels).
+    which is at most ``tol``.  The panels cover [0, pi] only, split at
+    ``breakpoints(p)`` there, and each one stands for itself and its mirror
+    (:func:`_panel_sums`); the error test runs on the folded panel, whose
+    share of the budget tol * 2pi is that of the two circle panels it stands
+    for, and the panel budget counts it as two.  Every complex coefficient
+    is computed in full, including the parts the real gauge drops.  The
+    panel arrays hold one column per coefficient, about 3N, so the memory of
+    a refinement level grows as O(N * panels).
 
     Raises
     ------
@@ -204,13 +307,15 @@ def _coefficients(
         out = np.empty((lo.size, columns), dtype=complex)
         for s in range(0, lo.size, _PANEL_CHUNK):
             part = slice(s, s + _PANEL_CHUNK)
-            out[part] = _panel_sums(lo[part], hi[part], p, groups)
+            _panel_sums(lo[part], hi[part], p, groups, out[part])
         return out
 
     max_width = _PERIODS_PER_PANEL * TWO_PI / n_max if n_max > _OSC_SPLIT_THRESHOLD else None
-    lo, hi = _split_edges(np.concatenate([breakpoints(p), [TWO_PI]]), max_width)
+    # the breakpoints are symmetric under xi -> 2pi - xi: kappa is odd, mu even
+    edges = breakpoints(p)
+    lo, hi = _split_edges(np.append(edges[edges < math.pi], math.pi), max_width)
     try:
-        vals, errs = _refine(rule, lo, hi, tol * TWO_PI, TWO_PI)
+        vals, errs = _refine(rule, lo, hi, tol * TWO_PI, math.pi, panel_cost=2)
     except QuadratureError as exc:
         raise QuadratureError(
             f"coefficient {name(exc.column)} did not converge", exc.achieved_error / TWO_PI
@@ -237,10 +342,11 @@ def fourier_coefficient(
     Runs the shared-panel engine of :func:`build_block_sequence` at the
     smallest n_max whose range holds x, so for x >= 0 (and every PM index)
     the value equals that sequence's entry bit for bit; absolute error <=
-    tol.  A negative PP index is integrated at its own frequency rather than
-    mirrored from app[|x|], so it checks the oddness of the diagonal weight
-    independently.  The run integrates about 3|x| coefficients, so the cost
-    grows as O(x**2).
+    tol.  A negative PP index is not mirrored from app[|x|]: its value
+    C(E) - i*N(O) (see :func:`_panel_sums`) carries the even part E of the
+    diagonal weight, evaluated at both nodes, so app[x] + app[-x] = 2*C(E)
+    checks that weight's oddness independently.  The run integrates about
+    3|x| coefficients, so the cost grows as O(x**2).
 
     Raises
     ------

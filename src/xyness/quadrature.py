@@ -118,6 +118,7 @@ def _refine(
     tol: float,
     total: float,
     max_panels: int = 400_000,
+    panel_cost: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dyadic refinement of base panels [lo_i, hi_i] until every panel passes.
 
@@ -130,7 +131,8 @@ def _refine(
     with its whole magnitude charged to the error estimate.
 
     The arrays of a level are (panels, K), so memory grows as panels * K;
-    ``max_panels`` counts panel evaluations only, whatever K is.
+    ``max_panels`` counts panel evaluations only, whatever K is, each one as
+    ``panel_cost`` (2 for a panel that stands for itself and its mirror).
 
     Returns
     -------
@@ -171,7 +173,7 @@ def _refine(
         lo = np.concatenate([lo[keep], mid[keep]])
         hi = np.concatenate([mid[keep], hi[keep]])
         coarse = np.concatenate([left[keep], right[keep]])
-        if n_evals + 2 * lo.size > max_panels:
+        if (n_evals + 2 * lo.size) * panel_cost > max_panels:
             _raise_unfinished("panel budget exhausted", acc_err + [err[keep]])
     if lo.size:
         _raise_unfinished("max refinement depth reached", acc_err)

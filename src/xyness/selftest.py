@@ -14,11 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import theorem_bound, validate_weak_bound
-from .fourier import Component, build_block_sequence, fourier_coefficient
-from .model import ModelParams, symbol_matrices, symbol_singular_values
+from .fourier import Component, breakpoints, build_block_sequence, fourier_coefficient
+from .model import ModelParams, kappa, mu, phi, symbol_matrices, symbol_singular_values
 from .pipeline import compute_series, fit_decay
+from .quadrature import adaptive_panels
 from .skewlinalg import log_det, pfaffian, pfaffian_brute, singular_values
-from .spectral import avram_parter_gap, square_plateau
+from .spectral import avram_parter_gap, avram_parter_limit, square_plateau
 from .toeplitz import assemble, fold, folded, symbol_norm
 
 #: parameter sets exercised by the full acceptance suite
@@ -85,6 +86,32 @@ def coefficient_symmetry_deviation(seq, p: ModelParams, probe_x=(1, 2, 3, 8, 17)
     return worst
 
 
+def fold_deviation(p: ModelParams, tol: float, probe_k=(-5, -2, -1, 0, 1, 3)) -> float:
+    """Worst distance between the engine and a full-circle quadrature.
+
+    The engine integrates over [0, pi], each node serving xi and -xi; here
+    each probed app[k] and apm[k] is one adaptive quadrature of its own
+    integrand over the whole circle, split at the zeros of kappa.  Each side
+    is within ``tol``, so a sound fold keeps the distance within 2 * tol.
+    """
+    two_pi = 2.0 * math.pi
+    edges = np.append(breakpoints(p), two_pi)
+    weights = {
+        Component.PP: lambda xi: np.sign(kappa(xi, p)) * phi(p.delta, xi, p),
+        Component.PM: lambda xi: (np.cos(xi) - p.lam - 1j * p.gamma * np.sin(xi))
+        / mu(xi, p)
+        * phi(p.beta, xi, p),
+    }
+    worst = 0.0
+    for which, weight in weights.items():
+        for k in probe_k:
+            ref, _ = adaptive_panels(
+                lambda xi: weight(xi) * np.exp(-1j * k * xi), edges, tol * two_pi
+            )
+            worst = max(worst, abs(fourier_coefficient(k, which, p, tol) - ref / two_pi))
+    return worst
+
+
 def run_selftest(verbose: bool = False) -> list[CheckResult]:
     """Run every check at reduced size; print a table if ``verbose``."""
     results: list[CheckResult] = []
@@ -105,6 +132,10 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
     # coefficient symmetries
     dev = coefficient_symmetry_deviation(seq, p)
     record("coefficient-symmetries", dev <= 2.0 * seq.tol, f"max dev {dev:.2e}")
+
+    # the folded quadrature against full-circle integrals of its own
+    dev = fold_deviation(p, seq.tol)
+    record("fold", dev <= 2.0 * seq.tol, f"max dev {dev:.2e} (tol {2.0 * seq.tol:.0e})")
 
     # skew-symmetric assembly: bit for bit, by construction of the blocks
     dev = skew_deviation(assemble(16, seq))
@@ -169,7 +200,8 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
     # Avram-Parter with the compact square test function
     g = square_plateau()
     seq64 = build_block_sequence(64, p, 1e-12)
-    gaps = [avram_parter_gap(n, g, seq64, p).gap for n in (16, 64)]
+    limit = avram_parter_limit(g, p)
+    gaps = [avram_parter_gap(n, g, seq64, limit).gap for n in (16, 64)]
     ok = all(math.isfinite(v) and v > 0 for v in gaps) and gaps[1] <= gaps[0]
     record("avram-parter-gap", ok, f"gap(16)={gaps[0]:.2e} gap(64)={gaps[1]:.2e}")
 

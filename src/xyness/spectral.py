@@ -136,20 +136,23 @@ def avram_parter_limit(g, p: ModelParams) -> float:
     return float(np.real(value)) / _TWO_PI
 
 
-def avram_parter_gap(n: int, g, seq: BlockSequence, p: ModelParams, eps: float = 1e-3) -> SpectralSummary:
+def avram_parter_gap(
+    n: int, g, seq: BlockSequence, limit: float, eps: float = 1e-3
+) -> SpectralSummary:
     """Empirical singular-value mean of g versus its distributional limit.
 
-    ``g`` must be vectorized, continuous, and compactly supported.  The limit
-    side is :func:`avram_parter_limit`.
+    ``g`` must be vectorized, continuous, and compactly supported.  ``limit``
+    is :func:`avram_parter_limit` of the same g and the sequence's
+    parameters; it does not depend on n, so a caller that compares several
+    sizes integrates it once.
     """
     sv = np.repeat(singular_values(folded(n, seq)), 2)
     empirical = float(np.mean(g(sv)))
-    limit = avram_parter_limit(g, p)
     return SpectralSummary(
         n=int(n),
         values=sv,
         count_small=int(np.count_nonzero(sv <= eps)),
         empirical_mean=empirical,
-        limit_value=limit,
+        limit_value=float(limit),
         gap=abs(empirical - limit),
     )

@@ -17,6 +17,7 @@ from xyness import (
     Component,
     assemble,
     avram_parter_gap,
+    avram_parter_limit,
     build_block_sequence,
     compute_series,
     fit_decay,
@@ -135,8 +136,9 @@ def spectral_summaries(seqs512):
     g = square_plateau()
     out = {}
     for p in ACCEPTANCE_SETS:
+        limit = avram_parter_limit(g, p)
         out[p] = {
-            n: avram_parter_gap(n, g, seqs512[p], p) for n in (64, 128, 256, 512)
+            n: avram_parter_gap(n, g, seqs512[p], limit) for n in (64, 128, 256, 512)
         }
     return out
 

@@ -7,10 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from xyness import ModelParams, symbol_matrices
+import xyness.fourier
+from xyness import ModelParams, phi, symbol_matrices
 from xyness.bounds import RATE_TOL
 from xyness.cli import build_parser
-from xyness.selftest import skew_deviation, symbol_svd_deviation
+from xyness.selftest import fold_deviation, skew_deviation, symbol_svd_deviation
 from conftest import midpoint_grid
 
 
@@ -364,7 +365,7 @@ class TestSelftestCommand:
     def test_passes_on_correct_build(self):
         r = run_cli("selftest")
         assert r.returncode == 0, r.stdout + r.stderr
-        assert "13/13 checks passed" in r.stdout
+        assert "14/14 checks passed" in r.stdout
 
 
 class TestNegativeControls:
@@ -385,3 +386,15 @@ class TestNegativeControls:
         bad = good.copy()
         bad[:, 0, 1] *= 1.001  # wrong thermal weight identity
         assert symbol_svd_deviation(p, xi, matrices=bad) > 1e-12
+
+    def test_injected_weight_error_fails_fold_check(self, monkeypatch):
+        # the engine integrates a diagonal weight with an even part, the
+        # full-circle reference the model's own
+        p = ModelParams(0.5, 0.3, 1.0, 2.0)
+        assert fold_deviation(p, 1e-12) <= 2e-12
+
+        def skewed_phi(d, xi, q):
+            return phi(d, xi, q) * (1.0 + 0.1 * np.sin(xi))
+
+        monkeypatch.setattr(xyness.fourier, "phi", skewed_phi)
+        assert fold_deviation(p, 1e-12) > 1e-4

@@ -193,6 +193,50 @@ class TestEngineOracles:
         assert np.max(np.abs(seq.apm - apm)) <= 2 * TOL
 
 
+class TestFold:
+    def test_no_parity_assumed(self, base_params, monkeypatch):
+        # with a weight that has an even part, the folded engine still
+        # integrates it over the whole circle: every frequency, either sign,
+        # matches a full-circle quadrature of the same integrand
+        def skewed_phi(d, xi, q):
+            return phi(d, xi, q) * (1.0 + 0.1 * np.sin(xi))
+
+        monkeypatch.setattr(xyness.fourier, "phi", skewed_phi)
+        p = base_params
+        weights = {
+            Component.PP: lambda xi: np.sign(kappa(xi, p)) * skewed_phi(p.delta, xi, p),
+            Component.PM: lambda xi: (np.cos(xi) - p.lam - 1j * p.gamma * np.sin(xi))
+            / mu(xi, p)
+            * skewed_phi(p.beta, xi, p),
+        }
+        n_max, pp_first = 9, -3  # app[-3 .. 5], apm[-9 .. 7]
+        values, err = xyness.fourier._coefficients(n_max, p, TOL, pp_first=pp_first)
+        assert err <= TOL
+        first = {Component.PP: pp_first, Component.PM: -n_max}
+        edges = np.concatenate([breakpoints(p), [TWO_PI]])
+        for which, weight in weights.items():
+            for k in (-3, -1, 0, 2, 5):
+                ref, _ = adaptive_panels(
+                    lambda xi: weight(xi) * np.exp(-1j * k * xi), edges, TOL * TWO_PI
+                )
+                assert abs(values[which][k - first[which]] - ref / TWO_PI) <= 2 * TOL
+        # the even part is really there: app[0] and Re app do not vanish
+        assert abs(values[Component.PP][-pp_first]) > 1e-4
+
+    def test_budget_counts_each_folded_panel_twice(self, base_params, monkeypatch):
+        # a panel on [0, pi] stands for itself and its mirror, so the panel
+        # budget, set in circle panels, charges it twice
+        budgets = []
+
+        def spy(*args, **kwargs):
+            budgets.append(kwargs.get("panel_cost"))
+            return _refine(*args, **kwargs)
+
+        monkeypatch.setattr(xyness.fourier, "_refine", spy)
+        build_block_sequence(4, base_params, TOL)
+        assert budgets == [2]
+
+
 class TestPhaseTable:
     def test_doubling_matches_exponentials(self):
         # against e^{-i k xi} with k*xi and its cosine and sine in extended
@@ -367,6 +411,16 @@ class TestBlockSequence:
             limit = max(2.0 * seq.err_estimate, 1e-14 * scale)
             dropped = max(np.abs(seq.app.real).max(), np.abs(seq.apm.imag).max())
             assert dropped <= 0.5 * limit
+
+    @pytest.mark.parametrize("p", GAUGE_SETS, ids=set_id)
+    def test_dropped_parts_are_exact_zeros(self, p):
+        # sin and cos are exactly odd and even, so at each node pair +-xi the
+        # weights' parities hold exactly and the fold's dropped sums vanish
+        for n_max in (64, 512):
+            seq = build_block_sequence(n_max, p, TOL)
+            assert not seq.app.real.any()
+            assert seq.app[n_max - 1] == 0.0
+            assert not seq.apm.imag.any()
 
     @pytest.mark.parametrize(
         "p, which",

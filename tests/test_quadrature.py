@@ -72,6 +72,24 @@ def test_batch_refines_until_every_column_passes():
     assert np.all(errs.sum(axis=0) <= 1e-12)
 
 
+def test_panel_cost_counts_against_the_budget():
+    # a panel that stands for two counts twice: a budget of 2M at cost 2
+    # runs out after the same evaluations as a budget of M at cost 1
+    def evaluations(max_panels, panel_cost):
+        sizes = []
+
+        def rule(lo, hi):
+            sizes.append(lo.size)
+            return np.sqrt(hi - lo)[:, None]  # halves never agree with the whole
+
+        with pytest.raises(QuadratureError, match="panel budget exhausted"):
+            _refine(rule, np.array([0.0]), np.array([1.0]), 1e-12, 1.0, max_panels, panel_cost)
+        return sum(sizes)
+
+    assert evaluations(200, 2) == evaluations(100, 1)
+    assert evaluations(200, 2) < evaluations(200, 1)
+
+
 def test_invalid_tol():
     with pytest.raises(ValueError):
         adaptive_panels(np.sin, [0.0, 1.0], 0.0)

@@ -7,6 +7,7 @@ from xyness import (
     ModelParams,
     assemble,
     avram_parter_gap,
+    avram_parter_limit,
     breakpoints,
     build_block_sequence,
     count_small,
@@ -101,7 +102,8 @@ class TestNoAssembly:
     def test_fold_is_gathered_from_the_blocks(self, base_params, base_seq, monkeypatch):
         # count_small and avram_parter_gap never build the 2n x 2n truncation
         g = square_plateau()
-        expected = (count_small(16, 0.5, base_seq), avram_parter_gap(16, g, base_seq, base_params))
+        limit = avram_parter_limit(g, base_params)
+        expected = (count_small(16, 0.5, base_seq), avram_parter_gap(16, g, base_seq, limit))
 
         def refuse(*args, **kwargs):
             raise AssertionError("assemble called")
@@ -109,20 +111,24 @@ class TestNoAssembly:
         monkeypatch.setattr(xyness.toeplitz, "assemble", refuse)
         monkeypatch.setattr(xyness.spectral, "assemble", refuse)
         assert count_small(16, 0.5, base_seq) == expected[0]
-        summary = avram_parter_gap(16, g, base_seq, base_params)
+        summary = avram_parter_gap(16, g, base_seq, limit)
         assert summary.values.tobytes() == expected[1].values.tobytes()
         assert summary.gap == expected[1].gap
 
 
 class TestAvramParter:
     def test_zero_function(self, base_params, base_seq):
-        s = avram_parter_gap(8, lambda x: np.zeros_like(np.asarray(x, dtype=float)), base_seq, base_params)
+        def zero(x):
+            return np.zeros_like(np.asarray(x, dtype=float))
+
+        s = avram_parter_gap(8, zero, base_seq, avram_parter_limit(zero, base_params))
         assert s.empirical_mean == 0.0 and s.limit_value == 0.0 and s.gap == 0.0
 
     def test_square_matches_frobenius_and_parseval(self, base_params, base_seq):
         g = square_plateau()
+        limit = avram_parter_limit(g, base_params)
         for n in (8, 24):
-            s = avram_parter_gap(n, g, base_seq, base_params)
+            s = avram_parter_gap(n, g, base_seq, limit)
             T = assemble(n, base_seq)
             frob = float(np.sum(np.abs(T) ** 2)) / (2 * n)
             assert s.empirical_mean == pytest.approx(frob, rel=1e-12)
@@ -136,19 +142,22 @@ class TestAvramParter:
         ref, _ = adaptive_panels(
             integrand, np.concatenate([breakpoints(base_params), [TWO_PI]]), 1e-11
         )
-        s = avram_parter_gap(16, g, base_seq, base_params)
+        s = avram_parter_gap(16, g, base_seq, limit)
         assert s.limit_value == pytest.approx(float(np.real(ref)) / TWO_PI, abs=1e-9)
 
     def test_gap_decreases(self, base_params, base_seq):
         g = square_plateau()
-        gaps = [avram_parter_gap(n, g, base_seq, base_params).gap for n in (8, 16, 32)]
+        limit = avram_parter_limit(g, base_params)
+        gaps = [avram_parter_gap(n, g, base_seq, limit).gap for n in (8, 16, 32)]
         assert all(v > 0.0 and math.isfinite(v) for v in gaps)
         assert gaps[2] <= gaps[1] <= gaps[0]
 
     def test_values_within_norm_bound(self, base_params, base_seq):
         bound = symbol_norm(base_params)
+        g = square_plateau()
+        limit = avram_parter_limit(g, base_params)
         for n in (8, 32):
-            s = avram_parter_gap(n, square_plateau(), base_seq, base_params)
+            s = avram_parter_gap(n, g, base_seq, limit)
             assert s.values[0] >= 0.0
             assert s.values[-1] <= bound + 1e-8
 
@@ -157,9 +166,10 @@ class TestAvramParter:
         # because every discarded log s_j is negative
         eps = 1e-3
         g = indicator_log(eps, symbol_norm(base_params))
+        limit = avram_parter_limit(g, base_params)
         for n in (4, 16, 32):
             T = assemble(n, base_seq)
-            s = avram_parter_gap(n, g, base_seq, base_params)
+            s = avram_parter_gap(n, g, base_seq, limit)
             lhs = log_det(T).log_abs
             rhs = float(np.sum(g(s.values)))
             assert lhs <= rhs + 1e-10
