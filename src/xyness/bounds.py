@@ -96,9 +96,10 @@ def weak_bound_log(n: int, p: ModelParams) -> float:
     return n * weak_rate(p)
 
 
-def bound_report(p: ModelParams, tol: float = RATE_TOL) -> BoundReport:
+def bound_report(p: ModelParams) -> BoundReport:
+    """The bounds of :class:`BoundReport`, with B to absolute error ``RATE_TOL``."""
     return BoundReport(
-        theorem_rate=theorem_bound(p, tol),
+        theorem_rate=theorem_bound(p),
         weak_rate=weak_rate(p),
         mu_sup=mu_sup(p),
         critical=p.critical,

@@ -12,7 +12,8 @@ and the paper's 2x2 blocks are
 
 The diagonal weight sign(kappa)*phi_delta is odd on the circle, which forces
 app[0] = 0, app[-x] = -app[x], and purely imaginary app[x]; apm is real.
-The test suite asserts these against independently computed integrals.
+The sequence stores app[-x] by that mirror; the tests check both sides
+against a 30-digit mpmath quadrature that integrates either sign.
 
 The blocks are stored in the real gauge: conjugated by the per-site unitary
 D = diag(e^{-i*pi/4}, e^{i*pi/4}), which has det D = 1,
@@ -268,10 +269,8 @@ def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, groups, out: np.
         start += count
 
 
-def _coefficients(
-    n_max: int, p: ModelParams, tol: float, pp_first: int = 0
-) -> tuple[dict, float]:
-    """app[pp_first .. pp_first+N-1] and apm[-N .. N-2] on one shared panel set.
+def _coefficients(n_max: int, p: ModelParams, tol: float) -> tuple[dict, float]:
+    """app[0 .. N-1] and apm[-N .. N-2] on one shared panel set.
 
     N = n_max.  Returns the arrays by component (PP absent when delta = 0,
     where phi_0 vanishes) and the largest per-coefficient error estimate,
@@ -292,7 +291,7 @@ def _coefficients(
     """
     groups = [(Component.PM, -n_max, 2 * n_max - 1)]
     if p.delta != 0.0:
-        groups.insert(0, (Component.PP, pp_first, n_max))
+        groups.insert(0, (Component.PP, 0, n_max))
 
     def name(column: int) -> str:
         for which, first, count in groups:
@@ -339,13 +338,11 @@ def fourier_coefficient(
 ) -> complex:
     """Single Fourier coefficient app[x] (which=PP) or apm[x] (which=PM).
 
-    Runs the shared-panel engine of :func:`build_block_sequence` at the
-    smallest n_max whose range holds x, so for x >= 0 (and every PM index)
-    the value equals that sequence's entry bit for bit; absolute error <=
-    tol.  A negative PP index is not mirrored from app[|x|]: its value
-    C(E) - i*N(O) (see :func:`_panel_sums`) carries the even part E of the
-    diagonal weight, evaluated at both nodes, so app[x] + app[-x] = 2*C(E)
-    checks that weight's oddness independently.  The run integrates about
+    The entry that :func:`build_block_sequence` stores for x at the smallest
+    n_max whose range holds x, bit for bit, from the same run of the
+    shared-panel engine: a negative PP index is mirrored from app[|x|] as
+    the sequence mirrors it.  The engine is read directly, so the gauge
+    gate does not run.  Absolute error <= tol.  The run integrates about
     3|x| coefficients, so the cost grows as O(x**2).
 
     Raises
@@ -360,8 +357,9 @@ def fourier_coefficient(
     if which is Component.PP:
         if p.delta == 0.0:
             return 0.0 + 0.0j  # phi_0 vanishes identically
-        values, _ = _coefficients(abs(x) + 1, p, tol, pp_first=min(x, 0))
-        return complex(values[Component.PP][x - min(x, 0)])
+        values, _ = _coefficients(abs(x) + 1, p, tol)
+        value = complex(values[Component.PP][abs(x)])
+        return -value if x < 0 else value
     n_max = max(1, x + 2, -x)
     values, _ = _coefficients(n_max, p, tol)
     return complex(values[Component.PM][x + n_max])

@@ -95,11 +95,20 @@ class ModelParams:
 def kappa(xi, p: ModelParams):
     """Current-direction dispersion 2*lam*sin(xi) - (1 - gamma^2)*sin(2*xi).
 
-    Odd under xi -> -xi; its sign selects which reservoir a momentum mode
-    equilibrates to in the steady state.
+    Exactly odd under xi -> -xi; its sign selects which reservoir a momentum
+    mode equilibrates to in the steady state.  When |lam| <= c = 1 - gamma^2
+    it is the product 4c*sin(xi) * sin((xi+x0)/2)*sin((xi-x0)/2), x0 =
+    acos(lam/c) as in ``fourier.breakpoints``, whose sign flips exactly at
+    x0, where the two terms of the sum cancel to rounding noise.
     """
     xi = np.asarray(xi, dtype=float)
-    out = 2.0 * p.lam * np.sin(xi) - (1.0 - p.gamma**2) * np.sin(2.0 * xi)
+    c = 1.0 - p.gamma**2
+    ratio = p.lam / c
+    if abs(ratio) <= 1.0:
+        x0 = math.acos(ratio)
+        out = (4.0 * c * np.sin(xi)) * (np.sin(0.5 * (xi + x0)) * np.sin(0.5 * (xi - x0)))
+    else:
+        out = 2.0 * p.lam * np.sin(xi) - c * np.sin(2.0 * xi)
     return out if out.ndim else float(out)
 
 

@@ -56,13 +56,7 @@ def _split_edges(edges: np.ndarray, max_width: float | None) -> tuple[np.ndarray
     return np.concatenate(lo_list), np.concatenate(hi_list)
 
 
-def adaptive_panels(
-    f,
-    edges,
-    tol: float,
-    max_width: float | None = None,
-    max_panels: int = 400_000,
-) -> tuple[complex, float]:
+def adaptive_panels(f, edges, tol: float) -> tuple[complex, float]:
     """Integrate ``f`` over [edges[0], edges[-1]] to absolute tolerance ``tol``.
 
     Parameters
@@ -75,8 +69,6 @@ def adaptive_panels(
         each [edges[i], edges[i+1]].
     tol : float
         Absolute error target for the whole integral.
-    max_width : float, optional
-        Upper bound on base-panel width (used to resolve oscillatory factors).
 
     Returns
     -------
@@ -95,14 +87,9 @@ def adaptive_panels(
     if tol <= 0:
         raise ValueError("tol must be positive")
     edges = np.asarray(edges, dtype=float)
-    lo, hi = _split_edges(edges, max_width)
+    lo, hi = _split_edges(edges, None)
     vals, errs = _refine(
-        lambda a, b: _gauss_batch(f, a, b)[:, None],
-        lo,
-        hi,
-        tol,
-        edges[-1] - edges[0],
-        max_panels,
+        lambda a, b: _gauss_batch(f, a, b)[:, None], lo, hi, tol, edges[-1] - edges[0]
     )
     vals, errs = vals[:, 0], errs[:, 0]
     value = vals.sum()

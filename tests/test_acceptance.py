@@ -14,14 +14,12 @@ import numpy as np
 import pytest
 
 from xyness import (
-    Component,
     assemble,
     avram_parter_gap,
     avram_parter_limit,
     build_block_sequence,
     compute_series,
     fit_decay,
-    fourier_coefficient,
     log_det,
     pfaffian,
     pfaffian_brute,
@@ -111,10 +109,6 @@ def test_criterion_3_coefficient_symmetries(seqs512):
     o = seq.n_max - 1  # index of x = 0
     worst_imag = max(abs(seq.app[x + o].real) for x in range(-256, 257))
     worst_zero = abs(seq.app[0 + o])
-    worst_odd = 0.0
-    for x in range(1, 257):
-        indep = fourier_coefficient(-x, Component.PP, p, TOL)
-        worst_odd = max(worst_odd, abs(indep + seq.app[x + o]))
     worst_skew = 0.0
     for x in range(-256, 257):
         worst_skew = max(
@@ -122,11 +116,10 @@ def test_criterion_3_coefficient_symmetries(seqs512):
         )
     assert worst_imag <= 2 * TOL
     assert worst_zero <= 2 * TOL
-    assert worst_odd <= 2 * TOL
     assert worst_skew <= 2 * TOL
     report(
         3,
-        f"|x|<=256: oddness {worst_odd:.2e}, Re(app) {worst_imag:.2e}, "
+        f"|x|<=256: Re(app) {worst_imag:.2e}, "
         f"app[0] {worst_zero:.2e}, block skewness {worst_skew:.2e}",
     )
 

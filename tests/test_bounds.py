@@ -142,7 +142,7 @@ class TestWeakBound:
             weak_bound_log(0, ACCEPTANCE_SETS[0])
 
     def test_report_fields(self):
-        rep = bound_report(CRITICAL_SET, 1e-9)
+        rep = bound_report(CRITICAL_SET)
         assert rep.critical
         assert rep.theorem_rate < 0.0 and rep.weak_rate < 0.0
         assert rep.mu_sup == pytest.approx(1.5)

@@ -17,7 +17,7 @@ from xyness import (
     symbol_matrices,
 )
 import xyness.fourier
-from xyness.quadrature import _NODES, _refine, adaptive_panels
+from xyness.quadrature import _NODES, _refine, _split_edges, adaptive_panels
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET, random_points
 
 TWO_PI = 2.0 * math.pi
@@ -66,8 +66,9 @@ def per_coefficient_route(n_max, p, tol):
 
     def coefficient(weight, x):
         max_width = 8.0 * TWO_PI / abs(x) if abs(x) > 64 else None
+        lo, hi = _split_edges(edges, max_width)
         value, _ = adaptive_panels(
-            lambda xi: weight(xi) * np.exp(-1j * x * xi), edges, tol * TWO_PI, max_width=max_width
+            lambda xi: weight(xi) * np.exp(-1j * x * xi), np.append(lo, hi[-1]), tol * TWO_PI
         )
         return value / TWO_PI
 
@@ -139,12 +140,16 @@ def mp_coefficients(p, x_max, panel_width=0.2, dps=30):
         )
 
 
-#: the oracle sets, cold reservoirs (beta = 50) and 20 random generic points
+#: the oracle sets, cold reservoirs (beta = 50), |lam| just inside
+#: 1 - gamma^2 (a zero of kappa ~1e-7 from 0 or pi) and 20 random generic points
 GAUGE_SETS = (
     *ORACLE_SETS,
     ModelParams(0.5, 0.3, 1.0, 50.0),
     ModelParams(0.5, 0.3, 50.0, 50.0),
     ModelParams(0.0, 0.5, 20.0, 50.0),
+    ModelParams(0.5, 0.75 * (1 - 1e-14), 1.0, 2.0),
+    ModelParams(0.5, -0.75 * (1 - 1e-14), 1.0, 2.0),
+    ModelParams(0.5, 0.75 * (1 - 1e-15), 1.0, 2.0),
     *random_points(20, seed=20261018),
 )
 
@@ -170,14 +175,6 @@ class TestEngineOracles:
         assert np.max(np.abs(seq.apm[x + seq.n_max] - apm)) <= 2 * TOL
         assert seq.err_estimate <= TOL
 
-    @pytest.mark.parametrize("p", ORACLE_SETS, ids=set_id)
-    def test_negative_pp_matches_high_precision_oracle(self, p):
-        # fourier_coefficient integrates a negative PP index at its own
-        # frequency, so this checks the engine's diagonal weight for oddness
-        app, _ = mp_coefficients(p, 8)
-        got = [fourier_coefficient(x, Component.PP, p, TOL) for x in range(-8, 0)]
-        assert np.max(np.abs(np.array(got) - app[:8])) <= 2 * TOL
-
     def test_oracle_resolved(self):
         # halving the subpanels moves no value beyond the oracle's own noise
         p = ORACLE_SETS[1]
@@ -196,8 +193,8 @@ class TestEngineOracles:
 class TestFold:
     def test_no_parity_assumed(self, base_params, monkeypatch):
         # with a weight that has an even part, the folded engine still
-        # integrates it over the whole circle: every frequency, either sign,
-        # matches a full-circle quadrature of the same integrand
+        # integrates it over the whole circle: app at every k >= 0 and apm
+        # at either sign match full-circle quadratures of the same integrand
         def skewed_phi(d, xi, q):
             return phi(d, xi, q) * (1.0 + 0.1 * np.sin(xi))
 
@@ -209,19 +206,20 @@ class TestFold:
             / mu(xi, p)
             * skewed_phi(p.beta, xi, p),
         }
-        n_max, pp_first = 9, -3  # app[-3 .. 5], apm[-9 .. 7]
-        values, err = xyness.fourier._coefficients(n_max, p, TOL, pp_first=pp_first)
+        n_max = 9  # app[0 .. 8], apm[-9 .. 7]
+        values, err = xyness.fourier._coefficients(n_max, p, TOL)
         assert err <= TOL
-        first = {Component.PP: pp_first, Component.PM: -n_max}
+        probes = {Component.PP: (0, 1, 2, 5, 8), Component.PM: (-9, -3, -1, 0, 2, 5, 7)}
+        first = {Component.PP: 0, Component.PM: -n_max}
         edges = np.concatenate([breakpoints(p), [TWO_PI]])
         for which, weight in weights.items():
-            for k in (-3, -1, 0, 2, 5):
+            for k in probes[which]:
                 ref, _ = adaptive_panels(
                     lambda xi: weight(xi) * np.exp(-1j * k * xi), edges, TOL * TWO_PI
                 )
                 assert abs(values[which][k - first[which]] - ref / TWO_PI) <= 2 * TOL
         # the even part is really there: app[0] and Re app do not vanish
-        assert abs(values[Component.PP][-pp_first]) > 1e-4
+        assert abs(values[Component.PP][0]) > 1e-4
 
     def test_budget_counts_each_folded_panel_twice(self, base_params, monkeypatch):
         # a panel on [0, pi] stands for itself and its mirror, so the panel
@@ -275,6 +273,22 @@ class TestBreakpoints:
         pts = breakpoints(ModelParams(0.5, 0.375, 1.0, 2.0))
         assert pts == pytest.approx([0.0, 1.0471975511965979, math.pi, 5.2359877559829888])
 
+    @pytest.mark.parametrize("p", GAUGE_SETS, ids=set_id)
+    def test_kappa_exactly_odd_and_zero_at_breakpoints(self, p):
+        # the engine's node pairs +-xi need sign(kappa) exactly odd, and its
+        # panels need the sign to flip at the breakpoint itself, also where
+        # a zero of kappa sits ~1e-7 from 0 or pi and the sum form cancels
+        xi = np.linspace(0.0, math.pi, 1001)
+        for x0 in breakpoints(p)[1:-1]:
+            if x0 < math.pi:
+                near = x0 + np.array([-1e-9, -1e-12, 0.0, 1e-12, 1e-9])
+                xi = np.concatenate([xi, near, np.nextafter(x0, [0.0, 4.0])])
+                assert kappa(x0, p) == 0.0
+                below, above = kappa(np.nextafter(x0, [0.0, 4.0]), p)
+                assert below * above < 0.0
+        # exact equality; a zero of kappa may come out as 0.0 or -0.0
+        assert np.array_equal(kappa(-xi, p), -kappa(xi, p))
+
     def test_boundary_degenerate_root_deduped(self):
         # |lam| = 1 - gamma^2: the extra root collides with 0 or pi
         pts = breakpoints(ModelParams(0.5, 0.75, 1.0, 2.0))
@@ -290,20 +304,12 @@ class TestSingleCoefficient:
         assert fourier_coefficient(7, Component.PP, p) == 0.0
 
     def test_pp_odd_symmetry_independent(self, base_params):
+        # a negative PP index is the sequence's mirror of the positive one;
+        # the mpmath oracle checks that mirror against integrals of its own
         for x in (1, 2, 5, 9):
             plus = fourier_coefficient(x, Component.PP, base_params)
             minus = fourier_coefficient(-x, Component.PP, base_params)
-            assert abs(plus + minus) < 2e-12
-
-    def test_pp_odd_symmetry_sees_broken_weight(self, base_params, monkeypatch):
-        # a diagonal weight with an even part must fail the oddness check
-        def skewed_phi(d, xi, p):
-            return phi(d, xi, p) * (1.0 + 0.1 * np.sin(xi))
-
-        monkeypatch.setattr(xyness.fourier, "phi", skewed_phi)
-        plus = fourier_coefficient(1, Component.PP, base_params)
-        minus = fourier_coefficient(-1, Component.PP, base_params)
-        assert abs(plus + minus) > 1e-4
+            assert minus == -plus
 
     def test_pp_purely_imaginary(self, base_params):
         for x in (1, 3, 12):
@@ -349,10 +355,17 @@ class TestBlockSequence:
                 ]
             )
             assert np.array_equal(seq.blocks[x + 2], expected)
-        # positive-x coefficients are fresh quadratures; identical inputs
-        # must reproduce them bit-for-bit
-        assert seq.app[2 + 2] == fourier_coefficient(2, Component.PP, base_params)
-        assert seq.apm[1 + 3] == fourier_coefficient(1, Component.PM, base_params)
+        # a single coefficient is the entry of the smallest sequence holding
+        # its offset, bit for bit: n_max = 3 here, and 70 for offsets whose
+        # base panels are capped at 8 periods
+        for n_max in (3, 70):
+            seq = build_block_sequence(n_max, base_params)
+            for x in (1 - n_max, n_max - 1):
+                got = fourier_coefficient(x, Component.PP, base_params)
+                assert np.complex128(got).tobytes() == seq.app[x + n_max - 1].tobytes()
+            for y in (-n_max, n_max - 2):
+                got = fourier_coefficient(y, Component.PM, base_params)
+                assert np.complex128(got).tobytes() == seq.apm[y + n_max].tobytes()
 
     def test_equilibrium_zero_diagonal(self):
         p = ModelParams(-0.4, 1.7, 2.0, 2.0)
@@ -404,9 +417,10 @@ class TestBlockSequence:
     @pytest.mark.parametrize("p", GAUGE_SETS, ids=set_id)
     def test_gauge_drops_only_noise(self, p):
         # Re app and Im apm, which the real blocks drop, stay well inside the
-        # threshold of the gauge gate
+        # threshold of the gauge gate, and the error estimate keeps its promise
         for n_max in (64, 512):
             seq = build_block_sequence(n_max, p, TOL)
+            assert seq.err_estimate <= TOL
             scale = max(np.abs(seq.app).max(), np.abs(seq.apm).max())
             limit = max(2.0 * seq.err_estimate, 1e-14 * scale)
             dropped = max(np.abs(seq.app.real).max(), np.abs(seq.apm.imag).max())
