@@ -7,8 +7,12 @@ Two upper bounds on the exponential decay of |C(n)|:
       B = (1/2) Int_0^{2pi} d(xi)/2pi log[ tanh(beta_l*mu/2) * tanh(beta_r*mu/2) ],
 
   which bounds limsup log|C(n)| / n and is strictly negative for all finite
-  admissible parameters (at critical parameters the integrand has integrable
-  log singularities at the zeros of mu, handled by graded panel refinement);
+  admissible parameters.  B is the Avram-Parter limit of the singular-value
+  mean of log: |Pf Omega(n)|^2 = |det Omega(n)| = prod_j s_j over the 2n
+  singular values, so (1/n) log|C(n)| = (1/2n) sum_j log s_j, and
+  :func:`spectral.avram_parter_limit` integrates that mean's limit for any
+  g.  At critical parameters log has integrable singularities at the zeros
+  of mu, handled by the same graded panel refinement;
 
 * the cruder all-n bound on the determinant,
 
@@ -24,14 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, mu, mu_sup, mu_zeros
-from .quadrature import adaptive_panels
+from .model import ModelParams, mu_sup
+from .quadrature import adaptive_panels  # noqa: F401 (perfbench/tracer.py wraps this binding)
+from .spectral import avram_parter_limit
 from .toeplitz import symbol_norm
-
-_TWO_PI = 2.0 * math.pi
-
-#: absolute tolerance of the rate integral in every library and CLI report
-RATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -44,44 +44,23 @@ class BoundReport:
     critical: bool
 
 
-def theorem_bound(p: ModelParams, tol: float = RATE_TOL) -> float:
-    """The rate integral B, to absolute error ``tol``.
+def _floored_log(s):
+    # a Gauss node on a width-floor panel can land on an exact zero of mu,
+    # where the singular value is 0
+    return np.log(np.maximum(s, np.finfo(float).tiny))
 
-    Adaptive panel quadrature with panels split at the zeros of mu; the
-    integrand is smooth elsewhere and log-integrable at those zeros.
+
+def theorem_bound(p: ModelParams) -> float:
+    """The rate integral B: :func:`avram_parter_limit` of log, to absolute
+    error ``spectral.LIMIT_TOL``.
 
     Raises
     ------
     QuadratureError
-        If refinement near the singularities exhausts its budget; the
+        If refinement near the zeros of mu exhausts its budget; the
         exception reports the achieved error.
     """
-
-    if p.gamma == 0.0 and abs(p.lam) <= 1.0:
-        # mu = |cos(xi) - cos(x0)| in product form: exact near the zeros
-        # +-x0, where cos(xi) - lam cancels to rounding noise that no panel
-        # refinement can resolve
-        x0 = math.acos(p.lam)
-
-        def mu_of(xi):
-            f = np.minimum(xi, _TWO_PI - xi)
-            return np.abs(2.0 * np.sin(0.5 * (f + x0)) * np.sin(0.5 * (f - x0)))
-
-    else:
-
-        def mu_of(xi):
-            return mu(xi, p)
-
-    def integrand(xi):
-        # a node can hit a floating-point zero of mu, where log(tanh(0)) = -inf
-        m = np.maximum(mu_of(xi), np.finfo(float).tiny)
-        return 0.5 * (
-            np.log(np.tanh(0.5 * p.beta_l * m)) + np.log(np.tanh(0.5 * p.beta_r * m))
-        )
-
-    edges = np.unique(np.concatenate([[0.0], mu_zeros(p), [_TWO_PI]]))
-    value, _ = adaptive_panels(integrand, edges, tol * _TWO_PI)
-    return float(np.real(value)) / _TWO_PI
+    return avram_parter_limit(_floored_log, p)
 
 
 def weak_rate(p: ModelParams) -> float:
@@ -97,7 +76,7 @@ def weak_bound_log(n: int, p: ModelParams) -> float:
 
 
 def bound_report(p: ModelParams) -> BoundReport:
-    """The bounds of :class:`BoundReport`, with B to absolute error ``RATE_TOL``."""
+    """The bounds of :class:`BoundReport`, with B to absolute error ``LIMIT_TOL``."""
     return BoundReport(
         theorem_rate=theorem_bound(p),
         weak_rate=weak_rate(p),

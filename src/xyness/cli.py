@@ -20,13 +20,13 @@ from contextlib import nullcontext
 import numpy as np
 
 from ._version import __version__
-from .bounds import RATE_TOL, bound_report, weak_bound_log
+from .bounds import bound_report, weak_bound_log
 from .fourier import build_block_sequence
 from .model import ConsistencyError, ModelParams
 from .pipeline import DEFAULT_N_LIST, NumericalError, check_sizes, compute_series, sweep
 from .quadrature import QuadratureError
 from .selftest import run_selftest
-from .spectral import avram_parter_gap, avram_parter_limit, indicator_log, square_plateau
+from .spectral import LIMIT_TOL, avram_parter_gap, avram_parter_limit, indicator_log, square_plateau
 from .toeplitz import assemble, dump_matrix, symbol_norm
 
 EXIT_OK = 0
@@ -199,7 +199,7 @@ def cmd_bound(args) -> int:
     if args.out_path:
         header = ["theorem_rate", "weak_rate", "mu_sup", "critical"]
         rows = [[rep.theorem_rate, rep.weak_rate, rep.mu_sup, int(rep.critical)]]
-        _emit(args, {"tol": RATE_TOL}, header, rows, p)
+        _emit(args, {"tol": LIMIT_TOL}, header, rows, p)
     return EXIT_OK
 
 

@@ -156,10 +156,23 @@ def symbol_singular_values(xi, p: ModelParams):
     """The two singular values of a(xi): (tanh(beta_l*mu/2), tanh(beta_r*mu/2)).
 
     Equal to (phi_beta - phi_delta, phi_beta + phi_delta) by sum-to-product
-    hyperbolic identities; this closed form is used for the spectral limit
-    integrals and the operator-norm bound.
+    hyperbolic identities; this closed form is what every symbol mean over
+    the circle integrates, the rate bound B included.
+
+    Where ``p.critical``, mu is hypot(2 sin((f+x0)/2) sin((f-x0)/2),
+    gamma sin(xi)) with f = min(|xi|, 2pi - |xi|) (exact by Sterbenz) and
+    x0 = acos(lam): the product form of cos(xi) - lam, which is exact next
+    to the zeros of mu, where the sum cancels to rounding noise that no
+    panel refinement resolves.  It is exactly even in xi and exactly 0 at
+    xi = +-x0 when gamma = 0.  Elsewhere it is :func:`mu`.
     """
-    m = mu(xi, p)
+    if p.critical:
+        xi = np.asarray(xi, dtype=float)
+        x0 = math.acos(p.lam)
+        f = np.minimum(np.abs(xi), 2.0 * math.pi - np.abs(xi))
+        m = np.hypot(2.0 * np.sin(0.5 * (f + x0)) * np.sin(0.5 * (f - x0)), p.gamma * np.sin(xi))
+    else:
+        m = mu(xi, p)
     return np.tanh(0.5 * p.beta_l * m), np.tanh(0.5 * p.beta_r * m)
 
 

@@ -39,11 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .bounds import RATE_TOL, BoundReport, bound_report, weak_bound_log
+from .bounds import BoundReport, bound_report, weak_bound_log
 from .fourier import BlockSequence, build_block_sequence
 from .model import ModelParams
 from .skewlinalg import log_det, singular_values
 from .skewlinalg import pfaffian  # noqa: F401 (perfbench/tracer.py wraps this binding)
+from .spectral import LIMIT_TOL
 from .toeplitz import assemble  # noqa: F401 (perfbench/tracer.py wraps this binding)
 from .toeplitz import folded
 
@@ -142,7 +143,7 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
     of the column-reversed fold (module notes) and the extreme singular
     values of the fold.  The decay fit runs over the upper half of the
     sizes, widened to at least 4 of them, and is omitted for fewer than 4
-    sizes.  The rate bound is integrated to ``RATE_TOL``.
+    sizes.  The rate bound is integrated to ``LIMIT_TOL``.
 
     Raises
     ------
@@ -190,7 +191,7 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
         bound=bound_report(p),
         metadata={
             "tol": float(tol),
-            "bound_tol": RATE_TOL,
+            "bound_tol": LIMIT_TOL,
             "swapped": p.swapped,
             "coefficient_err_estimate": seq.err_estimate,
             "version": __version__,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import theorem_bound, validate_weak_bound
+from .bounds import theorem_bound
 from .fourier import Component, breakpoints, build_block_sequence, fourier_coefficient
 from .model import ModelParams, kappa, mu, phi, symbol_matrices, symbol_singular_values
 from .pipeline import compute_series, fit_decay
@@ -68,18 +68,6 @@ def pf_det_residual(entries: np.ndarray) -> float:
     return abs(2.0 * pf.log_abs - det.log_abs)
 
 
-def coefficient_symmetry_deviation(seq) -> float:
-    """Worst violation of the coefficient symmetries the real gauge drops.
-
-    Checks app[0] = 0, app purely imaginary and apm purely real.  The
-    sequence stores app[-x] as -app[x]; an even part of the diagonal weight
-    would show as a real part of app, which the gauge gate of
-    :func:`build_block_sequence` rejects, and in :func:`fold_deviation`.
-    """
-    zero = seq.n_max - 1  # index of app[0]
-    return max(abs(seq.app[zero]), np.abs(seq.app.real).max(), np.abs(seq.apm.imag).max())
-
-
 def fold_deviation(p: ModelParams, tol: float) -> float:
     """Worst distance between the engine and a full-circle quadrature.
 
@@ -125,10 +113,6 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
 
     p = ACCEPTANCE_SETS[0]
     seq = build_block_sequence(33, p, 1e-12)
-
-    # coefficient symmetries
-    dev = coefficient_symmetry_deviation(seq)
-    record("coefficient-symmetries", dev <= 2.0 * seq.tol, f"max dev {dev:.2e}")
 
     # the folded quadrature against full-circle integrals of its own
     dev = fold_deviation(p, seq.tol)
@@ -202,7 +186,8 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
     ok = all(math.isfinite(v) and v > 0 for v in gaps) and gaps[1] <= gaps[0]
     record("avram-parter-gap", ok, f"gap(16)={gaps[0]:.2e} gap(64)={gaps[1]:.2e}")
 
-    # decay-rate bound at reduced size
+    # decay-rate bound at reduced size; compute_series itself raises if a
+    # row breaks the all-n determinant bound
     series = compute_series(p, n_list=(8, 16, 24, 32, 48, 64, 96), tol=1e-12)
     fit = fit_decay(series, 32, 96)
     rate = series.bound.theorem_rate
@@ -211,9 +196,6 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
         fit.slope <= rate + REDUCED_SLOPE_MARGIN,
         f"slope {fit.slope:.6f} vs bound {rate:.6f}",
     )
-
-    # all-n determinant bound
-    record("weak-determinant-bound", validate_weak_bound(series), f"checked {len(series.rows)} sizes")
 
     # equilibrium reduction: no temperature difference, no diagonal blocks
     eq = ModelParams(0.5, 0.3, 2.0, 2.0)
@@ -225,7 +207,7 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
     record("equilibrium-reduction", dev == 0.0 and diag_dev == 0.0, f"diag dev {diag_dev:.2e}")
 
     # rate integral is strictly negative, finite even at criticality
-    rates = [theorem_bound(q, 1e-9) for q in (*ACCEPTANCE_SETS, CRITICAL_SET)]
+    rates = [theorem_bound(q) for q in (*ACCEPTANCE_SETS, CRITICAL_SET)]
     ok = all(math.isfinite(b) and b < 0 for b in rates)
     record("rate-integral-negative", ok, f"min {min(rates):.4f} max {max(rates):.4f}")
 

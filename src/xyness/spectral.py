@@ -35,7 +35,8 @@ from .toeplitz import folded
 
 _TWO_PI = 2.0 * math.pi
 
-#: absolute tolerance of the distributional limit, a mean over the circle
+#: absolute tolerance of every symbol mean over the circle: each
+#: distributional limit, the rate bound B among them
 LIMIT_TOL = 1e-9
 
 
@@ -124,8 +125,18 @@ def count_small(n: int, eps: float, seq: BlockSequence) -> int:
 
 
 def avram_parter_limit(g, p: ModelParams) -> float:
-    """Limit of the singular-value mean of g: g integrated over the symbol's
-    closed-form singular values, with panels split at the zeros of mu."""
+    """Limit of the singular-value mean of g, to absolute error ``LIMIT_TOL``.
+
+    g is integrated over the symbol's closed-form singular values
+    (:func:`symbol_singular_values`), with panels split at the zeros of mu.
+    g may be log-integrable rather than bounded at 0: with g = log (floored)
+    the limit is the rate bound B of :func:`bounds.theorem_bound`.
+
+    Raises
+    ------
+    QuadratureError
+        If refinement near a singularity of g exhausts the panel budget.
+    """
 
     def integrand(xi):
         lo, hi = symbol_singular_values(xi, p)

@@ -9,7 +9,7 @@ import pytest
 
 import xyness.fourier
 from xyness import ModelParams, phi, symbol_matrices
-from xyness.bounds import RATE_TOL
+from xyness.spectral import LIMIT_TOL
 from xyness.cli import build_parser
 from xyness.selftest import fold_deviation, skew_deviation, symbol_svd_deviation
 from conftest import midpoint_grid
@@ -312,12 +312,12 @@ class TestBoundCommand:
         assert math.isfinite(rate) and rate < 0.0
 
     def test_out_header_reports_rate_tolerance(self, tmp_path):
-        # the rate integral runs at RATE_TOL whatever the coefficient tolerance
+        # the rate integral runs at LIMIT_TOL whatever the coefficient tolerance
         csv, jsonl = tmp_path / "b.csv", tmp_path / "b.jsonl"
         assert run_cli("bound", *BASE, "--out", str(csv)).returncode == 0
         assert "# tol=1e-09" in csv.read_text().splitlines()
         assert run_cli("bound", *BASE, "--format", "jsonl", "--out", str(jsonl)).returncode == 0
-        assert json.loads(jsonl.read_text().splitlines()[0])["tol"] == RATE_TOL == 1e-9
+        assert json.loads(jsonl.read_text().splitlines()[0])["tol"] == LIMIT_TOL == 1e-9
         assert run_cli("bound", *BASE, "--tol", "1e-3").returncode == 2
 
     def test_equilibrium_flag(self):
@@ -365,7 +365,7 @@ class TestSelftestCommand:
     def test_passes_on_correct_build(self):
         r = run_cli("selftest")
         assert r.returncode == 0, r.stdout + r.stderr
-        assert "14/14 checks passed" in r.stdout
+        assert "12/12 checks passed" in r.stdout
 
 
 class TestNegativeControls:

@@ -205,6 +205,26 @@ class TestSymbol:
             assert np.max(np.abs(sv[:, 0] - hi)) < 1e-12
             assert np.max(np.abs(sv[:, 1] - lo)) < 1e-12
 
+    def test_critical_singular_values_exact_at_zeros(self):
+        # gamma = 0, |lam| < 1: mu in product form vanishes exactly at +-x0,
+        # where cos(xi) - lam leaves rounding noise
+        for lam in (-0.4228, 0.5, 0.68559):
+            p = ModelParams(0.0, lam, 1.0, 3.0)
+            x0 = math.acos(lam)
+            for xi in (x0, -x0):
+                assert symbol_singular_values(xi, p) == (0.0, 0.0)
+
+    def test_critical_singular_values_even_and_close_to_sum_form(self):
+        xi = np.linspace(0.0, TWO_PI, 4097)
+        for p in (CRITICAL_SET, ModelParams(0.5, 1.0, 1.0, 3.0), ModelParams(1e-9, -1.0, 2.0, 0.5)):
+            assert p.critical
+            lo, hi = symbol_singular_values(xi, p)
+            lo_neg, hi_neg = symbol_singular_values(-xi, p)
+            assert np.array_equal(lo, lo_neg) and np.array_equal(hi, hi_neg)
+            m = mu(xi, p)
+            assert np.max(np.abs(lo - np.tanh(0.5 * p.beta_l * m))) < 1e-15
+            assert np.max(np.abs(hi - np.tanh(0.5 * p.beta_r * m))) < 1e-15
+
     def test_determinant_positive(self):
         xi = midpoint_grid(256)
         for p in ACCEPTANCE_SETS:

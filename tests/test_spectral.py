@@ -13,6 +13,8 @@ from xyness import (
     count_small,
     indicator_log,
     log_det,
+    mu,
+    mu_zeros,
     phi,
     smooth_indicator,
     square_plateau,
@@ -21,6 +23,7 @@ from xyness import (
 import xyness.spectral
 import xyness.toeplitz
 from xyness.quadrature import adaptive_panels
+from xyness.spectral import LIMIT_TOL
 TWO_PI = 2.0 * math.pi
 
 
@@ -144,6 +147,24 @@ class TestAvramParter:
         )
         s = avram_parter_gap(16, g, base_seq, limit)
         assert s.limit_value == pytest.approx(float(np.real(ref)) / TWO_PI, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "point", [(0.0, 0.5, 1.0, 3.0), (0.5, 1.0, 1.0, 3.0), (0.0, -1.0, 2.0, 0.5)]
+    )
+    def test_critical_limits_match_sum_form_mu(self, point):
+        # the limit's product-form mu against a quadrature of sum-form mu
+        p = ModelParams(*point)
+        assert p.critical
+        edges = np.unique(np.concatenate([[0.0], mu_zeros(p), [TWO_PI]]))
+        for g in (square_plateau(), indicator_log(1e-3, symbol_norm(p))):
+
+            def integrand(xi):
+                m = mu(xi, p)
+                return 0.5 * (g(np.tanh(0.5 * p.beta_l * m)) + g(np.tanh(0.5 * p.beta_r * m)))
+
+            ref, _ = adaptive_panels(integrand, edges, LIMIT_TOL * TWO_PI)
+            ref = float(np.real(ref)) / TWO_PI
+            assert abs(avram_parter_limit(g, p) - ref) <= 2.0 * LIMIT_TOL
 
     def test_gap_decreases(self, base_params, base_seq):
         g = square_plateau()
