@@ -25,7 +25,6 @@ from .model import (
     mu,
     mu_min,
     mu_sup,
-    mu_zeros,
     phi,
     q_factor,
     symbol_matrices,
@@ -97,7 +96,6 @@ __all__ = [
     "mu",
     "mu_min",
     "mu_sup",
-    "mu_zeros",
     "pfaffian",
     "pfaffian_brute",
     "phi",

@@ -116,7 +116,9 @@ def breakpoints(p: ModelParams) -> np.ndarray:
     {0, pi} plus, when |lam| <= 1 - gamma^2, the two roots of
     cos(xi) = lam/(1-gamma^2).  These include every zero of mu (critical
     parameters): at gamma = 0 they are the roots of cos(xi) = lam, otherwise
-    0 or pi.
+    0 or pi.  They also hold the minimum of mu, the stationary point of
+    mu^2 in cos(xi), so they are the panel edges of every symbol mean as
+    well (:func:`spectral.avram_parter_limit`).
     """
     pts = [0.0, math.pi]
     ratio = p.lam / (1.0 - p.gamma**2)

@@ -55,7 +55,8 @@ class ModelParams:
     on the unordered pair, so the swap is pure bookkeeping.
 
     ``critical`` flags parameter sets where ``mu`` has zeros on the circle:
-    (gamma = 0, |lam| <= 1) or (gamma != 0, |lam| = 1).
+    (gamma = 0, |lam| <= 1) or (gamma != 0, |lam| = 1).  It is reported
+    only; no computation branches on it.
     """
 
     gamma: float
@@ -92,23 +93,35 @@ class ModelParams:
         object.__setattr__(self, "swapped", swapped)
 
 
+def _cos_minus(xi, r: float):
+    """cos(xi) - r, exactly even in xi and free of cancellation next to its zeros.
+
+    With f = min(|xi|, 2pi - |xi|) (exact by Sterbenz): for |r| <= 1 the
+    product -2 sin((f+x0)/2) sin((f-x0)/2), x0 = acos(r), which is exactly
+    0 at xi = +-x0; for r > 1 the sum (1 - r) - 2 sin^2(f/2) and for r < -1
+    the sum 2 cos^2(f/2) - (1 + r), whose two terms share one sign.
+    """
+    xi = np.asarray(xi, dtype=float)
+    f = np.minimum(np.abs(xi), 2.0 * math.pi - np.abs(xi))
+    if r > 1.0:
+        return (1.0 - r) - 2.0 * np.sin(0.5 * f) ** 2
+    if r < -1.0:
+        return 2.0 * np.cos(0.5 * f) ** 2 - (1.0 + r)
+    x0 = math.acos(r)
+    return -2.0 * np.sin(0.5 * (f + x0)) * np.sin(0.5 * (f - x0))
+
+
 def kappa(xi, p: ModelParams):
     """Current-direction dispersion 2*lam*sin(xi) - (1 - gamma^2)*sin(2*xi).
 
-    Exactly odd under xi -> -xi; its sign selects which reservoir a momentum
-    mode equilibrates to in the steady state.  When |lam| <= c = 1 - gamma^2
-    it is the product 4c*sin(xi) * sin((xi+x0)/2)*sin((xi-x0)/2), x0 =
-    acos(lam/c) as in ``fourier.breakpoints``, whose sign flips exactly at
-    x0, where the two terms of the sum cancel to rounding noise.
+    Evaluated as -2c*sin(xi) * (cos(xi) - lam/c), c = 1 - gamma^2, with the
+    second factor from :func:`_cos_minus`: exactly odd under xi -> -xi, and
+    exactly 0 at the zeros x0 = acos(lam/c) of ``fourier.breakpoints`` when
+    |lam| <= c, so its sign flips exactly there.  Its sign selects which
+    reservoir a momentum mode equilibrates to in the steady state.
     """
-    xi = np.asarray(xi, dtype=float)
     c = 1.0 - p.gamma**2
-    ratio = p.lam / c
-    if abs(ratio) <= 1.0:
-        x0 = math.acos(ratio)
-        out = (4.0 * c * np.sin(xi)) * (np.sin(0.5 * (xi + x0)) * np.sin(0.5 * (xi - x0)))
-    else:
-        out = 2.0 * p.lam * np.sin(xi) - c * np.sin(2.0 * xi)
+    out = (-2.0 * c * np.sin(xi)) * _cos_minus(xi, p.lam / c)
     return out if out.ndim else float(out)
 
 
@@ -159,20 +172,13 @@ def symbol_singular_values(xi, p: ModelParams):
     hyperbolic identities; this closed form is what every symbol mean over
     the circle integrates, the rate bound B included.
 
-    Where ``p.critical``, mu is hypot(2 sin((f+x0)/2) sin((f-x0)/2),
-    gamma sin(xi)) with f = min(|xi|, 2pi - |xi|) (exact by Sterbenz) and
-    x0 = acos(lam): the product form of cos(xi) - lam, which is exact next
-    to the zeros of mu, where the sum cancels to rounding noise that no
-    panel refinement resolves.  It is exactly even in xi and exactly 0 at
-    xi = +-x0 when gamma = 0.  Elsewhere it is :func:`mu`.
+    mu is hypot(cos(xi) - lam, gamma sin(xi)) with the first term from
+    :func:`_cos_minus`, free of cancellation next to the zeros and minimum of
+    mu, where the sum form of :func:`mu` cancels to rounding noise that no
+    panel refinement resolves.  The values are exactly even in xi and
+    exactly 0 at xi = +-acos(lam) when gamma = 0.
     """
-    if p.critical:
-        xi = np.asarray(xi, dtype=float)
-        x0 = math.acos(p.lam)
-        f = np.minimum(np.abs(xi), 2.0 * math.pi - np.abs(xi))
-        m = np.hypot(2.0 * np.sin(0.5 * (f + x0)) * np.sin(0.5 * (f - x0)), p.gamma * np.sin(xi))
-    else:
-        m = mu(xi, p)
+    m = np.hypot(_cos_minus(xi, p.lam), p.gamma * np.sin(xi))
     return np.tanh(0.5 * p.beta_l * m), np.tanh(0.5 * p.beta_r * m)
 
 
@@ -290,15 +296,3 @@ def mu_min(p: ModelParams) -> float:
         val = p.gamma**2 * (1.0 - p.gamma**2 - p.lam**2) / (1.0 - p.gamma**2)
         return math.sqrt(max(val, 0.0))
     return abs(1.0 - abs(p.lam))
-
-
-def mu_zeros(p: ModelParams) -> np.ndarray:
-    """Zeros of mu in [0, 2*pi), sorted; empty unless ``p.critical``."""
-    if not p.critical:
-        return np.empty(0)
-    if p.gamma == 0.0:
-        x0 = math.acos(max(-1.0, min(1.0, p.lam)))
-        zeros = {x0, 2.0 * math.pi - x0} if 0.0 < x0 < math.pi else {x0}
-    else:
-        zeros = {0.0} if p.lam == 1.0 else {math.pi}
-    return np.array(sorted(z % (2.0 * math.pi) for z in zeros))

@@ -1,7 +1,7 @@
 """Panel-adaptive Gauss-Legendre quadrature for piecewise-smooth integrands.
 
 All integrands in this package are analytic between known breakpoints (zeros
-of kappa, and of mu at criticality), so a fixed high-order rule per panel
+of kappa, which hold those of mu), so a fixed high-order rule per panel
 with dyadic subdivision converges spectrally.  The engine works on batches of
 panels: each refinement level evaluates the integrand once on a (panels,
 nodes) array, which keeps the Python overhead per level instead of per panel.

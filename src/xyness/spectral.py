@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import BlockSequence
-from .model import ModelParams, mu_zeros, symbol_singular_values
+from .fourier import BlockSequence, breakpoints
+from .model import ModelParams, symbol_singular_values
 from .quadrature import adaptive_panels
 from .skewlinalg import singular_values
 from .toeplitz import assemble  # noqa: F401 (perfbench/tracer.py wraps this binding)
@@ -128,7 +128,8 @@ def avram_parter_limit(g, p: ModelParams) -> float:
     """Limit of the singular-value mean of g, to absolute error ``LIMIT_TOL``.
 
     g is integrated over the symbol's closed-form singular values
-    (:func:`symbol_singular_values`), with panels split at the zeros of mu.
+    (:func:`symbol_singular_values`), with panels split at
+    :func:`fourier.breakpoints`, which hold every zero and the minimum of mu.
     g may be log-integrable rather than bounded at 0: with g = log (floored)
     the limit is the rate bound B of :func:`bounds.theorem_bound`.
 
@@ -142,8 +143,8 @@ def avram_parter_limit(g, p: ModelParams) -> float:
         lo, hi = symbol_singular_values(xi, p)
         return 0.5 * (np.asarray(g(lo)) + np.asarray(g(hi)))
 
-    edges = np.concatenate([[0.0], mu_zeros(p), [_TWO_PI]])
-    value, _ = adaptive_panels(integrand, np.unique(edges), LIMIT_TOL * _TWO_PI)
+    edges = np.append(breakpoints(p), _TWO_PI)
+    value, _ = adaptive_panels(integrand, edges, LIMIT_TOL * _TWO_PI)
     return float(np.real(value)) / _TWO_PI
 
 

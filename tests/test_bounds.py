@@ -63,15 +63,15 @@ class TestTheoremBound:
         assert p.critical
         B = theorem_bound(p)
         assert math.isfinite(B) and B < 0.0
-        # small gamma: cos(xi) - lam cancels to rounding noise next to the
-        # zero, where mu in sum form exhausted the panel budget.  B is
-        # continuous in gamma: it moves by about gamma from its gamma = 0 value
-        for lam in (1.0, -1.0):
+        # small gamma at and next to |lam| = 1: cos(xi) - lam cancels to
+        # rounding noise next to the (near-)zero of mu, where mu in sum form
+        # exhausted the panel budget.  B is continuous in gamma: it moves by
+        # about gamma from its gamma = 0 value
+        near = (0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6)
+        for lam in (s * (1.0 + d) for s in (1.0, -1.0) for d in near):
             B0 = theorem_bound(ModelParams(0.0, lam, 1.4701, 0.7152))
             for gamma in (1e-12, 1e-9, 1e-6, 1e-5):
-                p = ModelParams(gamma, lam, 1.4701, 0.7152)
-                assert p.critical
-                B = theorem_bound(p)
+                B = theorem_bound(ModelParams(gamma, lam, 1.4701, 0.7152))
                 assert math.isfinite(B) and B < 0.0
                 assert abs(B - B0) <= 2.0 * gamma + 2.0 * LIMIT_TOL, (gamma, lam)
 
@@ -119,6 +119,16 @@ class TestTheoremBound:
         for point in points:
             B = theorem_bound(ModelParams(*point))
             assert math.isfinite(B) and B < 0.0, point
+
+    def test_gap_opening_at_gamma_zero(self):
+        # an analytic cross-check: at gamma = 0, mu = |cos(xi) - lam|
+        # and opening the gap at |lam| = 1 moves B by
+        # (1/2pi) Int log(1 + 2 eps/xi^2) dxi = sqrt(2 eps), up to O(eps)
+        for s in (1.0, -1.0):
+            B0 = theorem_bound(ModelParams(0.0, s, 1.4701, 0.7152))
+            for eps in (1e-12, 1e-9, 1e-6):
+                delta = theorem_bound(ModelParams(0.0, s * (1.0 + eps), 1.4701, 0.7152)) - B0
+                assert abs(delta - math.sqrt(2.0 * eps)) <= eps + 2.0 * LIMIT_TOL, (s, eps)
 
     def test_monotone_in_each_beta(self):
         # warmer reservoirs (smaller beta) push B further below 0

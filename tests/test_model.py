@@ -7,17 +7,18 @@ from hypothesis import given, strategies as st
 from xyness import (
     DomainError,
     ModelParams,
+    breakpoints,
     kappa,
     mu,
     mu_min,
     mu_sup,
-    mu_zeros,
     phi,
     q_factor,
     symbol_matrices,
     symbol_singular_values,
     two_point_operator,
 )
+from xyness.model import _cos_minus
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET, midpoint_grid
 
 TWO_PI = 2.0 * math.pi
@@ -112,10 +113,54 @@ class TestDispersion:
         xi = midpoint_grid(512)
         for p in (*ACCEPTANCE_SETS, CRITICAL_SET):
             assert np.all(mu(xi, p) >= 0.0)
-        z = mu_zeros(CRITICAL_SET)
-        assert z == pytest.approx([math.acos(0.5), TWO_PI - math.acos(0.5)])
-        assert np.allclose(mu(z, CRITICAL_SET), 0.0, atol=1e-15)
-        assert mu_zeros(ACCEPTANCE_SETS[0]).size == 0
+        x0 = math.acos(0.5)
+        assert np.allclose(mu(np.array([x0, TWO_PI - x0]), CRITICAL_SET), 0.0, atol=1e-15)
+        assert mu_min(ACCEPTANCE_SETS[0]) > 0.0
+        # breakpoints are the panel edges of every symbol mean, so they must
+        # hold every zero of mu: gamma = 0 with |lam| <= 1 (zeros at
+        # +-acos(lam)) and gamma != 0 with |lam| = 1 (a zero at 0 or pi)
+        critical = [ModelParams(0.0, lam, 1.0, 3.0) for lam in (-1.0, -0.4228, 0.0, 0.5, 1.0)]
+        critical += [ModelParams(g, lam, 1.0, 3.0) for g in (0.5, -0.3, 1e-9) for lam in (1.0, -1.0)]
+        for p in critical:
+            if p.gamma == 0.0:
+                zeros = [math.acos(p.lam), TWO_PI - math.acos(p.lam)]
+            else:
+                zeros = [0.0 if p.lam == 1.0 else math.pi]
+            edges = np.append(breakpoints(p), TWO_PI)
+            for z in zeros:
+                assert np.min(np.abs(edges - z)) <= 1e-12, (p, z)
+        # the minimum of mu sits on a breakpoint, near-critical points included
+        near = [
+            ModelParams(g, s * (1.0 + d), 1.0, 3.0)
+            for g in (0.0, 1e-9, 0.5)
+            for s in (1.0, -1.0)
+            for d in (1e-12, -1e-6, 0.5)
+        ]
+        for p in critical + near:
+            assert np.min(mu(breakpoints(p), p)) == pytest.approx(mu_min(p), abs=1e-15), p
+
+
+class TestCosMinus:
+    XI = np.concatenate(
+        [
+            np.linspace(-TWO_PI, TWO_PI, 4001),
+            np.linspace(-1e-5, 1e-5, 401),
+            math.pi + np.linspace(-1e-5, 1e-5, 401),
+        ]
+    )
+    RATIOS = (3.0, -3.0, 1.0 + 1e-6, -1.0 - 1e-6, 1.0 + 1e-12, -1.0 - 1e-12, 1.0, -1.0, 0.3, 0.0)
+
+    @pytest.mark.parametrize("r", RATIOS)
+    def test_even_and_close_to_sum_form(self, r):
+        out = _cos_minus(self.XI, r)
+        assert np.array_equal(out, _cos_minus(-self.XI, r))
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(out - (np.cos(self.XI) - r))) <= 4.0 * eps * max(1.0, abs(r))
+
+    @pytest.mark.parametrize("r", [r for r in RATIOS if abs(r) <= 1.0])
+    def test_exact_zeros(self, r):
+        x0 = math.acos(r)
+        assert np.all(_cos_minus(np.array([x0, -x0]), r) == 0.0)
 
 
 class TestPhi:
@@ -216,8 +261,17 @@ class TestSymbol:
 
     def test_critical_singular_values_even_and_close_to_sum_form(self):
         xi = np.linspace(0.0, TWO_PI, 4097)
-        for p in (CRITICAL_SET, ModelParams(0.5, 1.0, 1.0, 3.0), ModelParams(1e-9, -1.0, 2.0, 0.5)):
-            assert p.critical
+        points = (
+            CRITICAL_SET,
+            ModelParams(0.5, 1.0, 1.0, 3.0),
+            ModelParams(1e-9, -1.0, 2.0, 0.5),
+            *ACCEPTANCE_SETS,
+            ModelParams(0.5, -3.0, 1.0, 3.0),
+            ModelParams(1e-9, 1.0 - 1e-12, 1.4701, 0.7152),
+            ModelParams(0.0, -1.0 - 1e-12, 1.4701, 0.7152),
+            ModelParams(1e-6, 1.0 + 1e-9, 2.0, 0.5),
+        )
+        for p in points:
             lo, hi = symbol_singular_values(xi, p)
             lo_neg, hi_neg = symbol_singular_values(-xi, p)
             assert np.array_equal(lo, lo_neg) and np.array_equal(hi, hi_neg)

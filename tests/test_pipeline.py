@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +183,35 @@ class TestComputeSeries:
         unresolved = gaps(ModelParams(0.5, 1.5, 2.0, 2.0))
         assert all(gap > 1e-3 for n, gap in unresolved.items() if n >= 64), unresolved
         assert max(gaps(ModelParams(0.5, 0.3, 1.0, 3.0)).values()) <= 1e-8
+
+    def test_domain_sweep_completes_or_names_n(self):
+        # near-critical fields next to |lam| = 1 at small gamma, and the
+        # extremes of gamma, lam and both temperatures.  A QuadratureError
+        # (an exhausted panel budget in the rate bound, next to a near-zero of
+        # mu) fails the test.  A gate may fire if it names n:
+        # (-0.999999, 0.3, 1e-6, 1e-6) and (-0.999999, 0.999999, 1, 1) trip
+        # the LU/reversed-LU gate, where one singular-value pair falls below
+        # the quadrature floor
+        near = [
+            (gamma, s * (1.0 + d), 1.4701, 0.7152)
+            for gamma in (0.0, 1e-12, 1e-9, 1e-6, 1e-5)
+            for s in (1.0, -1.0)
+            for d in (1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6)
+        ]
+        extreme = itertools.product(
+            (0.999999, -0.999999, -0.5, 1e-9, 0.5),
+            (-3.0, -1.000001, 0.3, 0.999999, 1.5),
+            (1e-6, 1e-2, 1.0, 50.0, 100.0),
+            (1e-6, 1.0, 100.0),
+        )
+        unnamed = []
+        for point in (*near, *extreme):
+            try:
+                compute_series(ModelParams(*point), n_list=(8, 16, 32, 64))
+            except NumericalError as exc:
+                if not re.search(r"\bn=\d+", str(exc)):
+                    unnamed.append((point, str(exc)))
+        assert not unnamed
 
     def test_input_validation(self, base_params):
         with pytest.raises(ValueError):

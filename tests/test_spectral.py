@@ -14,7 +14,6 @@ from xyness import (
     indicator_log,
     log_det,
     mu,
-    mu_zeros,
     phi,
     smooth_indicator,
     square_plateau,
@@ -155,7 +154,7 @@ class TestAvramParter:
         # the limit's product-form mu against a quadrature of sum-form mu
         p = ModelParams(*point)
         assert p.critical
-        edges = np.unique(np.concatenate([[0.0], mu_zeros(p), [TWO_PI]]))
+        edges = np.append(breakpoints(p), TWO_PI)
         for g in (square_plateau(), indicator_log(1e-3, symbol_norm(p))):
 
             def integrand(xi):
