@@ -34,6 +34,10 @@ from .spectral import avram_parter_limit
 from .toeplitz import symbol_norm
 
 
+#: rounding slack of the all-n bound check: log|det| may exceed the bound by this
+WEAK_BOUND_SLACK = 1e-8
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Decay-rate bounds for one parameter set (all in log scale, per unit n)."""
@@ -86,8 +90,8 @@ def bound_report(p: ModelParams) -> BoundReport:
 
 
 def validate_weak_bound(series) -> bool:
-    """True iff log|det Omega(n)| <= weak_bound_log(n) + 1e-8 for every row."""
+    """True iff log|det Omega(n)| <= weak_bound_log(n) + WEAK_BOUND_SLACK for every row."""
     p = series.params
     return all(
-        row.log_abs_det <= weak_bound_log(row.n, p) + 1e-8 for row in series.rows
+        row.log_abs_det <= weak_bound_log(row.n, p) + WEAK_BOUND_SLACK for row in series.rows
     )

@@ -27,19 +27,35 @@ stable for different perturbations of X and differ by far more than
 rounding, while the two LUs still agree within 1e-11 relative (ROADMAP
 item 1).  The paper's Pfaffian itself is checked against log|det X| off
 this path, by the pivoted :func:`pfaffian` in ``selftest`` and the tests.
+
+The sizes are independent, so each size's SVD and its LU pair (with both
+gates) run as two tasks on ``XYNESS_THREADS`` worker threads, by default the
+usable cores; LAPACK releases the interpreter lock.  The main thread gathers
+the folds largest n first, because the n = 512 SVD alone is the critical
+path, and reads the results in ``n_list`` order, so a failing run raises
+the error of the smallest failing n, as a serial run does.  At one worker
+the same tasks run in the calling thread as their results are read, in
+that order.  :func:`sweep` runs points on the same helper; a point run on a
+pool thread runs its sizes inline, so pools never nest.  The outputs do not
+depend on the schedule: each task factors the same matrix in the same way
+on whichever thread runs it.  ``spectrum`` stays serial: its four sizes
+leave too little work off the n = 512 SVD for a second thread to pay.
 """
 
 from __future__ import annotations
 
+import functools
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._version import __version__
-from .bounds import BoundReport, bound_report, weak_bound_log
+from .bounds import WEAK_BOUND_SLACK, BoundReport, bound_report, weak_bound_log
 from .fourier import BlockSequence, build_block_sequence
 from .model import ModelParams
 from .skewlinalg import log_det, singular_values
@@ -143,7 +159,9 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
     of the column-reversed fold (module notes) and the extreme singular
     values of the fold.  The decay fit runs over the upper half of the
     sizes, widened to at least 4 of them, and is omitted for fewer than 4
-    sizes.  The rate bound is integrated to ``LIMIT_TOL``.
+    sizes.  The rate bound is integrated to ``LIMIT_TOL``.  Each size's SVD
+    and LU pair run as two tasks on ``XYNESS_THREADS`` worker threads (module
+    notes); the rows do not depend on the thread count.
 
     Raises
     ------
@@ -156,31 +174,25 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
     n_list = check_sizes(n_list, tol)
     seq = build_block_sequence(max(n_list), p, tol)
     rows = []
-    for n in n_list:
-        X = folded(n, seq)
-        log_abs_C = log_det(X).log_abs
-        log_abs_det = 2.0 * log_abs_C
-        residual = abs(2.0 * log_det(X[:, ::-1]).log_abs - log_abs_det)
-        if not residual <= 1e-6:
-            raise NumericalError(
-                f"LU/reversed-LU cross-check failed at n={n}: residual {residual:.3e}"
+    with _tasks(2 * len(n_list)) as submit:
+        pending = {}
+        for n in reversed(n_list):  # the largest SVD is the critical path
+            X = folded(n, seq)
+            pending[n] = submit(singular_values, X), submit(_lu_pair, X, p)
+        for n in n_list:  # in order: a failure names the smallest failing n
+            svd, lu = pending[n]
+            log_abs_C, residual = lu()
+            sv = svd()  # each of R's singular values, once
+            rows.append(
+                SeriesRow(
+                    n=n,
+                    log_abs_C=log_abs_C,
+                    log_abs_det=2.0 * log_abs_C,
+                    pf_det_residual=residual,
+                    smin=float(sv[0]),
+                    smax=float(sv[-1]),
+                )
             )
-        wb = weak_bound_log(n, p)
-        if not log_abs_det <= wb + 1e-8:
-            raise NumericalError(
-                f"determinant bound violated at n={n}: {log_abs_det:.6e} > {wb:.6e}"
-            )
-        sv = singular_values(X)  # each of R's singular values, once
-        rows.append(
-            SeriesRow(
-                n=n,
-                log_abs_C=log_abs_C,
-                log_abs_det=log_abs_det,
-                pf_det_residual=residual,
-                smin=float(sv[0]),
-                smax=float(sv[-1]),
-            )
-        )
 
     # upper half of the sizes, widened just enough for 4 rows
     start = max(0, min(len(rows) // 2, len(rows) - 4))
@@ -202,12 +214,74 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
     )
 
 
+def _lu_pair(X: np.ndarray, p: ModelParams) -> tuple:
+    """log|det X| and the residual against the column-reversed LU, both gates held.
+
+    Raises
+    ------
+    NumericalError
+        If the two LU routes differ by more than 1e-6 or the all-n
+        determinant bound is violated.
+    """
+    n = X.shape[0]
+    log_abs_C = log_det(X).log_abs
+    log_abs_det = 2.0 * log_abs_C
+    residual = abs(2.0 * log_det(X[:, ::-1]).log_abs - log_abs_det)
+    if not residual <= 1e-6:
+        raise NumericalError(
+            f"LU/reversed-LU cross-check failed at n={n}: residual {residual:.3e}"
+        )
+    wb = weak_bound_log(n, p)
+    if not log_abs_det <= wb + WEAK_BOUND_SLACK:
+        raise NumericalError(
+            f"determinant bound violated at n={n}: {log_abs_det:.6e} > {wb:.6e}"
+        )
+    return log_abs_C, residual
+
+
+#: ``.active`` is set on the threads of the pools :func:`_tasks` starts
+_pool_thread = threading.local()
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.active = True
+
+
 def _worker_count() -> int:
-    raw = os.environ.get("XYNESS_THREADS", "1")
+    """XYNESS_THREADS (default: the usable cores), or 1 on a pool's own thread."""
+    if getattr(_pool_thread, "active", False):
+        return 1
+    raw = os.environ.get("XYNESS_THREADS")
+    if raw is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:  # no sched_getaffinity on this platform
+            return os.cpu_count() or 1
     try:
         return max(1, int(raw))
     except ValueError:
         return 1
+
+
+@contextmanager
+def _tasks(count: int):
+    """``submit(fn, *args)`` for ``count`` independent tasks.
+
+    ``submit`` returns a function of no arguments that returns the task's
+    result or raises its exception; call each one once.  The tasks run on
+    min(count, :func:`_worker_count`) threads.  At one worker each runs in
+    the calling thread when its result is asked for.  On exit, tasks not yet
+    started are cancelled.
+    """
+    workers = min(count, _worker_count())
+    if workers == 1:
+        yield functools.partial
+        return
+    pool = ThreadPoolExecutor(workers, initializer=_mark_pool_thread)
+    try:
+        yield lambda fn, *args: pool.submit(fn, *args).result
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def sweep(grid, n_list=DEFAULT_N_LIST, tol: float = 1e-12) -> list[CorrelationSeries]:
@@ -217,7 +291,9 @@ def sweep(grid, n_list=DEFAULT_N_LIST, tol: float = 1e-12) -> list[CorrelationSe
     before any point runs.  A failure at one point is recorded in that
     point's metadata (empty rows, ``metadata["error"]``) without aborting the
     rest.  Parallelism is capped by the XYNESS_THREADS environment variable
-    (default: serial); results do not depend on the execution schedule.
+    (default: the usable cores); with more than one point the points run in
+    parallel and each point's sizes inline.  Results do not depend on the
+    execution schedule.
     """
     grid = list(grid)
     if not grid:
@@ -236,8 +312,5 @@ def sweep(grid, n_list=DEFAULT_N_LIST, tol: float = 1e-12) -> list[CorrelationSe
                 metadata={"error": f"{type(exc).__name__}: {exc}", "tol": float(tol)},
             )
 
-    workers = _worker_count()
-    if workers == 1 or len(grid) == 1:
-        return [run(p) for p in grid]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, grid))
+    with _tasks(len(grid)) as submit:
+        return [result() for result in [submit(run, p) for p in grid]]

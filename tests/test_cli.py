@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -242,6 +243,28 @@ class TestExitCodes:
         link.symlink_to(tmp_path / "target.csv")
         assert cli.main(["correlations", *BASE, "--n-list", "2,4", "--out", str(link)]) == 3
         assert link.is_symlink()
+
+    def test_worker_lapack_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        # one size's SVD fails on a pool thread while the other tasks succeed
+        import xyness.cli as cli
+        import xyness.pipeline
+
+        real = xyness.pipeline.singular_values
+        failed_on = []
+
+        def no_convergence_at_16(M):
+            if M.shape[0] == 16:
+                failed_on.append(threading.current_thread())
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(M)
+
+        monkeypatch.setattr(xyness.pipeline, "singular_values", no_convergence_at_16)
+        monkeypatch.setenv("XYNESS_THREADS", "2")
+        out = tmp_path / "c.csv"
+        assert cli.main(["correlations", *BASE, "--n-list", "8,16,32", "--out", str(out)]) == 3
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+        assert not out.exists()
+        assert failed_on and failed_on[0] is not threading.main_thread()
 
 
 #: runs every subcommand but selftest with scipy made unimportable

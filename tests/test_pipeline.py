@@ -1,6 +1,8 @@
 import itertools
 import math
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -213,6 +215,29 @@ class TestComputeSeries:
                     unnamed.append((point, str(exc)))
         assert not unnamed
 
+    @pytest.mark.parametrize(
+        "point",
+        [(0.5, 0.3, 1.0, 3.0), (0.5, 1.5, 2.0, 2.0), (0.0, 0.5, 1.0, 3.0)],
+        ids=["generic", "noise", "critical"],
+    )
+    def test_pooled_rows_match_serial(self, point, monkeypatch):
+        # the CLI's 11 sizes up to 512; the noise point's rows past n = 64
+        # sit at quadrature noise, where any change of operation order shows
+        p = ModelParams(*point)
+        monkeypatch.setenv("XYNESS_THREADS", "1")
+        serial = compute_series(p, n_list=(*DEFAULT_N_LIST, 512))
+        monkeypatch.setenv("XYNESS_THREADS", "2")
+        pooled = compute_series(p, n_list=(*DEFAULT_N_LIST, 512))
+        assert pooled.rows == serial.rows
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failure_names_smallest_failing_n(self, threads, monkeypatch):
+        # the LU/reversed-LU gate trips here at n = 16 and at larger sizes,
+        # which the pool runs first; the error is the n = 16 one either way
+        monkeypatch.setenv("XYNESS_THREADS", threads)
+        with pytest.raises(NumericalError, match=r"LU/reversed-LU cross-check failed at n=16:"):
+            compute_series(ModelParams(-0.999999, 0.999999, 1.0, 1.0), n_list=(*DEFAULT_N_LIST, 512))
+
     def test_input_validation(self, base_params):
         with pytest.raises(ValueError):
             compute_series(base_params, n_list=())
@@ -266,11 +291,42 @@ class TestSweep:
             ModelParams(0.5, 0.3, 2.0, 2.0),
             ModelParams(-0.4, 1.7, 2.0, 2.0),
         ]
+        monkeypatch.setenv("XYNESS_THREADS", "1")
         serial = sweep(grid, n_list=(2, 4, 8), tol=1e-12)
         monkeypatch.setenv("XYNESS_THREADS", "3")
         threaded = sweep(grid, n_list=(2, 4, 8), tol=1e-12)
         for a, b in zip(serial, threaded):
             assert a.rows == b.rows
+
+    def test_pools_never_nest(self, base_params, monkeypatch):
+        # points on two workers run their sizes inline: no more LAPACK calls
+        # at once than XYNESS_THREADS allows.  Each call holds its slot for a
+        # few ms, so a nested pool would overlap calls
+        lock = threading.Lock()
+        running, peak = 0, 0
+
+        def counted(fn):
+            def wrapper(M):
+                nonlocal running, peak
+                with lock:
+                    running += 1
+                    peak = max(peak, running)
+                try:
+                    time.sleep(0.002)
+                    return fn(M)
+                finally:
+                    with lock:
+                        running -= 1
+
+            return wrapper
+
+        monkeypatch.setattr(xyness.pipeline, "singular_values", counted(xyness.pipeline.singular_values))
+        monkeypatch.setattr(xyness.pipeline, "log_det", counted(xyness.pipeline.log_det))
+        monkeypatch.setenv("XYNESS_THREADS", "2")
+        grid = [base_params, ModelParams(0.5, 0.3, 2.0, 2.0), ModelParams(-0.4, 1.7, 2.0, 2.0)]
+        results = sweep(grid, n_list=(8, 16, 32, 64), tol=1e-12)
+        assert all(r.rows and "error" not in r.metadata for r in results)
+        assert 1 <= peak <= 2
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
