@@ -29,17 +29,20 @@ item 1).  The paper's Pfaffian itself is checked against log|det X| off
 this path, by the pivoted :func:`pfaffian` in ``selftest`` and the tests.
 
 The sizes are independent, so each size's SVD and its LU pair (with both
-gates) run as two tasks on ``XYNESS_THREADS`` worker threads, by default the
-usable cores; LAPACK releases the interpreter lock.  The main thread gathers
-the folds largest n first, because the n = 512 SVD alone is the critical
-path, and reads the results in ``n_list`` order, so a failing run raises
-the error of the smallest failing n, as a serial run does.  At one worker
-the same tasks run in the calling thread as their results are read, in
-that order.  :func:`sweep` runs points on the same helper; a point run on a
-pool thread runs its sizes inline, so pools never nest.  The outputs do not
-depend on the schedule: each task factors the same matrix in the same way
-on whichever thread runs it.  ``spectrum`` stays serial: its four sizes
-leave too little work off the n = 512 SVD for a second thread to pay.
+gates) run as two tasks on ``XYNESS_THREADS`` worker threads; LAPACK
+releases the interpreter lock.  Unset, the count is the usable cores when
+BLAS is pinned to one thread (``OPENBLAS_NUM_THREADS=1``, as the benchmark
+and CI run) and 1 otherwise, because a pool over multithreaded BLAS was
+measured slower than serial.  The main thread gathers the folds largest n
+first, because the n = 512 SVD alone is the critical path, and reads the
+results in ``n_list`` order, so a failing run raises the error of the
+smallest failing n, as a serial run does.  At one worker the same tasks run
+in the calling thread as their results are read, in that order.
+:func:`sweep` runs points on the same helper; a point run on a pool thread
+runs its sizes inline, so pools never nest.  The outputs do not depend on
+the schedule: each task factors the same matrix in the same way on
+whichever thread runs it.  ``spectrum`` stays serial: its four sizes leave
+too little work off the n = 512 SVD for a second thread to pay.
 """
 
 from __future__ import annotations
@@ -161,7 +164,9 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
     sizes, widened to at least 4 of them, and is omitted for fewer than 4
     sizes.  The rate bound is integrated to ``LIMIT_TOL``.  Each size's SVD
     and LU pair run as two tasks on ``XYNESS_THREADS`` worker threads (module
-    notes); the rows do not depend on the thread count.
+    notes); the rows do not depend on the thread count.  A caller that runs
+    this function on threads of its own should set XYNESS_THREADS=1, or
+    each call starts a pool of its own.
 
     Raises
     ------
@@ -247,12 +252,32 @@ def _mark_pool_thread() -> None:
     _pool_thread.active = True
 
 
+def _blas_pinned() -> bool:
+    """Whether the environment limits BLAS to one thread.
+
+    The first of OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and OMP_NUM_THREADS
+    that is set decides, as each library's own variable overrides OpenMP's.
+    """
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+        raw = os.environ.get(var)
+        if raw is not None:
+            return raw.strip() == "1"
+    return False
+
+
 def _worker_count() -> int:
-    """XYNESS_THREADS (default: the usable cores), or 1 on a pool's own thread."""
+    """XYNESS_THREADS, or 1 on a pool's own thread.
+
+    Unset, it is the usable cores when BLAS is pinned to one thread and 1
+    otherwise: with BLAS threads of its own, each worker contends for the
+    same cores and the pool is slower than serial (README).
+    """
     if getattr(_pool_thread, "active", False):
         return 1
     raw = os.environ.get("XYNESS_THREADS")
     if raw is None:
+        if not _blas_pinned():
+            return 1
         try:
             return len(os.sched_getaffinity(0))
         except AttributeError:  # no sched_getaffinity on this platform
@@ -291,7 +316,7 @@ def sweep(grid, n_list=DEFAULT_N_LIST, tol: float = 1e-12) -> list[CorrelationSe
     before any point runs.  A failure at one point is recorded in that
     point's metadata (empty rows, ``metadata["error"]``) without aborting the
     rest.  Parallelism is capped by the XYNESS_THREADS environment variable
-    (default: the usable cores); with more than one point the points run in
+    (default in the module notes); with more than one point the points run in
     parallel and each point's sizes inline.  Results do not depend on the
     execution schedule.
     """

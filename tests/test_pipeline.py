@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import re
 import threading
 import time
@@ -297,6 +298,29 @@ class TestSweep:
         threaded = sweep(grid, n_list=(2, 4, 8), tol=1e-12)
         for a, b in zip(serial, threaded):
             assert a.rows == b.rows
+
+    @pytest.mark.parametrize(
+        "blas_env, workers",
+        [
+            ({}, 1),
+            ({"OPENBLAS_NUM_THREADS": "1"}, 3),
+            ({"OMP_NUM_THREADS": "1"}, 3),
+            ({"OMP_NUM_THREADS": "2"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1"}, 1),
+        ],
+        ids=["unpinned", "openblas-1", "omp-1", "omp-2", "openblas-overrides-omp"],
+    )
+    def test_default_workers_follow_blas_pin(self, blas_env, workers, monkeypatch):
+        # unset XYNESS_THREADS pools only over single-threaded BLAS
+        monkeypatch.delenv("XYNESS_THREADS", raising=False)
+        for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        for var, value in blas_env.items():
+            monkeypatch.setenv(var, value)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert xyness.pipeline._worker_count() == workers
+        monkeypatch.setenv("XYNESS_THREADS", "2")
+        assert xyness.pipeline._worker_count() == 2
 
     def test_pools_never_nest(self, base_params, monkeypatch):
         # points on two workers run their sizes inline: no more LAPACK calls
