@@ -15,8 +15,8 @@ Library layout:
 """
 
 from ._version import __version__
-from .bounds import BoundReport, bound_report, theorem_bound, validate_weak_bound, weak_bound_log
-from .fourier import BlockSequence, Component, breakpoints, build_block_sequence, fourier_coefficient
+from .bounds import BoundReport, bound_report, theorem_bound, weak_bound_log
+from .fourier import BlockSequence, breakpoints, build_block_sequence
 from .model import (
     ConsistencyError,
     DomainError,
@@ -64,7 +64,6 @@ __all__ = [
     "__version__",
     "BlockSequence",
     "BoundReport",
-    "Component",
     "ConsistencyError",
     "CorrelationSeries",
     "DEFAULT_N_LIST",
@@ -89,7 +88,6 @@ __all__ = [
     "fit_decay",
     "fold",
     "folded",
-    "fourier_coefficient",
     "indicator_log",
     "kappa",
     "log_det",
@@ -109,6 +107,5 @@ __all__ = [
     "symbol_singular_values",
     "theorem_bound",
     "two_point_operator",
-    "validate_weak_bound",
     "weak_bound_log",
 ]

@@ -88,10 +88,3 @@ def bound_report(p: ModelParams) -> BoundReport:
         critical=p.critical,
     )
 
-
-def validate_weak_bound(series) -> bool:
-    """True iff log|det Omega(n)| <= weak_bound_log(n) + WEAK_BOUND_SLACK for every row."""
-    p = series.params
-    return all(
-        row.log_abs_det <= weak_bound_log(row.n, p) + WEAK_BOUND_SLACK for row in series.rows
-    )

@@ -31,8 +31,14 @@ them against the gate's own threshold before dropping them.  ``app`` and
 
 Every coefficient of a sequence comes from one shared-node engine: a single
 adaptive refinement over panels split at the zeros of kappa and mu and capped
-at _PERIODS_PER_PANEL periods of the highest frequency.  The panels cover
-[0, pi] only, by the fold identity, which holds for any f:
+at _PERIODS_PER_PANEL periods of the highest frequency.  The panel set
+depends on N = n_max, so a coefficient computed at two values of N can
+differ by rounding: by up to 3.0e-15 between N = 128 and N = 512 at
+(0.5, 0.3, 1, 3).  So :func:`build_block_sequence` is the one public route
+to the coefficients, and a truncation takes all of its blocks from one
+sequence.
+
+The panels cover [0, pi] only, by the fold identity, which holds for any f:
 
     Int_0^{2pi} f e^{-ik xi} dxi
         = Int_0^pi [(f(xi) + f(-xi)) cos(k xi) - i (f(xi) - f(-xi)) sin(k xi)] dxi.
@@ -333,38 +339,6 @@ def _coefficients(n_max: int, p: ModelParams, tol: float) -> tuple[dict, float]:
         out[which] = values[start : start + count]
         start += count
     return out, float(errors.max())
-
-
-def fourier_coefficient(
-    x: int, which: Component, p: ModelParams, tol: float = 1e-12
-) -> complex:
-    """Single Fourier coefficient app[x] (which=PP) or apm[x] (which=PM).
-
-    The entry that :func:`build_block_sequence` stores for x at the smallest
-    n_max whose range holds x, bit for bit, from the same run of the
-    shared-panel engine: a negative PP index is mirrored from app[|x|] as
-    the sequence mirrors it.  The engine is read directly, so the gauge
-    gate does not run.  Absolute error <= tol.  The run integrates about
-    3|x| coefficients, so the cost grows as O(x**2).
-
-    Raises
-    ------
-    QuadratureError
-        If the panel budget was exhausted; the exception carries the achieved
-        error estimate.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    x = int(x)
-    if which is Component.PP:
-        if p.delta == 0.0:
-            return 0.0 + 0.0j  # phi_0 vanishes identically
-        values, _ = _coefficients(abs(x) + 1, p, tol)
-        value = complex(values[Component.PP][abs(x)])
-        return -value if x < 0 else value
-    n_max = max(1, x + 2, -x)
-    values, _ = _coefficients(n_max, p, tol)
-    return complex(values[Component.PM][x + n_max])
 
 
 def _check_gauge(app: np.ndarray, apm: np.ndarray, n_max: int, err: float) -> None:

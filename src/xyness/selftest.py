@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import theorem_bound
-from .fourier import Component, breakpoints, build_block_sequence, fourier_coefficient
+from .fourier import BlockSequence, breakpoints, build_block_sequence
 from .model import ModelParams, kappa, mu, phi, symbol_matrices, symbol_singular_values
 from .pipeline import compute_series, fit_decay
 from .quadrature import adaptive_panels
@@ -68,32 +68,34 @@ def pf_det_residual(entries: np.ndarray) -> float:
     return abs(2.0 * pf.log_abs - det.log_abs)
 
 
-def fold_deviation(p: ModelParams, tol: float) -> float:
-    """Worst distance between the engine and a full-circle quadrature.
+def fold_deviation(p: ModelParams, seq: BlockSequence) -> float:
+    """Worst distance between ``seq`` and a full-circle quadrature.
 
     The engine integrates over [0, pi], each node serving xi and -xi; here
     app[k] and apm[k] at k in {-5, -2, -1, 0, 1, 3} are each one adaptive
     quadrature of their own integrand over the whole circle, split at the
-    zeros of kappa.  The engine's app[k] at negative k is the mirror
-    -app[-k], so an even part of the diagonal weight shows as a deviation.
-    Each side is within ``tol``, so a sound fold keeps the distance within
-    2 * tol.
+    zeros of kappa, against the entries of ``seq`` (n_max >= 6).  The
+    sequence's app[k] at negative k is the mirror -app[-k], so an even part
+    of the diagonal weight shows as a deviation.  Each side is within
+    ``seq.tol``, so a sound fold keeps the distance within 2 * seq.tol.
     """
     two_pi = 2.0 * math.pi
     edges = np.append(breakpoints(p), two_pi)
-    weights = {
-        Component.PP: lambda xi: np.sign(kappa(xi, p)) * phi(p.delta, xi, p),
-        Component.PM: lambda xi: (np.cos(xi) - p.lam - 1j * p.gamma * np.sin(xi))
-        / mu(xi, p)
-        * phi(p.beta, xi, p),
-    }
+
+    def pp(xi):
+        return np.sign(kappa(xi, p)) * phi(p.delta, xi, p)
+
+    def pm(xi):
+        return (np.cos(xi) - p.lam - 1j * p.gamma * np.sin(xi)) / mu(xi, p) * phi(p.beta, xi, p)
+
     worst = 0.0
-    for which, weight in weights.items():
+    # app[k] sits at index k + N - 1 and apm[k] at k + N
+    for values, offset, weight in ((seq.app, seq.n_max - 1, pp), (seq.apm, seq.n_max, pm)):
         for k in (-5, -2, -1, 0, 1, 3):
             ref, _ = adaptive_panels(
-                lambda xi: weight(xi) * np.exp(-1j * k * xi), edges, tol * two_pi
+                lambda xi: weight(xi) * np.exp(-1j * k * xi), edges, seq.tol * two_pi
             )
-            worst = max(worst, abs(fourier_coefficient(k, which, p, tol) - ref / two_pi))
+            worst = max(worst, abs(values[k + offset] - ref / two_pi))
     return worst
 
 
@@ -115,7 +117,7 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
     seq = build_block_sequence(33, p, 1e-12)
 
     # the folded quadrature against full-circle integrals of its own
-    dev = fold_deviation(p, seq.tol)
+    dev = fold_deviation(p, seq)
     record("fold", dev <= 2.0 * seq.tol, f"max dev {dev:.2e} (tol {2.0 * seq.tol:.0e})")
 
     # skew-symmetric assembly: bit for bit, by construction of the blocks

@@ -23,11 +23,21 @@ to [[0, X], [-X^T, 0]] with the n x n X = R_11 - R_12 J_n of
 |det R| = det(X)^2 and |Pf R| = |det X|: the SVD and the LU of R can run on
 X, with 8x fewer flops.
 
-:func:`folded` gathers X without R: entry (r, s) is R[r, s] - R[r, 2n-1-s],
-two entries of the blocks i-j and i+j-(n-1) for r = 2i+a, s = 2j+b, read
-in place, so it equals fold(assemble(n)) byte for byte.  With alpha_x =
-Im app[x] and c_x = -apm[x-1], the (0, 0) and (0, 1) entries of block x,
-and pi = (0, n-1, 1, n-2, 2, ...), the same entries are
+:func:`folded` gathers X without R.  Entry (r, s) = (2i+a, 2j+b) is
+R[r, s] - R[r, 2n-1-s], and 2n-1-s = 2(n-1-j) + 1-b, so each parity class
+of X is a Toeplitz minus a Hankel matrix of single entries of the stored
+blocks B_x = seq.blocks[x + N - 1],
+
+    X[a::2, b::2] = T - H,  T[i, j] = B_{i-j}[a, b],  H[i, j] = B_{i+j-(n-1)}[a, 1-b],
+
+both read as strided views of the blocks, as are the Toeplitz classes
+R[a::2, b::2] that :func:`assemble` fills.  Each entry is the difference of
+the same two block entries as in fold(assemble(n)), so the two agree byte
+for byte.
+
+Over the whole of X, with alpha_x = Im app[x] and c_x = -apm[x-1], the
+(0, 0) and (0, 1) entries of block x, and pi = (0, n-1, 1, n-2, 2, ...),
+the same entries are
 
     X[i, j] = (-1)^j * (alpha[pi_i - pi_j] - c[pi_i + pi_j - (n-1)]),
 
@@ -45,6 +55,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .fourier import BlockSequence
 from .model import ModelParams, mu_sup
@@ -62,12 +73,28 @@ def assemble(n: int, seq: BlockSequence) -> np.ndarray:
         If ``n < 1`` or ``seq.n_max < n``.
     """
     _check_size(n, seq)
-    # one gather of entry (2i+a, 2j+b) = blocks[i-j+n_max-1][a, b], in (i, a, j, b) order
-    k = np.arange(n)
-    ab = np.arange(2)
-    return seq.blocks[
-        k[:, None, None, None] - k[:, None] + (seq.n_max - 1), ab[:, None, None], ab
-    ].reshape(2 * n, 2 * n)
+    R = np.empty((2 * n, 2 * n))
+    for a, b in np.ndindex(2, 2):
+        # entry (2i+a, 2j+b) is entry (a, b) of block i - j
+        R[a::2, b::2] = _diagonals(seq, a, b, seq.n_max - 1, (n, n), -1)
+    return R
+
+
+def _diagonals(seq: BlockSequence, a: int, b: int, first: int, shape: tuple, step: int):
+    """Read-only view M[i, j] = seq.blocks[first + i + step * j, a, b], no copy.
+
+    step = -1 makes M a Toeplitz and step = +1 a Hankel matrix of the
+    blocks' (a, b) entries, with strides read off those entries, whatever
+    the layout of ``blocks``.  ``as_strided`` checks no bounds; every index
+    stays in [0, 2N-2], N = seq.n_max, because 1 <= n <= N
+    (:func:`_check_size`).  :func:`assemble` reads i - j + N - 1 with
+    0 <= i, j <= n - 1, in [N-n, N+n-2]; :func:`folded` reads a subset of
+    those, and the Hankel index i + j + N - n with 2i + a and 2j + b at most
+    n - 1, so 0 <= i + j <= n - 1 and the index lies in [N-n, N-1].
+    """
+    entries = seq.blocks[:, a, b]
+    stride = entries.strides[0]
+    return as_strided(entries[first:], shape, (stride, step * stride), writeable=False)
 
 
 def _check_size(n: int, seq: BlockSequence) -> None:
@@ -89,14 +116,14 @@ def folded(n: int, seq: BlockSequence) -> np.ndarray:
         If ``n < 1`` or ``seq.n_max < n``.
     """
     _check_size(n, seq)
-    k = np.arange(n)
-    site, parity = k // 2, k % 2
-    # flat index of blocks[i + N - 1][a, 0] for row r = 2i + a
-    row = (4 * (site + seq.n_max - 1) + 2 * parity)[:, None]
-    entries = seq.blocks.ravel()
-    # column s = 2j + b reads entry (a, b) of block i - j and entry (a, 1 - b)
-    # of block i + j - (n - 1), which is R[r, 2n - 1 - s]
-    return entries[row + (parity - 4 * site)] - entries[row + (4 * (site - n + 1) + 1 - parity)]
+    N = seq.n_max
+    X = np.empty((n, n))
+    for a, b in np.ndindex(2, 2):
+        part = X[a::2, b::2]
+        T = _diagonals(seq, a, b, N - 1, part.shape, -1)
+        H = _diagonals(seq, a, 1 - b, N - n, part.shape, 1)
+        np.subtract(T, H, out=part)
+    return X
 
 
 def fold(R: np.ndarray) -> np.ndarray:

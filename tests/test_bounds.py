@@ -5,14 +5,16 @@ import pytest
 
 from xyness import (
     ModelParams,
+    NumericalError,
     bound_report,
     compute_series,
     mu,
     theorem_bound,
-    validate_weak_bound,
     weak_bound_log,
 )
-from xyness.pipeline import CorrelationSeries, SeriesRow
+import xyness.cli
+import xyness.pipeline
+from xyness.bounds import WEAK_BOUND_SLACK
 from xyness.spectral import LIMIT_TOL
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET
 
@@ -165,30 +167,37 @@ class TestWeakBound:
         assert rep.theorem_rate < 0.0 and rep.weak_rate < 0.0
         assert rep.mu_sup == pytest.approx(1.5)
 
+    @staticmethod
+    def assert_rows_below_bound(series):
+        for row in series.rows:
+            assert row.log_abs_det <= weak_bound_log(row.n, series.params) + WEAK_BOUND_SLACK
+
     def test_validate_on_real_series(self, base_params):
         series = compute_series(base_params, n_list=(2, 4, 8, 16), tol=1e-12)
-        assert validate_weak_bound(series)
+        self.assert_rows_below_bound(series)
 
-    def test_validate_negative_control(self, base_params):
-        series = compute_series(base_params, n_list=(2, 4, 8, 16), tol=1e-12)
-        bad_row = SeriesRow(
-            n=16,
-            log_abs_C=0.0,
-            log_abs_det=weak_bound_log(16, base_params) + 1.0,
-            pf_det_residual=0.0,
-            smin=0.1,
-            smax=0.9,
-        )
-        doctored = CorrelationSeries(
-            params=series.params,
-            rows=series.rows + (bad_row,),
-            fit=series.fit,
-            bound=series.bound,
-            metadata=series.metadata,
-        )
-        assert not validate_weak_bound(doctored)
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_gate_fires(self, base_params, threads, monkeypatch, tmp_path, capsys):
+        # the bound lies below the true log|det| from n = 16 on: the run
+        # names the smallest failing n on any schedule, and the CLI exits 3
+        # without leaving its output behind
+        real = xyness.pipeline.weak_bound_log
+
+        def lying(n, p):
+            return real(n, p) if n < 16 else -1e3 * n
+
+        monkeypatch.setattr(xyness.pipeline, "weak_bound_log", lying)
+        monkeypatch.setenv("XYNESS_THREADS", threads)
+        with pytest.raises(NumericalError, match=r"^determinant bound violated at n=16: "):
+            compute_series(base_params, n_list=(8, 16, 32), tol=1e-12)
+        out = tmp_path / "c.csv"
+        argv = ["correlations", "--gamma", "0.5", "--lambda", "0.3", "--beta-l", "1"]
+        argv += ["--beta-r", "2", "--n-list", "8,16,32", "--out", str(out)]
+        assert xyness.cli.main(argv) == 3
+        assert "determinant bound violated at n=16" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_equilibrium_series_valid(self):
         p = ModelParams(-0.4, 1.7, 2.0, 2.0)
         series = compute_series(p, n_list=(2, 4, 8, 16), tol=1e-12)
-        assert validate_weak_bound(series)
+        self.assert_rows_below_bound(series)

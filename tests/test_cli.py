@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import xyness.fourier
-from xyness import ModelParams, phi, symbol_matrices
+from xyness import ModelParams, QuadratureError, build_block_sequence, phi, symbol_matrices
 from xyness.spectral import LIMIT_TOL
 from xyness.cli import build_parser
 from xyness.selftest import fold_deviation, skew_deviation, symbol_svd_deviation
@@ -414,10 +414,15 @@ class TestNegativeControls:
         # the engine integrates a diagonal weight with an even part, the
         # full-circle reference the model's own
         p = ModelParams(0.5, 0.3, 1.0, 2.0)
-        assert fold_deviation(p, 1e-12) <= 2e-12
+        assert fold_deviation(p, build_block_sequence(33, p, 1e-12)) <= 2e-12
 
         def skewed_phi(d, xi, q):
             return phi(d, xi, q) * (1.0 + 0.1 * np.sin(xi))
 
         monkeypatch.setattr(xyness.fourier, "phi", skewed_phi)
-        assert fold_deviation(p, 1e-12) > 1e-4
+        # the gauge gate sees the even part first; past that gate, the fold
+        # line sees it in the complex coefficients the sequence keeps
+        with pytest.raises(QuadratureError, match="breaks the real gauge"):
+            build_block_sequence(33, p, 1e-12)
+        monkeypatch.setattr(xyness.fourier, "_check_gauge", lambda *args: None)
+        assert fold_deviation(p, build_block_sequence(33, p, 1e-12)) > 1e-4

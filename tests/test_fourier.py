@@ -5,18 +5,17 @@ import numpy as np
 import pytest
 
 from xyness import (
-    Component,
     ModelParams,
     QuadratureError,
     breakpoints,
     build_block_sequence,
-    fourier_coefficient,
     kappa,
     mu,
     phi,
     symbol_matrices,
 )
 import xyness.fourier
+from xyness.fourier import Component
 from xyness.quadrature import _NODES, _refine, _split_edges, adaptive_panels
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET, random_points
 
@@ -295,42 +294,51 @@ class TestBreakpoints:
         assert pts == pytest.approx([0.0, math.pi])
 
 
+def coefficient(seq, which, x):
+    """app[x] (which=PP) or apm[x] (which=PM) as ``seq`` stores it."""
+    if which is Component.PP:
+        return seq.app[x + seq.n_max - 1]
+    return seq.apm[x + seq.n_max]
+
+
 class TestSingleCoefficient:
+    """Single coefficients, read from the block sequence."""
+
     def test_pp_zero_offset(self, base_params):
-        assert abs(fourier_coefficient(0, Component.PP, base_params)) < 1e-12
+        seq = build_block_sequence(1, base_params)
+        assert abs(coefficient(seq, Component.PP, 0)) < 1e-12
 
     def test_pp_equilibrium_exactly_zero(self):
-        p = ModelParams(0.5, 0.3, 2.0, 2.0)
-        assert fourier_coefficient(7, Component.PP, p) == 0.0
+        seq = build_block_sequence(8, ModelParams(0.5, 0.3, 2.0, 2.0))
+        assert coefficient(seq, Component.PP, 7) == 0.0
 
     def test_pp_odd_symmetry_independent(self, base_params):
         # a negative PP index is the sequence's mirror of the positive one;
         # the mpmath oracle checks that mirror against integrals of its own
+        seq = build_block_sequence(10, base_params)
         for x in (1, 2, 5, 9):
-            plus = fourier_coefficient(x, Component.PP, base_params)
-            minus = fourier_coefficient(-x, Component.PP, base_params)
-            assert minus == -plus
+            assert coefficient(seq, Component.PP, -x) == -coefficient(seq, Component.PP, x)
 
     def test_pp_purely_imaginary(self, base_params):
+        seq = build_block_sequence(13, base_params)
         for x in (1, 3, 12):
-            c = fourier_coefficient(x, Component.PP, base_params)
-            assert abs(c.real) < 1e-12
+            assert abs(coefficient(seq, Component.PP, x).real) < 1e-12
 
     def test_pm_purely_real(self, base_params):
+        seq = build_block_sequence(4, base_params)
         for x in (-3, -1, 0, 2):
-            c = fourier_coefficient(x, Component.PM, base_params)
-            assert abs(c.imag) < 1e-12
+            assert abs(coefficient(seq, Component.PM, x).imag) < 1e-12
 
     @pytest.mark.parametrize("which", [Component.PP, Component.PM])
     @pytest.mark.parametrize("x", [0, 1, 2, 4, 8])
     def test_trapezoid_oracle(self, which, x, base_params):
-        got = fourier_coefficient(x, which, base_params, tol=1e-12)
+        got = coefficient(build_block_sequence(10, base_params, tol=1e-12), which, x)
         ref = trapezoid_oracle(which, x, base_params)
         assert abs(got - ref) < 1e-9
 
     def test_invalid_tol(self, base_params):
         with pytest.raises(ValueError):
-            fourier_coefficient(1, Component.PP, base_params, tol=-1.0)
+            build_block_sequence(1, base_params, tol=-1.0)
 
 
 class TestBlockSequence:
@@ -343,7 +351,7 @@ class TestBlockSequence:
         assert abs(a0[0, 0]) <= seq.err_estimate and abs(a0[1, 1]) <= seq.err_estimate
         assert a0[0, 1] == -c and a0[1, 0] == c
 
-    def test_blocks_match_single_calls_bitwise(self, base_params):
+    def test_blocks_match_coefficients_bitwise(self, base_params):
         seq = build_block_sequence(3, base_params)
         # offsets: app[x] at x + 2, apm[y] at y + 3, blocks[x] at x + 2;
         # the blocks are D a_x D, D = diag(e^{-i pi/4}, e^{i pi/4})
@@ -355,17 +363,6 @@ class TestBlockSequence:
                 ]
             )
             assert np.array_equal(seq.blocks[x + 2], expected)
-        # a single coefficient is the entry of the smallest sequence holding
-        # its offset, bit for bit: n_max = 3 here, and 70 for offsets whose
-        # base panels are capped at 8 periods
-        for n_max in (3, 70):
-            seq = build_block_sequence(n_max, base_params)
-            for x in (1 - n_max, n_max - 1):
-                got = fourier_coefficient(x, Component.PP, base_params)
-                assert np.complex128(got).tobytes() == seq.app[x + n_max - 1].tobytes()
-            for y in (-n_max, n_max - 2):
-                got = fourier_coefficient(y, Component.PM, base_params)
-                assert np.complex128(got).tobytes() == seq.apm[y + n_max].tobytes()
 
     def test_equilibrium_zero_diagonal(self):
         p = ModelParams(-0.4, 1.7, 2.0, 2.0)

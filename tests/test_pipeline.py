@@ -9,15 +9,14 @@ import numpy as np
 import pytest
 
 from xyness import (
-    Component,
     LogScalar,
     ModelParams,
     NumericalError,
     assemble,
+    build_block_sequence,
     compute_series,
     fit_decay,
     fold,
-    fourier_coefficient,
     log_det,
     pfaffian,
     singular_values,
@@ -78,9 +77,9 @@ class TestFitDecay:
 class TestComputeSeries:
     def test_single_size_matches_coefficient(self, base_params):
         series = compute_series(base_params, n_list=[1], tol=1e-12)
-        # Pf of the 2x2 block: |C(1)| = |apm[-1]|, cross-checked against a
-        # direct quadrature of that coefficient
-        c = fourier_coefficient(-1, Component.PM, base_params, tol=1e-12)
+        # Pf of the 2x2 block: |C(1)| = |apm[-1]|, cross-checked against the
+        # coefficient of a longer sequence, a separate engine run
+        c = build_block_sequence(8, base_params, tol=1e-12).apm[-1 + 8]
         assert series.rows[0].log_abs_C == pytest.approx(math.log(abs(c)), abs=1e-12)
         assert series.fit is None
 

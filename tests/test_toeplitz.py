@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from xyness import (
     symbol_singular_values,
 )
 from xyness.bounds import weak_rate
+from xyness.fourier import BlockSequence
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET, random_points
 
 
@@ -203,6 +205,21 @@ class TestFolded:
             assert sorted(pi) == list(k)
             expected = (T - H)[np.ix_(pi, pi)] * (-1.0) ** k
             assert np.array_equal(folded(n, seq), expected), n
+
+    def test_gathers_from_views(self):
+        # the parity classes are filled from strided views of the blocks, so
+        # the peak is the n x n output (32 MiB at n = 2048) and no index array
+        N = 2048
+        blocks = np.random.default_rng(0).standard_normal((2 * N - 1, 2, 2))
+        seq = BlockSequence(n_max=N, tol=1e-12, app=None, apm=None, blocks=blocks, err_estimate=0.0)
+        tracemalloc.start()
+        try:
+            X = folded(N, seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert X.shape == (N, N)
+        assert peak <= 40 * 2**20
 
     def test_size_errors_match_assemble(self, base_seq):
         for n in (0, -1, base_seq.n_max + 1):
