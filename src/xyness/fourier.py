@@ -25,9 +25,12 @@ a real matrix.  a_0's diagonal is set to exactly 0 (app[0] = -app[0]), so
 every truncation D_n Omega(n) D_n (D_n = D on each site) is real and
 skew-symmetric bit for bit, with Omega(n)'s Pfaffian, determinant and
 singular values: the linear algebra runs in real arithmetic.  The dropped
-parts are Re app, Im app[0] and Im apm; :func:`build_block_sequence` checks
-them against the gate's own threshold before dropping them.  ``app`` and
-``apm`` keep the complex coefficients.
+parts are Re app, Im app[0] and Im apm.  The engine never integrates Re
+app and Im apm: it computes Im app and Re apm alone, after checking at
+every Gauss node that the parities which make the dropped parts vanish
+hold exactly.  Im app[0] is a sum against sin 0 = 0, so it is 0 by
+construction.  ``app`` = 1j * Im app and ``apm`` = Re apm + 0j hold the
+coefficients.
 
 Every coefficient of a sequence comes from one shared-node engine: a single
 adaptive refinement over panels split at the zeros of kappa and mu and capped
@@ -44,15 +47,17 @@ The panels cover [0, pi] only, by the fold identity, which holds for any f:
         = Int_0^pi [(f(xi) + f(-xi)) cos(k xi) - i (f(xi) - f(-xi)) sin(k xi)] dxi.
 
 The two frequency-independent weights are evaluated at each Gauss node xi
-and at -xi, so one node serves both, and no parity is assumed.  The cosine
-and sine sums run over k >= 0 only, so the negative frequencies of apm come
-from the same sums as the positive ones; each panel's sums for every
-frequency are one batched matrix product with a factored phase table.
-np.sin and np.cos are exactly odd and even in floating point, so the model
-weights' parities hold exactly at every node pair: the dropped parts come
-out as exact zeros, and the engine skips the products they would take.  A
-weight with a parity defect gets every product, so the gauge gate sees its
-true dropped parts.
+and at -xi, so one node serves both.  np.sin and np.cos are exactly odd and
+even in floating point, so the model weights' parities hold exactly at
+every node pair: the PP weight is odd, the PM weight's real part even and
+its imaginary part odd.  The engine checks this exactly, as
+f(xi) + f(-xi) == 0 for PP, and refuses a weight with any parity defect,
+however small, with a QuadratureError naming the component.  Only three
+weighted vectors are then left: PP's odd part, PM's even real part and
+PM's odd imaginary part.  The cosine and sine sums run over k >= 0 only, so
+the negative frequencies of apm come from the same sums as the positive
+ones; each panel's sums for every frequency are one batched real matrix
+product with a factored phase table.
 
 A panel is accepted only when every coefficient passes the proportional
 error test on it, so no coefficient gets a weaker guarantee than an
@@ -180,34 +185,33 @@ def _weight(which: Component, xi: np.ndarray, p: ModelParams) -> np.ndarray:
     return chi * phi(p.beta, xi, p)
 
 
-def _signed(dest: np.ndarray, c_sum, n_sum, sign: int) -> None:
-    """dest = c_sum + sign * n_sum, a part that is None (identically zero) read as 0."""
-    if n_sum is None:
-        dest[...] = 0.0 if c_sum is None else c_sum
-    elif c_sum is None:
-        np.multiply(n_sum, sign, out=dest)
-    else:
-        (np.add if sign > 0 else np.subtract)(c_sum, n_sum, out=dest)
+def _gate(which: Component, *defects: np.ndarray) -> None:
+    """Raise unless every part the real gauge drops is exactly zero at every node."""
+    worst = max(float(np.max(np.abs(d))) for d in defects)
+    if not worst == 0.0:
+        raise QuadratureError(
+            f"{which.name} weight breaks the real gauge at a Gauss node pair", worst
+        )
 
 
-def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, groups, out: np.ndarray) -> None:
-    """Gauss-Legendre sums of every coefficient integrand on folded panels.
+def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, n_max: int, out: np.ndarray) -> None:
+    """Gauss-Legendre sums of the kept coefficient parts on folded panels.
 
     Each panel [lo, hi] lies in [0, pi] and stands for itself and its mirror
-    [-hi, -lo].  ``groups`` lists (component, first frequency, count); ``out``
-    (panels, total count) receives the groups' columns side by side.  With
-    E = f(xi) + f(-xi) and O = f(xi) - f(-xi) for the :func:`_weight` f,
-    evaluated at both nodes, the fold identity gives the coefficient at
-    frequency s*k (s = +-1, k >= 0) as
+    [-hi, -lo].  ``out`` (panels, 3N - 1), N = n_max, receives Im app[0 ..
+    N-1] (0 when delta = 0), then Re apm[-N .. N-2].  With E = f(xi) + f(-xi)
+    and O = f(xi) - f(-xi) for the :func:`_weight` f, evaluated at both
+    nodes, the fold identity gives the coefficient at frequency s*k (s = +-1,
+    k >= 0) as
 
-        C_k(E) + i*s*N_k(O),  C_k(v) = sum v cos(k xi),  N_k(v) = -sum v sin(k xi),
+        C_k(E) + i*s*N_k(O),  C_k(v) = sum v cos(k xi),  N_k(v) = -sum v sin(k xi).
 
-    whose real part is C(Re E) - s*N(Im O) and imaginary part
-    C(Im E) + s*N(Re O).  Every sum runs over k >= 0, so one set of rows
-    serves both signs and both sequences.  A part Re E, Im E, Re O or Im O
-    that is exactly zero on every node contributes exact zeros and is
-    skipped: with the model's exact parities only Re O is left for PP and
-    Re E, Im O for PM.
+    The PP weight is odd and the PM weight's real part even, its imaginary
+    part odd, so Im app[k] = N_k(O) and Re apm[s*k] = C_k(Re E) - s*N_k(Im O),
+    and the parts the gauge drops vanish.  These parities are checked
+    exactly at every node pair, E = 0 for PP, Im E = 0 and Re O = 0 for PM,
+    and a defect raises :class:`QuadratureError` naming the component.
+    Every sum runs over k >= 0, so one set of rows serves both signs.
 
     C and N come from the factored phase e^{-i(k0+k)xi} = e^{-i*k0*xi} *
     e^{-i*k*xi}, 0 <= k < _PHASE_BLOCK, k0 a multiple of _PHASE_BLOCK.  As
@@ -224,28 +228,21 @@ def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, groups, out: np.
     w = _WEIGHTS[None, :] * half[:, None]
     both = np.concatenate([xi, -xi], axis=1)
 
-    # per group, (C part, N part) for the real and for the imaginary part of
-    # the result: indices into ``vectors``, None where a part is identically 0
-    vectors, terms = [], []
-
-    def kept(v, is_n):
-        if not v.any():
-            return None
-        vectors.append((v, is_n))
-        return len(vectors) - 1
-
-    for which, _, _ in groups:
+    def folded(which):
         f = _weight(which, both, p)
-        even = (f[:, :nodes] + f[:, nodes:]) * w
-        odd = (f[:, :nodes] - f[:, nodes:]) * w
-        terms.append(
-            [
-                (kept(even.real, False), kept(odd.imag, True)),
-                (kept(even.imag, False), kept(odd.real, True)),
-            ]
-        )
+        return f[:, :nodes] + f[:, nodes:], f[:, :nodes] - f[:, nodes:]
 
-    rows = max(max(-first, first + count - 1) for _, first, count in groups) // _PHASE_BLOCK + 1
+    # (weighted vector, whether its row gives N rather than C)
+    vectors = []
+    if p.delta != 0.0:  # at delta = 0, phi_0 and so the PP weight vanish
+        even, odd = folded(Component.PP)
+        _gate(Component.PP, even)
+        vectors.append((odd * w, True))
+    even, odd = folded(Component.PM)
+    _gate(Component.PM, even.imag, odd.real)
+    vectors += [(even.real * w, False), (odd.imag * w, True)]
+
+    rows = n_max // _PHASE_BLOCK + 1
     z0 = np.conj(_doubled(xi, _PHASE_BLOCK, rows)).transpose(1, 0, 2)
     factor = {False: z0, True: 1j * z0}
     left = np.empty((lo.size, len(vectors), rows, nodes), dtype=complex)
@@ -254,67 +251,46 @@ def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, groups, out: np.
     z = np.ascontiguousarray(np.moveaxis(_phase_table(xi), -1, 0))
     table = z.view(float).transpose(1, 2, 0)  # (panels, 2 * nodes, _PHASE_BLOCK)
     sums = left.view(float).reshape(lo.size, -1, 2 * nodes) @ table
-    sums = sums.reshape(lo.size, len(vectors), -1)
+    *pp, c, n = sums.reshape(lo.size, len(vectors), -1).transpose(1, 0, 2)
 
-    split = out.view(float).reshape(lo.size, -1, 2)
-    start = 0
-    for (_, first, count), parts in zip(groups, terms):
-        neg = min(count, max(-first, 0))
-        # columns of frequencies first .. -1 read k = -first .. 1, the rest k >= 0
-        halves = (
-            (slice(0, neg), slice(-first, -first - neg, -1), -1),
-            (slice(neg, count), slice(first + neg, first + count), 1),
-        )
-        for target, ((c, n), n_sign) in enumerate(zip(parts, (-1, 1))):
-            dest = split[:, start : start + count, target]
-            for cols, ks, s in halves:
-                _signed(
-                    dest[:, cols],
-                    None if c is None else sums[:, c, ks],
-                    None if n is None else sums[:, n, ks],
-                    s * n_sign,
-                )
-        start += count
+    out[:, :n_max] = pp[0][:, :n_max] if pp else 0.0
+    # apm[-N .. -1] reads k = N .. 1, apm[0 .. N-2] reads k = 0 .. N-2
+    np.add(c[:, n_max:0:-1], n[:, n_max:0:-1], out=out[:, n_max : 2 * n_max])
+    np.subtract(c[:, : n_max - 1], n[:, : n_max - 1], out=out[:, 2 * n_max :])
 
 
-def _coefficients(n_max: int, p: ModelParams, tol: float) -> tuple[dict, float]:
-    """app[0 .. N-1] and apm[-N .. N-2] on one shared panel set.
+def _coefficients(n_max: int, p: ModelParams, tol: float) -> tuple[np.ndarray, float]:
+    """Im app[0 .. N-1], then Re apm[-N .. N-2], on one shared panel set.
 
-    N = n_max.  Returns the arrays by component (PP absent when delta = 0,
-    where phi_0 vanishes) and the largest per-coefficient error estimate,
-    which is at most ``tol``.  The panels cover [0, pi] only, split at
-    ``breakpoints(p)`` there, and each one stands for itself and its mirror
-    (:func:`_panel_sums`); the error test runs on the folded panel, whose
-    share of the budget tol * 2pi is that of the two circle panels it stands
-    for, and the panel budget counts it as two.  Every complex coefficient
-    is computed in full, including the parts the real gauge drops.  The
-    panel arrays hold one column per coefficient, about 3N, so the memory of
-    a refinement level grows as O(N * panels).
+    N = n_max.  Returns the (3N - 1,) real array, whose app part is 0 when
+    delta = 0 (phi_0 vanishes), and the largest per-coefficient error
+    estimate, which is at most ``tol``.  The panels cover [0, pi] only,
+    split at ``breakpoints(p)`` there, and each one stands for itself and
+    its mirror (:func:`_panel_sums`); the error test runs on the folded
+    panel, whose share of the budget tol * 2pi is that of the two circle
+    panels it stands for, and the panel budget counts it as two.  Only the
+    parts the real gauge keeps are integrated.  The panel arrays hold one
+    column per coefficient, 3N - 1, so the memory of a refinement level
+    grows as O(N * panels).
 
     Raises
     ------
     QuadratureError
-        Naming the coefficient with the largest achieved error when the panel
+        Naming the component whose weight breaks its parity at a node pair,
+        the coefficient with the largest achieved error when the panel
         budget runs out, or the first non-finite one.
     """
-    groups = [(Component.PM, -n_max, 2 * n_max - 1)]
-    if p.delta != 0.0:
-        groups.insert(0, (Component.PP, 0, n_max))
 
     def name(column: int) -> str:
-        for which, first, count in groups:
-            if column < count:
-                return f"{which.name}[{first + column}]"
-            column -= count
-        raise IndexError(column)
-
-    columns = sum(count for _, _, count in groups)
+        if column < n_max:
+            return f"{Component.PP.name}[{column}]"
+        return f"{Component.PM.name}[{column - 2 * n_max}]"
 
     def rule(lo, hi):
-        out = np.empty((lo.size, columns), dtype=complex)
+        out = np.empty((lo.size, 3 * n_max - 1))
         for s in range(0, lo.size, _PANEL_CHUNK):
             part = slice(s, s + _PANEL_CHUNK)
-            _panel_sums(lo[part], hi[part], p, groups, out[part])
+            _panel_sums(lo[part], hi[part], p, n_max, out[part])
         return out
 
     max_width = _PERIODS_PER_PANEL * TWO_PI / n_max if n_max > _OSC_SPLIT_THRESHOLD else None
@@ -324,6 +300,8 @@ def _coefficients(n_max: int, p: ModelParams, tol: float) -> tuple[dict, float]:
     try:
         vals, errs = _refine(rule, lo, hi, tol * TWO_PI, math.pi, panel_cost=2)
     except QuadratureError as exc:
+        if exc.column is None:
+            raise
         raise QuadratureError(
             f"coefficient {name(exc.column)} did not converge", exc.achieved_error / TWO_PI
         ) from exc
@@ -334,29 +312,7 @@ def _coefficients(n_max: int, p: ModelParams, tol: float) -> tuple[dict, float]:
         raise QuadratureError(
             f"coefficient {name(bad[0])} did not converge: non-finite integral", errors[bad[0]]
         )
-    out, start = {}, 0
-    for which, _, count in groups:
-        out[which] = values[start : start + count]
-        start += count
-    return out, float(errors.max())
-
-
-def _check_gauge(app: np.ndarray, apm: np.ndarray, n_max: int, err: float) -> None:
-    """Check that Re app[0 .. N-1], Im app[0] and Im apm[-N .. N-2] are noise."""
-    scale = max(float(np.abs(app).max()), float(np.abs(apm).max()))
-    limit = max(2.0 * err, 1e-14 * scale)
-    for which, dropped, first in (
-        (Component.PP, app.real, 0),
-        (Component.PP, app.imag[:1], 0),
-        (Component.PM, apm.imag, -n_max),
-    ):
-        i = int(np.argmax(np.abs(dropped)))
-        if abs(dropped[i]) > limit:
-            raise QuadratureError(
-                f"coefficient {which.name}[{first + i}] breaks the real gauge: "
-                f"dropped part {abs(dropped[i]):.3e} > {limit:.3e}",
-                err,
-            )
+    return values, float(errors.max())
 
 
 def build_block_sequence(
@@ -366,38 +322,39 @@ def build_block_sequence(
 
     app[x] is computed for x = 0 .. n_max-1 and mirrored to negative x via
     the oddness symmetry; apm[y] is computed for y = -n_max .. n_max-2, all
-    by one run of the shared-node engine.  Nothing is cached: every call
-    integrates afresh.  The blocks are built in the real gauge of the module
-    notes, where every truncation is skew-symmetric bit for bit.
+    by one run of the shared-node engine, which integrates only the parts
+    the real gauge keeps: ``app`` is 1j * Im app and ``apm`` is Re apm + 0j.
+    Nothing is cached: every call integrates afresh.  The blocks are built
+    in the real gauge of the module notes, where every truncation is
+    skew-symmetric bit for bit.
 
     Raises
     ------
+    ValueError
+        If n_max < 1, or tol is not positive (NaN included).
     QuadratureError
-        Naming the failing coefficient's component and index, also when the
-        part the gauge drops (Re app, Im app[0], Im apm) exceeds the gate's
-        threshold max(2 * err_estimate, 1e-14 * max|coefficient|).
+        Naming the component (PP or PM) whose weight breaks its parity at a
+        Gauss node pair, so that a part the gauge drops would not vanish,
+        or the failing coefficient's component and index.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     values, worst = _coefficients(n_max, p, tol)
-    if p.delta == 0.0:
-        app = np.zeros(2 * n_max - 1, dtype=complex)
-    else:
-        half = values[Component.PP]
-        app = np.concatenate([-half[:0:-1], half])
-    apm = values[Component.PM]
-    _check_gauge(app[n_max - 1 :], apm, n_max, worst)
+    half, re_apm = values[:n_max], values[n_max:]
+    # at delta = 0 the mirror of the zero columns would be -0.0
+    im_app = np.concatenate([-half[:0:-1], half]) if p.delta != 0.0 else np.zeros(2 * n_max - 1)
 
     # with these offsets apm[x-1] sits at the index of a_x, apm[-x-1] at its
     # mirror; the blocks are D a_x D, whose entries are real
     blocks = np.empty((2 * n_max - 1, 2, 2))
-    blocks[:, 0, 0] = app.imag
+    blocks[:, 0, 0] = im_app
     blocks[n_max - 1, 0, 0] = 0.0  # app[0] = -app[0]: a_0's diagonal is exactly 0
     blocks[:, 1, 1] = blocks[:, 0, 0]
-    blocks[:, 0, 1] = -apm.real
-    blocks[:, 1, 0] = apm.real[::-1]
+    blocks[:, 0, 1] = -re_apm
+    blocks[:, 1, 0] = re_apm[::-1]
+    app, apm = 1j * im_app, re_apm + 0j
     for arr in (app, apm, blocks):
         arr.setflags(write=False)
     return BlockSequence(

@@ -84,7 +84,7 @@ def adaptive_panels(f, edges, tol: float) -> tuple[complex, float]:
         If the panel budget or recursion depth is exhausted first, or if the
         total is not finite (inf or nan).
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     edges = np.asarray(edges, dtype=float)
     lo, hi = _split_edges(edges, None)

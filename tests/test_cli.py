@@ -411,18 +411,20 @@ class TestNegativeControls:
         assert symbol_svd_deviation(p, xi, matrices=bad) > 1e-12
 
     def test_injected_weight_error_fails_fold_check(self, monkeypatch):
-        # the engine integrates a diagonal weight with an even part, the
-        # full-circle reference the model's own
+        # the engine integrates a perturbed diagonal weight, the full-circle
+        # reference the model's own
         p = ModelParams(0.5, 0.3, 1.0, 2.0)
         assert fold_deviation(p, build_block_sequence(33, p, 1e-12)) <= 2e-12
 
-        def skewed_phi(d, xi, q):
-            return phi(d, xi, q) * (1.0 + 0.1 * np.sin(xi))
+        def perturbed(factor):
+            return lambda d, xi, q: phi(d, xi, q) * factor(xi)
 
-        monkeypatch.setattr(xyness.fourier, "phi", skewed_phi)
-        # the gauge gate sees the even part first; past that gate, the fold
-        # line sees it in the complex coefficients the sequence keeps
+        # an even part breaks the diagonal weight's parity: the gauge gate
+        # refuses it at the nodes
+        monkeypatch.setattr(xyness.fourier, "phi", perturbed(lambda xi: 1.0 + 0.1 * np.sin(xi)))
         with pytest.raises(QuadratureError, match="breaks the real gauge"):
             build_block_sequence(33, p, 1e-12)
-        monkeypatch.setattr(xyness.fourier, "_check_gauge", lambda *args: None)
+        # a perturbation that keeps the parities passes the gate, and the
+        # fold line sees it
+        monkeypatch.setattr(xyness.fourier, "phi", perturbed(lambda xi: 1.0 + 0.1 * np.cos(xi)))
         assert fold_deviation(p, build_block_sequence(33, p, 1e-12)) > 1e-4

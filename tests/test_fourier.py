@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,36 +191,6 @@ class TestEngineOracles:
 
 
 class TestFold:
-    def test_no_parity_assumed(self, base_params, monkeypatch):
-        # with a weight that has an even part, the folded engine still
-        # integrates it over the whole circle: app at every k >= 0 and apm
-        # at either sign match full-circle quadratures of the same integrand
-        def skewed_phi(d, xi, q):
-            return phi(d, xi, q) * (1.0 + 0.1 * np.sin(xi))
-
-        monkeypatch.setattr(xyness.fourier, "phi", skewed_phi)
-        p = base_params
-        weights = {
-            Component.PP: lambda xi: np.sign(kappa(xi, p)) * skewed_phi(p.delta, xi, p),
-            Component.PM: lambda xi: (np.cos(xi) - p.lam - 1j * p.gamma * np.sin(xi))
-            / mu(xi, p)
-            * skewed_phi(p.beta, xi, p),
-        }
-        n_max = 9  # app[0 .. 8], apm[-9 .. 7]
-        values, err = xyness.fourier._coefficients(n_max, p, TOL)
-        assert err <= TOL
-        probes = {Component.PP: (0, 1, 2, 5, 8), Component.PM: (-9, -3, -1, 0, 2, 5, 7)}
-        first = {Component.PP: 0, Component.PM: -n_max}
-        edges = np.concatenate([breakpoints(p), [TWO_PI]])
-        for which, weight in weights.items():
-            for k in probes[which]:
-                ref, _ = adaptive_panels(
-                    lambda xi: weight(xi) * np.exp(-1j * k * xi), edges, TOL * TWO_PI
-                )
-                assert abs(values[which][k - first[which]] - ref / TWO_PI) <= 2 * TOL
-        # the even part is really there: app[0] and Re app do not vanish
-        assert abs(values[Component.PP][0]) > 1e-4
-
     def test_budget_counts_each_folded_panel_twice(self, base_params, monkeypatch):
         # a panel on [0, pi] stands for itself and its mirror, so the panel
         # budget, set in circle panels, charges it twice
@@ -413,8 +384,8 @@ class TestBlockSequence:
 
     @pytest.mark.parametrize("p", GAUGE_SETS, ids=set_id)
     def test_gauge_drops_only_noise(self, p):
-        # Re app and Im apm, which the real blocks drop, stay well inside the
-        # threshold of the gauge gate, and the error estimate keeps its promise
+        # Re app and Im apm, which the real blocks drop, stay well inside
+        # the quadrature noise, and the error estimate keeps its promise
         for n_max in (64, 512):
             seq = build_block_sequence(n_max, p, TOL)
             assert seq.err_estimate <= TOL
@@ -439,28 +410,51 @@ class TestBlockSequence:
         ids=["pp", "pm-at-equilibrium"],
     )
     def test_gauge_gate_sees_broken_weight(self, p, which, monkeypatch):
-        # a weight with an even part gives app a real part and apm an
-        # imaginary one; at delta = 0 only the off-diagonal sequence exists
+        # a weight with an even part would give app a real part and apm an
+        # imaginary one, and the gate sees that part at the nodes; at
+        # delta = 0 only the off-diagonal sequence exists
         def skewed_phi(d, xi, q):
             return phi(d, xi, q) * (1.0 + 0.1 * np.sin(xi))
 
         monkeypatch.setattr(xyness.fourier, "phi", skewed_phi)
-        with pytest.raises(QuadratureError, match=rf"coefficient {which}\[-?\d+\] breaks the real gauge"):
+        with pytest.raises(QuadratureError, match=rf"^{which} weight breaks the real gauge"):
             build_block_sequence(8, p, TOL)
 
-    def test_gauge_gate_sees_imaginary_app0(self, base_params, monkeypatch):
-        # the blocks set a_0's diagonal to 0, so Im app[0] is a dropped part
-        integrate = xyness.fourier._coefficients
+    @pytest.mark.parametrize("amplitude", [0.1, 1e-15])
+    @pytest.mark.parametrize(
+        "which, part",
+        [
+            (Component.PP, lambda f: f.real),
+            (Component.PM, lambda f: f.real),
+            (Component.PM, lambda f: 1j * f.imag),
+        ],
+        ids=["pp-even", "pm-odd-real", "pm-even-imaginary"],
+    )
+    def test_gate_sees_each_dropped_part(self, base_params, which, part, amplitude, monkeypatch):
+        # f + a*sin(xi)*part(f) adds exactly one dropped part: an even PP
+        # part, an odd real PM part or an even imaginary PM part.  The gate
+        # compares the node pairs exactly, so a defect far below the
+        # quadrature error (1e-15 relative) fires it too
+        weight = xyness.fourier._weight
 
-        def shifted(*args):
-            values, err = integrate(*args)
-            values[Component.PP] = values[Component.PP].copy()
-            values[Component.PP][0] += 1e-3j  # app[0]
-            return values, err
+        def broken(w, xi, q):
+            f = weight(w, xi, q)
+            return f + amplitude * np.sin(xi) * part(f) if w is which else f
 
-        monkeypatch.setattr(xyness.fourier, "_coefficients", shifted)
-        with pytest.raises(QuadratureError, match=r"coefficient PP\[0\] breaks the real gauge"):
+        monkeypatch.setattr(xyness.fourier, "_weight", broken)
+        with pytest.raises(QuadratureError, match=rf"^{which.name} weight breaks the real gauge"):
             build_block_sequence(8, base_params, TOL)
+
+    def test_integrates_only_the_kept_parts(self, base_params):
+        # the refinement carries one real column per kept coefficient, so the
+        # peak stays near its (panels, 3N - 1) level arrays: 54 MiB at N = 2048
+        tracemalloc.start()
+        try:
+            build_block_sequence(2048, base_params, TOL)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * 2**20
 
     def test_rebuild_is_bitwise_equal(self, base_params):
         a = build_block_sequence(5, base_params, tol=1e-10)
@@ -480,6 +474,10 @@ class TestBlockSequence:
             build_block_sequence(0, base_params)
         with pytest.raises(ValueError):
             build_block_sequence(4, base_params, tol=0.0)
+
+    def test_nan_tol_rejected(self, base_params):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            build_block_sequence(8, base_params, math.nan)
 
 
 class TestCriticalParameters:

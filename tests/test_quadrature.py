@@ -85,6 +85,13 @@ def test_invalid_tol():
         adaptive_panels(np.sin, [0.0, 1.0], 0.0)
 
 
+def test_nan_tol_rejected():
+    # NaN fails every comparison, so a tol <= 0 test alone would let it
+    # through to a refinement that runs out of panels
+    with pytest.raises(ValueError, match="tol must be positive"):
+        adaptive_panels(np.sin, [0.0, 1.0], math.nan)
+
+
 def test_deterministic():
     def f(x):
         return np.log(np.maximum(x, 1e-300)) * np.sin(3 * x)
