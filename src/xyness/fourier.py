@@ -36,7 +36,7 @@ Every coefficient of a sequence comes from one shared-node engine: a single
 adaptive refinement over panels split at the zeros of kappa and mu and capped
 at _PERIODS_PER_PANEL periods of the highest frequency.  The panel set
 depends on N = n_max, so a coefficient computed at two values of N can
-differ by rounding: by up to 3.0e-15 between N = 128 and N = 512 at
+differ by rounding: by up to 2.3e-15 between N = 128 and N = 512 at
 (0.5, 0.3, 1, 3).  So :func:`build_block_sequence` is the one public route
 to the coefficients, and a truncation takes all of its blocks from one
 sequence.
@@ -46,11 +46,14 @@ The panels cover [0, pi] only, by the fold identity, which holds for any f:
     Int_0^{2pi} f e^{-ik xi} dxi
         = Int_0^pi [(f(xi) + f(-xi)) cos(k xi) - i (f(xi) - f(-xi)) sin(k xi)] dxi.
 
-The two frequency-independent weights are evaluated at each Gauss node xi
-and at -xi, so one node serves both.  np.sin and np.cos are exactly odd and
-even in floating point, so the model weights' parities hold exactly at
-every node pair: the PP weight is odd, the PM weight's real part even and
-its imaginary part odd.  The engine checks this exactly, as
+The two frequency-independent weights come from one call of
+``model._symbol_weights`` on the Gauss nodes xi and their mirrors -xi, so one
+node serves both, and mu is evaluated once per node.  Their exact parities
+come from the model: np.sin is exactly odd, and ``model._cos_minus``, which
+gives cos(xi) - lam in mu and in the direction and cos(xi) - lam/c in kappa,
+reads xi through |xi| and so is exactly even.  So at every node pair the PP
+weight is odd, the PM weight's real part even and its imaginary part odd.
+The engine checks this exactly, as
 f(xi) + f(-xi) == 0 for PP, and refuses a weight with any parity defect,
 however small, with a QuadratureError naming the component.  Only three
 weighted vectors are then left: PP's odd part, PM's even real part and
@@ -75,15 +78,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, kappa, mu, phi
+from .model import ModelParams, _symbol_weights
 from .quadrature import _NODES, _WEIGHTS, QuadratureError, _refine, _split_edges
 from .quadrature import adaptive_panels  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
 TWO_PI = 2.0 * math.pi
 
-#: above this highest frequency, base panels are split to ~8 of its periods each
+#: above this highest frequency, base panels are split to ~12 of its periods each
 _OSC_SPLIT_THRESHOLD = 64
-_PERIODS_PER_PANEL = 8.0
+_PERIODS_PER_PANEL = 12.0
 #: frequencies per row of the factored phase table; a power of two, since
 #: the table is built by doubling
 _PHASE_BLOCK = 64
@@ -177,14 +180,6 @@ def _phase_table(xi: np.ndarray) -> np.ndarray:
     return np.moveaxis(_doubled(xi, 1, _PHASE_BLOCK), 0, -1)
 
 
-def _weight(which: Component, xi: np.ndarray, p: ModelParams) -> np.ndarray:
-    """The frequency-independent factor of a component's integrand."""
-    if which is Component.PP:
-        return np.sign(kappa(xi, p)) * phi(p.delta, xi, p)
-    chi = (np.cos(xi) - p.lam - 1j * p.gamma * np.sin(xi)) / mu(xi, p)
-    return chi * phi(p.beta, xi, p)
-
-
 def _gate(which: Component, *defects: np.ndarray) -> None:
     """Raise unless every part the real gauge drops is exactly zero at every node."""
     worst = max(float(np.max(np.abs(d))) for d in defects)
@@ -200,9 +195,9 @@ def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, n_max: int, out:
     Each panel [lo, hi] lies in [0, pi] and stands for itself and its mirror
     [-hi, -lo].  ``out`` (panels, 3N - 1), N = n_max, receives Im app[0 ..
     N-1] (0 when delta = 0), then Re apm[-N .. N-2].  With E = f(xi) + f(-xi)
-    and O = f(xi) - f(-xi) for the :func:`_weight` f, evaluated at both
-    nodes, the fold identity gives the coefficient at frequency s*k (s = +-1,
-    k >= 0) as
+    and O = f(xi) - f(-xi) for either weight f, both read from one call of
+    ``model._symbol_weights`` on the nodes and their mirrors, the fold
+    identity gives the coefficient at frequency s*k (s = +-1, k >= 0) as
 
         C_k(E) + i*s*N_k(O),  C_k(v) = sum v cos(k xi),  N_k(v) = -sum v sin(k xi).
 
@@ -226,19 +221,18 @@ def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, n_max: int, out:
     half = 0.5 * (hi - lo)
     xi = 0.5 * (hi + lo)[:, None] + half[:, None] * _NODES[None, :]
     w = _WEIGHTS[None, :] * half[:, None]
-    both = np.concatenate([xi, -xi], axis=1)
+    pp, pm = _symbol_weights(np.concatenate([xi, -xi], axis=1), p)
 
-    def folded(which):
-        f = _weight(which, both, p)
+    def folded(f):
         return f[:, :nodes] + f[:, nodes:], f[:, :nodes] - f[:, nodes:]
 
     # (weighted vector, whether its row gives N rather than C)
     vectors = []
     if p.delta != 0.0:  # at delta = 0, phi_0 and so the PP weight vanish
-        even, odd = folded(Component.PP)
+        even, odd = folded(pp)
         _gate(Component.PP, even)
         vectors.append((odd * w, True))
-    even, odd = folded(Component.PM)
+    even, odd = folded(pm)
     _gate(Component.PM, even.imag, odd.real)
     vectors += [(even.real * w, False), (odd.imag * w, True)]
 

@@ -128,11 +128,13 @@ def kappa(xi, p: ModelParams):
 def mu(xi, p: ModelParams):
     """Quasi-particle energy sqrt((cos(xi) - lam)^2 + gamma^2*sin(xi)^2).
 
-    Nonnegative and even under xi -> -xi; vanishes somewhere on the circle
-    only for critical parameters.
+    hypot(cos(xi) - lam, gamma sin(xi)), the first term from
+    :func:`_cos_minus`: no cancellation next to the zeros and minimum of mu,
+    where the sum form leaves rounding noise that no panel refinement
+    resolves.  Exactly even in xi; zero only for critical parameters, and
+    exactly at xi = +-acos(lam) when gamma = 0.
     """
-    xi = np.asarray(xi, dtype=float)
-    out = np.hypot(np.cos(xi) - p.lam, p.gamma * np.sin(xi))
+    out = np.hypot(_cos_minus(xi, p.lam), p.gamma * np.sin(xi))
     return out if out.ndim else float(out)
 
 
@@ -170,16 +172,33 @@ def symbol_singular_values(xi, p: ModelParams):
 
     Equal to (phi_beta - phi_delta, phi_beta + phi_delta) by sum-to-product
     hyperbolic identities; this closed form is what every symbol mean over
-    the circle integrates, the rate bound B included.
-
-    mu is hypot(cos(xi) - lam, gamma sin(xi)) with the first term from
-    :func:`_cos_minus`, free of cancellation next to the zeros and minimum of
-    mu, where the sum form of :func:`mu` cancels to rounding noise that no
-    panel refinement resolves.  The values are exactly even in xi and
-    exactly 0 at xi = +-acos(lam) when gamma = 0.
+    the circle integrates, the rate bound B included.  The values are
+    exactly even in xi and exactly 0 at xi = +-acos(lam) when gamma = 0.
     """
-    m = np.hypot(_cos_minus(xi, p.lam), p.gamma * np.sin(xi))
+    m = mu(xi, p)
     return np.tanh(0.5 * p.beta_l * m), np.tanh(0.5 * p.beta_r * m)
+
+
+def _direction(xi, p: ModelParams, m):
+    """Unit direction chi = (cos(xi) - lam - i*gamma*sin(xi))/mu, m = mu(xi).
+
+    Raises :class:`DomainError` if m vanishes anywhere: chi has no limit there.
+    """
+    if np.any(np.asarray(m) == 0.0):
+        raise DomainError("direction undefined at a zero of mu")
+    return (_cos_minus(xi, p.lam) - 1j * p.gamma * np.sin(xi)) / m
+
+
+def _symbol_weights(xi, p: ModelParams):
+    """The symbol's weights (sign(kappa)*phi_delta, chi*phi_beta), from one mu.
+
+    The coefficient integrands' frequency-independent factors.  The first is
+    exactly odd in xi, the second's real part exactly even and its imaginary
+    part exactly odd.  Raises :class:`DomainError` at exact zeros of mu.
+    """
+    m = mu(xi, p)
+    diag = np.sign(kappa(xi, p)) * _phi_from_mu(p.delta, m, p.beta, p.delta)
+    return diag, _direction(xi, p, m) * _phi_from_mu(p.beta, m, p.beta, p.delta)
 
 
 def q_factor(xi, p: ModelParams):
@@ -191,11 +210,7 @@ def q_factor(xi, p: ModelParams):
         If mu vanishes at any requested angle (critical parameters only);
         the factor has no limit there.
     """
-    xi = np.asarray(xi, dtype=float)
-    m = mu(xi, p)
-    if np.any(np.asarray(m) == 0.0):
-        raise DomainError("q_factor undefined at a zero of mu")
-    out = (np.cos(xi) - p.lam - 1j * p.gamma * np.sin(xi)) * np.exp(1j * xi) / m
+    out = _direction(xi, p, mu(xi, p)) * np.exp(1j * xi)
     return out if out.ndim else complex(out)
 
 
@@ -205,29 +220,22 @@ def symbol_matrices(xi, p: ModelParams) -> np.ndarray:
     a(xi) = [[ sign(kappa)*phi_delta, -q*phi_beta          ],
              [ conj(q)*phi_beta,      -sign(kappa)*phi_delta]]
 
-    The diagonal is real and trace-free; the off-diagonal entries have equal
-    modulus phi_beta(xi).  At zeros of kappa the diagonal uses sign(0) = 0;
-    these points form a measure-zero set and never enter the coefficient
-    integrals because the quadrature panels are split exactly there.
+    with q = chi*e^{i*xi}: the weights of :func:`_symbol_weights`, the second
+    times e^{i*xi}.  The diagonal is real and trace-free; the off-diagonal
+    entries have equal modulus phi_beta(xi).  At zeros of kappa the diagonal
+    uses sign(0) = 0; these points form a measure-zero set and never enter
+    the coefficient integrals because the quadrature panels are split
+    exactly there.  Raises :class:`DomainError` at exact zeros of mu.
     """
     xi = np.asarray(xi, dtype=float)
-    diag = np.sign(kappa(xi, p)) * phi(p.delta, xi, p)
-    off = q_factor(xi, p) * phi(p.beta, xi, p)
+    diag, off = _symbol_weights(xi, p)
+    off = off * np.exp(1j * xi)
     out = np.empty(xi.shape + (2, 2), dtype=complex)
     out[..., 0, 0] = diag
     out[..., 0, 1] = -off
     out[..., 1, 0] = np.conj(off)
     out[..., 1, 1] = -diag
     return out
-
-
-def _pauli_direction(xi, p: ModelParams):
-    """Unit direction (h2, h3) = (-gamma*sin(xi), cos(xi) - lam)/mu of the 1-particle energy."""
-    xi = np.asarray(xi, dtype=float)
-    m = mu(xi, p)
-    if np.any(np.asarray(m) == 0.0):
-        raise DomainError("direction vector undefined at a zero of mu")
-    return -p.gamma * np.sin(xi) / m, (np.cos(xi) - p.lam) / m
 
 
 def two_point_operator(xi: float, p: ModelParams) -> np.ndarray:
@@ -254,12 +262,12 @@ def two_point_operator(xi: float, p: ModelParams) -> np.ndarray:
     xi = float(xi)
     m = mu(xi, p)
     s = float(np.sign(kappa(xi, p)))
-    h2, h3 = _pauli_direction(xi, p)
+    chi = complex(_direction(xi, p, m))
+    h2, h3 = chi.imag, chi.real
 
-    # route (ii): Pauli decomposition
-    s0 = 0.5 + 0.5 * s * phi(p.delta, xi, p)
-    pb = phi(p.beta, xi, p)
-    s2, s3 = 0.5 * pb * h2, 0.5 * pb * h3
+    # route (ii): Pauli decomposition, from the symbol's weights
+    diag, off = _symbol_weights(xi, p)
+    s0, s2, s3 = 0.5 + 0.5 * diag, 0.5 * off.imag, 0.5 * off.real
     S_pauli = np.array([[s0 + s3, -1j * s2], [1j * s2, s0 - s3]], dtype=complex)
 
     # route (i): Fermi weights on the +-mu eigenspaces of h.  The Fermi

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bounds import theorem_bound
 from .fourier import BlockSequence, breakpoints, build_block_sequence
-from .model import ModelParams, kappa, mu, phi, symbol_matrices, symbol_singular_values
+from .model import ModelParams, _symbol_weights, symbol_matrices, symbol_singular_values
 from .pipeline import compute_series, fit_decay
 from .quadrature import adaptive_panels
 from .skewlinalg import log_det, pfaffian, pfaffian_brute, singular_values
@@ -81,19 +81,15 @@ def fold_deviation(p: ModelParams, seq: BlockSequence) -> float:
     """
     two_pi = 2.0 * math.pi
     edges = np.append(breakpoints(p), two_pi)
-
-    def pp(xi):
-        return np.sign(kappa(xi, p)) * phi(p.delta, xi, p)
-
-    def pm(xi):
-        return (np.cos(xi) - p.lam - 1j * p.gamma * np.sin(xi)) / mu(xi, p) * phi(p.beta, xi, p)
-
     worst = 0.0
-    # app[k] sits at index k + N - 1 and apm[k] at k + N
-    for values, offset, weight in ((seq.app, seq.n_max - 1, pp), (seq.apm, seq.n_max, pm)):
+    # app[k] sits at index k + N - 1 and apm[k] at k + N; the weights come
+    # from the model, not through the engine's binding
+    for values, offset, part in ((seq.app, seq.n_max - 1, 0), (seq.apm, seq.n_max, 1)):
         for k in (-5, -2, -1, 0, 1, 3):
             ref, _ = adaptive_panels(
-                lambda xi: weight(xi) * np.exp(-1j * k * xi), edges, seq.tol * two_pi
+                lambda xi: _symbol_weights(xi, p)[part] * np.exp(-1j * k * xi),
+                edges,
+                seq.tol * two_pi,
             )
             worst = max(worst, abs(values[k + offset] - ref / two_pi))
     return worst

@@ -117,11 +117,8 @@ def square_plateau():
 
 
 def count_small(n: int, eps: float, seq: BlockSequence) -> int:
-    """Number of singular values of the n-block truncation in [0, eps]."""
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    sv = np.repeat(singular_values(folded(n, seq)), 2)
-    return int(np.count_nonzero(sv <= eps))
+    """Number of singular values of the n-block truncation in [0, eps], eps in (0, 1)."""
+    return avram_parter_gap(n, np.zeros_like, seq, 0.0, eps).count_small
 
 
 def avram_parter_limit(g, p: ModelParams) -> float:
@@ -156,8 +153,11 @@ def avram_parter_gap(
     ``g`` must be vectorized, continuous, and compactly supported.  ``limit``
     is :func:`avram_parter_limit` of the same g and the sequence's
     parameters; it does not depend on n, so a caller that compares several
-    sizes integrates it once.
+    sizes integrates it once.  ``count_small`` counts the values <= ``eps``,
+    which must lie in (0, 1).
     """
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
     sv = np.repeat(singular_values(folded(n, seq)), 2)
     empirical = float(np.mean(g(sv)))
     return SpectralSummary(

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import xyness.fourier
-from xyness import ModelParams, QuadratureError, build_block_sequence, phi, symbol_matrices
+from xyness import ModelParams, QuadratureError, build_block_sequence, symbol_matrices
 from xyness.spectral import LIMIT_TOL
 from xyness.cli import build_parser
 from xyness.selftest import fold_deviation, skew_deviation, symbol_svd_deviation
@@ -411,20 +411,26 @@ class TestNegativeControls:
         assert symbol_svd_deviation(p, xi, matrices=bad) > 1e-12
 
     def test_injected_weight_error_fails_fold_check(self, monkeypatch):
-        # the engine integrates a perturbed diagonal weight, the full-circle
-        # reference the model's own
+        # the engine integrates perturbed weights through its binding, the
+        # full-circle reference the model's own
         p = ModelParams(0.5, 0.3, 1.0, 2.0)
         assert fold_deviation(p, build_block_sequence(33, p, 1e-12)) <= 2e-12
 
+        weights = xyness.fourier._symbol_weights
+
         def perturbed(factor):
-            return lambda d, xi, q: phi(d, xi, q) * factor(xi)
+            return lambda xi, q: tuple(f * factor(xi) for f in weights(xi, q))
 
         # an even part breaks the diagonal weight's parity: the gauge gate
         # refuses it at the nodes
-        monkeypatch.setattr(xyness.fourier, "phi", perturbed(lambda xi: 1.0 + 0.1 * np.sin(xi)))
+        monkeypatch.setattr(
+            xyness.fourier, "_symbol_weights", perturbed(lambda xi: 1.0 + 0.1 * np.sin(xi))
+        )
         with pytest.raises(QuadratureError, match="breaks the real gauge"):
             build_block_sequence(33, p, 1e-12)
         # a perturbation that keeps the parities passes the gate, and the
         # fold line sees it
-        monkeypatch.setattr(xyness.fourier, "phi", perturbed(lambda xi: 1.0 + 0.1 * np.cos(xi)))
+        monkeypatch.setattr(
+            xyness.fourier, "_symbol_weights", perturbed(lambda xi: 1.0 + 0.1 * np.cos(xi))
+        )
         assert fold_deviation(p, build_block_sequence(33, p, 1e-12)) > 1e-4

@@ -413,10 +413,12 @@ class TestBlockSequence:
         # a weight with an even part would give app a real part and apm an
         # imaginary one, and the gate sees that part at the nodes; at
         # delta = 0 only the off-diagonal sequence exists
-        def skewed_phi(d, xi, q):
-            return phi(d, xi, q) * (1.0 + 0.1 * np.sin(xi))
+        weights = xyness.fourier._symbol_weights
 
-        monkeypatch.setattr(xyness.fourier, "phi", skewed_phi)
+        def skewed(xi, q):
+            return tuple(f * (1.0 + 0.1 * np.sin(xi)) for f in weights(xi, q))
+
+        monkeypatch.setattr(xyness.fourier, "_symbol_weights", skewed)
         with pytest.raises(QuadratureError, match=rf"^{which} weight breaks the real gauge"):
             build_block_sequence(8, p, TOL)
 
@@ -435,13 +437,15 @@ class TestBlockSequence:
         # part, an odd real PM part or an even imaginary PM part.  The gate
         # compares the node pairs exactly, so a defect far below the
         # quadrature error (1e-15 relative) fires it too
-        weight = xyness.fourier._weight
+        weights = xyness.fourier._symbol_weights
 
-        def broken(w, xi, q):
-            f = weight(w, xi, q)
-            return f + amplitude * np.sin(xi) * part(f) if w is which else f
+        def broken(xi, q):
+            return tuple(
+                f + amplitude * np.sin(xi) * part(f) if w is which else f
+                for w, f in zip(Component, weights(xi, q))
+            )
 
-        monkeypatch.setattr(xyness.fourier, "_weight", broken)
+        monkeypatch.setattr(xyness.fourier, "_symbol_weights", broken)
         with pytest.raises(QuadratureError, match=rf"^{which.name} weight breaks the real gauge"):
             build_block_sequence(8, base_params, TOL)
 

@@ -18,6 +18,7 @@ from xyness import (
     symbol_singular_values,
     two_point_operator,
 )
+import xyness.fourier
 from xyness.model import _cos_minus
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET, midpoint_grid
 
@@ -109,6 +110,18 @@ class TestDispersion:
         assert kappa(TWO_PI - xi, p) == pytest.approx(-kappa(xi, p), abs=1e-13)
         assert mu(TWO_PI - xi, p) == pytest.approx(mu(xi, p), abs=1e-13)
 
+    def test_mu_exactly_even(self):
+        xi = np.linspace(-TWO_PI, TWO_PI, 4001)
+        for p in (*ACCEPTANCE_SETS, CRITICAL_SET, ModelParams(1e-9, 1.0, 1.0, 3.0)):
+            assert np.array_equal(mu(-xi, p), mu(xi, p))
+
+    @pytest.mark.parametrize("lam", [-1.0, -0.4228, 0.0, 0.5, 0.68559, 1.0])
+    def test_mu_exact_zero_at_gamma_zero(self, lam):
+        # the product form of cos(xi) - lam vanishes exactly at fl(acos(lam))
+        p = ModelParams(0.0, lam, 1.0, 3.0)
+        x0 = math.acos(lam)
+        assert mu(x0, p) == 0.0 and mu(-x0, p) == 0.0
+
     def test_mu_nonnegative_and_zeros(self):
         xi = midpoint_grid(512)
         for p in (*ACCEPTANCE_SETS, CRITICAL_SET):
@@ -177,9 +190,10 @@ class TestPhi:
         assert np.allclose(lhs, rhs, atol=1e-15)
 
     def test_frozen_value(self):
-        # beta=2, delta=1, mu(0)=1: sinh(2)/(cosh(2)+cosh(1)), scalar oracle
+        # beta=2, delta=1, mu(0)=1: sinh(2)/(cosh(2)+cosh(1)), scalar oracle;
+        # the product form of cos(0) - 0 about fl(pi/2) rounds 1 ulp below 1
         p = ModelParams(0.5, 0.0, 1.0, 3.0)
-        assert mu(0.0, p) == 1.0
+        assert mu(0.0, p) == 0.9999999999999998
         assert phi(2.0, 0.0, p) == pytest.approx(0.6836327054524381, abs=1e-15)
 
     def test_overflow_safe(self):
@@ -219,11 +233,15 @@ class TestQFactor:
         assert q_factor(0.0, ModelParams(0.0, 2.0, 1.0, 2.0)) == pytest.approx(-1.0)
 
     def test_domain_error_at_exact_mu_zero(self):
-        # domain errors fire only at exact zeros of mu: gamma=0, lam=1, xi=0
+        # domain errors fire only at exact zeros of mu: gamma=0, lam=1, xi=0,
+        # and at gamma=0 fl(acos(lam)), where the product form vanishes
         with pytest.raises(DomainError):
             q_factor(0.0, ModelParams(0.0, 1.0, 1.0, 3.0))
+        x0 = math.acos(0.5)
+        with pytest.raises(DomainError):
+            q_factor(x0, CRITICAL_SET)
         # a floating-point neighbor of a zero is still in-domain
-        assert abs(q_factor(math.acos(0.5), CRITICAL_SET)) == pytest.approx(1.0)
+        assert abs(q_factor(math.nextafter(x0, 4.0), CRITICAL_SET)) == pytest.approx(1.0)
 
 
 class TestSymbol:
@@ -278,6 +296,23 @@ class TestSymbol:
             m = mu(xi, p)
             assert np.max(np.abs(lo - np.tanh(0.5 * p.beta_l * m))) < 1e-15
             assert np.max(np.abs(hi - np.tanh(0.5 * p.beta_r * m))) < 1e-15
+
+    def test_singular_values_are_tanh_of_mu_bitwise(self):
+        xi = np.linspace(-TWO_PI, TWO_PI, 2001)
+        for p in (*ACCEPTANCE_SETS, CRITICAL_SET):
+            lo, hi = symbol_singular_values(xi, p)
+            m = mu(xi, p)
+            assert np.array_equal(lo, np.tanh(0.5 * p.beta_l * m))
+            assert np.array_equal(hi, np.tanh(0.5 * p.beta_r * m))
+
+    def test_entries_are_the_engine_weights_bitwise(self):
+        # the symbol and the coefficient engine share one route to the weights
+        xi = midpoint_grid(256)
+        for p in (*ACCEPTANCE_SETS, ModelParams(0.5, 0.3, 2.0, 2.0)):
+            diag, off = xyness.fourier._symbol_weights(xi, p)
+            a = symbol_matrices(xi, p)
+            assert np.array_equal(a[:, 0, 0], diag)
+            assert np.array_equal(a[:, 0, 1], off * -np.exp(1j * xi))
 
     def test_determinant_positive(self):
         xi = midpoint_grid(256)

@@ -79,6 +79,15 @@ class TestCountSmall:
         with pytest.raises(ValueError):
             count_small(4, 1.5, base_seq)
 
+    @pytest.mark.parametrize("eps", [-1.0, 0.0, 2.0, math.nan])
+    def test_gap_checks_eps_as_count_small_does(self, base_seq, eps):
+        # one check serves both; unchecked, the gap's count_small read 0, 0,
+        # 16 and 0 at these values
+        with pytest.raises(ValueError, match=r"^eps must be in \(0, 1\)"):
+            count_small(8, eps, base_seq)
+        with pytest.raises(ValueError, match=r"^eps must be in \(0, 1\)"):
+            avram_parter_gap(8, square_plateau(), base_seq, 0.0, eps=eps)
+
     def test_bounded_ratio_as_n_grows(self):
         # near-kernel fraction must not grow superlinearly (criterion: diagnostics)
         p = ModelParams(0.0, 0.5, 1.0, 3.0)  # critical: smin -> 0
