@@ -10,18 +10,20 @@ import numpy as np
 
 from xyness import (
     ModelParams,
+    breakpoints,
     kappa,
     mu,
     mu_sup,
     phi,
     symbol_matrices,
     symbol_singular_values,
-    two_point_operator,
 )
 
 p = ModelParams(gamma=0.5, lam=0.3, beta_l=1.0, beta_r=3.0)
 print("parameters:", p)
-print(f"quasi-particle energy range: [{0.0:.3f}, {mu_sup(p):.3f}] (sup = 1 + |lam|)")
+# the panel edges of every symbol mean hold the minimum of mu
+mu_lo = float(np.min(mu(breakpoints(p), p)))
+print(f"quasi-particle energy range: [{mu_lo:.3f}, {mu_sup(p):.3f}] (sup = 1 + |lam|)")
 print()
 
 print("dispersion and thermal weights on a few angles:")
@@ -45,11 +47,11 @@ print(f"singular values from SVD:         {sv[1]:.12f}, {sv[0]:.12f}")
 print(f"closed-form tanh(beta_lr mu / 2): {lo:.12f}, {hi:.12f}")
 print()
 
-# the steady-state 2-point operator is a Fermi-type matrix: spectrum in (0,1)
-S = two_point_operator(xi, p)
-ev = np.linalg.eigvalsh(S)
-print(f"2-point operator eigenvalues at xi = {xi}: {ev[0]:.6f}, {ev[1]:.6f}")
-print("both strictly inside (0, 1):", bool(0 < ev[0] and ev[1] < 1))
+# each mode equilibrates with the reservoir that sign(kappa) selects: the
+# diagonal is sign(kappa)*phi_delta and the off-diagonal modulus phi_beta
+diag = np.sign(kappa(xi, p)) * phi(p.delta, xi, p)
+print(f"diagonal vs sign(kappa)*phi_delta: {a[0, 0].real:.12f}, {diag:.12f}")
+print(f"|off-diagonal| vs phi_beta:        {abs(a[0, 1]):.12f}, {phi(p.beta, xi, p):.12f}")
 print()
 
 # out of equilibrium the symbol picks up a diagonal part whose sign follows

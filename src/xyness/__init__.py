@@ -2,8 +2,8 @@
 
 Library layout:
 
-* :mod:`xyness.model` -- parameters, dispersion functions, the 2x2 symbol
-  and the steady-state 2-point operator;
+* :mod:`xyness.model` -- parameters, dispersion functions and the 2x2
+  symbol;
 * :mod:`xyness.fourier` -- block Fourier coefficients by panel quadrature;
 * :mod:`xyness.toeplitz` -- truncated block Toeplitz assembly, its fold,
   the fold gathered straight from the blocks, and norm facts;
@@ -18,18 +18,14 @@ from ._version import __version__
 from .bounds import BoundReport, bound_report, theorem_bound, weak_bound_log
 from .fourier import BlockSequence, breakpoints, build_block_sequence
 from .model import (
-    ConsistencyError,
     DomainError,
     ModelParams,
     kappa,
     mu,
-    mu_min,
     mu_sup,
     phi,
-    q_factor,
     symbol_matrices,
     symbol_singular_values,
-    two_point_operator,
 )
 from .pipeline import (
     DEFAULT_N_LIST,
@@ -64,7 +60,6 @@ __all__ = [
     "__version__",
     "BlockSequence",
     "BoundReport",
-    "ConsistencyError",
     "CorrelationSeries",
     "DEFAULT_N_LIST",
     "DomainError",
@@ -92,12 +87,10 @@ __all__ = [
     "kappa",
     "log_det",
     "mu",
-    "mu_min",
     "mu_sup",
     "pfaffian",
     "pfaffian_brute",
     "phi",
-    "q_factor",
     "singular_values",
     "smooth_indicator",
     "square_plateau",
@@ -106,6 +99,5 @@ __all__ = [
     "symbol_norm",
     "symbol_singular_values",
     "theorem_bound",
-    "two_point_operator",
     "weak_bound_log",
 ]

@@ -22,7 +22,7 @@ import numpy as np
 from ._version import __version__
 from .bounds import bound_report, weak_bound_log
 from .fourier import build_block_sequence
-from .model import ConsistencyError, ModelParams
+from .model import ModelParams
 from .pipeline import DEFAULT_N_LIST, NumericalError, check_sizes, compute_series, sweep
 from .quadrature import QuadratureError
 from .selftest import run_selftest
@@ -344,7 +344,7 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     # LinAlgError subclasses ValueError, so the numerical clause comes first
-    except (QuadratureError, NumericalError, ConsistencyError, np.linalg.LinAlgError) as exc:
+    except (QuadratureError, NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

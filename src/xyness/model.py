@@ -30,10 +30,6 @@ class DomainError(ValueError):
     """Evaluation requested at a point where the quantity is undefined (mu = 0)."""
 
 
-class ConsistencyError(RuntimeError):
-    """Two independent evaluation routes of the same quantity disagree."""
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Validated physical parameters of the two-reservoir XY chain.
@@ -201,19 +197,6 @@ def _symbol_weights(xi, p: ModelParams):
     return diag, _direction(xi, p, m) * _phi_from_mu(p.beta, m, p.beta, p.delta)
 
 
-def q_factor(xi, p: ModelParams):
-    """Unit-modulus factor (cos(xi) - lam - i*gamma*sin(xi)) * e^{i*xi} / mu(xi).
-
-    Raises
-    ------
-    DomainError
-        If mu vanishes at any requested angle (critical parameters only);
-        the factor has no limit there.
-    """
-    out = _direction(xi, p, mu(xi, p)) * np.exp(1j * xi)
-    return out if out.ndim else complex(out)
-
-
 def symbol_matrices(xi, p: ModelParams) -> np.ndarray:
     """Symbol values a(xi) with shape (..., 2, 2); (2, 2) for a scalar angle.
 
@@ -238,55 +221,6 @@ def symbol_matrices(xi, p: ModelParams) -> np.ndarray:
     return out
 
 
-def two_point_operator(xi: float, p: ModelParams) -> np.ndarray:
-    """Steady-state 2-point operator S(xi) as a 2x2 matrix.
-
-    Computed two independent ways and cross-checked entrywise to 1e-10:
-
-    (i) closed-form Fermi inverse, using that the exponent is a scalar shift
-        of the 1-particle energy matrix h(xi), which has eigenvalues +-mu;
-    (ii) Pauli decomposition
-        S = s0*I + s2*sigma2 + s3*sigma3,
-        s0 = 1/2 + sign(kappa)*phi_delta/2,
-        (s2, s3) = phi_beta/2 * (-gamma*sin(xi), cos(xi) - lam)/mu.
-
-    The sigma1 component is identically zero.  Returns (ii).
-
-    Raises
-    ------
-    DomainError
-        At exact zeros of mu (direction vector undefined).
-    ConsistencyError
-        If the two routes disagree beyond 1e-10 entrywise.
-    """
-    xi = float(xi)
-    m = mu(xi, p)
-    s = float(np.sign(kappa(xi, p)))
-    chi = complex(_direction(xi, p, m))
-    h2, h3 = chi.imag, chi.real
-
-    # route (ii): Pauli decomposition, from the symbol's weights
-    diag, off = _symbol_weights(xi, p)
-    s0, s2, s3 = 0.5 + 0.5 * diag, 0.5 * off.imag, 0.5 * off.real
-    S_pauli = np.array([[s0 + s3, -1j * s2], [1j * s2, s0 - s3]], dtype=complex)
-
-    # route (i): Fermi weights on the +-mu eigenspaces of h.  The Fermi
-    # function 1/(1 + e^-x) is evaluated as (1 + tanh(x/2))/2, which
-    # saturates instead of overflowing for large arguments.
-    w_plus = 0.5 + 0.5 * math.tanh(0.5 * (p.beta * m + p.delta * s * m))
-    w_minus = 0.5 + 0.5 * math.tanh(0.5 * (-p.beta * m + p.delta * s * m))
-    hhat = np.array([[h3, -1j * h2], [1j * h2, -h3]], dtype=complex)
-    eye = np.eye(2, dtype=complex)
-    S_fermi = w_plus * (eye + hhat) / 2 + w_minus * (eye - hhat) / 2
-
-    dev = float(np.max(np.abs(S_pauli - S_fermi)))
-    if dev > 1e-10:
-        raise ConsistencyError(
-            f"two-point operator routes disagree by {dev:.3e} at xi={xi!r}"
-        )
-    return S_pauli
-
-
 def mu_sup(p: ModelParams) -> float:
     """Essential supremum of mu over the circle.
 
@@ -294,13 +228,3 @@ def mu_sup(p: ModelParams) -> float:
     cos(xi) = +-1, giving mu_sup = 1 + |lam| exactly.
     """
     return 1.0 + abs(p.lam)
-
-
-def mu_min(p: ModelParams) -> float:
-    """Minimum of mu over the circle (0 exactly when ``p.critical``)."""
-    c_star = p.lam / (1.0 - p.gamma**2)
-    if abs(c_star) <= 1.0:
-        # interior stationary point of the quadratic in cos(xi)
-        val = p.gamma**2 * (1.0 - p.gamma**2 - p.lam**2) / (1.0 - p.gamma**2)
-        return math.sqrt(max(val, 0.0))
-    return abs(1.0 - abs(p.lam))

@@ -20,7 +20,8 @@ gives log|C(n)|.
 The cross check compares two elimination routes on X: the LU of X against
 the LU of its column-reversed copy X J_n, a different pivot sequence and
 elimination order with the same |det|.  Twice their log difference must stay
-below 1e-6 at every n or the run aborts.  The check is not made against
+below 1e-6 at every n or the run aborts; a fold that either route finds
+exactly singular aborts the run by name.  The check is not made against
 sum log sigma_i(X) from the SVD the row also runs: where the smallest
 singular value sits at quadrature noise, the LU and the SVD are backward
 stable for different perturbations of X and differ by far more than
@@ -173,8 +174,9 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
     ValueError
         If :func:`check_sizes` rejects ``n_list`` or ``tol``.
     NumericalError
-        If the residual between the two LU routes exceeds 1e-6 or the all-n
-        determinant bound is violated at some n.
+        If a fold is exactly singular, the residual between the two LU
+        routes exceeds 1e-6 or the all-n determinant bound is violated at
+        some n.
     """
     n_list = check_sizes(n_list, tol)
     seq = build_block_sequence(max(n_list), p, tol)
@@ -225,13 +227,16 @@ def _lu_pair(X: np.ndarray, p: ModelParams) -> tuple:
     Raises
     ------
     NumericalError
-        If the two LU routes differ by more than 1e-6 or the all-n
-        determinant bound is violated.
+        If either LU route finds X exactly singular, the two routes differ
+        by more than 1e-6 or the all-n determinant bound is violated.
     """
     n = X.shape[0]
-    log_abs_C = log_det(X).log_abs
+    det, det_reversed = log_det(X), log_det(X[:, ::-1])
+    if det.is_zero or det_reversed.is_zero:
+        raise NumericalError(f"fold X is exactly singular at n={n}: log|det X| = -inf")
+    log_abs_C = det.log_abs
     log_abs_det = 2.0 * log_abs_C
-    residual = abs(2.0 * log_det(X[:, ::-1]).log_abs - log_abs_det)
+    residual = abs(2.0 * det_reversed.log_abs - log_abs_det)
     if not residual <= 1e-6:
         raise NumericalError(
             f"LU/reversed-LU cross-check failed at n={n}: residual {residual:.3e}"

@@ -192,6 +192,15 @@ class TestExitCodes:
         assert code == 3
         assert "n=8" in capsys.readouterr().err
 
+    def test_exactly_singular_fold_exits_3(self, capsys):
+        # ROADMAP item 1's cold point, whose n = 1 fold is exactly singular
+        import xyness.cli as cli
+
+        point = ["--gamma", "0", "--lambda", "2", "--beta-l", "50", "--beta-r", "50"]
+        assert cli.main(["correlations", *point, "--n-list", "1,2,4,8"]) == 3
+        err = capsys.readouterr().err
+        assert "fold X is exactly singular at n=1" in err and "nan" not in err
+
     def test_lapack_failure_maps_to_exit_3(self, monkeypatch, capsys):
         # LinAlgError subclasses ValueError, which is the usage-error clause
         import xyness.cli as cli
@@ -271,8 +280,8 @@ class TestExitCodes:
 WITHOUT_SCIPY = """
 import sys
 sys.modules["scipy"] = None  # any import of scipy now raises ImportError
-from xyness import ModelParams, cli, two_point_operator
-two_point_operator(0.3, ModelParams(0.5, 0.3, 1.0, 3.0))
+from xyness import ModelParams, cli, symbol_matrices
+symbol_matrices(0.3, ModelParams(0.5, 0.3, 1.0, 3.0))
 for argv in (
     ["correlations", "--n-max", "16"],
     ["spectrum", "--n-max", "64"],

@@ -1,0 +1,90 @@
+"""The symbol against the spin chain it describes: finite XY chains in equilibrium.
+
+Jordan-Wigner with Majoranas a_j = w[2j] and b_j = w[2j + 1] writes
+H = -(1/4) sum_j [(1 + gamma) sx_j sx_{j+1} + (1 - gamma) sy_j sy_{j+1}
++ 2 lam sz_j] as (i/4) w^T A w, with A real and skew:
+A[a_j, b_j] = lam, A[b_j, a_{j+1}] = (1 + gamma)/2 and
+A[a_j, b_{j+1}] = -(1 - gamma)/2.  Its one-particle energy is mu(xi).  The
+Gibbs covariance at inverse temperature beta is Gamma = -i tanh(i beta A/2),
+from one ``eigh`` of iA, and |<sx_i sx_{i+n}>| = |Pf Gamma| on the 2n
+Majoranas (b_i, a_{i+1}, b_{i+1}, ..., a_{i+n}), so
+log|C(n)| = log|det Gamma_n| / 2 with the pipeline's n.
+
+At beta_l = beta_r the steady-state symbol is the Gibbs state's, so the
+chain checks ``compute_series`` from the spin chain up, not from the symbol.
+Both routes carry ~1e-16 absolute noise in the correlation matrix, so a row
+agrees to about 1e-16/smin: the bound below is 1e-14/smin.
+"""
+
+import numpy as np
+import pytest
+
+from xyness import ModelParams, compute_series
+
+#: chain length: the sites read sit at the centre, and every point below
+#: decays fast enough that the ends do not reach them
+SITES = 300
+SIZES = (1, 2, 3, 4, 8, 12, 16, 24)
+
+#: (gamma, lam, beta): gamma < 0, |lam| > 1, two critical points, beta from
+#: 1e-3 to 10
+POINTS = [
+    (0.5, 0.3, 1.0),
+    (-0.5, 0.3, 2.0),
+    (0.5, 1.5, 2.0),
+    (0.0, 0.5, 1.0),
+    (0.5, 1.0, 3.0),
+    (0.9, 0.5, 0.5),
+    (0.2, -0.4, 10.0),
+    (0.5, 0.3, 1e-3),
+]
+
+
+def majorana_matrix(gamma, lam):
+    """The real skew A of H = (i/4) w^T A w on an open chain of SITES sites."""
+    A = np.zeros((2 * SITES, 2 * SITES))
+    a = 2 * np.arange(SITES)
+    b = a + 1
+    A[a, b] = lam
+    A[b[:-1], a[1:]] = 0.5 * (1.0 + gamma)
+    A[a[:-1], b[1:]] = -0.5 * (1.0 - gamma)
+    return A - A.T
+
+
+def read_out(n):
+    """Indices of (b_i, a_{i+1}, b_{i+1}, ..., a_{i+n}), centred on the chain."""
+    i = SITES // 2 - n // 2
+    return np.arange(2 * i + 1, 2 * (i + n) + 1)
+
+
+def chain_log_abs_C(gamma, lam, betas):
+    """log|C(n)| of the chain's Gibbs state at each beta, for each n in SIZES.
+
+    One ``eigh`` of iA serves every beta; only the rows of the read-out
+    Majoranas of Gamma = -i V tanh(beta e/2) V^H are formed.
+    """
+    e, V = np.linalg.eigh(1j * majorana_matrix(gamma, lam))
+    out = []
+    for beta in betas:
+        rows = {}
+        for n in SIZES:
+            Vn = V[read_out(n)]
+            gamma_n = (-1j * (Vn * np.tanh(0.5 * beta * e)) @ Vn.conj().T).real
+            rows[n] = 0.5 * np.linalg.slogdet(gamma_n)[1]
+        out.append(rows)
+    return out
+
+
+@pytest.mark.parametrize("point", POINTS, ids=[",".join(map(str, pt)) for pt in POINTS])
+def test_equilibrium_rows_match_gibbs_chain(point):
+    gamma, lam, beta = point
+    series = compute_series(ModelParams(gamma, lam, beta, beta), n_list=SIZES)
+    chain, colder = chain_log_abs_C(gamma, lam, (beta, 1.1 * beta))
+    for row in series.rows:
+        assert abs(row.log_abs_C - chain[row.n]) <= 1e-14 / row.smin, row
+    # negative control: the chain 10% colder misses the bound on every
+    # resolved row
+    resolved = [row for row in series.rows if row.smin >= 1e-6]
+    assert resolved
+    for row in resolved:
+        assert abs(row.log_abs_C - colder[row.n]) > 1e-14 / row.smin, row

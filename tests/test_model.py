@@ -10,19 +10,30 @@ from xyness import (
     breakpoints,
     kappa,
     mu,
-    mu_min,
     mu_sup,
     phi,
-    q_factor,
     symbol_matrices,
     symbol_singular_values,
-    two_point_operator,
 )
 import xyness.fourier
 from xyness.model import _cos_minus
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET, midpoint_grid
 
 TWO_PI = 2.0 * math.pi
+
+
+def closed_form_mu_min(p):
+    """Minimum of mu over the circle (0 exactly when ``p.critical``).
+
+    mu^2 is a convex quadratic in cos(xi): its minimum sits at the interior
+    stationary point cos(xi) = lam/(1 - gamma^2) when that lies in [-1, 1],
+    and at cos(xi) = sign(lam) otherwise.
+    """
+    c_star = p.lam / (1.0 - p.gamma**2)
+    if abs(c_star) <= 1.0:
+        val = p.gamma**2 * (1.0 - p.gamma**2 - p.lam**2) / (1.0 - p.gamma**2)
+        return math.sqrt(max(val, 0.0))
+    return abs(1.0 - abs(p.lam))
 
 
 class TestModelParams:
@@ -128,7 +139,7 @@ class TestDispersion:
             assert np.all(mu(xi, p) >= 0.0)
         x0 = math.acos(0.5)
         assert np.allclose(mu(np.array([x0, TWO_PI - x0]), CRITICAL_SET), 0.0, atol=1e-15)
-        assert mu_min(ACCEPTANCE_SETS[0]) > 0.0
+        assert closed_form_mu_min(ACCEPTANCE_SETS[0]) > 0.0
         # breakpoints are the panel edges of every symbol mean, so they must
         # hold every zero of mu: gamma = 0 with |lam| <= 1 (zeros at
         # +-acos(lam)) and gamma != 0 with |lam| = 1 (a zero at 0 or pi)
@@ -150,7 +161,8 @@ class TestDispersion:
             for d in (1e-12, -1e-6, 0.5)
         ]
         for p in critical + near:
-            assert np.min(mu(breakpoints(p), p)) == pytest.approx(mu_min(p), abs=1e-15), p
+            lowest = np.min(mu(breakpoints(p), p))
+            assert lowest == pytest.approx(closed_form_mu_min(p), abs=1e-15), p
 
 
 class TestCosMinus:
@@ -223,25 +235,31 @@ class TestPhi:
 
 
 class TestQFactor:
+    """The symbol's unit-modulus factor q, read off as -a[0, 1]/phi_beta."""
+
+    @staticmethod
+    def q(xi, p):
+        return -symbol_matrices(xi, p)[..., 0, 1] / phi(p.beta, xi, p)
+
     def test_unit_modulus(self):
         xi = midpoint_grid(512)
         for p in ACCEPTANCE_SETS:
-            assert np.allclose(np.abs(q_factor(xi, p)), 1.0, atol=1e-14)
+            assert np.allclose(np.abs(self.q(xi, p)), 1.0, atol=1e-14)
 
     def test_simple_values(self):
-        assert q_factor(0.0, ModelParams(0.0, 0.0, 1.0, 2.0)) == pytest.approx(1.0)
-        assert q_factor(0.0, ModelParams(0.0, 2.0, 1.0, 2.0)) == pytest.approx(-1.0)
+        assert self.q(0.0, ModelParams(0.0, 0.0, 1.0, 2.0)) == pytest.approx(1.0)
+        assert self.q(0.0, ModelParams(0.0, 2.0, 1.0, 2.0)) == pytest.approx(-1.0)
 
     def test_domain_error_at_exact_mu_zero(self):
         # domain errors fire only at exact zeros of mu: gamma=0, lam=1, xi=0,
         # and at gamma=0 fl(acos(lam)), where the product form vanishes
         with pytest.raises(DomainError):
-            q_factor(0.0, ModelParams(0.0, 1.0, 1.0, 3.0))
+            symbol_matrices(0.0, ModelParams(0.0, 1.0, 1.0, 3.0))
         x0 = math.acos(0.5)
         with pytest.raises(DomainError):
-            q_factor(x0, CRITICAL_SET)
+            symbol_matrices(x0, CRITICAL_SET)
         # a floating-point neighbor of a zero is still in-domain
-        assert abs(q_factor(math.nextafter(x0, 4.0), CRITICAL_SET)) == pytest.approx(1.0)
+        assert abs(self.q(math.nextafter(x0, 4.0), CRITICAL_SET)) == pytest.approx(1.0)
 
 
 class TestSymbol:
@@ -314,6 +332,39 @@ class TestSymbol:
             assert np.array_equal(a[:, 0, 0], diag)
             assert np.array_equal(a[:, 0, 1], off * -np.exp(1j * xi))
 
+    @staticmethod
+    def fermi_weight_deviation(xi, p):
+        """Largest deviation of the symbol's weights from the Fermi weights.
+
+        A mode at xi equilibrates with the reservoir that sign(kappa)
+        selects, so its +-mu eigenspaces hold the Fermi weights
+        w_pm = (1 + tanh((+-beta + sign(kappa)*delta)*mu/2))/2, and
+        sign(kappa)*phi_delta = w_+ + w_- - 1, phi_beta = w_+ - w_-.
+        """
+        a = symbol_matrices(xi, p)
+        m, s = mu(xi, p), np.sign(kappa(xi, p))
+        w_plus = 0.5 + 0.5 * np.tanh(0.5 * (p.beta + s * p.delta) * m)
+        w_minus = 0.5 + 0.5 * np.tanh(0.5 * (-p.beta + s * p.delta) * m)
+        return max(
+            np.max(np.abs(a[:, 0, 0] - (w_plus + w_minus - 1.0))),
+            np.max(np.abs(np.abs(a[:, 0, 1]) - (w_plus - w_minus))),
+        )
+
+    def test_fermi_weight_identities(self):
+        for p in ACCEPTANCE_SETS:
+            assert self.fermi_weight_deviation(midpoint_grid(512), p) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "beta_l,beta_r", [(1e-6, 2e-6), (1e3, 2e3), (1e-6, 1e3)], ids=["hot", "cold", "hot-cold"]
+    )
+    def test_fermi_weight_identities_extreme_temperatures(self, beta_l, beta_r):
+        # the weights saturate without overflow; exp(-2*beta*mu) underflowing
+        # to 0 is how they saturate, so underflow stays numpy's default
+        with np.errstate(all="raise", under="ignore"):
+            for q in ACCEPTANCE_SETS:
+                p = ModelParams(q.gamma, q.lam, beta_l, beta_r)
+                assert self.fermi_weight_deviation(midpoint_grid(64), p) <= 1e-12
+
     def test_determinant_positive(self):
         xi = midpoint_grid(256)
         for p in ACCEPTANCE_SETS:
@@ -323,64 +374,6 @@ class TestSymbol:
             assert np.allclose(det.imag, 0.0, atol=1e-14)
             assert np.all(det.real > 0.0)
             assert np.allclose(det.real, lo * hi, atol=1e-13)
-
-
-class TestTwoPointOperator:
-    def test_routes_agree_on_grid(self):
-        # two_point_operator raises ConsistencyError internally if not
-        for p in ACCEPTANCE_SETS:
-            for xi in midpoint_grid(64):
-                S = two_point_operator(float(xi), p)
-                ev = np.linalg.eigvalsh(S)
-                assert np.all(ev > 0.0) and np.all(ev < 1.0)
-
-    @pytest.mark.parametrize(
-        "beta_l,beta_r", [(1e-6, 2e-6), (1e3, 2e3), (1e-6, 1e3)], ids=["hot", "cold", "hot-cold"]
-    )
-    def test_extreme_temperatures(self, beta_l, beta_r):
-        # the Fermi weights saturate: no overflow, and the routes still agree
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for q in ACCEPTANCE_SETS:
-                p = ModelParams(q.gamma, q.lam, beta_l, beta_r)
-                for xi in midpoint_grid(64):
-                    ev = np.linalg.eigvalsh(two_point_operator(float(xi), p))
-                    assert np.all(ev >= -1e-12) and np.all(ev <= 1.0 + 1e-12)
-
-    def test_no_sigma1_component(self, base_params):
-        for xi in midpoint_grid(32):
-            S = two_point_operator(float(xi), base_params)
-            s1 = 0.5 * (S[0, 1] + S[1, 0])
-            assert abs(s1) < 1e-15
-
-    def test_equilibrium_form(self):
-        # delta = 0: S = (1 + exp(-beta*h))^{-1}, scalar part exactly 1/2
-        p = ModelParams(0.5, 0.3, 2.0, 2.0)
-        for xi in midpoint_grid(32):
-            S = two_point_operator(float(xi), p)
-            assert 0.5 * (S[0, 0] + S[1, 1]).real == pytest.approx(0.5, abs=1e-14)
-            m = mu(float(xi), p)
-            h = np.array(
-                [
-                    [np.cos(xi) - p.lam, 1j * p.gamma * np.sin(xi)],
-                    [-1j * p.gamma * np.sin(xi), -(np.cos(xi) - p.lam)],
-                ]
-            )
-            expected = np.linalg.inv(
-                np.eye(2) + np.array(expm_2x2(-p.beta * h, m * p.beta))
-            )
-            assert np.allclose(S, expected, atol=1e-12)
-
-    def test_domain_error_at_exact_mu_zero(self):
-        with pytest.raises(DomainError):
-            two_point_operator(0.0, ModelParams(0.0, 1.0, 1.0, 3.0))
-
-
-def expm_2x2(M, scale):
-    """exp of a trace-free 2x2 matrix with eigenvalues +-scale (test helper)."""
-    eye = np.eye(2, dtype=complex)
-    if scale == 0.0:
-        return eye
-    return math.cosh(scale) * eye + math.sinh(scale) * (M / scale)
 
 
 class TestMuExtremes:
@@ -399,5 +392,5 @@ class TestMuExtremes:
     def test_mu_min_grid_oracle(self):
         for p in (*ACCEPTANCE_SETS, CRITICAL_SET):
             grid_min = float(np.min(mu(np.linspace(0, TWO_PI, 20001), p)))
-            assert mu_min(p) <= grid_min + 1e-12
-            assert grid_min == pytest.approx(mu_min(p), abs=1e-4)
+            assert closed_form_mu_min(p) <= grid_min + 1e-12
+            assert grid_min == pytest.approx(closed_form_mu_min(p), abs=1e-4)

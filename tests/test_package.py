@@ -1,6 +1,10 @@
+import ast
 import types
+from pathlib import Path
 
 import xyness
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_exports_resolve_once():
@@ -15,3 +19,28 @@ def test_exports_resolve_once():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert bound <= set(names)
+
+
+def test_every_public_name_has_a_caller():
+    # a read of the name (a Name or an attribute) in the package, the CLI and
+    # selftest included, or in a demo; neither an import nor a read inside
+    # the name's own definition counts
+    files = [f for f in (ROOT / "src" / "xyness").glob("*.py") if f.name != "__init__.py"]
+    read = set()
+    for path in (*files, *(ROOT / "demos").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = {}
+        for definition in ast.walk(tree):
+            if isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+                for node in ast.walk(definition):
+                    inside.setdefault(id(node), set()).add(definition.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if isinstance(node.ctx, ast.Load) and name not in inside.get(id(node), ()):
+                read.add(name)
+    assert [name for name in xyness.__all__ if name not in read] == []

@@ -28,6 +28,9 @@ from xyness.pipeline import DEFAULT_N_LIST, CorrelationSeries, SeriesRow
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET
 
 HOT_SET = ModelParams(0.5, 0.3, 1e-3, 2e-3)
+#: a cold point whose whole correlation lies below the quadrature floor
+#: (ROADMAP item 1); with these sizes its n = 1 fold is exactly singular
+COLD_SET, COLD_SIZES = ModelParams(0.0, 2.0, 50.0, 50.0), (1, 2, 4, 8)
 
 
 def synthetic_series(values):
@@ -237,6 +240,15 @@ class TestComputeSeries:
         monkeypatch.setenv("XYNESS_THREADS", threads)
         with pytest.raises(NumericalError, match=r"LU/reversed-LU cross-check failed at n=16:"):
             compute_series(ModelParams(-0.999999, 0.999999, 1.0, 1.0), n_list=(*DEFAULT_N_LIST, 512))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_exactly_singular_fold_is_named(self, threads, monkeypatch):
+        # both LU routes give log|det X| = -inf at n = 1, so their residual
+        # would be -inf - (-inf), a NaN
+        monkeypatch.setenv("XYNESS_THREADS", threads)
+        with pytest.raises(NumericalError, match=r"^fold X is exactly singular at n=1:") as info:
+            compute_series(COLD_SET, n_list=COLD_SIZES)
+        assert "nan" not in str(info.value)
 
     def test_input_validation(self, base_params):
         with pytest.raises(ValueError):
