@@ -34,8 +34,8 @@ grid = [
 results = sweep(grid, n_list=(8, 16, 32, 64), tol=1e-12)
 print("sweep over 3 points (last one critical):")
 for i, series in enumerate(results):
-    if "error" in series.metadata:
-        print(f"  point {i}: failed: {series.metadata['error']}")
+    if series.error is not None:
+        print(f"  point {i}: failed: {series.error}")
         continue
     last = series.rows[-1]
     # compute_series raises where a row breaks the all-n bound; the margin

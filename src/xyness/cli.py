@@ -20,7 +20,7 @@ from contextlib import nullcontext
 import numpy as np
 
 from ._version import __version__
-from .bounds import bound_report, weak_bound_log
+from .bounds import bound_report
 from .fourier import build_block_sequence
 from .model import ModelParams
 from .pipeline import DEFAULT_N_LIST, NumericalError, check_sizes, compute_series, sweep
@@ -102,7 +102,7 @@ _SERIES_HEADER = (
 
 def _series_rows(series) -> list[list]:
     """One output row per size, in the columns of ``_SERIES_HEADER``."""
-    p, rate = series.params, series.bound.theorem_rate
+    weak, rate = series.bound.weak_rate, series.bound.theorem_rate
     return [
         [
             r.n,
@@ -111,7 +111,7 @@ def _series_rows(series) -> list[list]:
             r.pf_det_residual,
             r.smin,
             r.smax,
-            weak_bound_log(r.n, p),
+            r.n * weak,
             rate * r.n,
         ]
         for r in series.rows
@@ -215,8 +215,8 @@ def cmd_sweep(args) -> int:
     failures = {}
     for i, series in enumerate(results):
         q = series.params
-        if "error" in series.metadata:
-            failures[i] = series.metadata["error"]
+        if series.error is not None:
+            failures[i] = series.error
             continue
         rows.extend([i, q.gamma, q.lam, q.beta_l, q.beta_r, *row] for row in _series_rows(series))
     meta = {

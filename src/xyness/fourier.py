@@ -139,18 +139,9 @@ def breakpoints(p: ModelParams) -> np.ndarray:
     if abs(ratio) <= 1.0:
         x0 = math.acos(ratio)
         pts.extend([x0, TWO_PI - x0])
-    return _dedupe(sorted(x % TWO_PI for x in pts))
-
-
-def _dedupe(sorted_points, tol=1e-12) -> np.ndarray:
-    out = []
-    for x in sorted_points:
-        if not out or x - out[-1] > tol:
-            out.append(x)
-    # a point within tol of 2*pi duplicates 0
-    if out and TWO_PI - out[-1] <= tol:
-        out.pop()
-    return np.array(out)
+    # acos is exactly 0 or pi at |ratio| = 1, else >= 1.49e-8 from both: only
+    # exact duplicates occur (np.unique would import numpy.ma on first call)
+    return np.array(sorted({x % TWO_PI for x in pts}))
 
 
 def _doubled(xi: np.ndarray, step: int, count: int) -> np.ndarray:

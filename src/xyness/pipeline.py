@@ -51,20 +51,17 @@ from __future__ import annotations
 import functools
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._version import __version__
 from .bounds import WEAK_BOUND_SLACK, BoundReport, bound_report, weak_bound_log
 from .fourier import BlockSequence, build_block_sequence
 from .model import ModelParams
 from .skewlinalg import log_det, singular_values
 from .skewlinalg import pfaffian  # noqa: F401 (perfbench/tracer.py wraps this binding)
-from .spectral import LIMIT_TOL
 from .toeplitz import assemble  # noqa: F401 (perfbench/tracer.py wraps this binding)
 from .toeplitz import folded
 
@@ -101,9 +98,10 @@ class CorrelationSeries:
     rows: tuple
     fit: FitResult | None
     bound: BoundReport | None
-    metadata: dict
     #: the coefficient blocks each row's fold was gathered from (None on failure)
     sequence: BlockSequence | None = None
+    #: why a :func:`sweep` point failed, as "ExceptionType: message" (else None)
+    error: str | None = None
 
 
 def fit_decay(series: CorrelationSeries, n_lo: int, n_hi: int) -> FitResult:
@@ -161,8 +159,9 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
     n x n fold from it without assembling the truncation.  Each row takes
     log|C(n)| from the LU of its fold, carries the residual against the LU
     of the column-reversed fold (module notes) and the extreme singular
-    values of the fold.  The decay fit runs over the upper half of the
-    sizes, widened to at least 4 of them, and is omitted for fewer than 4
+    values of the fold; ``series.sequence`` keeps the tolerance and the
+    coefficients' error estimate.  The decay fit runs over the upper half of
+    the sizes, widened to at least 4 of them, and is omitted for fewer than 4
     sizes.  The rate bound is integrated to ``LIMIT_TOL``.  Each size's SVD
     and LU pair run as two tasks on ``XYNESS_THREADS`` worker threads (module
     notes); the rows do not depend on the thread count.  A caller that runs
@@ -172,7 +171,8 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
     Raises
     ------
     ValueError
-        If :func:`check_sizes` rejects ``n_list`` or ``tol``.
+        If :func:`check_sizes` rejects ``n_list`` or ``tol``, or
+        XYNESS_THREADS is malformed.
     NumericalError
         If a fold is exactly singular, the residual between the two LU
         routes exceeds 1e-6 or the all-n determinant bound is violated at
@@ -208,15 +208,6 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
         rows=tuple(rows),
         fit=_fit_rows(rows, rows[start].n, rows[-1].n) if len(rows) >= 4 else None,
         bound=bound_report(p),
-        metadata={
-            "tol": float(tol),
-            "bound_tol": LIMIT_TOL,
-            "swapped": p.swapped,
-            "coefficient_err_estimate": seq.err_estimate,
-            "version": __version__,
-            # in-memory provenance only: file emitters must stay byte-deterministic
-            "created_unix": time.time(),
-        },
         sequence=seq,
     )
 
@@ -276,6 +267,11 @@ def _worker_count() -> int:
     Unset, it is the usable cores when BLAS is pinned to one thread and 1
     otherwise: with BLAS threads of its own, each worker contends for the
     same cores and the pool is slower than serial (README).
+
+    Raises
+    ------
+    ValueError
+        If XYNESS_THREADS is set to anything but a positive integer.
     """
     if getattr(_pool_thread, "active", False):
         return 1
@@ -288,9 +284,12 @@ def _worker_count() -> int:
         except AttributeError:  # no sched_getaffinity on this platform
             return os.cpu_count() or 1
     try:
-        return max(1, int(raw))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(f"XYNESS_THREADS must be a positive integer, got {raw!r}")
+    return count
 
 
 @contextmanager
@@ -319,8 +318,8 @@ def sweep(grid, n_list=DEFAULT_N_LIST, tol: float = 1e-12) -> list[CorrelationSe
 
     An invalid ``n_list`` or ``tol`` raises the :func:`check_sizes` error
     before any point runs.  A failure at one point is recorded in that
-    point's metadata (empty rows, ``metadata["error"]``) without aborting the
-    rest.  Parallelism is capped by the XYNESS_THREADS environment variable
+    point's series (empty rows, ``error`` set) without aborting the rest.
+    Parallelism is capped by the XYNESS_THREADS environment variable
     (default in the module notes); with more than one point the points run in
     parallel and each point's sizes inline.  Results do not depend on the
     execution schedule.
@@ -334,13 +333,8 @@ def sweep(grid, n_list=DEFAULT_N_LIST, tol: float = 1e-12) -> list[CorrelationSe
         try:
             return compute_series(p, n_list=n_list, tol=tol)
         except Exception as exc:  # noqa: BLE001 - failure isolation per point
-            return CorrelationSeries(
-                params=p,
-                rows=(),
-                fit=None,
-                bound=None,
-                metadata={"error": f"{type(exc).__name__}: {exc}", "tol": float(tol)},
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            return CorrelationSeries(params=p, rows=(), fit=None, bound=None, error=error)
 
     with _tasks(len(grid)) as submit:
         return [result() for result in [submit(run, p) for p in grid]]

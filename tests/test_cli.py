@@ -319,6 +319,15 @@ class TestUsageErrors:
         assert cli.main(["spectrum", *BASE, "--eps", eps]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("subcommand", ["correlations", "sweep"])
+    def test_malformed_thread_count_exits_2(self, subcommand, tmp_path, monkeypatch):
+        monkeypatch.setenv("XYNESS_THREADS", "two")
+        out = tmp_path / "c.csv"
+        r = run_cli(subcommand, *BASE, "--n-max", "16", "--out", str(out))
+        assert r.returncode == 2
+        assert r.stderr == "error: XYNESS_THREADS must be a positive integer, got 'two'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", BAD_SIZES.values(), ids=BAD_SIZES.keys())
     @pytest.mark.parametrize("subcommand", ["correlations", "spectrum", "sweep"])
     def test_bad_sizes_exit_2_without_output(self, subcommand, bad):

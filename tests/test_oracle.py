@@ -1,0 +1,67 @@
+"""log|C(n)| at small sizes against a 40-digit oracle.
+
+The oracle shares no arithmetic with the package.  mpmath integrates the
+Fourier coefficients (:func:`conftest.mp_coefficient_sums`) and takes the
+determinant of the n x n Toeplitz-minus-Hankel matrix
+
+    M_n[k, l] = alpha_{k-l} - c_{k+l-(n-1)},  alpha_x = Im app[x],  c_x = -apm[x-1],
+
+which is a signed permutation of the fold X (:mod:`xyness.toeplitz`), so
+log|C(n)| = log|det M_n|.  The pipeline's coefficients carry ~1e-16 absolute
+noise, so a row agrees to about 1e-16/smin.  Every row must lie within
+1e-14/smin, the bound of ``test_finite_chain``.  Resolved rows, those with
+smin >= 1e-3, must also lie within 1e-12.
+"""
+
+import pytest
+
+from xyness import ModelParams, compute_series
+from conftest import mp_coefficient_sums
+
+mpmath = pytest.importorskip("mpmath")
+
+DPS = 40
+SIZES = (1, 2, 4, 8, 12, 16)
+RESOLVED_SMIN = 1e-3
+
+#: a generic point off equilibrium, and two equilibrium points whose split
+#: singular values fall to 3.3e-5 and 1.6e-12 by n = 16 (ROADMAP item 1)
+POINTS = [(0.5, 0.3, 1.0, 3.0), (0.5, 1.5, 2.0, 2.0), (-0.4, 1.7, 2.0, 2.0)]
+
+
+def oracle_log_abs_C(p, sizes):
+    """{n: log|det M_n|} at DPS digits, for each n in ``sizes``."""
+    top = max(sizes)
+    app, apm = mp_coefficient_sums(p, top, dps=DPS)  # x at index x + top
+    mp = mpmath.mp
+    out = {}
+    with mp.workdps(DPS):
+        for n in sizes:
+            M = mpmath.matrix(n, n)
+            for k in range(n):
+                for l in range(n):
+                    # alpha_{k-l} - c_{k+l-(n-1)}, and -c_{k+l-(n-1)} = apm[k+l-n]
+                    M[k, l] = mp.im(app[k - l + top]) + mp.re(apm[k + l - n + top])
+            out[n] = float(mp.log(abs(mp.det(M))))
+    return out
+
+
+@pytest.mark.parametrize("point", POINTS, ids=[",".join(map(str, pt)) for pt in POINTS])
+def test_rows_match_oracle(point):
+    p = ModelParams(*point)
+    oracle = oracle_log_abs_C(p, SIZES)
+    for row in compute_series(p, n_list=SIZES).rows:
+        diff = abs(row.log_abs_C - oracle[row.n])
+        assert diff <= 1e-14 / row.smin, (row, diff)
+        if row.smin >= RESOLVED_SMIN:
+            assert diff <= 1e-12, (row, diff)
+
+
+def test_oracle_sees_a_shifted_temperature():
+    # every row at the generic point is resolved; the oracle at
+    # beta_r * (1 + 1e-6) misses their bound
+    sizes = (1, 2, 4)
+    series = compute_series(ModelParams(0.5, 0.3, 1.0, 3.0), n_list=sizes)
+    assert all(row.smin >= RESOLVED_SMIN for row in series.rows)
+    shifted = oracle_log_abs_C(ModelParams(0.5, 0.3, 1.0, 3.0 * (1 + 1e-6)), sizes)
+    assert all(abs(row.log_abs_C - shifted[row.n]) > 1e-12 for row in series.rows)

@@ -50,7 +50,6 @@ def synthetic_series(values):
         rows=rows,
         fit=None,
         bound=None,
-        metadata={},
     )
 
 
@@ -95,8 +94,10 @@ class TestComputeSeries:
     def test_rows_sorted_and_metadata(self, base_params):
         series = compute_series(base_params, n_list=(2, 8, 32), tol=1e-12)
         assert [r.n for r in series.rows] == [2, 8, 32]
-        assert series.metadata["swapped"] is False
-        assert series.metadata["tol"] == 1e-12
+        # each value has one home: the point, the coefficient sequence
+        assert series.params.swapped is False
+        assert series.sequence.tol == 1e-12
+        assert series.error is None
         assert series.bound.theorem_rate < 0.0
 
     def test_equilibrium_decay_is_linear(self):
@@ -117,9 +118,7 @@ class TestComputeSeries:
     def test_monotone_refinement(self, base_params):
         coarse = compute_series(base_params, n_list=(4, 8, 16), tol=1e-10)
         fine = compute_series(base_params, n_list=(4, 8, 16), tol=1e-11)
-        e_tot = coarse.metadata["coefficient_err_estimate"] + fine.metadata[
-            "coefficient_err_estimate"
-        ]
+        e_tot = coarse.sequence.err_estimate + fine.sequence.err_estimate
         for rc, rf in zip(coarse.rows, fine.rows):
             # first-order perturbation bound: dim * max entry error / smin
             allowance = 2 * rc.n * e_tot / rc.smin + 1e-12
@@ -278,7 +277,7 @@ class TestSweep:
 
     def test_critical_point_completes(self):
         results = sweep([CRITICAL_SET], n_list=(2, 4, 8, 16), tol=1e-12)
-        assert "error" not in results[0].metadata
+        assert results[0].error is None
         assert results[0].bound.critical
         assert math.isfinite(results[0].bound.theorem_rate)
 
@@ -293,9 +292,9 @@ class TestSweep:
 
         monkeypatch.setattr(xyness.pipeline, "compute_series", flaky)
         results = xyness.pipeline.sweep([base_params, bad], n_list=(2, 4), tol=1e-12)
-        assert results[0].rows and "error" not in results[0].metadata
+        assert results[0].rows and results[0].error is None
         assert results[1].rows == ()
-        assert "synthetic failure" in results[1].metadata["error"]
+        assert results[1].error == "NumericalError: synthetic failure at n=4"
 
     def test_thread_pool_matches_serial(self, base_params, monkeypatch):
         grid = [
@@ -333,6 +332,17 @@ class TestSweep:
         monkeypatch.setenv("XYNESS_THREADS", "2")
         assert xyness.pipeline._worker_count() == 2
 
+    @pytest.mark.parametrize("raw", ["two", "0", "-3", "", "1.5"])
+    def test_malformed_thread_count_raises(self, raw, base_params, monkeypatch):
+        monkeypatch.setenv("XYNESS_THREADS", raw)
+        message = re.escape(f"XYNESS_THREADS must be a positive integer, got {raw!r}")
+        with pytest.raises(ValueError, match=message):
+            xyness.pipeline._worker_count()
+        with pytest.raises(ValueError, match=message):
+            compute_series(base_params, n_list=(2, 4))
+        with pytest.raises(ValueError, match=message):
+            sweep([base_params, ModelParams(0.5, 0.3, 2.0, 2.0)], n_list=(2, 4))
+
     def test_pools_never_nest(self, base_params, monkeypatch):
         # points on two workers run their sizes inline: no more LAPACK calls
         # at once than XYNESS_THREADS allows.  Each call holds its slot for a
@@ -360,7 +370,7 @@ class TestSweep:
         monkeypatch.setenv("XYNESS_THREADS", "2")
         grid = [base_params, ModelParams(0.5, 0.3, 2.0, 2.0), ModelParams(-0.4, 1.7, 2.0, 2.0)]
         results = sweep(grid, n_list=(8, 16, 32, 64), tol=1e-12)
-        assert all(r.rows and "error" not in r.metadata for r in results)
+        assert all(r.rows and r.error is None for r in results)
         assert 1 <= peak <= 2
 
     def test_empty_grid_rejected(self):
