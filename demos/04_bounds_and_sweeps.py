@@ -2,7 +2,9 @@
 
 Two bounds are available: the sharp rate integral (negative for every valid
 parameter set, finite even at criticality where the integrand has log
-singularities) and a cruder bound valid at every finite size.
+singularities) and a cruder bound valid at every finite size.  Criticality
+is a property of the parameters, and log|det Omega(n)| is twice log|C(n)|,
+so neither the bound report nor a series row stores them.
 """
 
 from xyness import ModelParams, bound_report, sweep, weak_bound_log
@@ -10,9 +12,10 @@ from xyness import ModelParams, bound_report, sweep, weak_bound_log
 print("rate integral across the phase diagram (beta_l = 1, beta_r = 3):")
 print(f"{'gamma':>7} {'lambda':>7} {'critical':>9} {'rate':>12} {'weak rate':>12}")
 for gamma, lam in [(0.0, 0.5), (0.0, 1.5), (0.3, 1.0), (0.5, 0.3), (0.9, 0.0)]:
-    rep = bound_report(ModelParams(gamma, lam, 1.0, 3.0))
+    q = ModelParams(gamma, lam, 1.0, 3.0)
+    rep = bound_report(q)
     print(
-        f"{gamma:7.2f} {lam:7.2f} {str(rep.critical):>9}"
+        f"{gamma:7.2f} {lam:7.2f} {str(q.critical):>9}"
         f" {rep.theorem_rate:12.6f} {rep.weak_rate:12.6f}"
     )
 print("criticality keeps the rate finite: the log singularities are integrable")
@@ -40,7 +43,7 @@ for i, series in enumerate(results):
     last = series.rows[-1]
     # compute_series raises where a row breaks the all-n bound; the margin
     # is how far the closest row stays below it
-    margin = min(weak_bound_log(r.n, series.params) - r.log_abs_det for r in series.rows)
+    margin = min(weak_bound_log(r.n, series.params) - 2 * r.log_abs_C for r in series.rows)
     print(
         f"  point {i}: swapped={series.params.swapped!s:5}"
         f" critical={series.params.critical!s:5}"
@@ -53,4 +56,4 @@ print()
 p = grid[0]
 print("the all-n determinant bound next to the actual values:")
 for r in results[0].rows:
-    print(f"  n={r.n:3d}: log|det| = {r.log_abs_det:10.4f} <= {weak_bound_log(r.n, p):9.4f}")
+    print(f"  n={r.n:3d}: log|det| = {2 * r.log_abs_C:10.4f} <= {weak_bound_log(r.n, p):9.4f}")

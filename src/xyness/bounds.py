@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, mu_sup
+from .model import ModelParams
 from .quadrature import adaptive_panels  # noqa: F401 (perfbench/tracer.py wraps this binding)
 from .spectral import avram_parter_limit
 from .toeplitz import symbol_norm
@@ -40,12 +40,10 @@ WEAK_BOUND_SLACK = 1e-8
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Decay-rate bounds for one parameter set (all in log scale, per unit n)."""
+    """Decay-rate bounds for one parameter set (both in log scale, per unit n)."""
 
     theorem_rate: float  # the integral B; fitted slopes should stay below it
     weak_rate: float  # 2 * log tanh(beta_r * mu_sup / 2), bounds log|det|/n
-    mu_sup: float
-    critical: bool
 
 
 def _floored_log(s):
@@ -81,10 +79,5 @@ def weak_bound_log(n: int, p: ModelParams) -> float:
 
 def bound_report(p: ModelParams) -> BoundReport:
     """The bounds of :class:`BoundReport`, with B to absolute error ``LIMIT_TOL``."""
-    return BoundReport(
-        theorem_rate=theorem_bound(p),
-        weak_rate=weak_rate(p),
-        mu_sup=mu_sup(p),
-        critical=p.critical,
-    )
+    return BoundReport(theorem_rate=theorem_bound(p), weak_rate=weak_rate(p))
 

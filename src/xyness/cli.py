@@ -22,7 +22,7 @@ import numpy as np
 from ._version import __version__
 from .bounds import bound_report
 from .fourier import build_block_sequence
-from .model import ModelParams
+from .model import ModelParams, mu_sup
 from .pipeline import DEFAULT_N_LIST, NumericalError, check_sizes, compute_series, sweep
 from .quadrature import QuadratureError
 from .selftest import run_selftest
@@ -107,7 +107,7 @@ def _series_rows(series) -> list[list]:
         [
             r.n,
             r.log_abs_C,
-            r.log_abs_det,
+            2.0 * r.log_abs_C,
             r.pf_det_residual,
             r.smin,
             r.smax,
@@ -129,7 +129,7 @@ def cmd_correlations(args) -> int:
         "n_list": ",".join(str(n) for n in n_list),
         "theorem_rate": series.bound.theorem_rate,
         "weak_rate": series.bound.weak_rate,
-        "mu_sup": series.bound.mu_sup,
+        "mu_sup": mu_sup(p),
     }
     if series.fit is not None:
         meta["fit_slope"] = series.fit.slope
@@ -166,16 +166,16 @@ def cmd_spectrum(args) -> int:
     limit_log = avram_parter_limit(g_log, p)
     rows = []
     for n in n_list:
-        s_log = avram_parter_gap(n, g_log, seq, limit_log, eps=args.eps)
+        s_log = avram_parter_gap(n, g_log, seq, limit_log)
         emp_square = float(np.mean(g_sq(s_log.values)))
         rows.append(
             [
                 n,
                 float(s_log.values[0]),
                 float(s_log.values[-1]),
-                s_log.count_small,
+                int(np.count_nonzero(s_log.values <= args.eps)),
                 s_log.empirical_mean,
-                s_log.limit_value,
+                limit_log,
                 s_log.gap,
                 emp_square,
                 limit_square,
@@ -192,13 +192,13 @@ def cmd_bound(args) -> int:
     rep = bound_report(p)
     print(f"theorem_rate = {_fmt(rep.theorem_rate)}")
     print(f"weak_rate    = {_fmt(rep.weak_rate)}  (per unit n, on log|det|)")
-    print(f"mu_sup       = {_fmt(rep.mu_sup)}")
-    print(f"critical     = {str(rep.critical).lower()}")
+    print(f"mu_sup       = {_fmt(mu_sup(p))}")
+    print(f"critical     = {str(p.critical).lower()}")
     if p.delta == 0.0:
         print("equilibrium  = true  (equal reservoir temperatures)")
     if args.out_path:
         header = ["theorem_rate", "weak_rate", "mu_sup", "critical"]
-        rows = [[rep.theorem_rate, rep.weak_rate, rep.mu_sup, int(rep.critical)]]
+        rows = [[rep.theorem_rate, rep.weak_rate, mu_sup(p), int(p.critical)]]
         _emit(args, {"tol": LIMIT_TOL}, header, rows, p)
     return EXIT_OK
 

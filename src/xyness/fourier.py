@@ -29,8 +29,8 @@ parts are Re app, Im app[0] and Im apm.  The engine never integrates Re
 app and Im apm: it computes Im app and Re apm alone, after checking at
 every Gauss node that the parities which make the dropped parts vanish
 hold exactly.  Im app[0] is a sum against sin 0 = 0, so it is 0 by
-construction.  ``app`` = 1j * Im app and ``apm`` = Re apm + 0j hold the
-coefficients.
+construction.  The blocks are the one home of the coefficients: app[x] =
+1j * blocks[x+N-1, 0, 0] and apm[y] = -blocks[y+N, 0, 1], N = n_max.
 
 Every coefficient of a sequence comes from one shared-node engine: a single
 adaptive refinement over panels split at the zeros of kappa and mu and capped
@@ -103,22 +103,19 @@ class Component(enum.Enum):
 
 @dataclass(frozen=True)
 class BlockSequence:
-    """Fourier coefficient blocks a_x for |x| <= n_max - 1, in read-only arrays.
+    """Fourier coefficient blocks a_x for |x| <= n_max - 1, in a read-only array.
 
-    Exactly the range a truncation of N = n_max block rows consumes.  ``app``
-    holds x in [-(N-1), N-1] at index x + N - 1 (negative x filled by the
-    oddness symmetry), ``apm`` holds y in
-    [-N, N-2] at index y + N, and ``blocks`` (shape (2N-1, 2, 2)) holds a_x at
-    index x + N - 1.  The blocks are real: D a_x D in the gauge of the
-    module notes, while ``app`` and ``apm`` are the complex coefficients.
-    ``err_estimate`` is the largest per-coefficient quadrature error
-    estimate.
+    Exactly the range a truncation of N = n_max block rows consumes.
+    ``blocks`` (shape (2N-1, 2, 2)) holds D a_x D, the real gauge of the
+    module notes, at index x + N - 1.  The paper's coefficients read back
+    exactly: app[x] = 1j * blocks[x+N-1, 0, 0] for x in [-(N-1), N-1]
+    (negative x filled by the oddness symmetry) and apm[y] = -blocks[y+N,
+    0, 1] for y in [-N, N-2].  ``err_estimate`` is the largest
+    per-coefficient quadrature error estimate.
     """
 
     n_max: int
     tol: float
-    app: np.ndarray
-    apm: np.ndarray
     blocks: np.ndarray
     err_estimate: float
 
@@ -308,10 +305,9 @@ def build_block_sequence(
     app[x] is computed for x = 0 .. n_max-1 and mirrored to negative x via
     the oddness symmetry; apm[y] is computed for y = -n_max .. n_max-2, all
     by one run of the shared-node engine, which integrates only the parts
-    the real gauge keeps: ``app`` is 1j * Im app and ``apm`` is Re apm + 0j.
-    Nothing is cached: every call integrates afresh.  The blocks are built
-    in the real gauge of the module notes, where every truncation is
-    skew-symmetric bit for bit.
+    the real gauge keeps, Im app and Re apm.  Nothing is cached: every call
+    integrates afresh.  The blocks are built in the real gauge of the module
+    notes, where every truncation is skew-symmetric bit for bit.
 
     Raises
     ------
@@ -339,14 +335,5 @@ def build_block_sequence(
     blocks[:, 1, 1] = blocks[:, 0, 0]
     blocks[:, 0, 1] = -re_apm
     blocks[:, 1, 0] = re_apm[::-1]
-    app, apm = 1j * im_app, re_apm + 0j
-    for arr in (app, apm, blocks):
-        arr.setflags(write=False)
-    return BlockSequence(
-        n_max=int(n_max),
-        tol=float(tol),
-        app=app,
-        apm=apm,
-        blocks=blocks,
-        err_estimate=worst,
-    )
+    blocks.setflags(write=False)
+    return BlockSequence(n_max=int(n_max), tol=float(tol), blocks=blocks, err_estimate=worst)

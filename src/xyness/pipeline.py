@@ -76,9 +76,8 @@ class NumericalError(RuntimeError):
 @dataclass(frozen=True)
 class SeriesRow:
     n: int
-    log_abs_C: float  # log|Pf Omega(n)| = log|det X| from the LU of the fold X
-    log_abs_det: float  # log|det Omega(n)| = 2 * log_abs_C
-    pf_det_residual: float  # |2 log|det X J_n| - log_abs_det|: the second LU route
+    log_abs_C: float  # log|Pf Omega(n)| = log|det X| (LU of the fold X) = log|det Omega(n)| / 2
+    pf_det_residual: float  # |2 log|det X J_n| - 2 log_abs_C|: the second LU route
     smin: float
     smax: float
 
@@ -172,16 +171,18 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
     ------
     ValueError
         If :func:`check_sizes` rejects ``n_list`` or ``tol``, or
-        XYNESS_THREADS is malformed.
+        XYNESS_THREADS is malformed; either before any coefficient is
+        integrated.
     NumericalError
         If a fold is exactly singular, the residual between the two LU
         routes exceeds 1e-6 or the all-n determinant bound is violated at
         some n.
     """
     n_list = check_sizes(n_list, tol)
-    seq = build_block_sequence(max(n_list), p, tol)
     rows = []
+    # entered first, so a malformed XYNESS_THREADS raises before the quadrature
     with _tasks(2 * len(n_list)) as submit:
+        seq = build_block_sequence(max(n_list), p, tol)
         pending = {}
         for n in reversed(n_list):  # the largest SVD is the critical path
             X = folded(n, seq)
@@ -190,16 +191,7 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
             svd, lu = pending[n]
             log_abs_C, residual = lu()
             sv = svd()  # each of R's singular values, once
-            rows.append(
-                SeriesRow(
-                    n=n,
-                    log_abs_C=log_abs_C,
-                    log_abs_det=2.0 * log_abs_C,
-                    pf_det_residual=residual,
-                    smin=float(sv[0]),
-                    smax=float(sv[-1]),
-                )
-            )
+            rows.append(SeriesRow(n, log_abs_C, residual, smin=float(sv[0]), smax=float(sv[-1])))
 
     # upper half of the sizes, widened just enough for 4 rows
     start = max(0, min(len(rows) // 2, len(rows) - 4))

@@ -82,9 +82,10 @@ def fold_deviation(p: ModelParams, seq: BlockSequence) -> float:
     two_pi = 2.0 * math.pi
     edges = np.append(breakpoints(p), two_pi)
     worst = 0.0
-    # app[k] sits at index k + N - 1 and apm[k] at k + N; the weights come
-    # from the model, not through the engine's binding
-    for values, offset, part in ((seq.app, seq.n_max - 1, 0), (seq.apm, seq.n_max, 1)):
+    # app[k] = 1j * blocks[k + N - 1, 0, 0] and apm[k] = -blocks[k + N, 0, 1];
+    # the weights come from the model, not through the engine's binding
+    app, apm = 1j * seq.blocks[:, 0, 0], -seq.blocks[:, 0, 1]
+    for values, offset, part in ((app, seq.n_max - 1, 0), (apm, seq.n_max, 1)):
         for k in (-5, -2, -1, 0, 1, 3):
             ref, _ = adaptive_panels(
                 lambda xi: _symbol_weights(xi, p)[part] * np.exp(-1j * k * xi),
@@ -198,7 +199,7 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
     # equilibrium reduction: no temperature difference, no diagonal blocks
     eq = ModelParams(0.5, 0.3, 2.0, 2.0)
     eq_seq = build_block_sequence(8, eq, 1e-12)
-    dev = float(np.max(np.abs(eq_seq.app)))
+    dev = float(np.max(np.abs(eq_seq.blocks[:, 0, 0])))
     diag_dev = float(
         np.max(np.abs(symbol_matrices(midpoint_grid(256), eq)[:, [0, 1], [0, 1]]))
     )

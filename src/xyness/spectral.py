@@ -16,7 +16,7 @@ counted twice: the reflection symmetry J T_n J = -T_n of the real gauge
 makes T_n orthogonally similar to [[0, X], [-X^T, 0]].  Each size gathers X
 straight from the coefficient blocks (:func:`toeplitz.folded`) without
 building T_n and takes one SVD of it; the 2n values are X's repeated in
-place, still ascending.
+place, still ascending, and :func:`count_small` counts X's values twice.
 """
 
 from __future__ import annotations
@@ -44,12 +44,9 @@ LIMIT_TOL = 1e-9
 class SpectralSummary:
     """Singular-value diagnostics of one truncation size."""
 
-    n: int
     values: np.ndarray  # ascending, length 2n
-    count_small: int  # values <= the eps of avram_parter_gap
     empirical_mean: float
-    limit_value: float
-    gap: float
+    gap: float  # |empirical_mean - limit|
 
 
 def _smoothstep(t):
@@ -118,7 +115,9 @@ def square_plateau():
 
 def count_small(n: int, eps: float, seq: BlockSequence) -> int:
     """Number of singular values of the n-block truncation in [0, eps], eps in (0, 1)."""
-    return avram_parter_gap(n, np.zeros_like, seq, 0.0, eps).count_small
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
+    return 2 * int(np.count_nonzero(singular_values(folded(n, seq)) <= eps))
 
 
 def avram_parter_limit(g, p: ModelParams) -> float:
@@ -145,26 +144,14 @@ def avram_parter_limit(g, p: ModelParams) -> float:
     return float(np.real(value)) / _TWO_PI
 
 
-def avram_parter_gap(
-    n: int, g, seq: BlockSequence, limit: float, eps: float = 1e-3
-) -> SpectralSummary:
+def avram_parter_gap(n: int, g, seq: BlockSequence, limit: float) -> SpectralSummary:
     """Empirical singular-value mean of g versus its distributional limit.
 
     ``g`` must be vectorized, continuous, and compactly supported.  ``limit``
     is :func:`avram_parter_limit` of the same g and the sequence's
     parameters; it does not depend on n, so a caller that compares several
-    sizes integrates it once.  ``count_small`` counts the values <= ``eps``,
-    which must lie in (0, 1).
+    sizes integrates it once.
     """
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
     sv = np.repeat(singular_values(folded(n, seq)), 2)
     empirical = float(np.mean(g(sv)))
-    return SpectralSummary(
-        n=int(n),
-        values=sv,
-        count_small=int(np.count_nonzero(sv <= eps)),
-        empirical_mean=empirical,
-        limit_value=float(limit),
-        gap=abs(empirical - limit),
-    )
+    return SpectralSummary(values=sv, empirical_mean=empirical, gap=abs(empirical - limit))

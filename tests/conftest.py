@@ -23,6 +23,11 @@ def random_points(count, seed):
     return points
 
 
+def paper_coefficients(seq):
+    """The paper's app and apm, read exactly from ``seq.blocks`` at the offsets of ``BlockSequence``."""
+    return 1j * seq.blocks[:, 0, 0], -seq.blocks[:, 0, 1]
+
+
 def mp_coefficient_sums(p, x_max, panel_width=0.2, dps=30):
     """app[-x_max .. x_max] and apm[-x_max .. x_max] as mpmath numbers at ``dps`` digits.
 

@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import re
 import subprocess
 import sys
 import threading
@@ -141,14 +142,26 @@ class TestCorrelationsCommand:
         assert lines[1]["log_abs_C"] < 0.0
 
     def test_series_metadata_stays_out_of_output(self, tmp_path):
-        # series.metadata carries them; the byte-deterministic files must not
+        # the run description holds exactly these keys, and nothing that
+        # varies between identical runs
+        shared = {
+            "xyness", "numpy", "command", "gamma", "lambda", "beta_l", "beta_r",
+            "swapped", "critical", "tol", "n_list", "theorem_rate", "weak_rate",
+            "mu_sup", "fit_slope", "fit_window",
+        }
+        keys = {}
         for fmt in ("csv", "jsonl"):
             out = tmp_path / f"c.{fmt}"
-            args = ["correlations", *BASE, "--n-list", "2,4", "--format", fmt]
+            args = ["correlations", *BASE, "--n-list", "2,4,8,16", "--format", fmt]
             assert run_cli(*args, "--out", str(out)).returncode == 0
-            text = out.read_text()
-            for key in ("created_unix", "coefficient_err_estimate", "bound_tol"):
-                assert key not in text
+            lines = out.read_text().splitlines()
+            if fmt == "csv":
+                comments = [line for line in lines if line.startswith("# ")]
+                keys[fmt] = {k for line in comments for k in re.findall(r"(\w+)=", line)}
+            else:
+                keys[fmt] = set(json.loads(lines[0]))
+        assert keys["csv"] == shared | {"beta", "delta"}
+        assert keys["jsonl"] == shared | {"type"}
 
     def test_dump_matrices(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -308,7 +321,8 @@ BAD_SIZES = {
 
 
 class TestUsageErrors:
-    @pytest.mark.parametrize("eps", ["0", "1"])
+    # 0.9 lies in (0, 1), but 0.9 + 0.9^2 exceeds BASE's symbol norm, 0.862
+    @pytest.mark.parametrize("eps", ["0", "1", "nan", "-1e-3", "0.9"])
     def test_bad_eps_exits_2_before_integrating(self, eps, monkeypatch, capsys):
         import xyness.cli as cli
 
@@ -316,7 +330,7 @@ class TestUsageErrors:
             raise AssertionError("coefficients integrated before --eps was checked")
 
         monkeypatch.setattr(cli, "build_block_sequence", never)
-        assert cli.main(["spectrum", *BASE, "--eps", eps]) == 2
+        assert cli.main(["spectrum", *BASE, f"--eps={eps}"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     @pytest.mark.parametrize("subcommand", ["correlations", "sweep"])

@@ -18,7 +18,7 @@ from xyness import (
 import xyness.fourier
 from xyness.fourier import Component
 from xyness.quadrature import _NODES, _refine, _split_edges, adaptive_panels
-from conftest import ACCEPTANCE_SETS, CRITICAL_SET, mp_coefficient_sums, random_points
+from conftest import ACCEPTANCE_SETS, CRITICAL_SET, mp_coefficient_sums, paper_coefficients, random_points
 
 TWO_PI = 2.0 * math.pi
 TOL = 1e-12
@@ -121,12 +121,13 @@ class TestEngineOracles:
     @pytest.mark.parametrize("p", ORACLE_SETS, ids=set_id)
     def test_matches_high_precision_oracle(self, p, engine512):
         seq = engine512[p]
+        got_app, got_apm = paper_coefficients(seq)
         app, apm = mp_coefficients(p, 8)
-        o = seq.n_max - 1  # index of x = 0 in seq.app
+        o = seq.n_max - 1  # index of x = 0 in got_app
         x = np.arange(-8, 9)
-        # the negative side of seq.app is mirrored; the oracle's is integrated
-        assert np.max(np.abs(seq.app[o + x] - app)) <= 2 * TOL
-        assert np.max(np.abs(seq.apm[x + seq.n_max] - apm)) <= 2 * TOL
+        # the negative side of the blocks is mirrored; the oracle's is integrated
+        assert np.max(np.abs(got_app[o + x] - app)) <= 2 * TOL
+        assert np.max(np.abs(got_apm[x + seq.n_max] - apm)) <= 2 * TOL
         assert seq.err_estimate <= TOL
 
     def test_oracle_resolved(self):
@@ -138,10 +139,10 @@ class TestEngineOracles:
 
     @pytest.mark.parametrize("p", ORACLE_SETS, ids=set_id)
     def test_matches_per_coefficient_route(self, p, engine512):
-        seq = engine512[p]
+        got_app, got_apm = paper_coefficients(engine512[p])
         app, apm = per_coefficient_route(512, p, TOL)
-        assert np.max(np.abs(seq.app[511:] - app)) <= 2 * TOL
-        assert np.max(np.abs(seq.apm - apm)) <= 2 * TOL
+        assert np.max(np.abs(got_app[511:] - app)) <= 2 * TOL
+        assert np.max(np.abs(got_apm - apm)) <= 2 * TOL
 
 
 class TestFold:
@@ -221,9 +222,10 @@ class TestBreakpoints:
 
 def coefficient(seq, which, x):
     """app[x] (which=PP) or apm[x] (which=PM) as ``seq`` stores it."""
+    app, apm = paper_coefficients(seq)
     if which is Component.PP:
-        return seq.app[x + seq.n_max - 1]
-    return seq.apm[x + seq.n_max]
+        return app[x + seq.n_max - 1]
+    return apm[x + seq.n_max]
 
 
 class TestSingleCoefficient:
@@ -244,16 +246,6 @@ class TestSingleCoefficient:
         for x in (1, 2, 5, 9):
             assert coefficient(seq, Component.PP, -x) == -coefficient(seq, Component.PP, x)
 
-    def test_pp_purely_imaginary(self, base_params):
-        seq = build_block_sequence(13, base_params)
-        for x in (1, 3, 12):
-            assert abs(coefficient(seq, Component.PP, x).real) < 1e-12
-
-    def test_pm_purely_real(self, base_params):
-        seq = build_block_sequence(4, base_params)
-        for x in (-3, -1, 0, 2):
-            assert abs(coefficient(seq, Component.PM, x).imag) < 1e-12
-
     @pytest.mark.parametrize("which", [Component.PP, Component.PM])
     @pytest.mark.parametrize("x", [0, 1, 2, 4, 8])
     def test_trapezoid_oracle(self, which, x, base_params):
@@ -270,7 +262,7 @@ class TestBlockSequence:
     def test_minimal_sequence(self, base_params):
         seq = build_block_sequence(1, base_params)
         assert seq.blocks.shape == (1, 2, 2)  # the single block a_0
-        c = seq.apm[0]  # apm[-1]
+        c = paper_coefficients(seq)[1][0]  # apm[-1]
         a0 = seq.blocks[0]
         # the diagonal is app[0] = -app[0], set to exactly 0
         assert abs(a0[0, 0]) <= seq.err_estimate and abs(a0[1, 1]) <= seq.err_estimate
@@ -278,13 +270,14 @@ class TestBlockSequence:
 
     def test_blocks_match_coefficients_bitwise(self, base_params):
         seq = build_block_sequence(3, base_params)
+        app, apm = paper_coefficients(seq)
         # offsets: app[x] at x + 2, apm[y] at y + 3, blocks[x] at x + 2;
         # the blocks are D a_x D, D = diag(e^{-i pi/4}, e^{i pi/4})
         for x in (-2, -1, 0, 1, 2):
             expected = np.array(
                 [
-                    [seq.app[x + 2].imag, -seq.apm[x - 1 + 3].real],
-                    [seq.apm[-x - 1 + 3].real, seq.app[x + 2].imag],
+                    [app[x + 2].imag, -apm[x - 1 + 3]],
+                    [apm[-x - 1 + 3], app[x + 2].imag],
                 ]
             )
             assert np.array_equal(seq.blocks[x + 2], expected)
@@ -292,7 +285,7 @@ class TestBlockSequence:
     def test_equilibrium_zero_diagonal(self):
         p = ModelParams(-0.4, 1.7, 2.0, 2.0)
         seq = build_block_sequence(6, p)
-        assert all(v == 0.0 for v in seq.app)
+        # app = 1j * blocks[:, 0, 0]
         assert all(blk[0, 0] == 0.0 for blk in seq.blocks)
 
     def test_skew_assembly_consistency(self, base_seq):
@@ -324,7 +317,8 @@ class TestBlockSequence:
     def test_coefficient_decay(self, base_seq):
         # |app[x]| <= C/|x|: the symbol has only jump discontinuities
         o = base_seq.n_max - 1  # index of x = 0
-        scaled = {x: abs(x * base_seq.app[x + o]) for x in range(1, base_seq.n_max)}
+        app, _ = paper_coefficients(base_seq)
+        scaled = {x: abs(x * app[x + o]) for x in range(1, base_seq.n_max)}
         C = max(scaled[x] for x in range(1, 17))
         for x in range(17, base_seq.n_max):
             assert scaled[x] <= 1.05 * C
@@ -338,25 +332,19 @@ class TestBlockSequence:
 
     @pytest.mark.parametrize("p", GAUGE_SETS, ids=set_id)
     def test_gauge_drops_only_noise(self, p):
-        # Re app and Im apm, which the real blocks drop, stay well inside
-        # the quadrature noise, and the error estimate keeps its promise
+        # Re app and Im apm, which the real blocks drop, are never
+        # integrated: the build passes the gate only where they vanish
+        # exactly at every node pair.  The error estimate keeps its promise
         for n_max in (64, 512):
-            seq = build_block_sequence(n_max, p, TOL)
-            assert seq.err_estimate <= TOL
-            scale = max(np.abs(seq.app).max(), np.abs(seq.apm).max())
-            limit = max(2.0 * seq.err_estimate, 1e-14 * scale)
-            dropped = max(np.abs(seq.app.real).max(), np.abs(seq.apm.imag).max())
-            assert dropped <= 0.5 * limit
+            assert build_block_sequence(n_max, p, TOL).err_estimate <= TOL
 
     @pytest.mark.parametrize("p", GAUGE_SETS, ids=set_id)
     def test_dropped_parts_are_exact_zeros(self, p):
-        # sin and cos are exactly odd and even, so at each node pair +-xi the
-        # weights' parities hold exactly and the fold's dropped sums vanish
+        # Im app[0] is the one dropped part the engine sums: against sin 0 = 0,
+        # so it is exactly zero
         for n_max in (64, 512):
-            seq = build_block_sequence(n_max, p, TOL)
-            assert not seq.app.real.any()
-            assert seq.app[n_max - 1] == 0.0
-            assert not seq.apm.imag.any()
+            values, _ = xyness.fourier._coefficients(n_max, p, TOL)
+            assert values[0] == 0.0
 
     @pytest.mark.parametrize(
         "p, which",
@@ -418,11 +406,10 @@ class TestBlockSequence:
         a = build_block_sequence(5, base_params, tol=1e-10)
         b = build_block_sequence(5, base_params, tol=1e-10)
         assert a is not b
-        for name in ("app", "apm", "blocks"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.blocks.tobytes() == b.blocks.tobytes()
         assert a.err_estimate == b.err_estimate
 
-    @pytest.mark.parametrize("name", ["app", "apm", "blocks"])
+    @pytest.mark.parametrize("name", ["blocks"])
     def test_arrays_read_only(self, base_seq, name):
         with pytest.raises(ValueError):
             getattr(base_seq, name)[0] = 1.0

@@ -10,7 +10,10 @@ which is a signed permutation of the fold X (:mod:`xyness.toeplitz`), so
 log|C(n)| = log|det M_n|.  The pipeline's coefficients carry ~1e-16 absolute
 noise, so a row agrees to about 1e-16/smin.  Every row must lie within
 1e-14/smin, the bound of ``test_finite_chain``.  Resolved rows, those with
-smin >= 1e-3, must also lie within 1e-12.
+smin >= 1e-3, must also lie within 1e-12.  The exception is ROADMAP item
+1's defect: past n = 16 at (-0.4, 1.7, 2, 2) the true log|C(n)| falls by
+1.80 per step and the pipeline's floor by about 0.15, so those rows miss
+the oracle by more than 1, and the test requires that they do.
 """
 
 import pytest
@@ -21,12 +24,14 @@ from conftest import mp_coefficient_sums
 mpmath = pytest.importorskip("mpmath")
 
 DPS = 40
-SIZES = (1, 2, 4, 8, 12, 16)
+SIZES = (1, 2, 4, 8, 12, 16, 24, 32)
 RESOLVED_SMIN = 1e-3
 
 #: a generic point off equilibrium, and two equilibrium points whose split
 #: singular values fall to 3.3e-5 and 1.6e-12 by n = 16 (ROADMAP item 1)
 POINTS = [(0.5, 0.3, 1.0, 3.0), (0.5, 1.5, 2.0, 2.0), (-0.4, 1.7, 2.0, 2.0)]
+#: the sizes at which a point's rows sit below the quadrature floor
+BELOW_FLOOR = {(-0.4, 1.7, 2.0, 2.0): (24, 32)}
 
 
 def oracle_log_abs_C(p, sizes):
@@ -52,6 +57,9 @@ def test_rows_match_oracle(point):
     oracle = oracle_log_abs_C(p, SIZES)
     for row in compute_series(p, n_list=SIZES).rows:
         diff = abs(row.log_abs_C - oracle[row.n])
+        if row.n in BELOW_FLOOR.get(point, ()):
+            assert diff > 1.0, (row, diff)
+            continue
         assert diff <= 1e-14 / row.smin, (row, diff)
         if row.smin >= RESOLVED_SMIN:
             assert diff <= 1e-12, (row, diff)

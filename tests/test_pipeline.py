@@ -25,7 +25,7 @@ from xyness import (
 import xyness.pipeline
 import xyness.toeplitz
 from xyness.pipeline import DEFAULT_N_LIST, CorrelationSeries, SeriesRow
-from conftest import ACCEPTANCE_SETS, CRITICAL_SET
+from conftest import ACCEPTANCE_SETS, CRITICAL_SET, paper_coefficients
 
 HOT_SET = ModelParams(0.5, 0.3, 1e-3, 2e-3)
 #: a cold point whose whole correlation lies below the quadrature floor
@@ -38,7 +38,6 @@ def synthetic_series(values):
         SeriesRow(
             n=n,
             log_abs_C=y,
-            log_abs_det=2 * y,
             pf_det_residual=0.0,
             smin=0.1,
             smax=0.9,
@@ -81,7 +80,8 @@ class TestComputeSeries:
         series = compute_series(base_params, n_list=[1], tol=1e-12)
         # Pf of the 2x2 block: |C(1)| = |apm[-1]|, cross-checked against the
         # coefficient of a longer sequence, a separate engine run
-        c = build_block_sequence(8, base_params, tol=1e-12).apm[-1 + 8]
+        _, apm = paper_coefficients(build_block_sequence(8, base_params, tol=1e-12))
+        c = apm[-1 + 8]
         assert series.rows[0].log_abs_C == pytest.approx(math.log(abs(c)), abs=1e-12)
         assert series.fit is None
 
@@ -89,7 +89,6 @@ class TestComputeSeries:
         series = compute_series(base_params, n_list=(2, 4, 8, 16, 32), tol=1e-12)
         for row in series.rows:
             assert row.pf_det_residual <= 1e-6
-            assert 2 * row.log_abs_C == pytest.approx(row.log_abs_det, abs=1e-6)
 
     def test_rows_sorted_and_metadata(self, base_params):
         series = compute_series(base_params, n_list=(2, 8, 32), tol=1e-12)
@@ -146,8 +145,7 @@ class TestComputeSeries:
         for row in series.rows:
             X = fold(assemble(row.n, series.sequence))
             assert row.log_abs_C == log_det(X).log_abs
-            assert row.log_abs_det == 2 * row.log_abs_C
-            assert row.pf_det_residual == abs(2 * log_det(X[:, ::-1]).log_abs - row.log_abs_det)
+            assert row.pf_det_residual == abs(2 * log_det(X[:, ::-1]).log_abs - 2 * row.log_abs_C)
 
     def test_no_truncation_is_assembled(self, base_params, monkeypatch):
         # every row's fold is gathered from the blocks; R is never built
@@ -278,7 +276,7 @@ class TestSweep:
     def test_critical_point_completes(self):
         results = sweep([CRITICAL_SET], n_list=(2, 4, 8, 16), tol=1e-12)
         assert results[0].error is None
-        assert results[0].bound.critical
+        assert results[0].params.critical
         assert math.isfinite(results[0].bound.theorem_rate)
 
     def test_failure_isolation(self, base_params, monkeypatch):
@@ -335,6 +333,12 @@ class TestSweep:
     @pytest.mark.parametrize("raw", ["two", "0", "-3", "", "1.5"])
     def test_malformed_thread_count_raises(self, raw, base_params, monkeypatch):
         monkeypatch.setenv("XYNESS_THREADS", raw)
+
+        def integrate(*args):
+            raise AssertionError("coefficients integrated before XYNESS_THREADS was read")
+
+        # the variable is read before any coefficient is integrated
+        monkeypatch.setattr(xyness.pipeline, "build_block_sequence", integrate)
         message = re.escape(f"XYNESS_THREADS must be a positive integer, got {raw!r}")
         with pytest.raises(ValueError, match=message):
             xyness.pipeline._worker_count()

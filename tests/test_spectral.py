@@ -74,19 +74,10 @@ class TestCountSmall:
             assert count_small(n, 1e-3, base_seq) == 0
 
     def test_eps_validation(self, base_seq):
-        with pytest.raises(ValueError):
-            count_small(4, 0.0, base_seq)
-        with pytest.raises(ValueError):
-            count_small(4, 1.5, base_seq)
-
-    @pytest.mark.parametrize("eps", [-1.0, 0.0, 2.0, math.nan])
-    def test_gap_checks_eps_as_count_small_does(self, base_seq, eps):
-        # one check serves both; unchecked, the gap's count_small read 0, 0,
-        # 16 and 0 at these values
-        with pytest.raises(ValueError, match=r"^eps must be in \(0, 1\)"):
-            count_small(8, eps, base_seq)
-        with pytest.raises(ValueError, match=r"^eps must be in \(0, 1\)"):
-            avram_parter_gap(8, square_plateau(), base_seq, 0.0, eps=eps)
+        # unchecked, the count would read 0, 0, 16, 16 and 0 at these values
+        for eps in (-1.0, 0.0, 1.5, 2.0, math.nan):
+            with pytest.raises(ValueError, match=r"^eps must be in \(0, 1\)"):
+                count_small(8, eps, base_seq)
 
     def test_bounded_ratio_as_n_grows(self):
         # near-kernel fraction must not grow superlinearly (criterion: diagnostics)
@@ -132,8 +123,9 @@ class TestAvramParter:
         def zero(x):
             return np.zeros_like(np.asarray(x, dtype=float))
 
-        s = avram_parter_gap(8, zero, base_seq, avram_parter_limit(zero, base_params))
-        assert s.empirical_mean == 0.0 and s.limit_value == 0.0 and s.gap == 0.0
+        limit = avram_parter_limit(zero, base_params)
+        s = avram_parter_gap(8, zero, base_seq, limit)
+        assert s.empirical_mean == 0.0 and limit == 0.0 and s.gap == 0.0
 
     def test_square_matches_frobenius_and_parseval(self, base_params, base_seq):
         g = square_plateau()
@@ -153,8 +145,7 @@ class TestAvramParter:
         ref, _ = adaptive_panels(
             integrand, np.concatenate([breakpoints(base_params), [TWO_PI]]), 1e-11
         )
-        s = avram_parter_gap(16, g, base_seq, limit)
-        assert s.limit_value == pytest.approx(float(np.real(ref)) / TWO_PI, abs=1e-9)
+        assert limit == pytest.approx(float(np.real(ref)) / TWO_PI, abs=1e-9)
 
     @pytest.mark.parametrize(
         "point", [(0.0, 0.5, 1.0, 3.0), (0.5, 1.0, 1.0, 3.0), (0.0, -1.0, 2.0, 0.5)]

@@ -20,17 +20,18 @@ from xyness import (
 )
 from xyness.bounds import weak_rate
 from xyness.fourier import BlockSequence
-from conftest import ACCEPTANCE_SETS, CRITICAL_SET, random_points
+from conftest import ACCEPTANCE_SETS, CRITICAL_SET, paper_coefficients, random_points
 
 
 def complex_assembly(n, seq):
     """The paper's complex Omega(n), gathered from the blocks
-    a_x = [[app[x], -apm[x-1]], [apm[-x-1], -app[x]]] of ``seq.app``/``seq.apm``."""
+    a_x = [[app[x], -apm[x-1]], [apm[-x-1], -app[x]]] of :func:`paper_coefficients`."""
+    app, apm = paper_coefficients(seq)
     blocks = np.empty((2 * seq.n_max - 1, 2, 2), dtype=complex)
-    blocks[:, 0, 0] = seq.app
-    blocks[:, 1, 1] = -seq.app
-    blocks[:, 0, 1] = -seq.apm
-    blocks[:, 1, 0] = seq.apm[::-1]
+    blocks[:, 0, 0] = app
+    blocks[:, 1, 1] = -app
+    blocks[:, 0, 1] = -apm
+    blocks[:, 1, 0] = apm[::-1]
     k = np.arange(n)
     ab = np.arange(2)
     return blocks[
@@ -82,7 +83,7 @@ def set_id(p):
 class TestAssemble:
     def test_single_block(self, base_params, base_seq):
         T = assemble(1, base_seq)
-        c = -base_seq.apm[-1 + base_seq.n_max].real  # real gauge
+        c = -paper_coefficients(base_seq)[1][-1 + base_seq.n_max]  # real gauge
         assert T[0, 1] == c and T[1, 0] == -c
 
     def test_two_blocks_layout(self, base_seq):
@@ -211,7 +212,7 @@ class TestFolded:
         # the peak is the n x n output (32 MiB at n = 2048) and no index array
         N = 2048
         blocks = np.random.default_rng(0).standard_normal((2 * N - 1, 2, 2))
-        seq = BlockSequence(n_max=N, tol=1e-12, app=None, apm=None, blocks=blocks, err_estimate=0.0)
+        seq = BlockSequence(n_max=N, tol=1e-12, blocks=blocks, err_estimate=0.0)
         tracemalloc.start()
         try:
             X = folded(N, seq)
