@@ -40,6 +40,11 @@ def _fmt(x: float) -> str:
     return f"{float(x):.16e}"
 
 
+def _text(v) -> str:
+    """A description value: a bool in lower case, as in JSON; else str, repr for a float."""
+    return str(v).lower() if isinstance(v, bool) else str(v)
+
+
 def _default_n_values(n_max: int, base=DEFAULT_N_LIST) -> list[int]:
     ns = [n for n in base if n <= n_max]
     if not ns:
@@ -52,36 +57,28 @@ def _default_n_values(n_max: int, base=DEFAULT_N_LIST) -> list[int]:
 def _emit(args, meta: dict, header: list[str], rows: list[list], p: ModelParams) -> None:
     """Write the run description, then ``header`` and ``rows``, to ``args.out``.
 
-    ``meta`` leads with ``tol``, the quadrature tolerance the numbers were
-    computed to.
+    One list of key groups describes the run, the last ones one per ``meta``
+    key, led by ``tol``, the quadrature tolerance.  CSV writes a group per
+    ``# k=v`` line, JSONL all groups as one meta object.
     """
+    groups = [
+        {"xyness": __version__, "numpy": np.__version__},
+        {"command": args.subcommand},
+        {"gamma": p.gamma, "lambda": p.lam, "beta_l": p.beta_l, "beta_r": p.beta_r},
+        {"beta": p.beta, "delta": p.delta},
+        {"swapped": p.swapped, "critical": p.critical},
+        *({k: v} for k, v in meta.items()),
+    ]
     fh = args.out
     if args.format == "jsonl":
-        full = {
-            "type": "meta",
-            "xyness": __version__,
-            "numpy": np.__version__,
-            "command": args.subcommand,
-            "gamma": p.gamma,
-            "lambda": p.lam,
-            "beta_l": p.beta_l,
-            "beta_r": p.beta_r,
-            "swapped": p.swapped,
-            "critical": p.critical,
-            **meta,
-        }
+        full = {"type": "meta", **{k: v for g in groups for k, v in g.items()}}
         fh.write(json.dumps(full, sort_keys=True) + "\n")
         for row in rows:
             obj = {"type": "row", **dict(zip(header, row))}
             fh.write(json.dumps(obj, sort_keys=True) + "\n")
     else:
         lines = [
-            f"# xyness={__version__} numpy={np.__version__}",
-            f"# command={args.subcommand}",
-            f"# gamma={p.gamma!r} lambda={p.lam!r} beta_l={p.beta_l!r} beta_r={p.beta_r!r}",
-            f"# beta={p.beta!r} delta={p.delta!r}",
-            f"# swapped={str(p.swapped).lower()} critical={str(p.critical).lower()}",
-            *(f"# {k}={v}" for k, v in meta.items()),
+            *("# " + " ".join(f"{k}={_text(v)}" for k, v in g.items()) for g in groups),
             ",".join(header),
             *(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) for row in rows),
         ]

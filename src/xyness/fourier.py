@@ -72,7 +72,6 @@ on the full circle.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -82,8 +81,6 @@ from .model import ModelParams, _symbol_weights
 from .quadrature import _NODES, _WEIGHTS, QuadratureError, _refine, _split_edges
 from .quadrature import adaptive_panels  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
-TWO_PI = 2.0 * math.pi
-
 #: above this highest frequency, base panels are split to ~12 of its periods each
 _OSC_SPLIT_THRESHOLD = 64
 _PERIODS_PER_PANEL = 12.0
@@ -92,13 +89,6 @@ _PERIODS_PER_PANEL = 12.0
 _PHASE_BLOCK = 64
 #: panels per batched product, which bounds the phase tables to a few MiB
 _PANEL_CHUNK = 128
-
-
-class Component(enum.Enum):
-    """Which scalar coefficient sequence: diagonal (PP) or off-diagonal (PM)."""
-
-    PP = "pp"
-    PM = "pm"
 
 
 @dataclass(frozen=True)
@@ -135,10 +125,10 @@ def breakpoints(p: ModelParams) -> np.ndarray:
     ratio = p.lam / (1.0 - p.gamma**2)
     if abs(ratio) <= 1.0:
         x0 = math.acos(ratio)
-        pts.extend([x0, TWO_PI - x0])
+        pts.extend([x0, math.tau - x0])
     # acos is exactly 0 or pi at |ratio| = 1, else >= 1.49e-8 from both: only
     # exact duplicates occur (np.unique would import numpy.ma on first call)
-    return np.array(sorted({x % TWO_PI for x in pts}))
+    return np.array(sorted({x % math.tau for x in pts}))
 
 
 def _doubled(xi: np.ndarray, step: int, count: int) -> np.ndarray:
@@ -168,12 +158,12 @@ def _phase_table(xi: np.ndarray) -> np.ndarray:
     return np.moveaxis(_doubled(xi, 1, _PHASE_BLOCK), 0, -1)
 
 
-def _gate(which: Component, *defects: np.ndarray) -> None:
-    """Raise unless every part the real gauge drops is exactly zero at every node."""
+def _gate(which: str, *defects: np.ndarray) -> None:
+    """Raise unless each part of weight ``which`` ("PP"/"PM") the real gauge drops is exactly 0."""
     worst = max(float(np.max(np.abs(d))) for d in defects)
     if not worst == 0.0:
         raise QuadratureError(
-            f"{which.name} weight breaks the real gauge at a Gauss node pair", worst
+            f"{which} weight breaks the real gauge at a Gauss node pair", worst
         )
 
 
@@ -218,10 +208,10 @@ def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, n_max: int, out:
     vectors = []
     if p.delta != 0.0:  # at delta = 0, phi_0 and so the PP weight vanish
         even, odd = folded(pp)
-        _gate(Component.PP, even)
+        _gate("PP", even)
         vectors.append((odd * w, True))
     even, odd = folded(pm)
-    _gate(Component.PM, even.imag, odd.real)
+    _gate("PM", even.imag, odd.real)
     vectors += [(even.real * w, False), (odd.imag * w, True)]
 
     rows = n_max // _PHASE_BLOCK + 1
@@ -265,8 +255,8 @@ def _coefficients(n_max: int, p: ModelParams, tol: float) -> tuple[np.ndarray, f
 
     def name(column: int) -> str:
         if column < n_max:
-            return f"{Component.PP.name}[{column}]"
-        return f"{Component.PM.name}[{column - 2 * n_max}]"
+            return f"PP[{column}]"
+        return f"PM[{column - 2 * n_max}]"
 
     def rule(lo, hi):
         out = np.empty((lo.size, 3 * n_max - 1))
@@ -275,20 +265,20 @@ def _coefficients(n_max: int, p: ModelParams, tol: float) -> tuple[np.ndarray, f
             _panel_sums(lo[part], hi[part], p, n_max, out[part])
         return out
 
-    max_width = _PERIODS_PER_PANEL * TWO_PI / n_max if n_max > _OSC_SPLIT_THRESHOLD else None
+    max_width = _PERIODS_PER_PANEL * math.tau / n_max if n_max > _OSC_SPLIT_THRESHOLD else None
     # the breakpoints are symmetric under xi -> 2pi - xi: kappa is odd, mu even
     edges = breakpoints(p)
     lo, hi = _split_edges(np.append(edges[edges < math.pi], math.pi), max_width)
     try:
-        vals, errs = _refine(rule, lo, hi, tol * TWO_PI, math.pi, panel_cost=2)
+        vals, errs = _refine(rule, lo, hi, tol * math.tau, math.pi, panel_cost=2)
     except QuadratureError as exc:
         if exc.column is None:
             raise
         raise QuadratureError(
-            f"coefficient {name(exc.column)} did not converge", exc.achieved_error / TWO_PI
+            f"coefficient {name(exc.column)} did not converge", exc.achieved_error / math.tau
         ) from exc
-    values = vals.sum(axis=0) / TWO_PI
-    errors = errs.sum(axis=0) / TWO_PI
+    values = vals.sum(axis=0) / math.tau
+    errors = errs.sum(axis=0) / math.tau
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise QuadratureError(

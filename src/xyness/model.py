@@ -98,7 +98,7 @@ def _cos_minus(xi, r: float):
     the sum 2 cos^2(f/2) - (1 + r), whose two terms share one sign.
     """
     xi = np.asarray(xi, dtype=float)
-    f = np.minimum(np.abs(xi), 2.0 * math.pi - np.abs(xi))
+    f = np.minimum(np.abs(xi), math.tau - np.abs(xi))
     if r > 1.0:
         return (1.0 - r) - 2.0 * np.sin(0.5 * f) ** 2
     if r < -1.0:
@@ -175,26 +175,20 @@ def symbol_singular_values(xi, p: ModelParams):
     return np.tanh(0.5 * p.beta_l * m), np.tanh(0.5 * p.beta_r * m)
 
 
-def _direction(xi, p: ModelParams, m):
-    """Unit direction chi = (cos(xi) - lam - i*gamma*sin(xi))/mu, m = mu(xi).
-
-    Raises :class:`DomainError` if m vanishes anywhere: chi has no limit there.
-    """
-    if np.any(np.asarray(m) == 0.0):
-        raise DomainError("direction undefined at a zero of mu")
-    return (_cos_minus(xi, p.lam) - 1j * p.gamma * np.sin(xi)) / m
-
-
 def _symbol_weights(xi, p: ModelParams):
     """The symbol's weights (sign(kappa)*phi_delta, chi*phi_beta), from one mu.
 
-    The coefficient integrands' frequency-independent factors.  The first is
+    The coefficient integrands' frequency-independent factors, with the unit
+    direction chi = (cos(xi) - lam - i*gamma*sin(xi))/mu.  The first is
     exactly odd in xi, the second's real part exactly even and its imaginary
     part exactly odd.  Raises :class:`DomainError` at exact zeros of mu.
     """
     m = mu(xi, p)
+    if np.any(m == 0.0):
+        raise DomainError("direction undefined at a zero of mu")
     diag = np.sign(kappa(xi, p)) * _phi_from_mu(p.delta, m, p.beta, p.delta)
-    return diag, _direction(xi, p, m) * _phi_from_mu(p.beta, m, p.beta, p.delta)
+    chi = (_cos_minus(xi, p.lam) - 1j * p.gamma * np.sin(xi)) / m
+    return diag, chi * _phi_from_mu(p.beta, m, p.beta, p.delta)
 
 
 def symbol_matrices(xi, p: ModelParams) -> np.ndarray:

@@ -46,7 +46,7 @@ def midpoint_grid(points: int) -> np.ndarray:
     """Uniform grid offset by half a step: stays clear of the zeros of kappa,
     where the sign(0) = 0 convention makes both singular values collapse to
     phi_beta and the closed-form pair holds only as a one-sided limit."""
-    return (np.arange(points) + 0.5) * (2.0 * math.pi / points)
+    return (np.arange(points) + 0.5) * (math.tau / points)
 
 
 def symbol_svd_deviation(p: ModelParams, xi: np.ndarray, matrices=None) -> float:
@@ -79,8 +79,7 @@ def fold_deviation(p: ModelParams, seq: BlockSequence) -> float:
     of the diagonal weight shows as a deviation.  Each side is within
     ``seq.tol``, so a sound fold keeps the distance within 2 * seq.tol.
     """
-    two_pi = 2.0 * math.pi
-    edges = np.append(breakpoints(p), two_pi)
+    edges = np.append(breakpoints(p), math.tau)
     worst = 0.0
     # app[k] = 1j * blocks[k + N - 1, 0, 0] and apm[k] = -blocks[k + N, 0, 1];
     # the weights come from the model, not through the engine's binding
@@ -90,9 +89,9 @@ def fold_deviation(p: ModelParams, seq: BlockSequence) -> float:
             ref, _ = adaptive_panels(
                 lambda xi: _symbol_weights(xi, p)[part] * np.exp(-1j * k * xi),
                 edges,
-                seq.tol * two_pi,
+                seq.tol * math.tau,
             )
-            worst = max(worst, abs(values[k + offset] - ref / two_pi))
+            worst = max(worst, abs(values[k + offset] - ref / math.tau))
     return worst
 
 

@@ -33,8 +33,6 @@ from .skewlinalg import singular_values
 from .toeplitz import assemble  # noqa: F401 (perfbench/tracer.py wraps this binding)
 from .toeplitz import folded
 
-_TWO_PI = 2.0 * math.pi
-
 #: absolute tolerance of every symbol mean over the circle: each
 #: distributional limit, the rate bound B among them
 LIMIT_TOL = 1e-9
@@ -139,9 +137,9 @@ def avram_parter_limit(g, p: ModelParams) -> float:
         lo, hi = symbol_singular_values(xi, p)
         return 0.5 * (np.asarray(g(lo)) + np.asarray(g(hi)))
 
-    edges = np.append(breakpoints(p), _TWO_PI)
-    value, _ = adaptive_panels(integrand, edges, LIMIT_TOL * _TWO_PI)
-    return float(np.real(value)) / _TWO_PI
+    edges = np.append(breakpoints(p), math.tau)
+    value, _ = adaptive_panels(integrand, edges, LIMIT_TOL * math.tau)
+    return float(np.real(value)) / math.tau
 
 
 def avram_parter_gap(n: int, g, seq: BlockSequence, limit: float) -> SpectralSummary:

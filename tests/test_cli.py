@@ -146,8 +146,8 @@ class TestCorrelationsCommand:
         # varies between identical runs
         shared = {
             "xyness", "numpy", "command", "gamma", "lambda", "beta_l", "beta_r",
-            "swapped", "critical", "tol", "n_list", "theorem_rate", "weak_rate",
-            "mu_sup", "fit_slope", "fit_window",
+            "beta", "delta", "swapped", "critical", "tol", "n_list", "theorem_rate",
+            "weak_rate", "mu_sup", "fit_slope", "fit_window",
         }
         keys = {}
         for fmt in ("csv", "jsonl"):
@@ -160,7 +160,7 @@ class TestCorrelationsCommand:
                 keys[fmt] = {k for line in comments for k in re.findall(r"(\w+)=", line)}
             else:
                 keys[fmt] = set(json.loads(lines[0]))
-        assert keys["csv"] == shared | {"beta", "delta"}
+        assert keys["csv"] == shared
         assert keys["jsonl"] == shared | {"type"}
 
     def test_dump_matrices(self, tmp_path):
@@ -177,6 +177,42 @@ class TestCorrelationsCommand:
         r = run_cli("correlations", *BASE, "--n-list", "2", "--dump-matrices")
         assert r.returncode == 2
         assert r.stdout == ""  # rejected before any computation or output
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["correlations", *BASE, "--n-list", "2,4,8,16"],
+        ["spectrum", *BASE, "--n-list", "8,16"],
+        ["bound", *BASE],
+        ["sweep", "--n-list", "2,4", "--point", "0.5,0.3,1,3", "--point=-0.4,1.7,2,2"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_csv_and_jsonl_describe_the_run_alike(tmp_path, args):
+    # the CSV "# k=v" pairs, read back as JSON where they parse, are the
+    # JSONL meta object without its "type"
+    described = {}
+    for fmt in ("csv", "jsonl"):
+        out = tmp_path / f"run.{fmt}"
+        assert run_cli(*args, "--format", fmt, "--out", str(out)).returncode == 0
+        described[fmt] = out.read_text().splitlines()
+    meta = json.loads(described["jsonl"][0])
+    assert meta.pop("type") == "meta"
+    pairs = {}
+    for line in described["csv"]:
+        if line.startswith("# "):
+            pairs.update(pair.split("=", 1) for pair in line[2:].split(" "))
+
+    def parsed(text):
+        try:
+            return json.loads(text)
+        except json.JSONDecodeError:
+            return text
+
+    csv = {k: parsed(v) for k, v in pairs.items()}
+    assert csv == meta
+    assert all(type(csv[k]) is type(v) for k, v in meta.items())
 
 
 class TestExitCodes:

@@ -1,4 +1,7 @@
 import ast
+import importlib
+import importlib.util
+import sys
 import types
 from pathlib import Path
 
@@ -44,3 +47,18 @@ def test_every_public_name_has_a_caller():
             if isinstance(node.ctx, ast.Load) and name not in inside.get(id(node), ()):
                 read.add(name)
     assert [name for name in xyness.__all__ if name not in read] == []
+
+
+def test_tracer_bindings_resolve(monkeypatch):
+    # perfbench/tracer.py wraps each (module, name) it lists in the module
+    # that binds it; a renamed or dropped binding would fail only in a traced
+    # benchmark run.  The tracer imports the standard library alone; its
+    # dataclasses need it in sys.modules while it runs
+    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)
+    spec.loader.exec_module(tracer)
+    assert tracer.BINDINGS
+    for module_name, attr, *_ in tracer.BINDINGS:
+        module = importlib.import_module(f"xyness.{module_name}")
+        assert callable(getattr(module, attr, None)), f"xyness.{module_name}.{attr}"
