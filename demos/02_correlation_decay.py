@@ -24,7 +24,7 @@ for label, p in SETS.items():
     print(f"{'n':>5} {'log|C(n)|':>14} {'LU resid':>14} {'smin':>8}")
     for r in series.rows:
         print(f"{r.n:5d} {r.log_abs_C:14.6f} {r.pf_det_residual:14.2e} {r.smin:8.4f}")
-    fit = fit_decay(series, 64, 192)
+    fit = fit_decay(series.rows, 64, 192)
     B = series.bound.theorem_rate
     print(f"fitted slope over n in [64, 192]: {fit.slope:+.6f}")
     print(f"rate integral (upper bound):      {B:+.6f}")

@@ -7,7 +7,7 @@ is a property of the parameters, and log|det Omega(n)| is twice log|C(n)|,
 so neither the bound report nor a series row stores them.
 """
 
-from xyness import ModelParams, bound_report, sweep, weak_bound_log
+from xyness import ModelParams, bound_report, sweep, weak_rate
 
 print("rate integral across the phase diagram (beta_l = 1, beta_r = 3):")
 print(f"{'gamma':>7} {'lambda':>7} {'critical':>9} {'rate':>12} {'weak rate':>12}")
@@ -43,7 +43,7 @@ for i, series in enumerate(results):
     last = series.rows[-1]
     # compute_series raises where a row breaks the all-n bound; the margin
     # is how far the closest row stays below it
-    margin = min(weak_bound_log(r.n, series.params) - 2 * r.log_abs_C for r in series.rows)
+    margin = min(r.n * weak_rate(series.params) - 2 * r.log_abs_C for r in series.rows)
     print(
         f"  point {i}: swapped={series.params.swapped!s:5}"
         f" critical={series.params.critical!s:5}"
@@ -56,4 +56,4 @@ print()
 p = grid[0]
 print("the all-n determinant bound next to the actual values:")
 for r in results[0].rows:
-    print(f"  n={r.n:3d}: log|det| = {2 * r.log_abs_C:10.4f} <= {weak_bound_log(r.n, p):9.4f}")
+    print(f"  n={r.n:3d}: log|det| = {2 * r.log_abs_C:10.4f} <= {r.n * weak_rate(p):9.4f}")

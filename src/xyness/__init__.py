@@ -15,7 +15,7 @@ Library layout:
 """
 
 from ._version import __version__
-from .bounds import BoundReport, bound_report, theorem_bound, weak_bound_log
+from .bounds import BoundReport, bound_report, theorem_bound, weak_rate
 from .fourier import BlockSequence, breakpoints, build_block_sequence
 from .model import (
     DomainError,
@@ -99,5 +99,5 @@ __all__ = [
     "symbol_norm",
     "symbol_singular_values",
     "theorem_bound",
-    "weak_bound_log",
+    "weak_rate",
 ]

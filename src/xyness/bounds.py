@@ -70,13 +70,6 @@ def weak_rate(p: ModelParams) -> float:
     return 2.0 * math.log(symbol_norm(p))
 
 
-def weak_bound_log(n: int, p: ModelParams) -> float:
-    """2n * log tanh(beta_r * mu_sup / 2): upper bound on log|det Omega(n)|."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return n * weak_rate(p)
-
-
 def bound_report(p: ModelParams) -> BoundReport:
     """The bounds of :class:`BoundReport`, with B to absolute error ``LIMIT_TOL``."""
     return BoundReport(theorem_rate=theorem_bound(p), weak_rate=weak_rate(p))

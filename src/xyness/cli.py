@@ -269,8 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--beta-r", type=float, default=3.0, help="right inverse temperature")
 
     def add_sizes(sp, n_max_default=256):
-        sp.add_argument("--n-max", type=int, default=n_max_default, help="largest truncation size")
-        sp.add_argument("--n-list", type=_parse_n_list, default=None, help="explicit sizes, comma-separated")
+        sizes = sp.add_mutually_exclusive_group()
+        # a str default is parsed only if the flag is absent: "--n-max 256" still conflicts
+        sizes.add_argument("--n-max", type=int, default=str(n_max_default), help="largest truncation size")
+        sizes.add_argument("--n-list", type=_parse_n_list, default=None, help="explicit sizes, comma-separated")
         sp.add_argument("--tol", type=float, default=1e-12, help="coefficient quadrature tolerance")
 
     def add_output(sp):

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import WEAK_BOUND_SLACK, BoundReport, bound_report, weak_bound_log
+from .bounds import WEAK_BOUND_SLACK, BoundReport, bound_report, weak_rate
 from .fourier import BlockSequence, build_block_sequence
 from .model import ModelParams
 from .skewlinalg import log_det, singular_values
@@ -103,16 +103,12 @@ class CorrelationSeries:
     error: str | None = None
 
 
-def fit_decay(series: CorrelationSeries, n_lo: int, n_hi: int) -> FitResult:
-    """Least-squares line through (n, log|C(n)|) for rows with n in [n_lo, n_hi].
+def fit_decay(rows, n_lo: int, n_hi: int) -> FitResult:
+    """Least-squares line through (n, log|C(n)|) for the :class:`SeriesRow` with n in [n_lo, n_hi].
 
     The slope estimates the asymptotic decay rate limsup log|C(n)|/n.
     Requires at least 4 rows inside the window.
     """
-    return _fit_rows(series.rows, n_lo, n_hi)
-
-
-def _fit_rows(rows, n_lo: int, n_hi: int) -> FitResult:
     rows = [r for r in rows if n_lo <= r.n <= n_hi]
     if len(rows) < 4:
         raise ValueError(
@@ -198,7 +194,7 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) ->
     return CorrelationSeries(
         params=p,
         rows=tuple(rows),
-        fit=_fit_rows(rows, rows[start].n, rows[-1].n) if len(rows) >= 4 else None,
+        fit=fit_decay(rows, rows[start].n, rows[-1].n) if len(rows) >= 4 else None,
         bound=bound_report(p),
         sequence=seq,
     )
@@ -224,7 +220,7 @@ def _lu_pair(X: np.ndarray, p: ModelParams) -> tuple:
         raise NumericalError(
             f"LU/reversed-LU cross-check failed at n={n}: residual {residual:.3e}"
         )
-    wb = weak_bound_log(n, p)
+    wb = n * weak_rate(p)
     if not log_abs_det <= wb + WEAK_BOUND_SLACK:
         raise NumericalError(
             f"determinant bound violated at n={n}: {log_abs_det:.6e} > {wb:.6e}"

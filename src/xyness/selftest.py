@@ -16,7 +16,7 @@ import numpy as np
 from .bounds import theorem_bound
 from .fourier import BlockSequence, breakpoints, build_block_sequence
 from .model import ModelParams, _symbol_weights, symbol_matrices, symbol_singular_values
-from .pipeline import compute_series, fit_decay
+from .pipeline import compute_series
 from .quadrature import adaptive_panels
 from .skewlinalg import log_det, pfaffian, pfaffian_brute, singular_values
 from .spectral import avram_parter_gap, avram_parter_limit, square_plateau
@@ -184,15 +184,14 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
     ok = all(math.isfinite(v) and v > 0 for v in gaps) and gaps[1] <= gaps[0]
     record("avram-parter-gap", ok, f"gap(16)={gaps[0]:.2e} gap(64)={gaps[1]:.2e}")
 
-    # decay-rate bound at reduced size; compute_series itself raises if a
-    # row breaks the all-n determinant bound
+    # decay-rate bound at reduced size, fitted over n in [32, 96]; compute_series
+    # itself raises if a row breaks the all-n determinant bound
     series = compute_series(p, n_list=(8, 16, 24, 32, 48, 64, 96), tol=1e-12)
-    fit = fit_decay(series, 32, 96)
     rate = series.bound.theorem_rate
     record(
         "decay-rate-bound",
-        fit.slope <= rate + REDUCED_SLOPE_MARGIN,
-        f"slope {fit.slope:.6f} vs bound {rate:.6f}",
+        series.fit.slope <= rate + REDUCED_SLOPE_MARGIN,
+        f"slope {series.fit.slope:.6f} vs bound {rate:.6f}",
     )
 
     # equilibrium reduction: no temperature difference, no diagonal blocks

@@ -28,7 +28,7 @@ from xyness import (
     symbol_matrices,
     symbol_norm,
     symbol_singular_values,
-    weak_bound_log,
+    weak_rate,
 )
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET, midpoint_grid
 
@@ -161,7 +161,7 @@ def test_criterion_5_avram_parter_convergence(spectral_summaries):
 def test_criterion_6_theorem_bound_compliance(series_all):
     details = []
     for p, series in series_all.items():
-        fit = fit_decay(series, 64, 256)
+        fit = fit_decay(series.rows, 64, 256)
         rate = series.bound.theorem_rate
         assert fit.slope <= rate + 0.01, (p, fit.slope, rate)
         details.append(f"{fit.slope - rate:+.2e}")
@@ -173,7 +173,7 @@ def test_criterion_7_sharpness_observation(series_all):
     gaps = []
     for p in ACCEPTANCE_SETS:
         series = series_all[p]
-        fit = fit_decay(series, 64, 256)
+        fit = fit_decay(series.rows, 64, 256)
         gaps.append(abs(fit.slope - series.bound.theorem_rate))
     report(
         7,
@@ -187,7 +187,7 @@ def test_criterion_8_weak_bound(series_all):
     worst = -math.inf
     for p, series in series_all.items():
         for row in series.rows:
-            worst = max(worst, 2 * row.log_abs_C - weak_bound_log(row.n, p))
+            worst = max(worst, 2 * row.log_abs_C - row.n * weak_rate(p))
     assert worst <= 1e-8
     report(8, f"log|det| exceeds the all-n bound by at most {worst:.2e}")
 
@@ -199,7 +199,7 @@ def test_criterion_9_equilibrium_reduction(seqs512, series_all):
     assert all(v == 0.0 for v in seq.blocks[:, 0, 0])
     a = symbol_matrices(midpoint_grid(1024), p)
     assert np.all(a[:, 0, 0] == 0.0) and np.all(a[:, 1, 1] == 0.0)
-    fit = fit_decay(series_all[p], 64, 256)
+    fit = fit_decay(series_all[p].rows, 64, 256)
     rate = series_all[p].bound.theorem_rate
     assert fit.slope <= rate + 0.01
     report(

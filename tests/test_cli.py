@@ -186,12 +186,16 @@ class TestCorrelationsCommand:
         ["spectrum", *BASE, "--n-list", "8,16"],
         ["bound", *BASE],
         ["sweep", "--n-list", "2,4", "--point", "0.5,0.3,1,3", "--point=-0.4,1.7,2,2"],
+        # point 0 fails at n = 1 (ROADMAP item 1), so its error message,
+        # spaces included, is one description line
+        ["sweep", "--n-list", "1,2,4,8", "--point", "0,2,50,50", "--point", "0.5,0.3,1,3"],
     ],
-    ids=lambda args: args[0],
+    ids=["correlations", "spectrum", "bound", "sweep", "sweep-point-error"],
 )
 def test_csv_and_jsonl_describe_the_run_alike(tmp_path, args):
     # the CSV "# k=v" pairs, read back as JSON where they parse, are the
-    # JSONL meta object without its "type"
+    # JSONL meta object without its "type"; a "#" line that is not a run of
+    # k=v tokens is one key with its whole value
     described = {}
     for fmt in ("csv", "jsonl"):
         out = tmp_path / f"run.{fmt}"
@@ -202,7 +206,9 @@ def test_csv_and_jsonl_describe_the_run_alike(tmp_path, args):
     pairs = {}
     for line in described["csv"]:
         if line.startswith("# "):
-            pairs.update(pair.split("=", 1) for pair in line[2:].split(" "))
+            body = line[2:]
+            tokens = body.split(" ") if re.fullmatch(r"\w+=\S+( \w+=\S+)*", body) else [body]
+            pairs.update(pair.split("=", 1) for pair in tokens)
 
     def parsed(text):
         try:
@@ -213,6 +219,10 @@ def test_csv_and_jsonl_describe_the_run_alike(tmp_path, args):
     csv = {k: parsed(v) for k, v in pairs.items()}
     assert csv == meta
     assert all(type(csv[k]) is type(v) for k, v in meta.items())
+    if "0,2,50,50" in args:
+        assert meta["point_0_error"] == (
+            "NumericalError: fold X is exactly singular at n=1: log|det X| = -inf"
+        )
 
 
 class TestExitCodes:
@@ -385,6 +395,18 @@ class TestUsageErrors:
         assert r.returncode == 2
         assert r.stdout == ""
         assert any(line.startswith("error: ") for line in r.stderr.splitlines())
+
+    # 256 is correlations' and sweep's default --n-max, 512 spectrum's
+    @pytest.mark.parametrize("n_max", ["256", "512"])
+    @pytest.mark.parametrize("subcommand", ["correlations", "spectrum", "sweep"])
+    def test_n_max_with_n_list_exits_2(self, subcommand, n_max, capsys):
+        import xyness.cli as cli
+
+        for sizes in (["--n-max", n_max, "--n-list", "8,16"], ["--n-list", "8,16", "--n-max", n_max]):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([subcommand, *BASE, *sizes])
+            assert exc.value.code == 2
+            assert "not allowed with argument" in capsys.readouterr().err
 
 
 class TestBoundCommand:

@@ -448,3 +448,63 @@ class TestCriticalParameters:
         for blk in seq.blocks:
             assert np.all(np.isfinite(blk))
         assert seq.err_estimate < 1e-11
+
+
+#: off-equilibrium, non-critical points of the far-tail check; six have four
+#: zeros of kappa (|lam| <= 1 - gamma^2), the other four have two
+FAR_TAIL_SETS = [
+    ModelParams(0.5, 0.3, 1.0, 3.0),
+    ModelParams(0.2, -0.4, 0.3, 10.0),
+    ModelParams(0.9, 0.5, 0.5, 4.0),
+    ModelParams(0.5, 1.5, 1.0, 3.0),
+    ModelParams(-0.6, 0.2, 0.5, 2.0),
+    ModelParams(0.0, 1.5, 1.0, 2.0),
+    ModelParams(0.3, -1.2, 2.0, 5.0),
+    ModelParams(0.7, 0.0, 1.0, 1.5),
+    ModelParams(0.5, 0.3, 1e-3, 2e-3),
+    ModelParams(-0.95, 0.05, 0.2, 8.0),
+]
+FAR_TAIL_N = 2048
+
+
+def jump_term(p, xi_j, jump, x, terms=6):
+    """Breakpoint xi_j's share of app[x] ~ (1/2pi) sum_j e^{-ix xi_j} sum_m J_j^(m) / (ix)^(m+1).
+
+    Integration by parts on the smooth pieces of sign(kappa) * g, g = phi_delta
+    of mu, leaves at each zero xi_j of kappa the jump J_j^(m) = jump * g^(m)(xi_j),
+    ``jump`` the sign of kappa just after xi_j minus the sign just before.  The
+    derivatives come from ``mp.diffs`` at 30 digits.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mp.workdps(30):
+        gamma, lam = mp.mpf(p.gamma), mp.mpf(p.lam)
+        beta, delta = mp.mpf(p.beta), mp.mpf(p.delta)
+
+        def g(xi):
+            m = mp.sqrt((mp.cos(xi) - lam) ** 2 + (gamma * mp.sin(xi)) ** 2)
+            return mp.sinh(delta * m) / (mp.cosh(beta * m) + mp.cosh(delta * m))
+
+        series = sum(d / (1j * x) ** (k + 1) for k, d in enumerate(mp.diffs(g, mp.mpf(xi_j), terms - 1)))
+        return complex(mp.exp(-1j * x * mp.mpf(xi_j)) * jump * series / (2 * mp.pi))
+
+
+class TestFarTail:
+    """The far tail of app against its asymptote from the jumps of sign(kappa) (ROADMAP item 14)."""
+
+    @pytest.mark.parametrize("p", FAR_TAIL_SETS, ids=set_id)
+    def test_app_tail_matches_jump_asymptote(self, p):
+        assert p.delta > 0.0 and not p.critical
+        seq = build_block_sequence(FAR_TAIL_N, p, TOL)
+        xis = breakpoints(p)
+        jumps = [np.sign(kappa(x0 + 1e-6, p)) - np.sign(kappa(x0 - 1e-6, p)) for x0 in xis]
+        assert all(abs(j) == 2.0 for j in jumps)
+        bound = 2.0 * seq.err_estimate
+        for x in (1024, 2047):
+            terms = [jump_term(p, x0, j, x) for x0, j in zip(xis, jumps)]
+            im_app = seq.blocks[x + FAR_TAIL_N - 1, 0, 0]
+            assert abs(im_app - sum(terms).imag) <= bound, x
+        # negative control: at x = 2047, the asymptote with xi_0 moved by
+        # 1e-6 misses by far more than the bound
+        moved = jump_term(p, xis[0] + 1e-6, jumps[0], x) + sum(terms[1:])
+        assert abs(im_app - moved.imag) > 10.0 * bound

@@ -49,16 +49,48 @@ def test_every_public_name_has_a_caller():
     assert [name for name in xyness.__all__ if name not in read] == []
 
 
-def test_tracer_bindings_resolve(monkeypatch):
-    # perfbench/tracer.py wraps each (module, name) it lists in the module
-    # that binds it; a renamed or dropped binding would fail only in a traced
-    # benchmark run.  The tracer imports the standard library alone; its
-    # dataclasses need it in sys.modules while it runs
+def tracer_bindings(monkeypatch):
+    """``perfbench/tracer.py``'s BINDINGS, loaded by path.
+
+    The tracer imports the standard library alone; its dataclasses need it
+    in sys.modules while it runs.
+    """
     spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)
     spec.loader.exec_module(tracer)
-    assert tracer.BINDINGS
-    for module_name, attr, *_ in tracer.BINDINGS:
+    return tracer.BINDINGS
+
+
+def test_tracer_bindings_resolve(monkeypatch):
+    # perfbench/tracer.py wraps each (module, name) it lists in the module
+    # that binds it; a renamed or dropped binding would fail only in a traced
+    # benchmark run
+    bindings = tracer_bindings(monkeypatch)
+    assert bindings
+    for module_name, attr, *_ in bindings:
         module = importlib.import_module(f"xyness.{module_name}")
         assert callable(getattr(module, attr, None)), f"xyness.{module_name}.{attr}"
+
+
+def test_every_import_is_read(monkeypatch):
+    # a name a module imports and never reads is dead, unless the tracer
+    # wraps it there; so an import cannot outlive its last caller, and a
+    # tracer-only import must be listed in BINDINGS
+    traced = {(module, attr) for module, attr, *_ in tracer_bindings(monkeypatch)}
+    unread = []
+    for path in sorted((ROOT / "src" / "xyness").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        read = {
+            node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [(path.stem, name) for name in sorted(imported - read)]
+    assert [binding for binding in unread if binding not in traced] == []

@@ -24,7 +24,7 @@ from xyness import (
 )
 import xyness.pipeline
 import xyness.toeplitz
-from xyness.pipeline import DEFAULT_N_LIST, CorrelationSeries, SeriesRow
+from xyness.pipeline import DEFAULT_N_LIST, SeriesRow
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET, paper_coefficients
 
 HOT_SET = ModelParams(0.5, 0.3, 1e-3, 2e-3)
@@ -33,29 +33,14 @@ HOT_SET = ModelParams(0.5, 0.3, 1e-3, 2e-3)
 COLD_SET, COLD_SIZES = ModelParams(0.0, 2.0, 50.0, 50.0), (1, 2, 4, 8)
 
 
-def synthetic_series(values):
-    rows = tuple(
-        SeriesRow(
-            n=n,
-            log_abs_C=y,
-            pf_det_residual=0.0,
-            smin=0.1,
-            smax=0.9,
-        )
-        for n, y in values
-    )
-    return CorrelationSeries(
-        params=ModelParams(0.5, 0.3, 1.0, 2.0),
-        rows=rows,
-        fit=None,
-        bound=None,
-    )
+def synthetic_rows(values):
+    return [SeriesRow(n=n, log_abs_C=y, pf_det_residual=0.0, smin=0.1, smax=0.9) for n, y in values]
 
 
 class TestFitDecay:
     def test_exact_line(self):
-        series = synthetic_series([(n, -0.37 * n + 1.2) for n in (10, 20, 30, 40, 50)])
-        fit = fit_decay(series, 10, 50)
+        rows = synthetic_rows([(n, -0.37 * n + 1.2) for n in (10, 20, 30, 40, 50)])
+        fit = fit_decay(rows, 10, 50)
         assert fit.slope == pytest.approx(-0.37, abs=1e-12)
         assert fit.intercept == pytest.approx(1.2, abs=1e-10)
         assert fit.residual_rms < 1e-12
@@ -66,13 +51,13 @@ class TestFitDecay:
             (n, rate * n + 0.7 + (1e-6 if i % 2 == 0 else -1e-6))
             for i, n in enumerate(range(10, 90, 10))
         ]
-        fit = fit_decay(synthetic_series(vals), 10, 80)
+        fit = fit_decay(synthetic_rows(vals), 10, 80)
         assert fit.slope == pytest.approx(rate, abs=1e-6)
 
     def test_requires_four_rows(self):
-        series = synthetic_series([(n, -n) for n in (10, 20, 30)])
+        rows = synthetic_rows([(n, -n) for n in (10, 20, 30)])
         with pytest.raises(ValueError):
-            fit_decay(series, 10, 30)
+            fit_decay(rows, 10, 30)
 
 
 class TestComputeSeries:
