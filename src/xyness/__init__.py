@@ -18,7 +18,6 @@ from ._version import __version__
 from .bounds import BoundReport, bound_report, theorem_bound, weak_rate
 from .fourier import BlockSequence, breakpoints, build_block_sequence
 from .model import (
-    DomainError,
     ModelParams,
     kappa,
     mu,
@@ -62,7 +61,6 @@ __all__ = [
     "BoundReport",
     "CorrelationSeries",
     "DEFAULT_N_LIST",
-    "DomainError",
     "FitResult",
     "LogScalar",
     "ModelParams",

@@ -26,10 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class DomainError(ValueError):
-    """Evaluation requested at a point where the quantity is undefined (mu = 0)."""
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Validated physical parameters of the two-reservoir XY chain.
@@ -181,13 +177,13 @@ def _symbol_weights(xi, p: ModelParams):
     The coefficient integrands' frequency-independent factors, with the unit
     direction chi = (cos(xi) - lam - i*gamma*sin(xi))/mu.  The first is
     exactly odd in xi, the second's real part exactly even and its imaginary
-    part exactly odd.  Raises :class:`DomainError` at exact zeros of mu.
+    part exactly odd.  At an exact zero of mu both terms of chi's numerator
+    are exactly 0, so chi is taken as 0 there and both weights are exactly
+    0: the value of the analytic symbol at a zero of mu.
     """
     m = mu(xi, p)
-    if np.any(m == 0.0):
-        raise DomainError("direction undefined at a zero of mu")
     diag = np.sign(kappa(xi, p)) * _phi_from_mu(p.delta, m, p.beta, p.delta)
-    chi = (_cos_minus(xi, p.lam) - 1j * p.gamma * np.sin(xi)) / m
+    chi = (_cos_minus(xi, p.lam) - 1j * p.gamma * np.sin(xi)) / np.where(m == 0.0, 1.0, m)
     return diag, chi * _phi_from_mu(p.beta, m, p.beta, p.delta)
 
 
@@ -202,7 +198,8 @@ def symbol_matrices(xi, p: ModelParams) -> np.ndarray:
     entries have equal modulus phi_beta(xi).  At zeros of kappa the diagonal
     uses sign(0) = 0; these points form a measure-zero set and never enter
     the coefficient integrals because the quadrature panels are split
-    exactly there.  Raises :class:`DomainError` at exact zeros of mu.
+    exactly there.  At exact zeros of mu, a zero of kappa too, a(xi) is
+    exactly 0, its limit there.
     """
     xi = np.asarray(xi, dtype=float)
     diag, off = _symbol_weights(xi, p)

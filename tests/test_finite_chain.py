@@ -13,7 +13,11 @@ log|C(n)| = log|det Gamma_n| / 2 with the pipeline's n.
 At beta_l = beta_r the steady-state symbol is the Gibbs state's, so the
 chain checks ``compute_series`` from the spin chain up, not from the symbol.
 Both routes carry ~1e-16 absolute noise in the correlation matrix, so a row
-agrees to about 1e-16/smin: the bound below is 1e-14/smin.
+agrees to about 1e-16/smin, and each row is held to 1e-14/smin.  That is a
+noise scale, not a bound: at (-0.99996, -0.0328, 3.562) the rows at n = 12,
+16 and 24 miss the chain by 9.4, 8.4 and 10.4 where 1e-14/smin is 3.2, 3.0
+and 4.9 (ROADMAP item 1).  Those rows are pinned as a defect, |diff| > 1,
+as ``test_oracle`` pins its rows below the quadrature floor.
 """
 
 import numpy as np
@@ -27,7 +31,7 @@ SITES = 300
 SIZES = (1, 2, 3, 4, 8, 12, 16, 24)
 
 #: (gamma, lam, beta): gamma < 0, |lam| > 1, two critical points, beta from
-#: 1e-3 to 10
+#: 1e-3 to 10, and gamma -> -1, whose rows from n = 8 on sit below the floor
 POINTS = [
     (0.5, 0.3, 1.0),
     (-0.5, 0.3, 2.0),
@@ -37,7 +41,10 @@ POINTS = [
     (0.9, 0.5, 0.5),
     (0.2, -0.4, 10.0),
     (0.5, 0.3, 1e-3),
+    (-0.99996, -0.0328, 3.562),
 ]
+#: the sizes at which a point's rows miss the chain by more than 1e-14/smin
+BELOW_FLOOR = {(-0.99996, -0.0328, 3.562): (12, 16, 24)}
 
 
 def majorana_matrix(gamma, lam):
@@ -81,7 +88,11 @@ def test_equilibrium_rows_match_gibbs_chain(point):
     series = compute_series(ModelParams(gamma, lam, beta, beta), n_list=SIZES)
     chain, colder = chain_log_abs_C(gamma, lam, (beta, 1.1 * beta))
     for row in series.rows:
-        assert abs(row.log_abs_C - chain[row.n]) <= 1e-14 / row.smin, row
+        diff = abs(row.log_abs_C - chain[row.n])
+        if row.n in BELOW_FLOOR.get(point, ()):
+            assert diff > 1.0, (row, diff)
+            continue
+        assert diff <= 1e-14 / row.smin, (row, diff)
     # negative control: the chain 10% colder misses the bound on every
     # resolved row
     resolved = [row for row in series.rows if row.smin >= 1e-6]

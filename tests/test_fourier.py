@@ -489,21 +489,66 @@ def jump_term(p, xi_j, jump, x, terms=6):
         return complex(mp.exp(-1j * x * mp.mpf(xi_j)) * jump * series / (2 * mp.pi))
 
 
-class TestFarTail:
-    """The far tail of app against its asymptote from the jumps of sign(kappa) (ROADMAP item 14)."""
+def sign_jumps(p, xis):
+    """The jump of sign(kappa) across each of ``xis``: the sign just after minus the sign just before."""
+    return [np.sign(kappa(x0 + 1e-6, p)) - np.sign(kappa(x0 - 1e-6, p)) for x0 in xis]
 
-    @pytest.mark.parametrize("p", FAR_TAIL_SETS, ids=set_id)
+
+def mu_zeros(p):
+    """The zeros of kappa where mu vanishes too, decided by structure, not by a float test of mu.
+
+    mu = hypot(cos(xi) - lam, gamma sin(xi)) vanishes at +-acos(lam) when
+    gamma = 0 and |lam| <= 1, and at the xi in {0, pi} with cos(xi) = lam
+    when |lam| = 1.  The symbol is analytic there (ROADMAP item 16), so
+    these are no jumps.
+    """
+    zeros = set()
+    if p.gamma == 0.0 and abs(p.lam) <= 1.0:
+        zeros |= {math.acos(p.lam), (math.tau - math.acos(p.lam)) % math.tau}
+    if abs(p.lam) == 1.0:
+        zeros.add(0.0 if p.lam == 1.0 else math.pi)
+    return zeros
+
+
+#: critical points of the far-tail check, four with gamma = 0 and two with
+#: |lam| = 1
+FAR_TAIL_CRITICAL_SETS = [
+    ModelParams(0.0, 0.5, 1.0, 3.0),
+    ModelParams(0.0, 0.2, 0.5, 2.0),
+    ModelParams(0.0, -0.7, 2.0, 0.6),
+    ModelParams(0.5, 1.0, 1.0, 3.0),
+    ModelParams(-0.3, -1.0, 0.8, 2.5),
+    ModelParams(0.0, 0.0, 1.0, 2.0),
+]
+#: where the zeros of mu, counted as jumps, reach Im app; at the other three
+#: critical points their terms vanish in Im app
+MU_ZERO_CONTROL = set(FAR_TAIL_CRITICAL_SETS[:2] + FAR_TAIL_CRITICAL_SETS[3:4])
+
+
+class TestFarTail:
+    """The far tail of app against its asymptote from the jumps of sign(kappa) (ROADMAP items 14, 16)."""
+
+    @pytest.mark.parametrize("p", FAR_TAIL_SETS + FAR_TAIL_CRITICAL_SETS, ids=set_id)
     def test_app_tail_matches_jump_asymptote(self, p):
-        assert p.delta > 0.0 and not p.critical
+        # the jumps are the zeros of kappa where mu != 0
+        assert p.delta > 0.0
         seq = build_block_sequence(FAR_TAIL_N, p, TOL)
-        xis = breakpoints(p)
-        jumps = [np.sign(kappa(x0 + 1e-6, p)) - np.sign(kappa(x0 - 1e-6, p)) for x0 in xis]
+        dropped = mu_zeros(p)
+        assert bool(dropped) == p.critical
+        xis = [x0 for x0 in breakpoints(p) if x0 not in dropped]
+        jumps = sign_jumps(p, xis)
         assert all(abs(j) == 2.0 for j in jumps)
         bound = 2.0 * seq.err_estimate
         for x in (1024, 2047):
             terms = [jump_term(p, x0, j, x) for x0, j in zip(xis, jumps)]
             im_app = seq.blocks[x + FAR_TAIL_N - 1, 0, 0]
             assert abs(im_app - sum(terms).imag) <= bound, x
+            if p in MU_ZERO_CONTROL:
+                # negative control: the zeros of mu counted as jumps as well
+                wrong = sum(terms) + sum(
+                    jump_term(p, x0, j, x) for x0, j in zip(dropped, sign_jumps(p, dropped))
+                )
+                assert abs(im_app - wrong.imag) > 1e6 * bound, x
         # negative control: at x = 2047, the asymptote with xi_0 moved by
         # 1e-6 misses by far more than the bound
         moved = jump_term(p, xis[0] + 1e-6, jumps[0], x) + sum(terms[1:])

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from xyness import (
-    DomainError,
     ModelParams,
     breakpoints,
     kappa,
@@ -250,15 +249,22 @@ class TestQFactor:
         assert self.q(0.0, ModelParams(0.0, 0.0, 1.0, 2.0)) == pytest.approx(1.0)
         assert self.q(0.0, ModelParams(0.0, 2.0, 1.0, 2.0)) == pytest.approx(-1.0)
 
-    def test_domain_error_at_exact_mu_zero(self):
-        # domain errors fire only at exact zeros of mu: gamma=0, lam=1, xi=0,
-        # and at gamma=0 fl(acos(lam)), where the product form vanishes
-        with pytest.raises(DomainError):
-            symbol_matrices(0.0, ModelParams(0.0, 1.0, 1.0, 3.0))
+    def test_symbol_vanishes_at_exact_mu_zero(self):
+        # exact zeros of mu: gamma=0, lam=1, xi=0, and at gamma=0
+        # fl(acos(lam)), where the product form vanishes.  Both terms of the
+        # direction's numerator are exactly 0 there, so a(xi) is exactly 0,
+        # its analytic limit, with no 0/0 on the way
         x0 = math.acos(0.5)
-        with pytest.raises(DomainError):
-            symbol_matrices(x0, CRITICAL_SET)
-        # a floating-point neighbor of a zero is still in-domain
+        cases = ((0.0, ModelParams(0.0, 1.0, 1.0, 3.0)), (x0, CRITICAL_SET))
+        with np.errstate(all="raise"):
+            for xi, p in cases:
+                assert np.all(symbol_matrices(xi, p) == 0.0)
+                assert np.all(symbol_matrices(np.array([xi, -xi]), p) == 0.0)
+        # a floating-point neighbor of a zero is continuous with it
+        for xi, p in cases:
+            for nb in (math.nextafter(xi, -4.0), math.nextafter(xi, 4.0)):
+                assert np.max(np.abs(symbol_matrices(nb, p))) <= 1e-15
+        # and the direction there is still a unit vector
         assert abs(self.q(math.nextafter(x0, 4.0), CRITICAL_SET)) == pytest.approx(1.0)
 
 

@@ -9,7 +9,7 @@ determinant of the n x n Toeplitz-minus-Hankel matrix
 which is a signed permutation of the fold X (:mod:`xyness.toeplitz`), so
 log|C(n)| = log|det M_n|.  The pipeline's coefficients carry ~1e-16 absolute
 noise, so a row agrees to about 1e-16/smin.  Every row must lie within
-1e-14/smin, the bound of ``test_finite_chain``.  Resolved rows, those with
+1e-14/smin, the noise scale of ``test_finite_chain``.  Resolved rows, those with
 smin >= 1e-3, must also lie within 1e-12.  The exception is ROADMAP item
 1's defect: past n = 16 at (-0.4, 1.7, 2, 2) the true log|C(n)| falls by
 1.80 per step and the pipeline's floor by about 0.15, so those rows miss
