@@ -19,7 +19,7 @@ SETS = {
 N_LIST = (8, 16, 32, 64, 96, 128, 160, 192)
 
 for label, p in SETS.items():
-    series = compute_series(p, n_list=N_LIST, tol=1e-12)
+    series = compute_series(p, n_list=N_LIST)
     print(f"--- {label} ---")
     print(f"{'n':>5} {'log|C(n)|':>14} {'LU resid':>14} {'smin':>8}")
     for r in series.rows:

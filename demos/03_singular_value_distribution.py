@@ -24,7 +24,7 @@ from xyness import (
 )
 
 p = ModelParams(gamma=0.9, lam=0.0, beta_l=1.0, beta_r=4.0)
-seq = build_block_sequence(256, p, tol=1e-12)
+seq = build_block_sequence(256, p)
 norm_cap = symbol_norm(p)
 print(f"parameters: {p}")
 print(f"symbol operator norm (caps every truncation): {norm_cap:.10f}")

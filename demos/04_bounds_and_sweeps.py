@@ -34,7 +34,7 @@ grid = [
     ModelParams(0.5, 0.3, 2.0, 1.0),
     ModelParams(0.0, 0.5, 1.0, 3.0),
 ]
-results = sweep(grid, n_list=(8, 16, 32, 64), tol=1e-12)
+results = sweep(grid, n_list=(8, 16, 32, 64))
 print("sweep over 3 points (last one critical):")
 for i, series in enumerate(results):
     if series.error is not None:

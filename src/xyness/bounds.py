@@ -7,12 +7,14 @@ Two upper bounds on the exponential decay of |C(n)|:
       B = (1/2) Int_0^{2pi} d(xi)/2pi log[ tanh(beta_l*mu/2) * tanh(beta_r*mu/2) ],
 
   which bounds limsup log|C(n)| / n and is strictly negative for all finite
-  admissible parameters.  B is the Avram-Parter limit of the singular-value
-  mean of log: |Pf Omega(n)|^2 = |det Omega(n)| = prod_j s_j over the 2n
-  singular values, so (1/n) log|C(n)| = (1/2n) sum_j log s_j, and
-  :func:`spectral.avram_parter_limit` integrates that mean's limit for any
-  g.  At critical parameters log has integrable singularities at the zeros
-  of mu, handled by the same graded panel refinement;
+  admissible parameters in exact arithmetic, but reads exactly 0 once
+  beta_l*mu/2 exceeds ~19 on the whole circle, where tanh rounds to 1
+  (``bound --beta-l 100 --beta-r 100``).  B is the Avram-Parter limit of
+  the singular-value mean of log: |Pf Omega(n)|^2 = |det Omega(n)| = prod_j
+  s_j over the 2n singular values, so (1/n) log|C(n)| = (1/2n) sum_j log
+  s_j, and :func:`spectral.avram_parter_limit` integrates that mean's limit
+  for any g.  At critical parameters log has integrable singularities at
+  the zeros of mu, handled by the same graded panel refinement;
 
 * the cruder all-n bound on the determinant,
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from ._version import __version__
 from .bounds import bound_report
-from .fourier import build_block_sequence
+from .fourier import COEFF_TOL, build_block_sequence
 from .model import ModelParams, mu_sup
 from .pipeline import DEFAULT_N_LIST, NumericalError, check_sizes, compute_series, sweep
 from .quadrature import QuadratureError
@@ -120,9 +120,9 @@ def cmd_correlations(args) -> int:
         raise ValueError("--dump-matrices requires --out")
     p = ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)
     n_list = args.n_list or _default_n_values(args.n_max)
-    series = compute_series(p, n_list=n_list, tol=args.tol)
+    series = compute_series(p, n_list=n_list)
     meta = {
-        "tol": args.tol,
+        "tol": COEFF_TOL,
         "n_list": ",".join(str(n) for n in n_list),
         "theorem_rate": series.bound.theorem_rate,
         "weak_rate": series.bound.weak_rate,
@@ -143,9 +143,9 @@ def cmd_correlations(args) -> int:
 def cmd_spectrum(args) -> int:
     p = ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)
     n_list = args.n_list or _default_n_values(args.n_max, base=(64, 128, 256, 512))
-    n_list = check_sizes(n_list, args.tol)
+    n_list = check_sizes(n_list)
     g_log = indicator_log(args.eps, symbol_norm(p))  # rejects a bad --eps before integrating
-    seq = build_block_sequence(max(n_list), p, args.tol)
+    seq = build_block_sequence(max(n_list), p)
     g_sq = square_plateau()
     header = [
         "n",
@@ -179,7 +179,7 @@ def cmd_spectrum(args) -> int:
                 abs(emp_square - limit_square),
             ]
         )
-    meta = {"tol": args.tol, "n_list": ",".join(str(n) for n in n_list), "eps": args.eps}
+    meta = {"tol": COEFF_TOL, "n_list": ",".join(str(n) for n in n_list), "eps": args.eps}
     _emit(args, meta, header, rows, p)
     return EXIT_OK
 
@@ -206,7 +206,7 @@ def cmd_sweep(args) -> int:
     else:
         grid = [ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)]
     n_list = args.n_list or _default_n_values(args.n_max)
-    results = sweep(grid, n_list=n_list, tol=args.tol)
+    results = sweep(grid, n_list=n_list)
     header = ["point", "gamma", "lambda", "beta_l", "beta_r", *_SERIES_HEADER]
     rows = []
     failures = {}
@@ -217,7 +217,7 @@ def cmd_sweep(args) -> int:
             continue
         rows.extend([i, q.gamma, q.lam, q.beta_l, q.beta_r, *row] for row in _series_rows(series))
     meta = {
-        "tol": args.tol,
+        "tol": COEFF_TOL,
         "points": len(grid),
         "n_list": ",".join(str(n) for n in n_list),
     }
@@ -273,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         # a str default is parsed only if the flag is absent: "--n-max 256" still conflicts
         sizes.add_argument("--n-max", type=int, default=str(n_max_default), help="largest truncation size")
         sizes.add_argument("--n-list", type=_parse_n_list, default=None, help="explicit sizes, comma-separated")
-        sp.add_argument("--tol", type=float, default=1e-12, help="coefficient quadrature tolerance")
 
     def add_output(sp):
         sp.add_argument("--out", dest="out_path", default="", help="output path (default: stdout)")

@@ -89,6 +89,8 @@ _PERIODS_PER_PANEL = 12.0
 _PHASE_BLOCK = 64
 #: panels per batched product, which bounds the phase tables to a few MiB
 _PANEL_CHUNK = 128
+#: absolute quadrature tolerance of every coefficient, as ``spectral.LIMIT_TOL`` of every mean
+COEFF_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,11 +103,10 @@ class BlockSequence:
     exactly: app[x] = 1j * blocks[x+N-1, 0, 0] for x in [-(N-1), N-1]
     (negative x filled by the oddness symmetry) and apm[y] = -blocks[y+N,
     0, 1] for y in [-N, N-2].  ``err_estimate`` is the largest
-    per-coefficient quadrature error estimate.
+    per-coefficient quadrature error estimate, at most :data:`COEFF_TOL`.
     """
 
     n_max: int
-    tol: float
     blocks: np.ndarray
     err_estimate: float
 
@@ -231,19 +232,19 @@ def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, n_max: int, out:
     np.subtract(c[:, : n_max - 1], n[:, : n_max - 1], out=out[:, 2 * n_max :])
 
 
-def _coefficients(n_max: int, p: ModelParams, tol: float) -> tuple[np.ndarray, float]:
+def _coefficients(n_max: int, p: ModelParams) -> tuple[np.ndarray, float]:
     """Im app[0 .. N-1], then Re apm[-N .. N-2], on one shared panel set.
 
     N = n_max.  Returns the (3N - 1,) real array, whose app part is 0 when
     delta = 0 (phi_0 vanishes), and the largest per-coefficient error
-    estimate, which is at most ``tol``.  The panels cover [0, pi] only,
-    split at ``breakpoints(p)`` there, and each one stands for itself and
-    its mirror (:func:`_panel_sums`); the error test runs on the folded
-    panel, whose share of the budget tol * 2pi is that of the two circle
-    panels it stands for, and the panel budget counts it as two.  Only the
-    parts the real gauge keeps are integrated.  The panel arrays hold one
-    column per coefficient, 3N - 1, so the memory of a refinement level
-    grows as O(N * panels).
+    estimate, which is at most :data:`COEFF_TOL`.  The panels cover [0, pi]
+    only, split at ``breakpoints(p)`` there, and each one stands for itself
+    and its mirror (:func:`_panel_sums`); the error test runs on the folded
+    panel, whose share of the budget COEFF_TOL * 2pi is that of the two
+    circle panels it stands for, and the panel budget counts it as two.
+    Only the parts the real gauge keeps are integrated.  The panel arrays
+    hold one column per coefficient, 3N - 1, so the memory of a refinement
+    level grows as O(N * panels).
 
     Raises
     ------
@@ -270,7 +271,7 @@ def _coefficients(n_max: int, p: ModelParams, tol: float) -> tuple[np.ndarray, f
     edges = breakpoints(p)
     lo, hi = _split_edges(np.append(edges[edges < math.pi], math.pi), max_width)
     try:
-        vals, errs = _refine(rule, lo, hi, tol * math.tau, math.pi, panel_cost=2)
+        vals, errs = _refine(rule, lo, hi, COEFF_TOL * math.tau, math.pi, panel_cost=2)
     except QuadratureError as exc:
         if exc.column is None:
             raise
@@ -287,9 +288,7 @@ def _coefficients(n_max: int, p: ModelParams, tol: float) -> tuple[np.ndarray, f
     return values, float(errors.max())
 
 
-def build_block_sequence(
-    n_max: int, p: ModelParams, tol: float = 1e-12
-) -> BlockSequence:
+def build_block_sequence(n_max: int, p: ModelParams) -> BlockSequence:
     """All coefficient blocks needed for truncations up to n_max block rows.
 
     app[x] is computed for x = 0 .. n_max-1 and mirrored to negative x via
@@ -302,7 +301,7 @@ def build_block_sequence(
     Raises
     ------
     ValueError
-        If n_max < 1, or tol is not positive (NaN included).
+        If n_max < 1.
     QuadratureError
         Naming the component (PP or PM) whose weight breaks its parity at a
         Gauss node pair, so that a part the gauge drops would not vanish,
@@ -310,9 +309,7 @@ def build_block_sequence(
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    values, worst = _coefficients(n_max, p, tol)
+    values, worst = _coefficients(n_max, p)
     half, re_apm = values[:n_max], values[n_max:]
     # at delta = 0 the mirror of the zero columns would be -0.0
     im_app = np.concatenate([-half[:0:-1], half]) if p.delta != 0.0 else np.zeros(2 * n_max - 1)
@@ -326,4 +323,4 @@ def build_block_sequence(
     blocks[:, 0, 1] = -re_apm
     blocks[:, 1, 0] = re_apm[::-1]
     blocks.setflags(write=False)
-    return BlockSequence(n_max=int(n_max), tol=float(tol), blocks=blocks, err_estimate=worst)
+    return BlockSequence(n_max=int(n_max), blocks=blocks, err_estimate=worst)

@@ -79,8 +79,9 @@ class ModelParams:
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "beta_l", bl)
         object.__setattr__(self, "beta_r", br)
-        object.__setattr__(self, "beta", 0.5 * (br + bl))
-        object.__setattr__(self, "delta", 0.5 * (br - bl))
+        # halved before the sum, so beta stays finite for beta_l + beta_r > 1.8e308
+        object.__setattr__(self, "beta", 0.5 * br + 0.5 * bl)
+        object.__setattr__(self, "delta", 0.5 * br - 0.5 * bl)
         object.__setattr__(self, "critical", critical)
         object.__setattr__(self, "swapped", swapped)
 

@@ -128,57 +128,57 @@ def fit_decay(rows, n_lo: int, n_hi: int) -> FitResult:
     )
 
 
-def check_sizes(n_list, tol: float) -> list[int]:
-    """``n_list`` as ints, after checking the sizes and the tolerance.
+def check_sizes(n_list) -> list[int]:
+    """``n_list`` as ints, after checking the sizes.
 
     Raises
     ------
     ValueError
         Unless ``n_list`` is a nonempty, strictly ascending list of positive
-        integers and ``tol`` is positive.
+        integers.
     """
-    n_list = [int(n) for n in n_list]
-    if not n_list:
+    n_list = list(n_list)
+    sizes = [int(n) for n in n_list]
+    if sizes != n_list:
+        raise ValueError(f"n_list must hold integers, got {n_list}")
+    if not sizes:
         raise ValueError("n_list must be nonempty")
-    if any(b <= a for a, b in zip(n_list[:-1], n_list[1:])) or n_list[0] < 1:
+    if any(b <= a for a, b in zip(sizes[:-1], sizes[1:])) or sizes[0] < 1:
         raise ValueError("n_list must be strictly ascending positive integers")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    return n_list
+    return sizes
 
 
-def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST, tol: float = 1e-12) -> CorrelationSeries:
+def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST) -> CorrelationSeries:
     """Correlation magnitudes log|C(n)| for each n in ``n_list``.
 
     One block sequence is built at max(n_list), and every size gathers its
     n x n fold from it without assembling the truncation.  Each row takes
     log|C(n)| from the LU of its fold, carries the residual against the LU
     of the column-reversed fold (module notes) and the extreme singular
-    values of the fold; ``series.sequence`` keeps the tolerance and the
-    coefficients' error estimate.  The decay fit runs over the upper half of
-    the sizes, widened to at least 4 of them, and is omitted for fewer than 4
-    sizes.  The rate bound is integrated to ``LIMIT_TOL``.  Each size's SVD
-    and LU pair run as two tasks on ``XYNESS_THREADS`` worker threads (module
-    notes); the rows do not depend on the thread count.  A caller that runs
-    this function on threads of its own should set XYNESS_THREADS=1, or
-    each call starts a pool of its own.
+    values of the fold; ``series.sequence`` keeps the coefficients' error
+    estimate.  The decay fit runs over the upper half of the sizes, widened
+    to at least 4 of them, and is omitted for fewer than 4 sizes.  The rate
+    bound is integrated to ``LIMIT_TOL``.  Each size's SVD and LU pair run
+    as two tasks on ``XYNESS_THREADS`` worker threads (module notes); the
+    rows do not depend on the thread count.  A caller that runs this
+    function on threads of its own should set XYNESS_THREADS=1, or each
+    call starts a pool of its own.
 
     Raises
     ------
     ValueError
-        If :func:`check_sizes` rejects ``n_list`` or ``tol``, or
-        XYNESS_THREADS is malformed; either before any coefficient is
-        integrated.
+        If :func:`check_sizes` rejects ``n_list``, or XYNESS_THREADS is
+        malformed; either before any coefficient is integrated.
     NumericalError
         If a fold is exactly singular, the residual between the two LU
         routes exceeds 1e-6 or the all-n determinant bound is violated at
         some n.
     """
-    n_list = check_sizes(n_list, tol)
+    n_list = check_sizes(n_list)
     rows = []
     # entered first, so a malformed XYNESS_THREADS raises before the quadrature
     with _tasks(2 * len(n_list)) as submit:
-        seq = build_block_sequence(max(n_list), p, tol)
+        seq = build_block_sequence(max(n_list), p)
         pending = {}
         for n in reversed(n_list):  # the largest SVD is the critical path
             X = folded(n, seq)
@@ -301,25 +301,25 @@ def _tasks(count: int):
         pool.shutdown(cancel_futures=True)
 
 
-def sweep(grid, n_list=DEFAULT_N_LIST, tol: float = 1e-12) -> list[CorrelationSeries]:
+def sweep(grid, n_list=DEFAULT_N_LIST) -> list[CorrelationSeries]:
     """Independent :func:`compute_series` per grid point, input order preserved.
 
-    An invalid ``n_list`` or ``tol`` raises the :func:`check_sizes` error
-    before any point runs.  A failure at one point is recorded in that
-    point's series (empty rows, ``error`` set) without aborting the rest.
-    Parallelism is capped by the XYNESS_THREADS environment variable
-    (default in the module notes); with more than one point the points run in
-    parallel and each point's sizes inline.  Results do not depend on the
-    execution schedule.
+    An invalid ``n_list`` raises the :func:`check_sizes` error before any
+    point runs.  A failure at one point is recorded in that point's series
+    (empty rows, ``error`` set) without aborting the rest.  Parallelism is
+    capped by the XYNESS_THREADS environment variable (default in the
+    module notes); with more than one point the points run in parallel and
+    each point's sizes inline.  Results do not depend on the execution
+    schedule.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("grid must be nonempty")
-    n_list = check_sizes(n_list, tol)
+    n_list = check_sizes(n_list)
 
     def run(p: ModelParams) -> CorrelationSeries:
         try:
-            return compute_series(p, n_list=n_list, tol=tol)
+            return compute_series(p, n_list=n_list)
         except Exception as exc:  # noqa: BLE001 - failure isolation per point
             error = f"{type(exc).__name__}: {exc}"
             return CorrelationSeries(params=p, rows=(), fit=None, bound=None, error=error)

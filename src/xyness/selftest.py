@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import theorem_bound
-from .fourier import BlockSequence, breakpoints, build_block_sequence
+from .fourier import COEFF_TOL, BlockSequence, breakpoints, build_block_sequence
 from .model import ModelParams, _symbol_weights, symbol_matrices, symbol_singular_values
 from .pipeline import compute_series
 from .quadrature import adaptive_panels
@@ -77,7 +77,7 @@ def fold_deviation(p: ModelParams, seq: BlockSequence) -> float:
     zeros of kappa, against the entries of ``seq`` (n_max >= 6).  The
     sequence's app[k] at negative k is the mirror -app[-k], so an even part
     of the diagonal weight shows as a deviation.  Each side is within
-    ``seq.tol``, so a sound fold keeps the distance within 2 * seq.tol.
+    ``COEFF_TOL``, so a sound fold keeps the distance within 2 * COEFF_TOL.
     """
     edges = np.append(breakpoints(p), math.tau)
     worst = 0.0
@@ -89,7 +89,7 @@ def fold_deviation(p: ModelParams, seq: BlockSequence) -> float:
             ref, _ = adaptive_panels(
                 lambda xi: _symbol_weights(xi, p)[part] * np.exp(-1j * k * xi),
                 edges,
-                seq.tol * math.tau,
+                COEFF_TOL * math.tau,
             )
             worst = max(worst, abs(values[k + offset] - ref / math.tau))
     return worst
@@ -110,11 +110,11 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
     record("symbol-singular-values", dev <= 1e-12, f"max dev {dev:.2e} (tol 1e-12)")
 
     p = ACCEPTANCE_SETS[0]
-    seq = build_block_sequence(33, p, 1e-12)
+    seq = build_block_sequence(33, p)
 
     # the folded quadrature against full-circle integrals of its own
     dev = fold_deviation(p, seq)
-    record("fold", dev <= 2.0 * seq.tol, f"max dev {dev:.2e} (tol {2.0 * seq.tol:.0e})")
+    record("fold", dev <= 2.0 * COEFF_TOL, f"max dev {dev:.2e} (tol {2.0 * COEFF_TOL:.0e})")
 
     # skew-symmetric assembly: bit for bit, by construction of the blocks
     dev = skew_deviation(assemble(16, seq))
@@ -163,7 +163,7 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
 
     # the paper's Pfaffian, pivoted, against the fold's LU that the
     # pipeline reports as log|C(n)|
-    seq128 = build_block_sequence(128, p, 1e-12)
+    seq128 = build_block_sequence(128, p)
     fold_dev = 0.0
     for n in (8, 32, 128):
         R = assemble(n, seq128)
@@ -178,7 +178,7 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
 
     # Avram-Parter with the compact square test function
     g = square_plateau()
-    seq64 = build_block_sequence(64, p, 1e-12)
+    seq64 = build_block_sequence(64, p)
     limit = avram_parter_limit(g, p)
     gaps = [avram_parter_gap(n, g, seq64, limit).gap for n in (16, 64)]
     ok = all(math.isfinite(v) and v > 0 for v in gaps) and gaps[1] <= gaps[0]
@@ -186,7 +186,7 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
 
     # decay-rate bound at reduced size, fitted over n in [32, 96]; compute_series
     # itself raises if a row breaks the all-n determinant bound
-    series = compute_series(p, n_list=(8, 16, 24, 32, 48, 64, 96), tol=1e-12)
+    series = compute_series(p, n_list=(8, 16, 24, 32, 48, 64, 96))
     rate = series.bound.theorem_rate
     record(
         "decay-rate-bound",
@@ -196,7 +196,7 @@ def run_selftest(verbose: bool = False) -> list[CheckResult]:
 
     # equilibrium reduction: no temperature difference, no diagonal blocks
     eq = ModelParams(0.5, 0.3, 2.0, 2.0)
-    eq_seq = build_block_sequence(8, eq, 1e-12)
+    eq_seq = build_block_sequence(8, eq)
     dev = float(np.max(np.abs(eq_seq.blocks[:, 0, 0])))
     diag_dev = float(
         np.max(np.abs(symbol_matrices(midpoint_grid(256), eq)[:, [0, 1], [0, 1]]))

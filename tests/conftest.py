@@ -87,4 +87,4 @@ def base_params():
 def base_seq(base_params):
     from xyness import build_block_sequence
 
-    return build_block_sequence(33, base_params, tol=1e-12)
+    return build_block_sequence(33, base_params)

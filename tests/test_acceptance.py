@@ -32,8 +32,6 @@ from xyness import (
 )
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET, midpoint_grid
 
-TOL = 1e-12  # coefficient quadrature tolerance used throughout
-
 
 def report(criterion: int, detail: str):
     print(f"[PASS] criterion {criterion}: {detail}")
@@ -41,7 +39,7 @@ def report(criterion: int, detail: str):
 
 @pytest.fixture(scope="module")
 def seqs512():
-    return {p: build_block_sequence(512, p, TOL) for p in ACCEPTANCE_SETS}
+    return {p: build_block_sequence(512, p) for p in ACCEPTANCE_SETS}
 
 
 @pytest.fixture(scope="module")
@@ -49,7 +47,7 @@ def series_all():
     n_list = (8, 16, 32, 64, 96, 128, 160, 192, 224, 256)
     out = {}
     for p in (*ACCEPTANCE_SETS, CRITICAL_SET):
-        out[p] = compute_series(p, n_list=n_list, tol=TOL)
+        out[p] = compute_series(p, n_list=n_list)
     return out
 
 
@@ -109,14 +107,14 @@ def test_criterion_3_coefficient_symmetries(seqs512):
     seq = seqs512[p]
     o = seq.n_max - 1  # index of x = 0
     # the engine's own Im app[0]: build_block_sequence stores a set 0.0
-    worst_zero = abs(xyness.fourier._coefficients(512, p, TOL)[0][0])
+    worst_zero = abs(xyness.fourier._coefficients(512, p)[0][0])
     worst_skew = 0.0
     for x in range(-256, 257):
         worst_skew = max(
             worst_skew, float(np.max(np.abs(seq.blocks[-x + o] + seq.blocks[x + o].T)))
         )
     assert worst_zero == 0.0
-    assert worst_skew <= 2 * TOL
+    assert worst_skew <= 2 * xyness.fourier.COEFF_TOL
     report(
         3,
         f"|x|<=256: app[0] {worst_zero:.2e}, block skewness {worst_skew:.2e}",

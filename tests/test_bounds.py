@@ -171,7 +171,7 @@ class TestWeakBound:
             assert 2 * row.log_abs_C <= row.n * weak_rate(series.params) + WEAK_BOUND_SLACK
 
     def test_validate_on_real_series(self, base_params):
-        series = compute_series(base_params, n_list=(2, 4, 8, 16), tol=1e-12)
+        series = compute_series(base_params, n_list=(2, 4, 8, 16))
         self.assert_rows_below_bound(series)
 
     @pytest.mark.parametrize("threads", ["1", "2"])
@@ -189,7 +189,7 @@ class TestWeakBound:
         monkeypatch.setattr(xyness.pipeline, "log_det", inflated)
         monkeypatch.setenv("XYNESS_THREADS", threads)
         with pytest.raises(NumericalError, match=r"^determinant bound violated at n=16: "):
-            compute_series(base_params, n_list=(8, 16, 32), tol=1e-12)
+            compute_series(base_params, n_list=(8, 16, 32))
         out = tmp_path / "c.csv"
         argv = ["correlations", "--gamma", "0.5", "--lambda", "0.3", "--beta-l", "1"]
         argv += ["--beta-r", "2", "--n-list", "8,16,32", "--out", str(out)]
@@ -199,5 +199,5 @@ class TestWeakBound:
 
     def test_equilibrium_series_valid(self):
         p = ModelParams(-0.4, 1.7, 2.0, 2.0)
-        series = compute_series(p, n_list=(2, 4, 8, 16), tol=1e-12)
+        series = compute_series(p, n_list=(2, 4, 8, 16))
         self.assert_rows_below_bound(series)

@@ -28,7 +28,9 @@ def run_cli(*args, **kwargs):
 
 BASE = ["--gamma", "0.5", "--lambda", "0.3", "--beta-l", "1", "--beta-r", "2"]
 
-#: every flag of any subcommand, with arguments that parse
+#: every flag of any subcommand, with arguments that parse, and --tol: the
+#: coefficient tolerance is the constant fourier.COEFF_TOL, so every
+#: subcommand rejects the flag as a usage error (exit 2)
 FLAG_ARGS = {
     "--gamma": ["0.5"],
     "--lambda": ["0.3"],
@@ -47,16 +49,16 @@ FLAG_ARGS = {
 #: the flags each subcommand reads; every other flag is a usage error
 ACCEPTED = {
     "correlations": {
-        "--gamma", "--lambda", "--beta-l", "--beta-r", "--n-max", "--n-list", "--tol",
+        "--gamma", "--lambda", "--beta-l", "--beta-r", "--n-max", "--n-list",
         "--out", "--format", "--dump-matrices",
     },
     "spectrum": {
-        "--gamma", "--lambda", "--beta-l", "--beta-r", "--n-max", "--n-list", "--tol",
+        "--gamma", "--lambda", "--beta-l", "--beta-r", "--n-max", "--n-list",
         "--eps", "--out", "--format",
     },
     "bound": {"--gamma", "--lambda", "--beta-l", "--beta-r", "--out", "--format"},
     "sweep": {
-        "--gamma", "--lambda", "--beta-l", "--beta-r", "--n-max", "--n-list", "--tol",
+        "--gamma", "--lambda", "--beta-l", "--beta-r", "--n-max", "--n-list",
         "--out", "--format", "--point",
     },
     "selftest": set(),
@@ -82,7 +84,7 @@ class TestParser:
         for name, sp in sub.choices.items():
             flags = {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
             assert flags == ACCEPTED[name], name
-        assert sum(len(flags) for flags in ACCEPTED.values()) == 36
+        assert sum(len(flags) for flags in ACCEPTED.values()) == 33
 
     def test_unread_flags_exit_2(self):
         for argv in (["selftest", "--gamma", "0.5"], ["spectrum", "--dump-matrices"]):
@@ -260,6 +262,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "fold X is exactly singular at n=1" in err and "nan" not in err
 
+    def test_temperatures_near_overflow_exit_0(self, capsys):
+        # beta_l + beta_r overflows to inf, while beta and delta stay finite
+        import xyness.cli as cli
+
+        point = ["--beta-l", "1e308", "--beta-r", "1.7e308"]
+        assert cli.main(["correlations", *point, "--n-list", "4,8"]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if line[0].isdigit()]
+        assert [float(r.split(",")[1]) for r in rows] == pytest.approx([-0.0823, -0.0825], abs=1e-4)
+
     def test_lapack_failure_maps_to_exit_3(self, monkeypatch, capsys):
         # LinAlgError subclasses ValueError, which is the usage-error clause
         import xyness.cli as cli
@@ -358,11 +369,10 @@ def test_runs_without_scipy():
     assert r.stdout.splitlines()[-1] == "numpy only"
 
 
-#: size and tolerance arguments every size-taking subcommand rejects
+#: size arguments every size-taking subcommand rejects
 BAD_SIZES = {
     "descending": ["--n-list", "8,4"],
     "zero": ["--n-list", "0"],
-    "negative-tol": ["--tol", "-1", "--n-max", "8"],
 }
 
 
@@ -504,7 +514,7 @@ class TestNegativeControls:
         # the engine integrates perturbed weights through its binding, the
         # full-circle reference the model's own
         p = ModelParams(0.5, 0.3, 1.0, 2.0)
-        assert fold_deviation(p, build_block_sequence(33, p, 1e-12)) <= 2e-12
+        assert fold_deviation(p, build_block_sequence(33, p)) <= 2e-12
 
         weights = xyness.fourier._symbol_weights
 
@@ -517,10 +527,10 @@ class TestNegativeControls:
             xyness.fourier, "_symbol_weights", perturbed(lambda xi: 1.0 + 0.1 * np.sin(xi))
         )
         with pytest.raises(QuadratureError, match="breaks the real gauge"):
-            build_block_sequence(33, p, 1e-12)
+            build_block_sequence(33, p)
         # a perturbation that keeps the parities passes the gate, and the
         # fold line sees it
         monkeypatch.setattr(
             xyness.fourier, "_symbol_weights", perturbed(lambda xi: 1.0 + 0.1 * np.cos(xi))
         )
-        assert fold_deviation(p, build_block_sequence(33, p, 1e-12)) > 1e-4
+        assert fold_deviation(p, build_block_sequence(33, p)) > 1e-4

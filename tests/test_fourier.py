@@ -20,7 +20,7 @@ from xyness.quadrature import _NODES, _refine, _split_edges, adaptive_panels
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET, mp_coefficient_sums, paper_coefficients, random_points
 
 TWO_PI = 2.0 * math.pi
-TOL = 1e-12
+TOL = xyness.fourier.COEFF_TOL
 
 #: the acceptance sets, the critical set, a hot set and |gamma| -> 1
 ORACLE_SETS = (
@@ -113,7 +113,7 @@ def set_id(p):
 
 @pytest.fixture(scope="module")
 def engine512():
-    return {p: build_block_sequence(512, p, TOL) for p in ORACLE_SETS}
+    return {p: build_block_sequence(512, p) for p in ORACLE_SETS}
 
 
 class TestEngineOracles:
@@ -155,7 +155,7 @@ class TestFold:
             return _refine(*args, **kwargs)
 
         monkeypatch.setattr(xyness.fourier, "_refine", spy)
-        build_block_sequence(4, base_params, TOL)
+        build_block_sequence(4, base_params)
         assert budgets == [2]
 
 
@@ -180,7 +180,7 @@ class TestPhaseTable:
     @pytest.mark.parametrize("p", ORACLE_SETS, ids=set_id)
     def test_blocks_match_the_exponential_table(self, p, engine512, monkeypatch):
         monkeypatch.setattr(xyness.fourier, "_phase_table", exponential_phase_table)
-        reference = build_block_sequence(512, p, TOL)
+        reference = build_block_sequence(512, p)
         assert np.max(np.abs(engine512[p].blocks - reference.blocks)) <= 1e-14
 
 
@@ -249,13 +249,9 @@ class TestSingleCoefficient:
     @pytest.mark.parametrize("which", ["PP", "PM"], ids=["Component.PP", "Component.PM"])
     @pytest.mark.parametrize("x", [0, 1, 2, 4, 8])
     def test_trapezoid_oracle(self, which, x, base_params):
-        got = coefficient(build_block_sequence(10, base_params, tol=1e-12), which, x)
+        got = coefficient(build_block_sequence(10, base_params), which, x)
         ref = trapezoid_oracle(which, x, base_params)
         assert abs(got - ref) < 1e-9
-
-    def test_invalid_tol(self, base_params):
-        with pytest.raises(ValueError):
-            build_block_sequence(1, base_params, tol=-1.0)
 
 
 class TestBlockSequence:
@@ -343,7 +339,7 @@ class TestBlockSequence:
         # a budget of 8 panel evaluations runs out after the first refinement
         monkeypatch.setattr(xyness.fourier, "_refine", functools.partial(_refine, max_panels=8))
         with pytest.raises(QuadratureError, match=r"coefficient P[PM]\[-?\d+\] did not converge") as info:
-            build_block_sequence(4, base_params, tol=1e-13)
+            build_block_sequence(4, base_params)
         assert "panel budget exhausted" in str(info.value.__cause__)
 
     @pytest.mark.parametrize("p", GAUGE_SETS, ids=set_id)
@@ -352,14 +348,14 @@ class TestBlockSequence:
         # integrated: the build passes the gate only where they vanish
         # exactly at every node pair.  The error estimate keeps its promise
         for n_max in (64, 512):
-            assert build_block_sequence(n_max, p, TOL).err_estimate <= TOL
+            assert build_block_sequence(n_max, p).err_estimate <= TOL
 
     @pytest.mark.parametrize("p", GAUGE_SETS, ids=set_id)
     def test_dropped_parts_are_exact_zeros(self, p):
         # Im app[0] is the one dropped part the engine sums: against sin 0 = 0,
         # so it is exactly zero
         for n_max in (64, 512):
-            values, _ = xyness.fourier._coefficients(n_max, p, TOL)
+            values, _ = xyness.fourier._coefficients(n_max, p)
             assert values[0] == 0.0
 
     @pytest.mark.parametrize(
@@ -378,7 +374,7 @@ class TestBlockSequence:
 
         monkeypatch.setattr(xyness.fourier, "_symbol_weights", skewed)
         with pytest.raises(QuadratureError, match=rf"^{which} weight breaks the real gauge"):
-            build_block_sequence(8, p, TOL)
+            build_block_sequence(8, p)
 
     @pytest.mark.parametrize("amplitude", [0.1, 1e-15])
     @pytest.mark.parametrize(
@@ -405,22 +401,22 @@ class TestBlockSequence:
 
         monkeypatch.setattr(xyness.fourier, "_symbol_weights", broken)
         with pytest.raises(QuadratureError, match=rf"^{which} weight breaks the real gauge"):
-            build_block_sequence(8, base_params, TOL)
+            build_block_sequence(8, base_params)
 
     def test_integrates_only_the_kept_parts(self, base_params):
         # the refinement carries one real column per kept coefficient, so the
         # peak stays near its (panels, 3N - 1) level arrays: 54 MiB at N = 2048
         tracemalloc.start()
         try:
-            build_block_sequence(2048, base_params, TOL)
+            build_block_sequence(2048, base_params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 64 * 2**20
 
     def test_rebuild_is_bitwise_equal(self, base_params):
-        a = build_block_sequence(5, base_params, tol=1e-10)
-        b = build_block_sequence(5, base_params, tol=1e-10)
+        a = build_block_sequence(5, base_params)
+        b = build_block_sequence(5, base_params)
         assert a is not b
         assert a.blocks.tobytes() == b.blocks.tobytes()
         assert a.err_estimate == b.err_estimate
@@ -433,18 +429,12 @@ class TestBlockSequence:
     def test_invalid_args(self, base_params):
         with pytest.raises(ValueError):
             build_block_sequence(0, base_params)
-        with pytest.raises(ValueError):
-            build_block_sequence(4, base_params, tol=0.0)
-
-    def test_nan_tol_rejected(self, base_params):
-        with pytest.raises(ValueError, match="tol must be positive"):
-            build_block_sequence(8, base_params, math.nan)
 
 
 class TestCriticalParameters:
     def test_coefficients_finite_at_criticality(self):
         p = ModelParams(0.0, 0.5, 1.0, 3.0)
-        seq = build_block_sequence(4, p, tol=1e-12)
+        seq = build_block_sequence(4, p)
         for blk in seq.blocks:
             assert np.all(np.isfinite(blk))
         assert seq.err_estimate < 1e-11
@@ -532,7 +522,7 @@ class TestFarTail:
     def test_app_tail_matches_jump_asymptote(self, p):
         # the jumps are the zeros of kappa where mu != 0
         assert p.delta > 0.0
-        seq = build_block_sequence(FAR_TAIL_N, p, TOL)
+        seq = build_block_sequence(FAR_TAIL_N, p)
         dropped = mu_zeros(p)
         assert bool(dropped) == p.critical
         xis = [x0 for x0 in breakpoints(p) if x0 not in dropped]

@@ -177,8 +177,8 @@ def test_moved_coefficient_block_fails(tmp_path, monkeypatch):
     # their tolerance
     engine = xyness.fourier._coefficients
 
-    def moved(n_max, p, tol):
-        values, err = engine(n_max, p, tol)
+    def moved(n_max, p):
+        values, err = engine(n_max, p)
         values[2 * n_max] += 1e-10
         return values, err
 

@@ -41,6 +41,12 @@ class TestModelParams:
         assert p.beta == 2.0 and p.delta == 1.0
         assert not p.swapped and not p.critical
 
+    def test_derived_fields_finite_near_overflow(self):
+        # beta_l + beta_r overflows to inf; their halves do not
+        p = ModelParams(0.5, 0.3, 1e308, 1.7e308)
+        assert math.isfinite(p.beta) and math.isfinite(p.delta)
+        assert (p.beta, p.delta) == pytest.approx((1.35e308, 0.35e308), rel=1e-15)
+
     def test_swap_rule(self):
         p = ModelParams(0.5, 0.3, 3.0, 1.0)
         assert p.swapped

@@ -22,9 +22,10 @@ from xyness import (
     singular_values,
     sweep,
 )
+import xyness.fourier
 import xyness.pipeline
 import xyness.toeplitz
-from xyness.pipeline import DEFAULT_N_LIST, SeriesRow
+from xyness.pipeline import DEFAULT_N_LIST, SeriesRow, check_sizes
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET, paper_coefficients
 
 HOT_SET = ModelParams(0.5, 0.3, 1e-3, 2e-3)
@@ -62,31 +63,31 @@ class TestFitDecay:
 
 class TestComputeSeries:
     def test_single_size_matches_coefficient(self, base_params):
-        series = compute_series(base_params, n_list=[1], tol=1e-12)
+        series = compute_series(base_params, n_list=[1])
         # Pf of the 2x2 block: |C(1)| = |apm[-1]|, cross-checked against the
         # coefficient of a longer sequence, a separate engine run
-        _, apm = paper_coefficients(build_block_sequence(8, base_params, tol=1e-12))
+        _, apm = paper_coefficients(build_block_sequence(8, base_params))
         c = apm[-1 + 8]
         assert series.rows[0].log_abs_C == pytest.approx(math.log(abs(c)), abs=1e-12)
         assert series.fit is None
 
     def test_residual_gate_on_all_rows(self, base_params):
-        series = compute_series(base_params, n_list=(2, 4, 8, 16, 32), tol=1e-12)
+        series = compute_series(base_params, n_list=(2, 4, 8, 16, 32))
         for row in series.rows:
             assert row.pf_det_residual <= 1e-6
 
     def test_rows_sorted_and_metadata(self, base_params):
-        series = compute_series(base_params, n_list=(2, 8, 32), tol=1e-12)
+        series = compute_series(base_params, n_list=(2, 8, 32))
         assert [r.n for r in series.rows] == [2, 8, 32]
         # each value has one home: the point, the coefficient sequence
         assert series.params.swapped is False
-        assert series.sequence.tol == 1e-12
+        assert series.sequence.err_estimate <= xyness.fourier.COEFF_TOL
         assert series.error is None
         assert series.bound.theorem_rate < 0.0
 
     def test_equilibrium_decay_is_linear(self):
         p = ModelParams(0.5, 0.3, 2.0, 2.0)
-        series = compute_series(p, n_list=(8, 16, 24, 32, 40, 48), tol=1e-12)
+        series = compute_series(p, n_list=(8, 16, 24, 32, 40, 48))
         ys = [r.log_abs_C for r in series.rows]
         assert all(b < a for a, b in zip(ys, ys[1:]))
         # per-step decrements stabilize: asymptotically linear in n
@@ -95,13 +96,15 @@ class TestComputeSeries:
         assert abs(steps[-1] - series.bound.theorem_rate) < 1e-2
 
     def test_determinism(self, base_params):
-        a = compute_series(base_params, n_list=(4, 8, 16), tol=1e-12)
-        b = compute_series(base_params, n_list=(4, 8, 16), tol=1e-12)
+        a = compute_series(base_params, n_list=(4, 8, 16))
+        b = compute_series(base_params, n_list=(4, 8, 16))
         assert a.rows == b.rows
 
-    def test_monotone_refinement(self, base_params):
-        coarse = compute_series(base_params, n_list=(4, 8, 16), tol=1e-10)
-        fine = compute_series(base_params, n_list=(4, 8, 16), tol=1e-11)
+    def test_monotone_refinement(self, base_params, monkeypatch):
+        monkeypatch.setattr(xyness.fourier, "COEFF_TOL", 1e-10)
+        coarse = compute_series(base_params, n_list=(4, 8, 16))
+        monkeypatch.setattr(xyness.fourier, "COEFF_TOL", 1e-11)
+        fine = compute_series(base_params, n_list=(4, 8, 16))
         e_tot = coarse.sequence.err_estimate + fine.sequence.err_estimate
         for rc, rf in zip(coarse.rows, fine.rows):
             # first-order perturbation bound: dim * max entry error / smin
@@ -114,7 +117,7 @@ class TestComputeSeries:
         ids=lambda p: f"{p.gamma},{p.lam},{p.beta_l},{p.beta_r}",
     )
     def test_rows_match_pivoted_pfaffian(self, p):
-        series = compute_series(p, n_list=DEFAULT_N_LIST, tol=1e-12)
+        series = compute_series(p, n_list=DEFAULT_N_LIST)
         seq = series.sequence
         for row in series.rows:
             ref = pfaffian(assemble(row.n, seq))
@@ -239,12 +242,17 @@ class TestComputeSeries:
             compute_series(base_params, n_list=(8, 4))
         with pytest.raises(ValueError):
             compute_series(base_params, n_list=(0, 4))
+        # a size that is not an integer is refused, not truncated
+        with pytest.raises(ValueError, match="n_list must hold integers"):
+            compute_series(base_params, n_list=(4.9, 8.5))
+        # numpy integers are integers
+        assert check_sizes(np.array([2, 4], dtype=np.int64)) == [2, 4]
 
 
 class TestSweep:
     def test_single_point_equals_compute_series(self, base_params):
-        direct = compute_series(base_params, n_list=(2, 4, 8), tol=1e-12)
-        swept = sweep([base_params], n_list=(2, 4, 8), tol=1e-12)
+        direct = compute_series(base_params, n_list=(2, 4, 8))
+        swept = sweep([base_params], n_list=(2, 4, 8))
         assert len(swept) == 1
         assert swept[0].rows == direct.rows
 
@@ -252,14 +260,14 @@ class TestSweep:
         grid = [
             ModelParams(0.5, 0.3, bl, br) for bl in (1.0, 2.0) for br in (1.0, 2.0)
         ]
-        results = sweep(grid, n_list=(2, 4, 8, 16), tol=1e-12)
+        results = sweep(grid, n_list=(2, 4, 8, 16))
         # off-diagonal points are label swaps: identical log|C(n)| series
         swapped_pair = (results[1], results[2])
         for a, b in zip(swapped_pair[0].rows, swapped_pair[1].rows):
             assert a.log_abs_C == b.log_abs_C
 
     def test_critical_point_completes(self):
-        results = sweep([CRITICAL_SET], n_list=(2, 4, 8, 16), tol=1e-12)
+        results = sweep([CRITICAL_SET], n_list=(2, 4, 8, 16))
         assert results[0].error is None
         assert results[0].params.critical
         assert math.isfinite(results[0].bound.theorem_rate)
@@ -274,7 +282,7 @@ class TestSweep:
             return real(p, **kwargs)
 
         monkeypatch.setattr(xyness.pipeline, "compute_series", flaky)
-        results = xyness.pipeline.sweep([base_params, bad], n_list=(2, 4), tol=1e-12)
+        results = xyness.pipeline.sweep([base_params, bad], n_list=(2, 4))
         assert results[0].rows and results[0].error is None
         assert results[1].rows == ()
         assert results[1].error == "NumericalError: synthetic failure at n=4"
@@ -286,9 +294,9 @@ class TestSweep:
             ModelParams(-0.4, 1.7, 2.0, 2.0),
         ]
         monkeypatch.setenv("XYNESS_THREADS", "1")
-        serial = sweep(grid, n_list=(2, 4, 8), tol=1e-12)
+        serial = sweep(grid, n_list=(2, 4, 8))
         monkeypatch.setenv("XYNESS_THREADS", "3")
-        threaded = sweep(grid, n_list=(2, 4, 8), tol=1e-12)
+        threaded = sweep(grid, n_list=(2, 4, 8))
         for a, b in zip(serial, threaded):
             assert a.rows == b.rows
 
@@ -358,7 +366,7 @@ class TestSweep:
         monkeypatch.setattr(xyness.pipeline, "log_det", counted(xyness.pipeline.log_det))
         monkeypatch.setenv("XYNESS_THREADS", "2")
         grid = [base_params, ModelParams(0.5, 0.3, 2.0, 2.0), ModelParams(-0.4, 1.7, 2.0, 2.0)]
-        results = sweep(grid, n_list=(8, 16, 32, 64), tol=1e-12)
+        results = sweep(grid, n_list=(8, 16, 32, 64))
         assert all(r.rows and r.error is None for r in results)
         assert 1 <= peak <= 2
 
@@ -371,6 +379,6 @@ class TestSweep:
             raise AssertionError("a point ran")
 
         monkeypatch.setattr(xyness.pipeline, "compute_series", never)
-        for n_list, tol in (((8, 4), 1e-12), ((0,), 1e-12), ((8,), -1.0)):
+        for n_list in ((8, 4), (0,), (4.9, 8.5)):
             with pytest.raises(ValueError):
-                xyness.pipeline.sweep([base_params], n_list=n_list, tol=tol)
+                xyness.pipeline.sweep([base_params], n_list=n_list)

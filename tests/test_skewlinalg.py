@@ -166,7 +166,7 @@ class TestPfaffian:
 
 
 class TestNestedPfaffians:
-    """The pivoted Pfaffian of every leading corner, as the series sizes are."""
+    """The pivoted Pfaffian of every leading corner of one matrix, against the brute-force sum."""
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))

@@ -82,7 +82,7 @@ class TestCountSmall:
     def test_bounded_ratio_as_n_grows(self):
         # near-kernel fraction must not grow superlinearly (criterion: diagnostics)
         p = ModelParams(0.0, 0.5, 1.0, 3.0)  # critical: smin -> 0
-        seq = build_block_sequence(64, p, 1e-12)
+        seq = build_block_sequence(64, p)
         ratios = [count_small(n, 1e-3, seq) / n for n in (16, 32, 64)]
         assert max(ratios) <= 1.0
 
@@ -95,7 +95,7 @@ class TestCountSmall:
         from conftest import ACCEPTANCE_SETS
 
         for p in ACCEPTANCE_SETS:
-            seq = build_block_sequence(32, p, 1e-12)
+            seq = build_block_sequence(32, p)
             expected = 2 if abs(p.lam) > 1.0 else 0
             assert count_small(32, 1e-6, seq) == expected
 

@@ -212,7 +212,7 @@ class TestFolded:
         # the peak is the n x n output (32 MiB at n = 2048) and no index array
         N = 2048
         blocks = np.random.default_rng(0).standard_normal((2 * N - 1, 2, 2))
-        seq = BlockSequence(n_max=N, tol=1e-12, blocks=blocks, err_estimate=0.0)
+        seq = BlockSequence(n_max=N, blocks=blocks, err_estimate=0.0)
         tracemalloc.start()
         try:
             X = folded(N, seq)
