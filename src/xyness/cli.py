@@ -34,6 +34,10 @@ EXIT_SELFTEST = 1
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
+#: the small singular-value threshold of ``spectrum``: the edge of the
+#: indicator in ``chi_log`` and the bound of ``count_small``
+SPECTRUM_EPS = 1e-3
+
 
 def _fmt(x: float) -> str:
     """17 significant digits, scientific; deterministic and locale-free."""
@@ -144,7 +148,7 @@ def cmd_spectrum(args) -> int:
     p = ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)
     n_list = args.n_list or _default_n_values(args.n_max, base=(64, 128, 256, 512))
     n_list = check_sizes(n_list)
-    g_log = indicator_log(args.eps, symbol_norm(p))  # rejects a bad --eps before integrating
+    g_log = indicator_log(SPECTRUM_EPS, symbol_norm(p))  # rejects too hot a point before integrating
     seq = build_block_sequence(max(n_list), p)
     g_sq = square_plateau()
     header = [
@@ -170,7 +174,7 @@ def cmd_spectrum(args) -> int:
                 n,
                 float(s_log.values[0]),
                 float(s_log.values[-1]),
-                int(np.count_nonzero(s_log.values <= args.eps)),
+                int(np.count_nonzero(s_log.values <= SPECTRUM_EPS)),
                 s_log.empirical_mean,
                 limit_log,
                 s_log.gap,
@@ -179,7 +183,7 @@ def cmd_spectrum(args) -> int:
                 abs(emp_square - limit_square),
             ]
         )
-    meta = {"tol": COEFF_TOL, "n_list": ",".join(str(n) for n in n_list), "eps": args.eps}
+    meta = {"tol": COEFF_TOL, "n_list": ",".join(str(n) for n in n_list), "eps": SPECTRUM_EPS}
     _emit(args, meta, header, rows, p)
     return EXIT_OK
 
@@ -187,24 +191,14 @@ def cmd_spectrum(args) -> int:
 def cmd_bound(args) -> int:
     p = ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)
     rep = bound_report(p)
-    print(f"theorem_rate = {_fmt(rep.theorem_rate)}")
-    print(f"weak_rate    = {_fmt(rep.weak_rate)}  (per unit n, on log|det|)")
-    print(f"mu_sup       = {_fmt(mu_sup(p))}")
-    print(f"critical     = {str(p.critical).lower()}")
-    if p.delta == 0.0:
-        print("equilibrium  = true  (equal reservoir temperatures)")
-    if args.out_path:
-        header = ["theorem_rate", "weak_rate", "mu_sup", "critical"]
-        rows = [[rep.theorem_rate, rep.weak_rate, mu_sup(p), int(p.critical)]]
-        _emit(args, {"tol": LIMIT_TOL}, header, rows, p)
+    header = ["theorem_rate", "weak_rate", "mu_sup", "critical"]
+    rows = [[rep.theorem_rate, rep.weak_rate, mu_sup(p), int(p.critical)]]
+    _emit(args, {"tol": LIMIT_TOL}, header, rows, p)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    if args.points:
-        grid = [ModelParams(*pt) for pt in args.points]
-    else:
-        grid = [ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)]
+    grid = [ModelParams(*pt) for pt in args.points]
     n_list = args.n_list or _default_n_values(args.n_max)
     results = sweep(grid, n_list=n_list)
     header = ["point", "gamma", "lambda", "beta_l", "beta_r", *_SERIES_HEADER]
@@ -228,7 +222,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    results = run_selftest(verbose=True)
+    results = run_selftest()
+    for r in results:
+        print(f"[{'PASS' if r.ok else 'FAIL'}] {r.name:<28s} {r.detail}")
     failed = [r for r in results if not r.ok]
     print(f"{len(results) - len(failed)}/{len(results)} checks passed")
     return EXIT_OK if not failed else EXIT_SELFTEST
@@ -288,14 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_point(sp)
     add_sizes(sp, n_max_default=512)
     add_output(sp)
-    sp.add_argument("--eps", type=float, default=1e-3, help="small singular-value threshold")
 
     sp = sub.add_parser("bound", help="decay-rate bound report")
     add_point(sp)
     add_output(sp)
 
     sp = sub.add_parser("sweep", help="independent series over parameter points")
-    add_point(sp)
     add_sizes(sp)
     add_output(sp)
     sp.add_argument(
@@ -303,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         dest="points",
         action="append",
         type=_parse_point,
-        default=[],
+        required=True,
         metavar="G,L,BL,BR",
         help="parameter point; repeatable",
     )

@@ -151,14 +151,6 @@ def _doubled(xi: np.ndarray, step: int, count: int) -> np.ndarray:
     return table
 
 
-def _phase_table(xi: np.ndarray) -> np.ndarray:
-    """e^{-i*k*xi} for 0 <= k < _PHASE_BLOCK, along a new last axis.
-
-    A view of :func:`_doubled` rows, which are contiguous in k-major order.
-    """
-    return np.moveaxis(_doubled(xi, 1, _PHASE_BLOCK), 0, -1)
-
-
 def _gate(which: str, *defects: np.ndarray) -> None:
     """Raise unless each part of weight ``which`` ("PP"/"PM") the real gauge drops is exactly 0."""
     worst = max(float(np.max(np.abs(d))) for d in defects)
@@ -190,11 +182,12 @@ def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, n_max: int, out:
     C and N come from the factored phase e^{-i(k0+k)xi} = e^{-i*k0*xi} *
     e^{-i*k*xi}, 0 <= k < _PHASE_BLOCK, k0 a multiple of _PHASE_BLOCK.  As
     real vectors over the (Re, Im) pairs of the nodes, the row v*conj(z0)
-    against the :func:`_phase_table` z gives C(v) and the row i*v*conj(z0)
-    gives N(v), so each panel's sums are one real (rows, 2*nodes) @
-    (2*nodes, _PHASE_BLOCK) product.  The e^{-i*k0*xi} rows are built by
-    doubling from exact arguments, like the table: successive powers of
-    e^{-i*_PHASE_BLOCK*xi} would compound their roundings over the rows.
+    against the :func:`_doubled` table z of e^{-i*k*xi} gives C(v) and the
+    row i*v*conj(z0) gives N(v), so each panel's sums are one real
+    (rows, 2*nodes) @ (2*nodes, _PHASE_BLOCK) product.  The e^{-i*k0*xi}
+    rows are built by doubling from exact arguments, like the table:
+    successive powers of e^{-i*_PHASE_BLOCK*xi} would compound their
+    roundings over the rows.
     """
     nodes = _NODES.size
     half = 0.5 * (hi - lo)
@@ -221,7 +214,7 @@ def _panel_sums(lo: np.ndarray, hi: np.ndarray, p: ModelParams, n_max: int, out:
     left = np.empty((lo.size, len(vectors), rows, nodes), dtype=complex)
     for i, (v, is_n) in enumerate(vectors):
         np.multiply(v[:, None, :], factor[is_n], out=left[:, i])
-    z = np.ascontiguousarray(np.moveaxis(_phase_table(xi), -1, 0))
+    z = _doubled(xi, 1, _PHASE_BLOCK)
     table = z.view(float).transpose(1, 2, 0)  # (panels, 2 * nodes, _PHASE_BLOCK)
     sums = left.view(float).reshape(lo.size, -1, 2 * nodes) @ table
     *pp, c, n = sums.reshape(lo.size, len(vectors), -1).transpose(1, 0, 2)

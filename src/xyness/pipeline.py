@@ -25,9 +25,11 @@ exactly singular aborts the run by name.  The check is not made against
 sum log sigma_i(X) from the SVD the row also runs: where the smallest
 singular value sits at quadrature noise, the LU and the SVD are backward
 stable for different perturbations of X and differ by far more than
-rounding, while the two LUs still agree within 1e-11 relative (ROADMAP
-item 1).  The paper's Pfaffian itself is checked against log|det X| off
-this path, by the pivoted :func:`pfaffian` in ``selftest`` and the tests.
+rounding, while the two LUs still agree.  Where split pairs of singular
+values fall fast with n, the two LUs drift apart as well, and the gate
+exits 3 (ROADMAP item 1).  The paper's Pfaffian itself is checked against
+log|det X| off this path, by the pivoted :func:`pfaffian` in ``selftest``
+and the tests.
 
 The sizes are independent, so each size's SVD and its LU pair (with both
 gates) run as two tasks on ``XYNESS_THREADS`` worker threads; LAPACK
@@ -138,7 +140,10 @@ def check_sizes(n_list) -> list[int]:
         integers.
     """
     n_list = list(n_list)
-    sizes = [int(n) for n in n_list]
+    try:
+        sizes = [int(n) for n in n_list]
+    except (OverflowError, ValueError):  # int() of an infinity or a NaN
+        sizes = None
     if sizes != n_list:
         raise ValueError(f"n_list must hold integers, got {n_list}")
     if not sizes:

@@ -95,14 +95,12 @@ def fold_deviation(p: ModelParams, seq: BlockSequence) -> float:
     return worst
 
 
-def run_selftest(verbose: bool = False) -> list[CheckResult]:
-    """Run every check at reduced size; print a table if ``verbose``."""
+def run_selftest() -> list[CheckResult]:
+    """Run every check at reduced size, in order."""
     results: list[CheckResult] = []
 
     def record(name: str, ok: bool, detail: str):
         results.append(CheckResult(name, bool(ok), detail))
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name:<28s} {detail}")
 
     # symbol singular values vs closed form
     xi = midpoint_grid(1024)

@@ -165,6 +165,17 @@ class TestWeakBound:
         assert rep.theorem_rate < 0.0 and rep.weak_rate < 0.0
         assert mu_sup(CRITICAL_SET) == pytest.approx(1.5)
 
+    @pytest.mark.parametrize(
+        "p",
+        [*ACCEPTANCE_SETS, CRITICAL_SET, ModelParams(0.5, 0.3, 100.0, 100.0)],
+        ids=lambda p: f"{p.gamma},{p.lam},{p.beta_l},{p.beta_r}",
+    )
+    def test_rate_integral_within_half_the_weak_rate(self, p):
+        # t_l <= t_r <= symbol_norm(p) on the circle, so B <= log symbol_norm
+        # = weak_rate / 2; at beta = 100 both read 0.0 (saturated tanh)
+        rep = bound_report(p)
+        assert rep.theorem_rate <= 0.5 * rep.weak_rate + 2 * LIMIT_TOL
+
     @staticmethod
     def assert_rows_below_bound(series):
         for row in series.rows:

@@ -27,10 +27,19 @@ def run_cli(*args, **kwargs):
 
 
 BASE = ["--gamma", "0.5", "--lambda", "0.3", "--beta-l", "1", "--beta-r", "2"]
+#: BASE as sweep takes it
+BASE_POINT = ["--point", "0.5,0.3,1,2"]
 
-#: every flag of any subcommand, with arguments that parse, and --tol: the
-#: coefficient tolerance is the constant fourier.COEFF_TOL, so every
-#: subcommand rejects the flag as a usage error (exit 2)
+
+def at_base(subcommand):
+    """``subcommand`` at the point BASE names, in the form it accepts."""
+    return [subcommand, *(BASE_POINT if subcommand == "sweep" else BASE)]
+
+
+#: every flag of any subcommand, with arguments that parse, and --tol and
+#: --eps: the coefficient tolerance and spectrum's small singular-value
+#: threshold are the constants fourier.COEFF_TOL and cli.SPECTRUM_EPS, so
+#: every subcommand rejects either flag as a usage error (exit 2)
 FLAG_ARGS = {
     "--gamma": ["0.5"],
     "--lambda": ["0.3"],
@@ -54,13 +63,11 @@ ACCEPTED = {
     },
     "spectrum": {
         "--gamma", "--lambda", "--beta-l", "--beta-r", "--n-max", "--n-list",
-        "--eps", "--out", "--format",
+        "--out", "--format",
     },
     "bound": {"--gamma", "--lambda", "--beta-l", "--beta-r", "--out", "--format"},
-    "sweep": {
-        "--gamma", "--lambda", "--beta-l", "--beta-r", "--n-max", "--n-list",
-        "--out", "--format", "--point",
-    },
+    # sweep takes its points from --point only, and requires one
+    "sweep": {"--n-max", "--n-list", "--out", "--format", "--point"},
     "selftest": set(),
 }
 
@@ -70,6 +77,8 @@ class TestParser:
     @pytest.mark.parametrize("flag", sorted(FLAG_ARGS))
     def test_flag_parses_iff_read(self, subcommand, flag, capsys):
         argv = [subcommand, flag, *FLAG_ARGS[flag]]
+        if subcommand == "sweep":
+            argv += BASE_POINT
         if flag in ACCEPTED[subcommand]:
             build_parser().parse_args(argv)
         else:
@@ -84,7 +93,7 @@ class TestParser:
         for name, sp in sub.choices.items():
             flags = {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
             assert flags == ACCEPTED[name], name
-        assert sum(len(flags) for flags in ACCEPTED.values()) == 33
+        assert sum(len(flags) for flags in ACCEPTED.values()) == 28
 
     def test_unread_flags_exit_2(self):
         for argv in (["selftest", "--gamma", "0.5"], ["spectrum", "--dump-matrices"]):
@@ -304,7 +313,7 @@ class TestExitCodes:
         for name in ("compute_series", "build_block_sequence", "sweep", "bound_report"):
             monkeypatch.setattr(cli, name, never)
         out = tmp_path / "missing" / "x.csv"
-        assert cli.main([subcommand, *BASE, "--out", str(out)]) == 2
+        assert cli.main([*at_base(subcommand), "--out", str(out)]) == 2
 
     def test_failed_run_leaves_no_out_file(self, tmp_path, monkeypatch):
         import xyness.cli as cli
@@ -377,23 +386,37 @@ BAD_SIZES = {
 
 
 class TestUsageErrors:
-    # 0.9 lies in (0, 1), but 0.9 + 0.9^2 exceeds BASE's symbol norm, 0.862
-    @pytest.mark.parametrize("eps", ["0", "1", "nan", "-1e-3", "0.9"])
-    def test_bad_eps_exits_2_before_integrating(self, eps, monkeypatch, capsys):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sweep"], "the following arguments are required: --point"),
+            (["sweep", "--gamma", "0.5", *BASE_POINT], "unrecognized arguments: --gamma 0.5"),
+            (["spectrum", "--eps", "1e-3"], "unrecognized arguments: --eps 1e-3"),
+        ],
+        ids=["sweep-bare", "sweep-gamma", "spectrum-eps"],
+    )
+    def test_removed_inputs_exit_2(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_point_below_spectrum_eps_exits_2_before_integrating(self, monkeypatch, capsys):
+        # at beta = 1e-4 the symbol norm, 6.5e-5, lies below SPECTRUM_EPS
         import xyness.cli as cli
 
         def never(*args, **kwargs):
-            raise AssertionError("coefficients integrated before --eps was checked")
+            raise AssertionError("coefficients integrated before the indicator was checked")
 
         monkeypatch.setattr(cli, "build_block_sequence", never)
-        assert cli.main(["spectrum", *BASE, f"--eps={eps}"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert cli.main(["spectrum", "--beta-l", "1e-4", "--beta-r", "1e-4"]) == 2
+        assert capsys.readouterr().err.startswith("error: need 0 < eps < eps + eps^2 < ceiling")
 
     @pytest.mark.parametrize("subcommand", ["correlations", "sweep"])
     def test_malformed_thread_count_exits_2(self, subcommand, tmp_path, monkeypatch):
         monkeypatch.setenv("XYNESS_THREADS", "two")
         out = tmp_path / "c.csv"
-        r = run_cli(subcommand, *BASE, "--n-max", "16", "--out", str(out))
+        r = run_cli(*at_base(subcommand), "--n-max", "16", "--out", str(out))
         assert r.returncode == 2
         assert r.stderr == "error: XYNESS_THREADS must be a positive integer, got 'two'\n"
         assert not out.exists()
@@ -401,7 +424,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("bad", BAD_SIZES.values(), ids=BAD_SIZES.keys())
     @pytest.mark.parametrize("subcommand", ["correlations", "spectrum", "sweep"])
     def test_bad_sizes_exit_2_without_output(self, subcommand, bad):
-        r = run_cli(subcommand, *BASE, *bad)
+        r = run_cli(*at_base(subcommand), *bad)
         assert r.returncode == 2
         assert r.stdout == ""
         assert any(line.startswith("error: ") for line in r.stderr.splitlines())
@@ -414,39 +437,55 @@ class TestUsageErrors:
 
         for sizes in (["--n-max", n_max, "--n-list", "8,16"], ["--n-list", "8,16", "--n-max", n_max]):
             with pytest.raises(SystemExit) as exc:
-                cli.main([subcommand, *BASE, *sizes])
+                cli.main([*at_base(subcommand), *sizes])
             assert exc.value.code == 2
             assert "not allowed with argument" in capsys.readouterr().err
 
 
+def bound_csv(*args):
+    """``bound``'s stdout at ``args``: its description lines and its one row."""
+    r = run_cli("bound", *args)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    header, row = [line.split(",") for line in lines if not line.startswith("#")]
+    return [line for line in lines if line.startswith("#")], dict(zip(header, row))
+
+
 class TestBoundCommand:
     def test_plain_output(self):
-        r = run_cli("bound", *BASE)
-        assert r.returncode == 0
-        rate = float(r.stdout.split("theorem_rate =")[1].splitlines()[0])
-        assert rate < 0.0
-        assert "critical     = false" in r.stdout
+        described, row = bound_csv(*BASE)
+        assert float(row["theorem_rate"]) < 0.0
+        assert row["critical"] == "0"
+        assert "# swapped=false critical=false" in described
 
     def test_critical_flagged_finite(self):
-        r = run_cli("bound", "--gamma", "0", "--lambda", "0.5", "--beta-l", "1", "--beta-r", "3")
-        assert r.returncode == 0
-        assert "critical     = true" in r.stdout
-        rate = float(r.stdout.split("theorem_rate =")[1].splitlines()[0])
+        described, row = bound_csv("--gamma", "0", "--lambda", "0.5", "--beta-l", "1", "--beta-r", "3")
+        assert row["critical"] == "1"
+        assert "# swapped=false critical=true" in described
+        rate = float(row["theorem_rate"])
         assert math.isfinite(rate) and rate < 0.0
+
+    def test_jsonl_on_stdout(self):
+        r = run_cli("bound", *BASE, "--format", "jsonl")
+        assert r.returncode == 0
+        meta, row = [json.loads(line) for line in r.stdout.splitlines()]
+        assert meta["type"] == "meta" and meta["command"] == "bound"
+        assert row["type"] == "row" and row["theorem_rate"] < 0.0
 
     def test_out_header_reports_rate_tolerance(self, tmp_path):
         # the rate integral runs at LIMIT_TOL whatever the coefficient tolerance
         csv, jsonl = tmp_path / "b.csv", tmp_path / "b.jsonl"
-        assert run_cli("bound", *BASE, "--out", str(csv)).returncode == 0
+        r = run_cli("bound", *BASE, "--out", str(csv))
+        assert r.returncode == 0 and r.stdout == ""
         assert "# tol=1e-09" in csv.read_text().splitlines()
         assert run_cli("bound", *BASE, "--format", "jsonl", "--out", str(jsonl)).returncode == 0
         assert json.loads(jsonl.read_text().splitlines()[0])["tol"] == LIMIT_TOL == 1e-9
         assert run_cli("bound", *BASE, "--tol", "1e-3").returncode == 2
 
     def test_equilibrium_flag(self):
-        r = run_cli("bound", "--gamma", "0.5", "--lambda", "0.3", "--beta-l", "2", "--beta-r", "2")
-        assert r.returncode == 0
-        assert "equilibrium  = true" in r.stdout
+        # equal reservoir temperatures: delta = 0 in the description
+        described, _ = bound_csv("--gamma", "0.5", "--lambda", "0.3", "--beta-l", "2", "--beta-r", "2")
+        assert "# beta=2.0 delta=0.0" in described
 
 
 class TestSpectrumCommand:

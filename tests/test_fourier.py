@@ -82,9 +82,12 @@ def per_coefficient_route(n_max, p, tol):
     return np.array(app), np.array(apm)
 
 
-def exponential_phase_table(xi):
-    """One exponential per entry: the phase table before it was built by doubling."""
-    return np.exp(-1j * xi[:, :, None] * np.arange(xyness.fourier._PHASE_BLOCK)[None, None, :])
+def exponential_doubled(xi, step, count, doubled=xyness.fourier._doubled):
+    """The phase table (``step`` 1) with one exponential per entry, as before
+    it was built by doubling; the e^{-i*k0*xi} rows are still doubled."""
+    if step != 1:
+        return doubled(xi, step, count)
+    return np.exp(-1j * xi[None, :, :] * np.arange(count)[:, None, None])
 
 
 def mp_coefficients(p, x_max, panel_width=0.2, dps=30):
@@ -171,15 +174,15 @@ class TestPhaseTable:
         edges = np.linspace(0.0, TWO_PI, 67)
         half = 0.5 * np.diff(edges)
         xi = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half[:, None] * _NODES[None, :]
-        table = xyness.fourier._phase_table(xi)
-        assert table.shape == xi.shape + (64,)
-        angle = xi.astype(np.longdouble)[..., None] * np.arange(64)
+        table = xyness.fourier._doubled(xi, 1, 64)
+        assert table.shape == (64,) + xi.shape
+        angle = np.arange(64)[:, None, None] * xi.astype(np.longdouble)
         exact = np.cos(angle).astype(float) - 1j * np.sin(angle).astype(float)
         assert np.max(np.abs(table - exact)) <= 1e-15
 
     @pytest.mark.parametrize("p", ORACLE_SETS, ids=set_id)
     def test_blocks_match_the_exponential_table(self, p, engine512, monkeypatch):
-        monkeypatch.setattr(xyness.fourier, "_phase_table", exponential_phase_table)
+        monkeypatch.setattr(xyness.fourier, "_doubled", exponential_doubled)
         reference = build_block_sequence(512, p)
         assert np.max(np.abs(engine512[p].blocks - reference.blocks)) <= 1e-14
 

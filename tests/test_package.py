@@ -94,3 +94,16 @@ def test_every_import_is_read(monkeypatch):
         }
         unread += [(path.stem, name) for name in sorted(imported - read)]
     assert [binding for binding in unread if binding not in traced] == []
+
+
+def test_only_the_cli_prints():
+    # the library returns what it finds; the CLI alone writes it out
+    printing = [
+        path.stem
+        for path in sorted((ROOT / "src" / "xyness").glob("*.py"))
+        if any(
+            isinstance(node, ast.Name) and node.id == "print"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    ]
+    assert printing == ["cli"]

@@ -245,6 +245,10 @@ class TestComputeSeries:
         # a size that is not an integer is refused, not truncated
         with pytest.raises(ValueError, match="n_list must hold integers"):
             compute_series(base_params, n_list=(4.9, 8.5))
+        # int() of these raises OverflowError and its own ValueError
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="n_list must hold integers"):
+                compute_series(base_params, n_list=(4, bad))
         # numpy integers are integers
         assert check_sizes(np.array([2, 4], dtype=np.int64)) == [2, 4]
 
@@ -379,6 +383,6 @@ class TestSweep:
             raise AssertionError("a point ran")
 
         monkeypatch.setattr(xyness.pipeline, "compute_series", never)
-        for n_list in ((8, 4), (0,), (4.9, 8.5)):
+        for n_list in ((8, 4), (0,), (4.9, 8.5), (math.inf,), (math.nan,)):
             with pytest.raises(ValueError):
                 xyness.pipeline.sweep([base_params], n_list=n_list)
