@@ -1,4 +1,4 @@
-"""Command-line surface: deterministic CSV/JSONL emitters over the pipeline.
+"""Command-line surface: one deterministic CSV emitter over the pipeline.
 
 Exit codes (stable contract): 0 success, 1 selftest failure, 2 usage error
 or unwritable output path, 3 numerical failure, LAPACK's included.  ``--out``
@@ -12,7 +12,6 @@ files (no timestamps, fixed summation orders).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import nullcontext
@@ -45,7 +44,7 @@ def _fmt(x: float) -> str:
 
 
 def _text(v) -> str:
-    """A description value: a bool in lower case, as in JSON; else str, repr for a float."""
+    """A description value: a bool as true or false; else str, repr for a float."""
     return str(v).lower() if isinstance(v, bool) else str(v)
 
 
@@ -58,35 +57,27 @@ def _default_n_values(n_max: int, base=DEFAULT_N_LIST) -> list[int]:
     return ns
 
 
-def _emit(args, meta: dict, header: list[str], rows: list[list], p: ModelParams) -> None:
-    """Write the run description, then ``header`` and ``rows``, to ``args.out``.
+def _emit(args, meta: dict, header: list[str], rows: list[list], p: ModelParams | None = None) -> None:
+    """Write the run description, then ``header`` and ``rows``, as CSV to ``args.out``.
 
-    One list of key groups describes the run, the last ones one per ``meta``
-    key, led by ``tol``, the quadrature tolerance.  CSV writes a group per
-    ``# k=v`` line, JSONL all groups as one meta object.
+    Each key group describes the run on one ``# k=v`` line: the versions,
+    the command, three groups for the point ``p`` if the run has one point,
+    then one per ``meta`` key, led by ``tol``, the quadrature tolerance.
     """
-    groups = [
-        {"xyness": __version__, "numpy": np.__version__},
-        {"command": args.subcommand},
-        {"gamma": p.gamma, "lambda": p.lam, "beta_l": p.beta_l, "beta_r": p.beta_r},
-        {"beta": p.beta, "delta": p.delta},
-        {"swapped": p.swapped, "critical": p.critical},
-        *({k: v} for k, v in meta.items()),
-    ]
-    fh = args.out
-    if args.format == "jsonl":
-        full = {"type": "meta", **{k: v for g in groups for k, v in g.items()}}
-        fh.write(json.dumps(full, sort_keys=True) + "\n")
-        for row in rows:
-            obj = {"type": "row", **dict(zip(header, row))}
-            fh.write(json.dumps(obj, sort_keys=True) + "\n")
-    else:
-        lines = [
-            *("# " + " ".join(f"{k}={_text(v)}" for k, v in g.items()) for g in groups),
-            ",".join(header),
-            *(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) for row in rows),
+    groups = [{"xyness": __version__, "numpy": np.__version__}, {"command": args.subcommand}]
+    if p is not None:
+        groups += [
+            {"gamma": p.gamma, "lambda": p.lam, "beta_l": p.beta_l, "beta_r": p.beta_r},
+            {"beta": p.beta, "delta": p.delta},
+            {"swapped": p.swapped, "critical": p.critical},
         ]
-        fh.write("".join(line + "\n" for line in lines))
+    groups += ({k: v} for k, v in meta.items())
+    lines = [
+        *("# " + " ".join(f"{k}={_text(v)}" for k, v in g.items()) for g in groups),
+        ",".join(header),
+        *(",".join(str(v) if isinstance(v, int) else _fmt(v) for v in row) for row in rows),
+    ]
+    args.out.write("".join(line + "\n" for line in lines))
 
 
 _SERIES_HEADER = (
@@ -148,7 +139,10 @@ def cmd_spectrum(args) -> int:
     p = ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)
     n_list = args.n_list or _default_n_values(args.n_max, base=(64, 128, 256, 512))
     n_list = check_sizes(n_list)
-    g_log = indicator_log(SPECTRUM_EPS, symbol_norm(p))  # rejects too hot a point before integrating
+    # g_log is read only at singular values <= symbol_norm(p), below which its
+    # fall is exactly 1 for any ceiling at least the norm, so the values do not
+    # depend on it; 2 * eps keeps the ceiling above eps + eps^2 at a hot point
+    g_log = indicator_log(SPECTRUM_EPS, max(symbol_norm(p), 2 * SPECTRUM_EPS))
     seq = build_block_sequence(max(n_list), p)
     g_sq = square_plateau()
     header = [
@@ -217,7 +211,8 @@ def cmd_sweep(args) -> int:
     }
     for i, msg in failures.items():
         meta[f"point_{i}_error"] = msg
-    _emit(args, meta, header, rows, grid[0])
+    # each row carries its point, so the description names none
+    _emit(args, meta, header, rows)
     return EXIT_OK
 
 
@@ -271,8 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
         sizes.add_argument("--n-list", type=_parse_n_list, default=None, help="explicit sizes, comma-separated")
 
     def add_output(sp):
-        sp.add_argument("--out", dest="out_path", default="", help="output path (default: stdout)")
-        sp.add_argument("--format", choices=("csv", "jsonl"), default="csv")
+        sp.add_argument("--out", dest="out_path", default="", help="CSV output path (default: stdout)")
 
     sp = sub.add_parser("correlations", help="log|C(n)| series with bounds")
     add_point(sp)

@@ -1,5 +1,4 @@
 import argparse
-import json
 import math
 import re
 import subprocess
@@ -9,10 +8,14 @@ import threading
 import numpy as np
 import pytest
 
+import xyness
 import xyness.fourier
-from xyness import ModelParams, QuadratureError, build_block_sequence, symbol_matrices
+from xyness import (
+    ModelParams, QuadratureError, build_block_sequence, compute_series, mu_sup, symbol_matrices,
+)
+from xyness.cli import SPECTRUM_EPS, build_parser
+from xyness.fourier import COEFF_TOL
 from xyness.spectral import LIMIT_TOL
-from xyness.cli import build_parser
 from xyness.selftest import fold_deviation, skew_deviation, symbol_svd_deviation
 from conftest import midpoint_grid
 
@@ -36,10 +39,11 @@ def at_base(subcommand):
     return [subcommand, *(BASE_POINT if subcommand == "sweep" else BASE)]
 
 
-#: every flag of any subcommand, with arguments that parse, and --tol and
-#: --eps: the coefficient tolerance and spectrum's small singular-value
-#: threshold are the constants fourier.COEFF_TOL and cli.SPECTRUM_EPS, so
-#: every subcommand rejects either flag as a usage error (exit 2)
+#: every flag of any subcommand, with arguments that parse, and --tol,
+#: --eps and --format: the coefficient tolerance and spectrum's small
+#: singular-value threshold are the constants fourier.COEFF_TOL and
+#: cli.SPECTRUM_EPS, and every output is CSV, so every subcommand rejects
+#: these three flags as a usage error (exit 2)
 FLAG_ARGS = {
     "--gamma": ["0.5"],
     "--lambda": ["0.3"],
@@ -59,15 +63,14 @@ FLAG_ARGS = {
 ACCEPTED = {
     "correlations": {
         "--gamma", "--lambda", "--beta-l", "--beta-r", "--n-max", "--n-list",
-        "--out", "--format", "--dump-matrices",
+        "--out", "--dump-matrices",
     },
     "spectrum": {
-        "--gamma", "--lambda", "--beta-l", "--beta-r", "--n-max", "--n-list",
-        "--out", "--format",
+        "--gamma", "--lambda", "--beta-l", "--beta-r", "--n-max", "--n-list", "--out",
     },
-    "bound": {"--gamma", "--lambda", "--beta-l", "--beta-r", "--out", "--format"},
+    "bound": {"--gamma", "--lambda", "--beta-l", "--beta-r", "--out"},
     # sweep takes its points from --point only, and requires one
-    "sweep": {"--n-max", "--n-list", "--out", "--format", "--point"},
+    "sweep": {"--n-max", "--n-list", "--out", "--point"},
     "selftest": set(),
 }
 
@@ -93,7 +96,7 @@ class TestParser:
         for name, sp in sub.choices.items():
             flags = {o for a in sp._actions for o in a.option_strings} - {"-h", "--help"}
             assert flags == ACCEPTED[name], name
-        assert sum(len(flags) for flags in ACCEPTED.values()) == 28
+        assert sum(len(flags) for flags in ACCEPTED.values()) == 24
 
     def test_unread_flags_exit_2(self):
         for argv in (["selftest", "--gamma", "0.5"], ["spectrum", "--dump-matrices"]):
@@ -141,17 +144,6 @@ class TestCorrelationsCommand:
         assert "# swapped=false" in a.read_text()
         assert "# swapped=true" in b.read_text()
 
-    def test_jsonl_format(self, tmp_path):
-        out = tmp_path / "c.jsonl"
-        r = run_cli(
-            "correlations", *BASE, "--n-list", "2,4", "--format", "jsonl", "--out", str(out)
-        )
-        assert r.returncode == 0
-        lines = [json.loads(l) for l in out.read_text().splitlines()]
-        assert lines[0]["type"] == "meta"
-        assert [l["n"] for l in lines[1:]] == [2, 4]
-        assert lines[1]["log_abs_C"] < 0.0
-
     def test_series_metadata_stays_out_of_output(self, tmp_path):
         # the run description holds exactly these keys, and nothing that
         # varies between identical runs
@@ -160,19 +152,11 @@ class TestCorrelationsCommand:
             "beta", "delta", "swapped", "critical", "tol", "n_list", "theorem_rate",
             "weak_rate", "mu_sup", "fit_slope", "fit_window",
         }
-        keys = {}
-        for fmt in ("csv", "jsonl"):
-            out = tmp_path / f"c.{fmt}"
-            args = ["correlations", *BASE, "--n-list", "2,4,8,16", "--format", fmt]
-            assert run_cli(*args, "--out", str(out)).returncode == 0
-            lines = out.read_text().splitlines()
-            if fmt == "csv":
-                comments = [line for line in lines if line.startswith("# ")]
-                keys[fmt] = {k for line in comments for k in re.findall(r"(\w+)=", line)}
-            else:
-                keys[fmt] = set(json.loads(lines[0]))
-        assert keys["csv"] == shared
-        assert keys["jsonl"] == shared | {"type"}
+        out = tmp_path / "c.csv"
+        args = ["correlations", *BASE, "--n-list", "2,4,8,16"]
+        assert run_cli(*args, "--out", str(out)).returncode == 0
+        comments = [line for line in out.read_text().splitlines() if line.startswith("# ")]
+        assert {k for line in comments for k in re.findall(r"(\w+)=", line)} == shared
 
     def test_dump_matrices(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -190,50 +174,79 @@ class TestCorrelationsCommand:
         assert r.stdout == ""  # rejected before any computation or output
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["correlations", *BASE, "--n-list", "2,4,8,16"],
-        ["spectrum", *BASE, "--n-list", "8,16"],
-        ["bound", *BASE],
-        ["sweep", "--n-list", "2,4", "--point", "0.5,0.3,1,3", "--point=-0.4,1.7,2,2"],
-        # point 0 fails at n = 1 (ROADMAP item 1), so its error message,
-        # spaces included, is one description line
-        ["sweep", "--n-list", "1,2,4,8", "--point", "0,2,50,50", "--point", "0.5,0.3,1,3"],
-    ],
-    ids=["correlations", "spectrum", "bound", "sweep", "sweep-point-error"],
-)
-def test_csv_and_jsonl_describe_the_run_alike(tmp_path, args):
-    # the CSV "# k=v" pairs, read back as JSON where they parse, are the
-    # JSONL meta object without its "type"; a "#" line that is not a run of
-    # k=v tokens is one key with its whole value
-    described = {}
-    for fmt in ("csv", "jsonl"):
-        out = tmp_path / f"run.{fmt}"
-        assert run_cli(*args, "--format", fmt, "--out", str(out)).returncode == 0
-        described[fmt] = out.read_text().splitlines()
-    meta = json.loads(described["jsonl"][0])
-    assert meta.pop("type") == "meta"
+#: the error of the cold point (0, 2, 50, 50), whose n = 1 fold is exactly
+#: singular (ROADMAP item 1)
+COLD_POINT_ERROR = "NumericalError: fold X is exactly singular at n=1: log|det X| = -inf"
+
+
+def described(path) -> dict:
+    """The ``#`` lines of a CLI CSV file as {key: value text}.
+
+    The rule perfbench reads them by: a line that is a run of ``k=v``
+    tokens gives each token's pair; any other line is one key, and the
+    whole rest of the line after its first ``=`` is the value.
+    """
     pairs = {}
-    for line in described["csv"]:
+    for line in path.read_text().splitlines():
         if line.startswith("# "):
             body = line[2:]
             tokens = body.split(" ") if re.fullmatch(r"\w+=\S+( \w+=\S+)*", body) else [body]
-            pairs.update(pair.split("=", 1) for pair in tokens)
+            pairs.update(token.split("=", 1) for token in tokens)
+    return pairs
 
-    def parsed(text):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError:
-            return text
 
-    csv = {k: parsed(v) for k, v in pairs.items()}
-    assert csv == meta
-    assert all(type(csv[k]) is type(v) for k, v in meta.items())
-    if "0,2,50,50" in args:
-        assert meta["point_0_error"] == (
-            "NumericalError: fold X is exactly singular at n=1: log|det X| = -inf"
-        )
+def point_description(p: ModelParams) -> dict:
+    return {
+        "gamma": p.gamma, "lambda": p.lam, "beta_l": p.beta_l, "beta_r": p.beta_r,
+        "beta": p.beta, "delta": p.delta, "swapped": p.swapped, "critical": p.critical,
+    }
+
+
+def run_description(case: str) -> dict:
+    """What the run ``DESCRIBED_RUNS[case]`` describes itself as, from the library."""
+    p = ModelParams(0.5, 0.3, 1.0, 2.0)  # BASE
+    if case == "correlations":
+        series = compute_series(p, n_list=(2, 4, 8, 16))
+        fit = series.fit
+        return {
+            **point_description(p), "tol": COEFF_TOL, "n_list": "2,4,8,16",
+            "theorem_rate": series.bound.theorem_rate, "weak_rate": series.bound.weak_rate,
+            "mu_sup": mu_sup(p), "fit_slope": fit.slope, "fit_window": f"{fit.n_lo}:{fit.n_hi}",
+        }
+    if case == "spectrum":
+        return {**point_description(p), "tol": COEFF_TOL, "n_list": "8,16", "eps": SPECTRUM_EPS}
+    if case == "bound":
+        return {**point_description(p), "tol": LIMIT_TOL}
+    if case == "sweep":
+        return {"tol": COEFF_TOL, "points": 2, "n_list": "2,4"}
+    return {"tol": COEFF_TOL, "points": 2, "n_list": "1,2,4,8", "point_0_error": COLD_POINT_ERROR}
+
+
+DESCRIBED_RUNS = {
+    "correlations": ["correlations", *BASE, "--n-list", "2,4,8,16"],
+    "spectrum": ["spectrum", *BASE, "--n-list", "8,16"],
+    "bound": ["bound", *BASE],
+    "sweep": ["sweep", "--n-list", "2,4", "--point", "0.5,0.3,1,3", "--point=-0.4,1.7,2,2"],
+    # point 0 fails at n = 1, so its error message, spaces included, is one
+    # description line
+    "sweep-point-error": [
+        "sweep", "--n-list", "1,2,4,8", "--point", "0,2,50,50", "--point", "0.5,0.3,1,3"
+    ],
+}
+
+
+@pytest.mark.parametrize("case", DESCRIBED_RUNS)
+def test_csv_describes_the_run(tmp_path, case):
+    # every "#" line reads back into the run's keys and values: booleans as
+    # true/false, floats as their repr
+    args = DESCRIBED_RUNS[case]
+    out = tmp_path / "run.csv"
+    assert run_cli(*args, "--out", str(out)).returncode == 0
+    want = {"xyness": xyness.__version__, "numpy": np.__version__, "command": args[0]}
+    want.update(run_description(case))
+    # sweep-point-error: the whole message is point_0_error's value
+    text = {k: str(v).lower() if isinstance(v, bool) else str(v) for k, v in want.items()}
+    assert described(out) == text
 
 
 class TestExitCodes:
@@ -401,17 +414,6 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
-    def test_point_below_spectrum_eps_exits_2_before_integrating(self, monkeypatch, capsys):
-        # at beta = 1e-4 the symbol norm, 6.5e-5, lies below SPECTRUM_EPS
-        import xyness.cli as cli
-
-        def never(*args, **kwargs):
-            raise AssertionError("coefficients integrated before the indicator was checked")
-
-        monkeypatch.setattr(cli, "build_block_sequence", never)
-        assert cli.main(["spectrum", "--beta-l", "1e-4", "--beta-r", "1e-4"]) == 2
-        assert capsys.readouterr().err.startswith("error: need 0 < eps < eps + eps^2 < ceiling")
-
     @pytest.mark.parametrize("subcommand", ["correlations", "sweep"])
     def test_malformed_thread_count_exits_2(self, subcommand, tmp_path, monkeypatch):
         monkeypatch.setenv("XYNESS_THREADS", "two")
@@ -465,21 +467,12 @@ class TestBoundCommand:
         rate = float(row["theorem_rate"])
         assert math.isfinite(rate) and rate < 0.0
 
-    def test_jsonl_on_stdout(self):
-        r = run_cli("bound", *BASE, "--format", "jsonl")
-        assert r.returncode == 0
-        meta, row = [json.loads(line) for line in r.stdout.splitlines()]
-        assert meta["type"] == "meta" and meta["command"] == "bound"
-        assert row["type"] == "row" and row["theorem_rate"] < 0.0
-
     def test_out_header_reports_rate_tolerance(self, tmp_path):
         # the rate integral runs at LIMIT_TOL whatever the coefficient tolerance
-        csv, jsonl = tmp_path / "b.csv", tmp_path / "b.jsonl"
+        csv = tmp_path / "b.csv"
         r = run_cli("bound", *BASE, "--out", str(csv))
         assert r.returncode == 0 and r.stdout == ""
         assert "# tol=1e-09" in csv.read_text().splitlines()
-        assert run_cli("bound", *BASE, "--format", "jsonl", "--out", str(jsonl)).returncode == 0
-        assert json.loads(jsonl.read_text().splitlines()[0])["tol"] == LIMIT_TOL == 1e-9
         assert run_cli("bound", *BASE, "--tol", "1e-3").returncode == 2
 
     def test_equilibrium_flag(self):
@@ -501,6 +494,20 @@ class TestSpectrumCommand:
         count_col = header.index("count_small")
         assert all(int(row[count_col]) == 0 for row in rows)
 
+    def test_hot_point_runs(self, capsys):
+        # at beta = 1e-4 the symbol norm, 6.5e-5, lies below SPECTRUM_EPS: every
+        # singular value is small, and the chi_log columns are exactly 0
+        import xyness.cli as cli
+
+        assert cli.main(["spectrum", "--beta-l", "1e-4", "--beta-r", "1e-4"]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert [int(row["n"]) for row in rows] == [64, 128, 256, 512]
+        for row in rows:
+            assert int(row["count_small"]) == 2 * int(row["n"])
+            for col in ("emp_chi_log", "limit_chi_log", "gap_chi_log"):
+                assert float(row[col]) == 0.0, (row["n"], col)
+
 
 class TestSweepCommand:
     def test_points_and_order(self, tmp_path):
@@ -517,6 +524,20 @@ class TestSweepCommand:
         assert [row[0] for row in rows] == ["0", "0", "1", "1"]
         # swapped labels give identical magnitudes
         assert rows[0][6] == rows[2][6]
+
+    def test_description_names_no_point(self, tmp_path):
+        # point 1 is swapped and critical; the description holds neither
+        # point, and each row its own, reservoir labels normalized
+        out = tmp_path / "sw.csv"
+        r = run_cli(
+            "sweep", "--n-list", "4,8", "--point", "0.5,0.3,1,3", "--point", "0,0.5,2,1",
+            "--out", str(out),
+        )
+        assert r.returncode == 0
+        assert set(described(out)) == {"xyness", "numpy", "command", "tol", "points", "n_list"}
+        lines = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        points = {tuple(float(v) for v in row[1:5]) for row in lines[1:]}
+        assert points == {(0.5, 0.3, 1.0, 3.0), (0.0, 0.5, 1.0, 2.0)}
 
     def test_bad_point_syntax(self):
         r = run_cli("sweep", "--point", "1,2,3")

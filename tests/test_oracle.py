@@ -13,7 +13,9 @@ noise, so a row agrees to about 1e-16/smin.  Every row must lie within
 smin >= 1e-3, must also lie within 1e-12.  The exception is ROADMAP item
 1's defect: past n = 16 at (-0.4, 1.7, 2, 2) the true log|C(n)| falls by
 1.80 per step and the pipeline's floor by about 0.15, so those rows miss
-the oracle by more than 1, and the test requires that they do.
+the oracle by more than 1, and the test requires that they do.  At the
+cold point (0, 2, 50, 50) every row lies below the floor: log|C(n)| is
+about -52 at n <= 8, where the pipeline reports -33 to -38.
 """
 
 import pytest
@@ -63,6 +65,23 @@ def test_rows_match_oracle(point):
         assert diff <= 1e-14 / row.smin, (row, diff)
         if row.smin >= RESOLVED_SMIN:
             assert diff <= 1e-12, (row, diff)
+
+
+#: the cold point, where C(n) ~ e^-52 from n = 1 on (ROADMAP item 11)
+COLD = (0.0, 2.0, 50.0, 50.0)
+
+
+def test_cold_point_rows_miss_oracle():
+    # M_n's entries are O(1) and its determinant ~1e-23, so 40 digits leave
+    # ~17; the oracle agrees at 60 and 80.  The pipeline runs to n = 32: at
+    # n_list (1, 2, 4, 8) its n = 1 fold is exactly singular (exit 3)
+    p = ModelParams(*COLD)
+    sizes = (1, 2, 4, 8)
+    oracle = oracle_log_abs_C(p, sizes)
+    assert [round(oracle[n], 4) for n in sizes] == [-52.1894, -52.2197, -52.3408, -52.8244]
+    rows = compute_series(p, n_list=(*sizes, 16, 32)).rows[: len(sizes)]
+    for row in rows:
+        assert abs(row.log_abs_C - oracle[row.n]) > 1.0, row
 
 
 def test_oracle_sees_a_shifted_temperature():
