@@ -51,7 +51,6 @@ from .spectral import (
     count_small,
     indicator_log,
     smooth_indicator,
-    square_plateau,
 )
 from .toeplitz import assemble, dump_matrix, fold, folded, symbol_norm
 
@@ -91,7 +90,6 @@ __all__ = [
     "phi",
     "singular_values",
     "smooth_indicator",
-    "square_plateau",
     "sweep",
     "symbol_matrices",
     "symbol_norm",

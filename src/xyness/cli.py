@@ -25,8 +25,9 @@ from .model import ModelParams, mu_sup
 from .pipeline import DEFAULT_N_LIST, NumericalError, check_sizes, compute_series, sweep
 from .quadrature import QuadratureError
 from .selftest import run_selftest
-from .spectral import LIMIT_TOL, avram_parter_gap, avram_parter_limit, indicator_log, square_plateau
-from .toeplitz import assemble, dump_matrix, symbol_norm
+from .spectral import LIMIT_TOL, avram_parter_gap, avram_parter_limit, indicator_log
+from .toeplitz import assemble, dump_matrix
+from .toeplitz import symbol_norm  # noqa: F401 (perfbench/tracer.py wraps this binding)
 
 EXIT_OK = 0
 EXIT_SELFTEST = 1
@@ -139,12 +140,8 @@ def cmd_spectrum(args) -> int:
     p = ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)
     n_list = args.n_list or _default_n_values(args.n_max, base=(64, 128, 256, 512))
     n_list = check_sizes(n_list)
-    # g_log is read only at singular values <= symbol_norm(p), below which its
-    # fall is exactly 1 for any ceiling at least the norm, so the values do not
-    # depend on it; 2 * eps keeps the ceiling above eps + eps^2 at a hot point
-    g_log = indicator_log(SPECTRUM_EPS, max(symbol_norm(p), 2 * SPECTRUM_EPS))
+    g_log = indicator_log(SPECTRUM_EPS)
     seq = build_block_sequence(max(n_list), p)
-    g_sq = square_plateau()
     header = [
         "n",
         "smin",
@@ -157,12 +154,12 @@ def cmd_spectrum(args) -> int:
         "limit_square",
         "gap_square",
     ]
-    limit_square = avram_parter_limit(g_sq, p)
+    limit_square = avram_parter_limit(np.square, p)
     limit_log = avram_parter_limit(g_log, p)
     rows = []
     for n in n_list:
         s_log = avram_parter_gap(n, g_log, seq, limit_log)
-        emp_square = float(np.mean(g_sq(s_log.values)))
+        emp_square = float(np.mean(np.square(s_log.values)))
         rows.append(
             [
                 n,
@@ -197,21 +194,21 @@ def cmd_sweep(args) -> int:
     results = sweep(grid, n_list=n_list)
     header = ["point", "gamma", "lambda", "beta_l", "beta_r", *_SERIES_HEADER]
     rows = []
-    failures = {}
-    for i, series in enumerate(results):
-        q = series.params
-        if series.error is not None:
-            failures[i] = series.error
-            continue
-        rows.extend([i, q.gamma, q.lam, q.beta_l, q.beta_r, *row] for row in _series_rows(series))
     meta = {
         "tol": COEFF_TOL,
         "points": len(grid),
         "n_list": ",".join(str(n) for n in n_list),
     }
-    for i, msg in failures.items():
-        meta[f"point_{i}_error"] = msg
-    # each row carries its point, so the description names none
+    for i, series in enumerate(results):
+        q = series.params
+        # each row carries its point with the temperatures in order, so the
+        # description says which points were given swapped and which are critical
+        meta[f"point_{i}_swapped"] = q.swapped
+        meta[f"point_{i}_critical"] = q.critical
+        if series.error is not None:
+            meta[f"point_{i}_error"] = series.error
+            continue
+        rows.extend([i, q.gamma, q.lam, q.beta_l, q.beta_r, *row] for row in _series_rows(series))
     _emit(args, meta, header, rows)
     return EXIT_OK
 

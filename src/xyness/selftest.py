@@ -19,7 +19,7 @@ from .model import ModelParams, _symbol_weights, symbol_matrices, symbol_singula
 from .pipeline import compute_series
 from .quadrature import adaptive_panels
 from .skewlinalg import log_det, pfaffian, pfaffian_brute, singular_values
-from .spectral import avram_parter_gap, avram_parter_limit, square_plateau
+from .spectral import avram_parter_gap, avram_parter_limit
 from .toeplitz import assemble, fold, folded, symbol_norm
 
 #: parameter sets exercised by the full acceptance suite
@@ -174,11 +174,10 @@ def run_selftest() -> list[CheckResult]:
     smax = max(float(singular_values(assemble(n, seq))[-1]) for n in (8, 32))
     record("norm-bound", smax <= bound + 1e-8, f"smax {smax:.6f} <= {bound:.6f}")
 
-    # Avram-Parter with the compact square test function
-    g = square_plateau()
+    # Avram-Parter with the square test function
     seq64 = build_block_sequence(64, p)
-    limit = avram_parter_limit(g, p)
-    gaps = [avram_parter_gap(n, g, seq64, limit).gap for n in (16, 64)]
+    limit = avram_parter_limit(np.square, p)
+    gaps = [avram_parter_gap(n, np.square, seq64, limit).gap for n in (16, 64)]
     ok = all(math.isfinite(v) and v > 0 for v in gaps) and gaps[1] <= gaps[0]
     record("avram-parter-gap", ok, f"gap(16)={gaps[0]:.2e} gap(64)={gaps[1]:.2e}")
 

@@ -2,14 +2,15 @@
 
 As the truncation size grows, the singular values of T_n distribute like the
 symbol's singular values sampled uniformly over the circle (Avram-Parter):
-for continuous compactly supported g,
+for g continuous on [0, 1],
 
     (1/2n) sum_j g(s_j)  ->  (1/2) Int d(xi)/2pi [g(sv_lo(xi)) + g(sv_hi(xi))],
 
 where sv_lo/sv_hi = tanh(beta_{l,r}*mu/2) are the symbol's singular values in
-closed form.  This module computes both sides and their gap, counts
-near-kernel singular values, and provides the smooth plateau functions that
-turn log into a compactly supported test function.
+closed form.  Every value g meets, singular value or symbol value, lies in
+[0, symbol_norm], below 1, by the norm bound.  This module computes both sides
+and their gap, counts near-kernel singular values, and provides the smooth
+step that turns log into a test function continuous on [0, 1].
 
 The truncation's singular values are those of its n x n fold X, each
 counted twice: the reflection symmetry J T_n J = -T_n of the real gauge
@@ -56,56 +57,38 @@ def _smoothstep(t):
     return fa / (fa + fb)
 
 
-def smooth_indicator(eps: float, ceiling: float):
-    """Smooth plateau indicator: support (eps, ceiling + 1), value 1 on [eps + eps^2, ceiling].
+def smooth_indicator(eps: float):
+    """Smooth step: 0 at and below eps, 1 from eps + eps^2 on.
 
-    Rises from 0 to 1 across (eps, eps + eps^2) and falls back to 0 across
-    (ceiling, ceiling + 1), both via the standard exp(-1/t) transition, so
-    the result is C-infinity with 0 <= chi <= 1.
+    Rises from 0 to 1 across (eps, eps + eps^2) via the standard exp(-1/t)
+    transition, so the result is C-infinity with 0 <= chi <= 1.  It is
+    continuous on [0, 1]; every value it meets lies in [0, symbol_norm].
 
-    Parameters must satisfy 0 < eps and eps + eps^2 < ceiling.
+    Requires 0 < eps < 1.
     """
-    if not (0.0 < eps and eps + eps * eps < ceiling):
-        raise ValueError(f"need 0 < eps < eps + eps^2 < ceiling, got {eps}, {ceiling}")
+    if not (0.0 < eps < 1.0):
+        raise ValueError(f"eps must be in (0, 1), got {eps}")
 
     def chi(s):
-        s = np.asarray(s, dtype=float)
-        rise = _smoothstep((s - eps) / (eps * eps))
-        fall = _smoothstep(ceiling + 1.0 - s)
-        out = np.minimum(rise, fall)
+        out = _smoothstep((np.asarray(s, dtype=float) - eps) / (eps * eps))
         return out if out.ndim else float(out)
 
     return chi
 
 
-def indicator_log(eps: float, ceiling: float):
-    """(chi_eps * log): the compactly supported test function used in the decay proof.
+def indicator_log(eps: float):
+    """(chi_eps * log): the test function used in the decay proof.
 
-    Vanishes identically below eps (in particular at 0, where the bare log
-    would diverge) and above ceiling + 1.
+    Continuous on [0, 1]; every value it meets lies in [0, symbol_norm].  It
+    vanishes identically at and below eps, in particular at 0, where the bare
+    log would diverge.
     """
-    chi = smooth_indicator(eps, ceiling)
+    chi = smooth_indicator(eps)
 
     def g(s):
         s = np.asarray(s, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(s > eps, chi(s) * np.log(np.maximum(s, eps)), 0.0)
-        return out if out.ndim else float(out)
-
-    return g
-
-
-def square_plateau():
-    """g(s) = s^2 up to 1, smoothly cut off to 0 by 2.
-
-    A compactly supported extension of s^2: on [0, 1] it is exactly s^2.
-    Singular values never exceed the symbol norm, which is below 1, so the
-    empirical mean is the squared Frobenius norm over the dimension.
-    """
-
-    def g(s):
-        s = np.asarray(s, dtype=float)
-        out = s * s * _smoothstep(2.0 - s)
         return out if out.ndim else float(out)
 
     return g
@@ -145,10 +128,10 @@ def avram_parter_limit(g, p: ModelParams) -> float:
 def avram_parter_gap(n: int, g, seq: BlockSequence, limit: float) -> SpectralSummary:
     """Empirical singular-value mean of g versus its distributional limit.
 
-    ``g`` must be vectorized, continuous, and compactly supported.  ``limit``
-    is :func:`avram_parter_limit` of the same g and the sequence's
-    parameters; it does not depend on n, so a caller that compares several
-    sizes integrates it once.
+    ``g`` must be vectorized and continuous on [0, 1]; every value it meets
+    lies in [0, symbol_norm].  ``limit`` is :func:`avram_parter_limit` of the
+    same g and the sequence's parameters; it does not depend on n, so a
+    caller that compares several sizes integrates it once.
     """
     sv = np.repeat(singular_values(folded(n, seq)), 2)
     empirical = float(np.mean(g(sv)))

@@ -24,7 +24,6 @@ from xyness import (
     log_det,
     pfaffian,
     pfaffian_brute,
-    square_plateau,
     symbol_matrices,
     symbol_norm,
     symbol_singular_values,
@@ -123,7 +122,7 @@ def test_criterion_3_coefficient_symmetries(seqs512):
 
 @pytest.fixture(scope="module")
 def spectral_summaries(seqs512):
-    g = square_plateau()
+    g = np.square
     out = {}
     for p in ACCEPTANCE_SETS:
         limit = avram_parter_limit(g, p)

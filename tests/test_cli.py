@@ -218,8 +218,14 @@ def run_description(case: str) -> dict:
     if case == "bound":
         return {**point_description(p), "tol": LIMIT_TOL}
     if case == "sweep":
-        return {"tol": COEFF_TOL, "points": 2, "n_list": "2,4"}
-    return {"tol": COEFF_TOL, "points": 2, "n_list": "1,2,4,8", "point_0_error": COLD_POINT_ERROR}
+        grid, n_list, errors = [(0.5, 0.3, 1, 3), (-0.4, 1.7, 2, 2)], "2,4", {}
+    else:
+        grid, n_list = [(0, 2, 50, 50), (0.5, 0.3, 1, 3)], "1,2,4,8"
+        errors = {"point_0_error": COLD_POINT_ERROR}
+    flags = {}
+    for i, q in enumerate(ModelParams(*pt) for pt in grid):
+        flags.update({f"point_{i}_swapped": q.swapped, f"point_{i}_critical": q.critical})
+    return {"tol": COEFF_TOL, "points": 2, "n_list": n_list, **flags, **errors}
 
 
 DESCRIBED_RUNS = {
@@ -525,17 +531,27 @@ class TestSweepCommand:
         # swapped labels give identical magnitudes
         assert rows[0][6] == rows[2][6]
 
-    def test_description_names_no_point(self, tmp_path):
-        # point 1 is swapped and critical; the description holds neither
-        # point, and each row its own, reservoir labels normalized
+    def test_description_flags_each_point(self, tmp_path):
+        # point 1 is given swapped and is critical: each row holds its point,
+        # reservoir labels normalized, and the description says, on one line
+        # per key, which points were given swapped and which are critical
         out = tmp_path / "sw.csv"
         r = run_cli(
             "sweep", "--n-list", "4,8", "--point", "0.5,0.3,1,3", "--point", "0,0.5,2,1",
             "--out", str(out),
         )
         assert r.returncode == 0
-        assert set(described(out)) == {"xyness", "numpy", "command", "tol", "points", "n_list"}
-        lines = [l.split(",") for l in out.read_text().splitlines() if not l.startswith("#")]
+        text = out.read_text().splitlines()
+        flags = {
+            "point_0_swapped": "false", "point_0_critical": "false",
+            "point_1_swapped": "true", "point_1_critical": "true",
+        }
+        assert described(out) == {
+            "xyness": xyness.__version__, "numpy": np.__version__, "command": "sweep",
+            "tol": str(COEFF_TOL), "points": "2", "n_list": "4,8", **flags,
+        }
+        assert all(f"# {k}={v}" in text for k, v in flags.items())
+        lines = [l.split(",") for l in text if not l.startswith("#")]
         points = {tuple(float(v) for v in row[1:5]) for row in lines[1:]}
         assert points == {(0.5, 0.3, 1.0, 3.0), (0.0, 0.5, 1.0, 2.0)}
 

@@ -10,13 +10,14 @@ from xyness import (
     avram_parter_limit,
     breakpoints,
     build_block_sequence,
+    compute_series,
     count_small,
+    folded,
     indicator_log,
     log_det,
     mu,
     phi,
     smooth_indicator,
-    square_plateau,
     symbol_norm,
 )
 import xyness.spectral
@@ -27,40 +28,31 @@ TWO_PI = 2.0 * math.pi
 
 
 class TestSmoothIndicator:
-    def test_plateau_and_support(self):
-        eps, ceiling = 0.01, 0.9
-        chi = smooth_indicator(eps, ceiling)
-        assert chi(eps / 2) == 0.0
-        assert chi(0.0) == 0.0
-        mid = 0.5 * (eps + eps**2 + ceiling)
-        assert chi(mid) == 1.0
-        assert chi(ceiling + 1.0) == 0.0
-        assert chi(ceiling + 1.5) == 0.0
+    def test_zero_to_eps_and_one_from_eps_plus_eps_squared(self):
+        eps = 0.01
+        chi = smooth_indicator(eps)
+        assert chi(0.0) == 0.0 and chi(eps / 2) == 0.0 and chi(eps) == 0.0
+        assert np.all(chi(np.linspace(0.0, eps, 101)) == 0.0)
+        assert np.all(chi(np.linspace(eps + eps**2, 1.0, 1001)) == 1.0)
 
     def test_monotone_rising_edge(self):
-        eps, ceiling = 0.05, 0.8
-        chi = smooth_indicator(eps, ceiling)
+        eps = 0.05
+        chi = smooth_indicator(eps)
         s = np.linspace(eps, eps + eps**2, 2001)
         vals = chi(s)
         assert np.all(np.diff(vals) >= 0.0)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
     def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            smooth_indicator(0.0, 1.0)
-        with pytest.raises(ValueError):
-            smooth_indicator(0.5, 0.5)
+        for eps in (0.0, -1.0, 1.0, 1.5, math.nan, math.inf):
+            for make in (smooth_indicator, indicator_log):
+                with pytest.raises(ValueError, match=r"^eps must be in \(0, 1\)"):
+                    make(eps)
 
     def test_indicator_log_kills_origin(self):
-        g = indicator_log(1e-3, 0.9)
+        g = indicator_log(1e-3)
         assert g(0.0) == 0.0 and g(1e-4) == 0.0
         assert g(0.5) == pytest.approx(math.log(0.5))
-
-    def test_square_plateau_exact_below_ceiling(self):
-        g = square_plateau()
-        s = np.linspace(0.0, 1.0, 101)
-        assert np.allclose(g(s), s * s, atol=0.0)
-        assert g(2.5) == 0.0
 
 
 class TestCountSmall:
@@ -103,7 +95,7 @@ class TestCountSmall:
 class TestNoAssembly:
     def test_fold_is_gathered_from_the_blocks(self, base_params, base_seq, monkeypatch):
         # count_small and avram_parter_gap never build the 2n x 2n truncation
-        g = square_plateau()
+        g = np.square
         limit = avram_parter_limit(g, base_params)
         expected = (count_small(16, 0.5, base_seq), avram_parter_gap(16, g, base_seq, limit))
 
@@ -128,7 +120,7 @@ class TestAvramParter:
         assert s.empirical_mean == 0.0 and limit == 0.0 and s.gap == 0.0
 
     def test_square_matches_frobenius_and_parseval(self, base_params, base_seq):
-        g = square_plateau()
+        g = np.square
         limit = avram_parter_limit(g, base_params)
         for n in (8, 24):
             s = avram_parter_gap(n, g, base_seq, limit)
@@ -155,7 +147,7 @@ class TestAvramParter:
         p = ModelParams(*point)
         assert p.critical
         edges = np.append(breakpoints(p), TWO_PI)
-        for g in (square_plateau(), indicator_log(1e-3, symbol_norm(p))):
+        for g in (np.square, indicator_log(1e-3)):
 
             def integrand(xi):
                 m = mu(xi, p)
@@ -166,7 +158,7 @@ class TestAvramParter:
             assert abs(avram_parter_limit(g, p) - ref) <= 2.0 * LIMIT_TOL
 
     def test_gap_decreases(self, base_params, base_seq):
-        g = square_plateau()
+        g = np.square
         limit = avram_parter_limit(g, base_params)
         gaps = [avram_parter_gap(n, g, base_seq, limit).gap for n in (8, 16, 32)]
         assert all(v > 0.0 and math.isfinite(v) for v in gaps)
@@ -174,7 +166,7 @@ class TestAvramParter:
 
     def test_values_within_norm_bound(self, base_params, base_seq):
         bound = symbol_norm(base_params)
-        g = square_plateau()
+        g = np.square
         limit = avram_parter_limit(g, base_params)
         for n in (8, 32):
             s = avram_parter_gap(n, g, base_seq, limit)
@@ -185,7 +177,7 @@ class TestAvramParter:
         # log|det T_n| <= sum_j chi_eps(s_j) log s_j, term-by-term justified
         # because every discarded log s_j is negative
         eps = 1e-3
-        g = indicator_log(eps, symbol_norm(base_params))
+        g = indicator_log(eps)
         limit = avram_parter_limit(g, base_params)
         for n in (4, 16, 32):
             T = assemble(n, base_seq)
@@ -194,3 +186,38 @@ class TestAvramParter:
             rhs = float(np.sum(g(s.values)))
             assert lhs <= rhs + 1e-10
             assert np.all(s.values < 1.0)
+
+
+class TestEmpiricalMeanCrossChecks:
+    """Both empirical means of ``spectrum`` against routes that take no SVD.
+
+    Each size's values are X's singular values, each counted twice, so the
+    square mean is ||X||_F^2 / n, and where every value exceeds eps + eps^2
+    the chi_log mean is log|det X| / n, the log|C(n)| of the fold's LU over n.
+    """
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            (0.5, 0.3, 1.0, 3.0),
+            (0.0, 0.5, 1.0, 3.0),  # critical
+            (0.5, 1.0, 1.0, 3.0),  # critical, |lambda| = 1
+            (0.5, 1.5, 2.0, 2.0),  # one exponentially small pair: chi_log not checked
+            (0.5, 0.3, 1e-4, 1e-4),  # hot: every value below eps
+            (0.9, 0.5, 0.5, 4.0),
+        ],
+    )
+    def test_means_match_frobenius_and_log_det(self, point):
+        eps = 1e-3
+        g = indicator_log(eps)
+        p = ModelParams(*point)
+        n_list = (64, 128, 256, 512)
+        seq = build_block_sequence(max(n_list), p)
+        for row in compute_series(p, n_list=n_list).rows:
+            n = row.n
+            s = avram_parter_gap(n, g, seq, 0.0)
+            X = folded(n, seq)
+            frobenius = float(np.sum(X * X)) / n
+            assert float(np.mean(np.square(s.values))) == pytest.approx(frobenius, rel=1e-13, abs=0.0)
+            if s.values[0] > eps + eps * eps:
+                assert s.empirical_mean == pytest.approx(row.log_abs_C / n, rel=0.0, abs=1e-13)
