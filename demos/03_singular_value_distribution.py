@@ -16,7 +16,6 @@ from xyness import (
     avram_parter_gap,
     avram_parter_limit,
     build_block_sequence,
-    count_small,
     indicator_log,
     singular_values,
     symbol_norm,
@@ -33,8 +32,9 @@ print("empirical mean of g(s) = s^2 versus its distributional limit:")
 g_sq = np.square
 limit_sq = avram_parter_limit(g_sq, p)  # independent of n: integrated once
 print(f"{'n':>5} {'empirical':>12} {'limit':>12} {'gap':>10} {'smax':>10}")
+summaries = {}
 for n in (16, 32, 64, 128, 256):
-    s = avram_parter_gap(n, g_sq, seq, limit_sq)
+    s = summaries[n] = avram_parter_gap(n, g_sq, seq, limit_sq)
     print(
         f"{n:5d} {s.empirical_mean:12.8f} {limit_sq:12.8f}"
         f" {s.gap:10.2e} {s.values[-1]:10.6f}"
@@ -47,10 +47,11 @@ print()
 g_log = indicator_log(1e-3)
 limit_log = avram_parter_limit(g_log, p)
 s = avram_parter_gap(128, g_log, seq, limit_log)
-print(f"plateau-log statistic at n = 128: empirical {s.empirical_mean:.8f}, limit {limit_log:.8f}")
+print(f"chi_eps*log statistic at n = 128: empirical {s.empirical_mean:.8f}, limit {limit_log:.8f}")
 
-# term-by-term inequality: discarding singular values below the plateau can
-# only increase the sum, because each discarded log is negative
+# term-by-term inequality: weighting each log s by chi_eps(s) <= 1 can only
+# increase the sum, because every singular value lies below 1 and its log is
+# negative
 T = assemble(128, seq)
 sv = singular_values(T)
 lhs = float(np.sum(np.log(sv)))
@@ -58,8 +59,9 @@ rhs = float(np.sum(g_log(sv)))
 print(f"log|det T_n| = {lhs:.4f} <= smoothed sum {rhs:.4f}: {lhs <= rhs}")
 print()
 
+# the census counts the 2n values each summary above already holds
 print("near-kernel census (values <= eps):")
 for eps in (1e-6, 1e-3, 0.5):
-    counts = [count_small(n, eps, seq) for n in (32, 64, 128)]
+    counts = [int(np.count_nonzero(summaries[n].values <= eps)) for n in (32, 64, 128)]
     print(f"  eps = {eps:g}: counts {counts} out of {[2*n for n in (32, 64, 128)]}")
 print("off criticality the spectrum stays away from 0: no near-kernel values")

@@ -48,9 +48,7 @@ from .spectral import (
     SpectralSummary,
     avram_parter_gap,
     avram_parter_limit,
-    count_small,
     indicator_log,
-    smooth_indicator,
 )
 from .toeplitz import assemble, dump_matrix, fold, folded, symbol_norm
 
@@ -75,7 +73,6 @@ __all__ = [
     "breakpoints",
     "build_block_sequence",
     "compute_series",
-    "count_small",
     "dump_matrix",
     "fit_decay",
     "fold",
@@ -89,7 +86,6 @@ __all__ = [
     "pfaffian_brute",
     "phi",
     "singular_values",
-    "smooth_indicator",
     "sweep",
     "symbol_matrices",
     "symbol_norm",

@@ -9,15 +9,15 @@ for g continuous on [0, 1],
 where sv_lo/sv_hi = tanh(beta_{l,r}*mu/2) are the symbol's singular values in
 closed form.  Every value g meets, singular value or symbol value, lies in
 [0, symbol_norm], below 1, by the norm bound.  This module computes both sides
-and their gap, counts near-kernel singular values, and provides the smooth
-step that turns log into a test function continuous on [0, 1].
+and their gap, and provides the test function chi_eps * log that the decay
+proof reads the rate from.
 
 The truncation's singular values are those of its n x n fold X, each
 counted twice: the reflection symmetry J T_n J = -T_n of the real gauge
 makes T_n orthogonally similar to [[0, X], [-X^T, 0]].  Each size gathers X
 straight from the coefficient blocks (:func:`toeplitz.folded`) without
 building T_n and takes one SVD of it; the 2n values are X's repeated in
-place, still ascending, and :func:`count_small` counts X's values twice.
+place, still ascending.
 """
 
 from __future__ import annotations
@@ -57,48 +57,29 @@ def _smoothstep(t):
     return fa / (fa + fb)
 
 
-def smooth_indicator(eps: float):
-    """Smooth step: 0 at and below eps, 1 from eps + eps^2 on.
+def indicator_log(eps: float):
+    """(chi_eps * log): the test function used in the decay proof.
 
-    Rises from 0 to 1 across (eps, eps + eps^2) via the standard exp(-1/t)
-    transition, so the result is C-infinity with 0 <= chi <= 1.  It is
-    continuous on [0, 1]; every value it meets lies in [0, symbol_norm].
+    chi_eps is a smooth step: 0 at and below eps, 1 from eps + eps^2 on, and
+    rising across (eps, eps + eps^2) via the standard exp(-1/t) transition,
+    so it is C-infinity with 0 <= chi_eps <= 1.  The product is continuous on
+    [0, 1]; every value it meets lies in [0, symbol_norm].  It vanishes
+    identically at and below eps, in particular at 0, where the bare log
+    would diverge.
 
     Requires 0 < eps < 1.
     """
     if not (0.0 < eps < 1.0):
         raise ValueError(f"eps must be in (0, 1), got {eps}")
 
-    def chi(s):
-        out = _smoothstep((np.asarray(s, dtype=float) - eps) / (eps * eps))
-        return out if out.ndim else float(out)
-
-    return chi
-
-
-def indicator_log(eps: float):
-    """(chi_eps * log): the test function used in the decay proof.
-
-    Continuous on [0, 1]; every value it meets lies in [0, symbol_norm].  It
-    vanishes identically at and below eps, in particular at 0, where the bare
-    log would diverge.
-    """
-    chi = smooth_indicator(eps)
-
     def g(s):
         s = np.asarray(s, dtype=float)
+        chi = _smoothstep((s - eps) / (eps * eps))
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(s > eps, chi(s) * np.log(np.maximum(s, eps)), 0.0)
+            out = np.where(s > eps, chi * np.log(np.maximum(s, eps)), 0.0)
         return out if out.ndim else float(out)
 
     return g
-
-
-def count_small(n: int, eps: float, seq: BlockSequence) -> int:
-    """Number of singular values of the n-block truncation in [0, eps], eps in (0, 1)."""
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"eps must be in (0, 1), got {eps}")
-    return 2 * int(np.count_nonzero(singular_values(folded(n, seq)) <= eps))
 
 
 def avram_parter_limit(g, p: ModelParams) -> float:

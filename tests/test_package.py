@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -107,3 +108,30 @@ def test_only_the_cli_prints():
         )
     ]
     assert printing == ["cli"]
+
+
+def test_pyproject_fails_a_leaked_file_and_a_runtime_warning(tmp_path):
+    # a ResourceWarning raised in a file's __del__ reaches pytest only as an
+    # unraisable-exception warning; pyproject.toml's filterwarnings make it,
+    # and a RuntimeWarning, fail the test that caused it.  The clean test
+    # shows the run itself works
+    (tmp_path / "test_leak.py").write_text(
+        "def test_leak(tmp_path):\n"
+        "    path = tmp_path / 'f'\n"
+        "    path.write_text('x')\n"
+        "    open(path)\n"
+    )
+    (tmp_path / "test_log_zero.py").write_text(
+        "import numpy as np\n\n\ndef test_log_zero():\n    np.log(np.array([0.0]))\n"
+    )
+    (tmp_path / "test_clean.py").write_text("def test_clean():\n    pass\n")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+    )
+    assert "FAILED test_leak.py::test_leak" in result.stdout, result.stdout
+    assert "FAILED test_log_zero.py::test_log_zero" in result.stdout, result.stdout
+    assert "2 failed, 1 passed" in result.stdout, result.stdout

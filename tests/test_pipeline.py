@@ -386,3 +386,19 @@ class TestSweep:
         for n_list in ((8, 4), (0,), (4.9, 8.5), (math.inf,), (math.nan,)):
             with pytest.raises(ValueError):
                 xyness.pipeline.sweep([base_params], n_list=n_list)
+
+    def test_pool_threads_are_released(self, monkeypatch):
+        # a ThreadPoolExecutor left running raises no ResourceWarning, so the
+        # thread count is the only witness that _tasks shuts each pool down,
+        # on success and when a task raises
+        monkeypatch.setenv("XYNESS_THREADS", "2")
+        p = ModelParams(0.5, 0.3, 1.0, 3.0)
+        baseline = threading.active_count()
+        compute_series(p, n_list=(8, 16, 32, 64))
+        assert threading.active_count() == baseline
+        with pytest.raises(NumericalError):
+            compute_series(COLD_SET, n_list=COLD_SIZES)
+        assert threading.active_count() == baseline
+        results = sweep([p, COLD_SET], n_list=COLD_SIZES)
+        assert results[0].error is None and results[1].error is not None
+        assert threading.active_count() == baseline

@@ -11,13 +11,11 @@ from xyness import (
     breakpoints,
     build_block_sequence,
     compute_series,
-    count_small,
     folded,
     indicator_log,
     log_det,
     mu,
     phi,
-    smooth_indicator,
     symbol_norm,
 )
 import xyness.spectral
@@ -27,27 +25,34 @@ from xyness.spectral import LIMIT_TOL
 TWO_PI = 2.0 * math.pi
 
 
+def census(n, eps, seq):
+    """Number of the n-block truncation's 2n singular values in [0, eps]."""
+    return int(np.count_nonzero(avram_parter_gap(n, np.square, seq, 0.0).values <= eps))
+
+
 class TestSmoothIndicator:
+    """chi_eps, the smooth step inside :func:`indicator_log`."""
+
     def test_zero_to_eps_and_one_from_eps_plus_eps_squared(self):
         eps = 0.01
-        chi = smooth_indicator(eps)
-        assert chi(0.0) == 0.0 and chi(eps / 2) == 0.0 and chi(eps) == 0.0
-        assert np.all(chi(np.linspace(0.0, eps, 101)) == 0.0)
-        assert np.all(chi(np.linspace(eps + eps**2, 1.0, 1001)) == 1.0)
+        g = indicator_log(eps)
+        assert g(0.0) == 0.0 and g(eps / 2) == 0.0 and g(eps) == 0.0
+        assert np.all(g(np.linspace(0.0, eps, 101)) == 0.0)
+        s = np.linspace(eps + eps**2, 1.0, 1001)
+        assert np.all(g(s) == np.log(s))
 
     def test_monotone_rising_edge(self):
         eps = 0.05
-        chi = smooth_indicator(eps)
         s = np.linspace(eps, eps + eps**2, 2001)
-        vals = chi(s)
+        vals = xyness.spectral._smoothstep((s - eps) / (eps * eps))
+        assert vals[0] == 0.0 and vals[-1] == 1.0
         assert np.all(np.diff(vals) >= 0.0)
         assert np.all((vals >= 0.0) & (vals <= 1.0))
 
     def test_invalid_parameters(self):
         for eps in (0.0, -1.0, 1.0, 1.5, math.nan, math.inf):
-            for make in (smooth_indicator, indicator_log):
-                with pytest.raises(ValueError, match=r"^eps must be in \(0, 1\)"):
-                    make(eps)
+            with pytest.raises(ValueError, match=r"^eps must be in \(0, 1\)"):
+                indicator_log(eps)
 
     def test_indicator_log_kills_origin(self):
         g = indicator_log(1e-3)
@@ -56,26 +61,22 @@ class TestSmoothIndicator:
 
 
 class TestCountSmall:
+    """The census of ``spectrum``'s ``count_small`` column, read from the summary's values."""
+
     def test_trivial_bounds(self, base_params, base_seq):
         sv_min = float(np.min(np.abs(np.linalg.svd(assemble(8, base_seq), compute_uv=False))))
-        assert count_small(8, sv_min / 2, base_seq) == 0
-        assert count_small(8, 0.999999, base_seq) == 16
+        assert census(8, sv_min / 2, base_seq) == 0
+        assert census(8, 0.999999, base_seq) == 16
 
     def test_no_near_kernel_off_criticality(self, base_seq):
         for n in (4, 16, 32):
-            assert count_small(n, 1e-3, base_seq) == 0
-
-    def test_eps_validation(self, base_seq):
-        # unchecked, the count would read 0, 0, 16, 16 and 0 at these values
-        for eps in (-1.0, 0.0, 1.5, 2.0, math.nan):
-            with pytest.raises(ValueError, match=r"^eps must be in \(0, 1\)"):
-                count_small(8, eps, base_seq)
+            assert census(n, 1e-3, base_seq) == 0
 
     def test_bounded_ratio_as_n_grows(self):
         # near-kernel fraction must not grow superlinearly (criterion: diagnostics)
         p = ModelParams(0.0, 0.5, 1.0, 3.0)  # critical: smin -> 0
         seq = build_block_sequence(64, p)
-        ratios = [count_small(n, 1e-3, seq) / n for n in (16, 32, 64)]
+        ratios = [census(n, 1e-3, seq) / n for n in (16, 32, 64)]
         assert max(ratios) <= 1.0
 
     def test_near_kernel_census_on_reference_sets(self):
@@ -89,25 +90,24 @@ class TestCountSmall:
         for p in ACCEPTANCE_SETS:
             seq = build_block_sequence(32, p)
             expected = 2 if abs(p.lam) > 1.0 else 0
-            assert count_small(32, 1e-6, seq) == expected
+            assert census(32, 1e-6, seq) == expected
 
 
 class TestNoAssembly:
     def test_fold_is_gathered_from_the_blocks(self, base_params, base_seq, monkeypatch):
-        # count_small and avram_parter_gap never build the 2n x 2n truncation
+        # avram_parter_gap never builds the 2n x 2n truncation
         g = np.square
         limit = avram_parter_limit(g, base_params)
-        expected = (count_small(16, 0.5, base_seq), avram_parter_gap(16, g, base_seq, limit))
+        expected = avram_parter_gap(16, g, base_seq, limit)
 
         def refuse(*args, **kwargs):
             raise AssertionError("assemble called")
 
         monkeypatch.setattr(xyness.toeplitz, "assemble", refuse)
         monkeypatch.setattr(xyness.spectral, "assemble", refuse)
-        assert count_small(16, 0.5, base_seq) == expected[0]
         summary = avram_parter_gap(16, g, base_seq, limit)
-        assert summary.values.tobytes() == expected[1].values.tobytes()
-        assert summary.gap == expected[1].gap
+        assert summary.values.tobytes() == expected.values.tobytes()
+        assert summary.gap == expected.gap
 
 
 class TestAvramParter:
