@@ -4,18 +4,18 @@ As the truncation grows, the singular values of T_n distribute like the
 symbol's two singular values sampled over the circle.  This drives the decay
 proof: means of test functions continuous on [0, 1] over the truncation
 spectrum converge to a closed-form integral.  Each size's summary holds its
-singular values, their empirical mean and its gap to the limit; the limit
-itself is integrated once and kept by the caller.
+singular values, their empirical mean and its gap to the limit; the caller
+takes the SVD of the size's fold, and integrates the limit once.
 """
 
 import numpy as np
 
 from xyness import (
     ModelParams,
-    assemble,
     avram_parter_gap,
     avram_parter_limit,
     build_block_sequence,
+    folded,
     indicator_log,
     singular_values,
     symbol_norm,
@@ -32,9 +32,11 @@ print("empirical mean of g(s) = s^2 versus its distributional limit:")
 g_sq = np.square
 limit_sq = avram_parter_limit(g_sq, p)  # independent of n: integrated once
 print(f"{'n':>5} {'empirical':>12} {'limit':>12} {'gap':>10} {'smax':>10}")
+# each size's fold X gives the truncation's 2n singular values: X's, each twice
+fold_sv = {n: singular_values(folded(n, seq)) for n in (16, 32, 64, 128, 256)}
 summaries = {}
-for n in (16, 32, 64, 128, 256):
-    s = summaries[n] = avram_parter_gap(n, g_sq, seq, limit_sq)
+for n, sv in fold_sv.items():
+    s = summaries[n] = avram_parter_gap(n, g_sq, sv, limit_sq)
     print(
         f"{n:5d} {s.empirical_mean:12.8f} {limit_sq:12.8f}"
         f" {s.gap:10.2e} {s.values[-1]:10.6f}"
@@ -46,16 +48,14 @@ print()
 # zero near 0 so the small singular values cannot dominate
 g_log = indicator_log(1e-3)
 limit_log = avram_parter_limit(g_log, p)
-s = avram_parter_gap(128, g_log, seq, limit_log)
+s = avram_parter_gap(128, g_log, fold_sv[128], limit_log)
 print(f"chi_eps*log statistic at n = 128: empirical {s.empirical_mean:.8f}, limit {limit_log:.8f}")
 
 # term-by-term inequality: weighting each log s by chi_eps(s) <= 1 can only
 # increase the sum, because every singular value lies below 1 and its log is
 # negative
-T = assemble(128, seq)
-sv = singular_values(T)
-lhs = float(np.sum(np.log(sv)))
-rhs = float(np.sum(g_log(sv)))
+lhs = float(np.sum(np.log(s.values)))
+rhs = float(np.sum(g_log(s.values)))
 print(f"log|det T_n| = {lhs:.4f} <= smoothed sum {rhs:.4f}: {lhs <= rhs}")
 print()
 

@@ -18,15 +18,16 @@ from contextlib import nullcontext
 
 import numpy as np
 
+from . import spectral
 from ._version import __version__
 from .bounds import bound_report
 from .fourier import COEFF_TOL, build_block_sequence
 from .model import ModelParams, mu_sup
-from .pipeline import DEFAULT_N_LIST, NumericalError, check_sizes, compute_series, sweep
+from .pipeline import DEFAULT_N_LIST, NumericalError, _tasks, check_sizes, compute_series, sweep
 from .quadrature import QuadratureError
 from .selftest import run_selftest
 from .spectral import LIMIT_TOL, avram_parter_gap, avram_parter_limit, indicator_log
-from .toeplitz import assemble, dump_matrix
+from .toeplitz import assemble, dump_matrix, folded
 from .toeplitz import symbol_norm  # noqa: F401 (perfbench/tracer.py wraps this binding)
 
 EXIT_OK = 0
@@ -141,7 +142,18 @@ def cmd_spectrum(args) -> int:
     n_list = args.n_list or _default_n_values(args.n_max, base=(64, 128, 256, 512))
     n_list = check_sizes(n_list)
     g_log = indicator_log(SPECTRUM_EPS)
-    seq = build_block_sequence(max(n_list), p)
+    # the size pool of compute_series (pipeline's module notes), entered
+    # first, so a malformed XYNESS_THREADS raises before the quadrature
+    with _tasks(len(n_list)) as submit:
+        seq = build_block_sequence(max(n_list), p)
+        # largest n first, as the n = 512 SVD is the critical path, through
+        # spectral's binding, the one perfbench/tracer.py wraps
+        pending = {n: submit(spectral.singular_values, folded(n, seq)) for n in reversed(n_list)}
+        # integrated while the SVDs run
+        limit_square = avram_parter_limit(np.square, p)
+        limit_log = avram_parter_limit(g_log, p)
+        # in order: a failure names the smallest failing n
+        summaries = [avram_parter_gap(n, g_log, pending[n](), limit_log) for n in n_list]
     header = [
         "n",
         "smin",
@@ -154,11 +166,8 @@ def cmd_spectrum(args) -> int:
         "limit_square",
         "gap_square",
     ]
-    limit_square = avram_parter_limit(np.square, p)
-    limit_log = avram_parter_limit(g_log, p)
     rows = []
-    for n in n_list:
-        s_log = avram_parter_gap(n, g_log, seq, limit_log)
+    for n, s_log in zip(n_list, summaries):
         emp_square = float(np.mean(np.square(s_log.values)))
         rows.append(
             [

@@ -32,8 +32,11 @@ log|det X| off this path, by the pivoted :func:`pfaffian` in ``selftest``
 and the tests.
 
 The sizes are independent, so each size's SVD and its LU pair (with both
-gates) run as two tasks on ``XYNESS_THREADS`` worker threads; LAPACK
-releases the interpreter lock.  Unset, the count is the usable cores when
+gates) run as two tasks on ``XYNESS_THREADS`` worker threads.  NumPy 2.4
+releases the interpreter lock only around an SVD of more than 500 columns,
+and never around slogdet: the n = 512 SVD runs beside everything else,
+while the smaller SVDs and the LUs take turns with the Python of the other
+threads.  Unset, the count is the usable cores when
 BLAS is pinned to one thread (``OPENBLAS_NUM_THREADS=1``, as the benchmark
 and CI run) and 1 otherwise, because a pool over multithreaded BLAS was
 measured slower than serial.  The main thread gathers the folds largest n
@@ -44,8 +47,13 @@ in the calling thread as their results are read, in that order.
 :func:`sweep` runs points on the same helper; a point run on a pool thread
 runs its sizes inline, so pools never nest.  The outputs do not depend on
 the schedule: each task factors the same matrix in the same way on
-whichever thread runs it.  ``spectrum`` stays serial: its four sizes leave
-too little work off the n = 512 SVD for a second thread to pay.
+whichever thread runs it.  ``spectrum`` (:func:`xyness.cli.cmd_spectrum`)
+runs its four SVDs on the same helper, largest n first, and integrates its
+two limits on the calling thread while they run.  That relies on
+:func:`~xyness.skewlinalg.singular_values` crossing the lock once
+(:mod:`xyness.skewlinalg` notes): each further crossing of the n = 512 SVD
+waits up to 5 ms beside the limits' Python.  README gives the measured
+pairs.
 """
 
 from __future__ import annotations

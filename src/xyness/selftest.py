@@ -177,7 +177,7 @@ def run_selftest() -> list[CheckResult]:
     # Avram-Parter with the square test function
     seq64 = build_block_sequence(64, p)
     limit = avram_parter_limit(np.square, p)
-    gaps = [avram_parter_gap(n, np.square, seq64, limit).gap for n in (16, 64)]
+    gaps = [avram_parter_gap(n, np.square, singular_values(folded(n, seq64)), limit).gap for n in (16, 64)]
     ok = all(math.isfinite(v) and v > 0 for v in gaps) and gaps[1] <= gaps[0]
     record("avram-parter-gap", ok, f"gap(16)={gaps[0]:.2e} gap(64)={gaps[1]:.2e}")
 

@@ -26,6 +26,26 @@ are exactly +-1; a complex matrix is factored in complex arithmetic.
 :func:`pfaffian` rejects input with max|M + M^T|/2 > 1e-10 * max|M|, a fixed
 check of outside input (the truncations are skew bit for bit), and
 eliminates the skew part (M - M^T)/2.
+
+Every routine rejects a non-square input up front, and raises
+``ValueError("<name>: non-finite entries")`` on a NaN or infinite entry.
+:func:`pfaffian` and :func:`pfaffian_brute` scan for those entries before
+they start.  :func:`log_det` and :func:`singular_values` call LAPACK at once
+and scan the input only when the result is bad: when the SVD raises, or
+either returns a non-finite value (an exact zero's log is one).  Of finite
+inputs, only an exactly singular one reaches the scan.  The scan stays off
+the good path because each NumPy pass over a large array releases the
+interpreter lock and takes it again, and beside a thread that runs Python,
+taking it again waits up to the switch interval (5 ms).  Beside a
+pure-Python thread, at one BLAS thread, the scan's two passes stretched the
+n = 512 SVD of the fold from 37 ms (the bare LAPACK call) to 51 ms (medians
+of 15 calls).  The LAPACK call itself crosses the lock at most once: NumPy
+2.4 releases it around an SVD of more than 500 columns, and not around
+slogdet.  The price is that an infinite entry reaches LAPACK before the
+scan, and OpenBLAS may print ``** On entry to DLASCL parameter number 4 had
+an illegal value`` to stderr before the error is raised.  No CLI path
+passes such a matrix: the coefficient engine refuses non-finite
+coefficients.
 """
 
 from __future__ import annotations
@@ -60,13 +80,16 @@ class LogScalar:
         return self.log_abs == -math.inf
 
 
-def _check_square_finite(M: np.ndarray, name: str) -> np.ndarray:
+def _check_square(M: np.ndarray, name: str) -> np.ndarray:
     M = np.asarray(M)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} expects a square matrix, got shape {M.shape}")
+    return M
+
+
+def _check_finite(M: np.ndarray, name: str) -> None:
     if not np.all(np.isfinite(M)):
         raise ValueError(f"{name}: non-finite entries")
-    return M
 
 
 def log_det(M: np.ndarray) -> LogScalar:
@@ -76,9 +99,19 @@ def log_det(M: np.ndarray) -> LogScalar:
     the log magnitudes of the diagonal factors accumulate without underflow
     and the pivot-permutation sign folds into the phase.  An exactly
     singular input yields ``log_abs = -inf``.
+
+    Raises
+    ------
+    ValueError
+        On a non-square input, or a non-finite entry (module notes).
     """
-    M = _check_square_finite(M, "log_det")
-    sign, logabs = np.linalg.slogdet(M)
+    M = _check_square(M, "log_det")
+    # slogdet raises no LinAlgError on a square matrix, and only a non-finite
+    # M makes it divide by zero or meet an invalid value
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sign, logabs = np.linalg.slogdet(M)
+    if not math.isfinite(logabs):  # -inf for an exact zero, NaN or inf from a non-finite M
+        _check_finite(M, "log_det")
     if sign == 0:
         return LogScalar(-math.inf)
     return LogScalar(float(logabs), complex(sign))
@@ -98,7 +131,8 @@ def pfaffian(M: np.ndarray) -> LogScalar:
     ValueError
         On non-finite entries or a skew-symmetry violation.
     """
-    M = _check_square_finite(M, "pfaffian")
+    M = _check_square(M, "pfaffian")
+    _check_finite(M, "pfaffian")
     n = M.shape[0]
     if n == 0:
         return LogScalar(0.0)  # Pf of the empty matrix is 1
@@ -154,7 +188,8 @@ def pfaffian_brute(M: np.ndarray) -> complex:
     rows/columns {0, j} removed).  Exponential cost; used only as the
     independent oracle for the elimination-based routine.
     """
-    M = _check_square_finite(M, "pfaffian_brute")
+    M = _check_square(M, "pfaffian_brute")
+    _check_finite(M, "pfaffian_brute")
     n = M.shape[0]
     if n % 2 == 1:
         return 0.0 + 0.0j
@@ -180,6 +215,20 @@ def singular_values(M: np.ndarray) -> np.ndarray:
 
     LAPACK SVD: the computed values are exact singular values of M + E with
     ||E|| = O(ulp * ||M||).
+
+    Raises
+    ------
+    ValueError
+        On a non-square input, or a non-finite entry (module notes).
+    LinAlgError
+        If LAPACK's SVD of a finite M does not converge.
     """
-    M = _check_square_finite(M, "singular_values")
-    return np.linalg.svd(M, compute_uv=False)[::-1].copy()
+    M = _check_square(M, "singular_values")
+    try:
+        sv = np.linalg.svd(M, compute_uv=False)
+    except np.linalg.LinAlgError:
+        _check_finite(M, "singular_values")
+        raise
+    if not np.all(np.isfinite(sv)):
+        _check_finite(M, "singular_values")
+    return sv[::-1].copy()

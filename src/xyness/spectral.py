@@ -16,8 +16,9 @@ The truncation's singular values are those of its n x n fold X, each
 counted twice: the reflection symmetry J T_n J = -T_n of the real gauge
 makes T_n orthogonally similar to [[0, X], [-X^T, 0]].  Each size gathers X
 straight from the coefficient blocks (:func:`toeplitz.folded`) without
-building T_n and takes one SVD of it; the 2n values are X's repeated in
-place, still ascending.
+building T_n and takes one SVD of it; :func:`avram_parter_gap` repeats X's
+values in place, still ascending.  The caller takes the SVD, so that it can
+run the sizes' SVDs on threads of its own while it integrates the limits.
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import BlockSequence, breakpoints
+from .fourier import breakpoints
 from .model import ModelParams, symbol_singular_values
 from .quadrature import adaptive_panels
-from .skewlinalg import singular_values
+from .skewlinalg import singular_values  # noqa: F401 (cmd_spectrum calls it here; perfbench/tracer.py wraps it)
 from .toeplitz import assemble  # noqa: F401 (perfbench/tracer.py wraps this binding)
-from .toeplitz import folded
 
 #: absolute tolerance of every symbol mean over the circle: each
 #: distributional limit, the rate bound B among them
@@ -106,14 +106,25 @@ def avram_parter_limit(g, p: ModelParams) -> float:
     return float(np.real(value)) / math.tau
 
 
-def avram_parter_gap(n: int, g, seq: BlockSequence, limit: float) -> SpectralSummary:
-    """Empirical singular-value mean of g versus its distributional limit.
+def avram_parter_gap(n: int, g, sv: np.ndarray, limit: float) -> SpectralSummary:
+    """Empirical singular-value mean of g at size n versus its distributional limit.
 
-    ``g`` must be vectorized and continuous on [0, 1]; every value it meets
-    lies in [0, symbol_norm].  ``limit`` is :func:`avram_parter_limit` of the
-    same g and the sequence's parameters; it does not depend on n, so a
-    caller that compares several sizes integrates it once.
+    ``sv`` holds the n singular values of the size's fold X, ascending:
+    :func:`skewlinalg.singular_values` of :func:`toeplitz.folded` (n, seq).
+    The summary repeats each in place (module notes).  ``g`` must be
+    vectorized and continuous on [0, 1]; every value it meets lies in
+    [0, symbol_norm].  ``limit`` is :func:`avram_parter_limit` of the same g
+    and the sequence's parameters; it does not depend on n, so a caller that
+    compares several sizes integrates it once, and may do so while the SVDs
+    run.
+
+    Raises
+    ------
+    ValueError
+        Unless ``sv`` holds n values.
     """
-    sv = np.repeat(singular_values(folded(n, seq)), 2)
-    empirical = float(np.mean(g(sv)))
-    return SpectralSummary(values=sv, empirical_mean=empirical, gap=abs(empirical - limit))
+    if np.shape(sv) != (n,):
+        raise ValueError(f"expected the {n} singular values of the n = {n} fold, got shape {np.shape(sv)}")
+    values = np.repeat(sv, 2)
+    empirical = float(np.mean(g(values)))
+    return SpectralSummary(values=values, empirical_mean=empirical, gap=abs(empirical - limit))

@@ -21,9 +21,11 @@ from xyness import (
     build_block_sequence,
     compute_series,
     fit_decay,
+    folded,
     log_det,
     pfaffian,
     pfaffian_brute,
+    singular_values,
     symbol_matrices,
     symbol_norm,
     symbol_singular_values,
@@ -127,7 +129,8 @@ def spectral_summaries(seqs512):
     for p in ACCEPTANCE_SETS:
         limit = avram_parter_limit(g, p)
         out[p] = {
-            n: avram_parter_gap(n, g, seqs512[p], limit) for n in (64, 128, 256, 512)
+            n: avram_parter_gap(n, g, singular_values(folded(n, seqs512[p])), limit)
+            for n in (64, 128, 256, 512)
         }
     return out
 

@@ -373,6 +373,28 @@ class TestExitCodes:
         assert not out.exists()
         assert failed_on and failed_on[0] is not threading.main_thread()
 
+    def test_spectrum_worker_lapack_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        # spectrum's n = 128 SVD fails on a pool thread while the other sizes succeed
+        import xyness.cli as cli
+        import xyness.spectral
+
+        real = xyness.spectral.singular_values
+        failed_on = []
+
+        def no_convergence_at_128(M):
+            if M.shape[0] == 128:
+                failed_on.append(threading.current_thread())
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return real(M)
+
+        monkeypatch.setattr(xyness.spectral, "singular_values", no_convergence_at_128)
+        monkeypatch.setenv("XYNESS_THREADS", "2")
+        out = tmp_path / "s.csv"
+        assert cli.main(["spectrum", *BASE, "--n-max", "512", "--out", str(out)]) == 3
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+        assert not out.exists()
+        assert failed_on and failed_on[0] is not threading.main_thread()
+
 
 #: runs every subcommand but selftest with scipy made unimportable
 WITHOUT_SCIPY = """
@@ -420,7 +442,7 @@ class TestUsageErrors:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("subcommand", ["correlations", "sweep"])
+    @pytest.mark.parametrize("subcommand", ["correlations", "spectrum", "sweep"])
     def test_malformed_thread_count_exits_2(self, subcommand, tmp_path, monkeypatch):
         monkeypatch.setenv("XYNESS_THREADS", "two")
         out = tmp_path / "c.csv"
@@ -499,6 +521,18 @@ class TestSpectrumCommand:
         assert gaps[-1] <= gaps[0]
         count_col = header.index("count_small")
         assert all(int(row[count_col]) == 0 for row in rows)
+
+    def test_rows_do_not_depend_on_the_thread_count(self, monkeypatch, capsys):
+        # the four SVDs run on the size pool; each factors the same fold either way
+        import xyness.cli as cli
+
+        outputs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("XYNESS_THREADS", threads)
+            assert cli.main(["spectrum", *BASE, "--n-max", "512"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert [line.split(",")[0] for line in outputs[0].splitlines()[-4:]] == ["64", "128", "256", "512"]
 
     def test_hot_point_runs(self, capsys):
         # at beta = 1e-4 the symbol norm, 6.5e-5, lies below SPECTRUM_EPS: every

@@ -1,4 +1,6 @@
+import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,3 +197,63 @@ class TestSingularValues:
         rng = np.random.default_rng(6)
         sv = singular_values(rng.standard_normal((10, 10)))
         assert np.all(np.diff(sv) >= 0.0)
+
+
+def bases(n):
+    """A random, an upper-triangular, the identity and an exactly singular n x n matrix.
+
+    The last has a zero first column, so its LU stops at a zero pivot and
+    ``log_det`` sees a sign of 0 whatever the other entries hold.
+    """
+    rng = np.random.default_rng(n)
+    singular = rng.standard_normal((n, n))
+    singular[:, 0] = 0.0
+    return (rng.standard_normal((n, n)), np.triu(rng.standard_normal((n, n))), np.eye(n), singular)
+
+
+@pytest.mark.parametrize("fn", [log_det, singular_values], ids=lambda fn: fn.__name__)
+class TestLapackInputChecks:
+    """``log_det`` and ``singular_values`` scan for non-finite entries only
+    when LAPACK's result is bad; every non-finite input must still raise."""
+
+    @staticmethod
+    def assert_rejected(fn, M):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no warning may escape either
+            with pytest.raises(ValueError, match=rf"^{fn.__name__}: non-finite entries$"):
+                fn(M)
+
+    def test_every_position_up_to_6(self, fn):
+        for n in range(1, 7):
+            for base, bad in itertools.product(bases(n), (math.nan, math.inf, -math.inf)):
+                for i, j in itertools.product(range(n), repeat=2):
+                    M = base.copy()
+                    M[i, j] = bad
+                    self.assert_rejected(fn, M)
+
+    def test_sampled_positions_up_to_128(self, fn):
+        rng = np.random.default_rng(11)
+        for n in (7, 8, 12, 16, 24, 32, 64, 128):
+            corners = [(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)]
+            positions = corners + [tuple(ij) for ij in rng.integers(0, n, size=(6, 2))]
+            for base, bad in itertools.product(bases(n), (math.nan, math.inf, -math.inf)):
+                for i, j in positions:
+                    M = base.copy()
+                    M[i, j] = bad
+                    self.assert_rejected(fn, M)
+
+    def test_rejects_non_square(self, fn):
+        for M in (np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match=f"^{fn.__name__} expects a square matrix"):
+                fn(M)
+
+    def test_finite_singular_input_is_not_rejected(self, fn):
+        # an exact zero sends log_det to the scan, which must pass a finite matrix
+        for M in (np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]]), np.diag([1.0, 0.0, 2.0])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = fn(M)
+            if fn is log_det:
+                assert got.is_zero and got.log_abs == -math.inf
+            else:
+                assert got[0] == pytest.approx(0.0, abs=1e-15)

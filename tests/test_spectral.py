@@ -16,6 +16,7 @@ from xyness import (
     log_det,
     mu,
     phi,
+    singular_values,
     symbol_norm,
 )
 import xyness.spectral
@@ -25,9 +26,14 @@ from xyness.spectral import LIMIT_TOL
 TWO_PI = 2.0 * math.pi
 
 
+def summary(n, g, seq, limit):
+    """``avram_parter_gap`` at size n, from the SVD of the fold gathered from ``seq``."""
+    return avram_parter_gap(n, g, singular_values(folded(n, seq)), limit)
+
+
 def census(n, eps, seq):
     """Number of the n-block truncation's 2n singular values in [0, eps]."""
-    return int(np.count_nonzero(avram_parter_gap(n, np.square, seq, 0.0).values <= eps))
+    return int(np.count_nonzero(summary(n, np.square, seq, 0.0).values <= eps))
 
 
 class TestSmoothIndicator:
@@ -95,35 +101,41 @@ class TestCountSmall:
 
 class TestNoAssembly:
     def test_fold_is_gathered_from_the_blocks(self, base_params, base_seq, monkeypatch):
-        # avram_parter_gap never builds the 2n x 2n truncation
+        # the spectrum's route never builds the 2n x 2n truncation
         g = np.square
         limit = avram_parter_limit(g, base_params)
-        expected = avram_parter_gap(16, g, base_seq, limit)
+        expected = summary(16, g, base_seq, limit)
 
         def refuse(*args, **kwargs):
             raise AssertionError("assemble called")
 
         monkeypatch.setattr(xyness.toeplitz, "assemble", refuse)
         monkeypatch.setattr(xyness.spectral, "assemble", refuse)
-        summary = avram_parter_gap(16, g, base_seq, limit)
-        assert summary.values.tobytes() == expected.values.tobytes()
-        assert summary.gap == expected.gap
+        got = summary(16, g, base_seq, limit)
+        assert got.values.tobytes() == expected.values.tobytes()
+        assert got.gap == expected.gap
 
 
 class TestAvramParter:
+    def test_rejects_values_of_another_size(self, base_seq):
+        sv = singular_values(folded(8, base_seq))
+        for n in (4, 16):
+            with pytest.raises(ValueError, match=f"expected the {n} singular values"):
+                avram_parter_gap(n, np.square, sv, 0.0)
+
     def test_zero_function(self, base_params, base_seq):
         def zero(x):
             return np.zeros_like(np.asarray(x, dtype=float))
 
         limit = avram_parter_limit(zero, base_params)
-        s = avram_parter_gap(8, zero, base_seq, limit)
+        s = summary(8, zero, base_seq, limit)
         assert s.empirical_mean == 0.0 and limit == 0.0 and s.gap == 0.0
 
     def test_square_matches_frobenius_and_parseval(self, base_params, base_seq):
         g = np.square
         limit = avram_parter_limit(g, base_params)
         for n in (8, 24):
-            s = avram_parter_gap(n, g, base_seq, limit)
+            s = summary(n, g, base_seq, limit)
             T = assemble(n, base_seq)
             frob = float(np.sum(np.abs(T) ** 2)) / (2 * n)
             assert s.empirical_mean == pytest.approx(frob, rel=1e-12)
@@ -160,7 +172,7 @@ class TestAvramParter:
     def test_gap_decreases(self, base_params, base_seq):
         g = np.square
         limit = avram_parter_limit(g, base_params)
-        gaps = [avram_parter_gap(n, g, base_seq, limit).gap for n in (8, 16, 32)]
+        gaps = [summary(n, g, base_seq, limit).gap for n in (8, 16, 32)]
         assert all(v > 0.0 and math.isfinite(v) for v in gaps)
         assert gaps[2] <= gaps[1] <= gaps[0]
 
@@ -169,7 +181,7 @@ class TestAvramParter:
         g = np.square
         limit = avram_parter_limit(g, base_params)
         for n in (8, 32):
-            s = avram_parter_gap(n, g, base_seq, limit)
+            s = summary(n, g, base_seq, limit)
             assert s.values[0] >= 0.0
             assert s.values[-1] <= bound + 1e-8
 
@@ -181,7 +193,7 @@ class TestAvramParter:
         limit = avram_parter_limit(g, base_params)
         for n in (4, 16, 32):
             T = assemble(n, base_seq)
-            s = avram_parter_gap(n, g, base_seq, limit)
+            s = summary(n, g, base_seq, limit)
             lhs = log_det(T).log_abs
             rhs = float(np.sum(g(s.values)))
             assert lhs <= rhs + 1e-10
@@ -215,7 +227,7 @@ class TestEmpiricalMeanCrossChecks:
         seq = build_block_sequence(max(n_list), p)
         for row in compute_series(p, n_list=n_list).rows:
             n = row.n
-            s = avram_parter_gap(n, g, seq, 0.0)
+            s = summary(n, g, seq, 0.0)
             X = folded(n, seq)
             frobenius = float(np.sum(X * X)) / n
             assert float(np.mean(np.square(s.values))) == pytest.approx(frobenius, rel=1e-13, abs=0.0)
