@@ -137,6 +137,14 @@ def cmd_correlations(args) -> int:
     return EXIT_OK
 
 
+def _fold_singular_values(n: int, seq) -> np.ndarray:
+    """The singular values of size n's fold, gathered here.
+
+    Through spectral's binding, the one perfbench/tracer.py wraps.
+    """
+    return spectral.singular_values(folded(n, seq))
+
+
 def cmd_spectrum(args) -> int:
     p = ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)
     n_list = args.n_list or _default_n_values(args.n_max, base=(64, 128, 256, 512))
@@ -144,14 +152,16 @@ def cmd_spectrum(args) -> int:
     g_log = indicator_log(SPECTRUM_EPS)
     # the size pool of compute_series (pipeline's module notes), entered
     # first, so a malformed XYNESS_THREADS raises before the quadrature
-    with _tasks(len(n_list)) as submit:
-        seq = build_block_sequence(max(n_list), p)
-        # largest n first, as the n = 512 SVD is the critical path, through
-        # spectral's binding, the one perfbench/tracer.py wraps
-        pending = {n: submit(spectral.singular_values, folded(n, seq)) for n in reversed(n_list)}
-        # integrated while the SVDs run
-        limit_square = avram_parter_limit(np.square, p)
-        limit_log = avram_parter_limit(g_log, p)
+    with _tasks(len(n_list) + 2) as submit:
+        *smaller, largest = n_list
+        seq = build_block_sequence(largest, p)
+        # largest n first, then the limits: whichever result the calling
+        # thread asks for first, it starts the largest SVD itself, on the
+        # fold it gathers here; each smaller size gathers its fold in its task
+        pending = {largest: submit(spectral.singular_values, folded(largest, seq))}
+        pending |= {n: submit(_fold_singular_values, n, seq) for n in reversed(smaller)}
+        limits = submit(avram_parter_limit, np.square, p), submit(avram_parter_limit, g_log, p)
+        limit_square, limit_log = (result() for result in limits)
         # in order: a failure names the smallest failing n
         summaries = [avram_parter_gap(n, g_log, pending[n](), limit_log) for n in n_list]
     header = [

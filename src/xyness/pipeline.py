@@ -31,37 +31,49 @@ exits 3 (ROADMAP item 1).  The paper's Pfaffian itself is checked against
 log|det X| off this path, by the pivoted :func:`pfaffian` in ``selftest``
 and the tests.
 
-The sizes are independent, so each size's SVD and its LU pair (with both
-gates) run as two tasks on ``XYNESS_THREADS`` worker threads.  NumPy 2.4
-releases the interpreter lock only around an SVD of more than 500 columns,
-and never around slogdet: the n = 512 SVD runs beside everything else,
-while the smaller SVDs and the LUs take turns with the Python of the other
-threads.  Unset, the count is the usable cores when
-BLAS is pinned to one thread (``OPENBLAS_NUM_THREADS=1``, as the benchmark
-and CI run) and 1 otherwise, because a pool over multithreaded BLAS was
-measured slower than serial.  The main thread gathers the folds largest n
-first, because the n = 512 SVD alone is the critical path, and reads the
-results in ``n_list`` order, so a failing run raises the error of the
-smallest failing n, as a serial run does.  At one worker the same tasks run
-in the calling thread as their results are read, in that order.
-:func:`sweep` runs points on the same helper; a point run on a pool thread
-runs its sizes inline, so pools never nest.  The outputs do not depend on
-the schedule: each task factors the same matrix in the same way on
-whichever thread runs it.  ``spectrum`` (:func:`xyness.cli.cmd_spectrum`)
-runs its four SVDs on the same helper, largest n first, and integrates its
-two limits on the calling thread while they run.  That relies on
+The sizes are independent and run as tasks on ``XYNESS_THREADS`` workers,
+the calling thread among them (:func:`_tasks`).  Unset, the count is the
+usable cores when BLAS is pinned to one thread (``OPENBLAS_NUM_THREADS=1``,
+as the benchmark and CI run) and 1 otherwise, because a pool over
+multithreaded BLAS was measured slower than serial.  The largest size is two
+tasks, its SVD and its LU pair (with both gates), on the fold the calling
+thread gathers; each smaller size is one task that gathers its own fold and
+runs both.  The n = 512 SVD alone is the critical path.  The tasks are
+submitted largest n first, and the calling thread starts with the first
+one, so it runs that SVD itself.  NumPy 2.4 releases the interpreter lock
+only around an SVD of more than 500 columns, and never around slogdet: the
+n = 512 SVD runs beside everything else, while the smaller SVDs and the LUs
+take turns with the Python of the other threads.  So the pool's threads
+wait, behind a gate, until the calling thread has started its first task:
+the n = 512 LU pair, started first on a pool thread, would hold the lock
+and keep the calling thread out of its SVD.  The results are read in
+``n_list`` order, so a failing run raises the error of the smallest failing
+n, as a serial run does; a result not yet ready sets the calling thread to
+run the tasks no pool thread has started, in submission order, so neither
+thread idles while work is left.  At one worker the tasks run in the
+calling thread as their results are read, smallest n first.
+:func:`sweep` runs points on the same helper; a point run on a pool thread,
+or by the calling thread as a task, runs its sizes inline, so pools never
+nest.  Inline, the n = 512 SVD comes last, and so two points run side by
+side drift apart until each one's SVD overlaps the other's Python (README).
+The outputs do not depend on the schedule: each task factors the same
+matrix in the same way on whichever thread runs it.  ``spectrum``
+(:func:`xyness.cli.cmd_spectrum`) submits its four SVDs, largest n first,
+each smaller size on a fold its task gathers, and then its two limit
+integrals to the same helper.  That relies on
 :func:`~xyness.skewlinalg.singular_values` crossing the lock once
 (:mod:`xyness.skewlinalg` notes): each further crossing of the n = 512 SVD
-waits up to 5 ms beside the limits' Python.  README gives the measured
+waits up to 5 ms beside the pool's Python.  README gives the measured
 pairs.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -171,11 +183,13 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST) -> CorrelationSeries:
     values of the fold; ``series.sequence`` keeps the coefficients' error
     estimate.  The decay fit runs over the upper half of the sizes, widened
     to at least 4 of them, and is omitted for fewer than 4 sizes.  The rate
-    bound is integrated to ``LIMIT_TOL``.  Each size's SVD and LU pair run
-    as two tasks on ``XYNESS_THREADS`` worker threads (module notes); the
-    rows do not depend on the thread count.  A caller that runs this
-    function on threads of its own should set XYNESS_THREADS=1, or each
-    call starts a pool of its own.
+    bound is integrated to ``LIMIT_TOL``.  The sizes run as tasks on
+    ``XYNESS_THREADS`` workers, the calling thread among them: it gathers
+    the largest fold and runs the largest SVD, and each smaller size
+    gathers its fold in its own task (module notes).  The rows do not
+    depend on the thread count.  A caller that runs this function on
+    threads of its own should set XYNESS_THREADS=1, or each call starts a
+    pool of its own.
 
     Raises
     ------
@@ -188,19 +202,21 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST) -> CorrelationSeries:
         some n.
     """
     n_list = check_sizes(n_list)
-    rows = []
+    *smaller, largest = n_list
     # entered first, so a malformed XYNESS_THREADS raises before the quadrature
-    with _tasks(2 * len(n_list)) as submit:
-        seq = build_block_sequence(max(n_list), p)
-        pending = {}
-        for n in reversed(n_list):  # the largest SVD is the critical path
-            X = folded(n, seq)
-            pending[n] = submit(singular_values, X), submit(_lu_pair, X, p)
-        for n in n_list:  # in order: a failure names the smallest failing n
-            svd, lu = pending[n]
-            log_abs_C, residual = lu()
-            sv = svd()  # each of R's singular values, once
-            rows.append(SeriesRow(n, log_abs_C, residual, smin=float(sv[0]), smax=float(sv[-1])))
+    with _tasks(len(n_list) + 1) as submit:
+        seq = build_block_sequence(largest, p)
+        X = folded(largest, seq)
+        # submitted largest n first: whichever result the calling thread asks
+        # for first, it starts the largest SVD itself (_tasks)
+        svd, lu = submit(singular_values, X), submit(_lu_pair, X, p)
+        pending = [submit(_size_task, n, seq, p) for n in reversed(smaller)]
+        # in order: a failure names the smallest failing n
+        results = [result() for result in reversed(pending)] + [(lu(), svd())]
+    rows = [
+        SeriesRow(n, *lu, smin=float(sv[0]), smax=float(sv[-1]))  # each of R's singular values, once
+        for n, (lu, sv) in zip(n_list, results)
+    ]
 
     # upper half of the sizes, widened just enough for 4 rows
     start = max(0, min(len(rows) // 2, len(rows) - 4))
@@ -211,6 +227,12 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST) -> CorrelationSeries:
         bound=bound_report(p),
         sequence=seq,
     )
+
+
+def _size_task(n: int, seq: BlockSequence, p: ModelParams) -> tuple:
+    """The :func:`_lu_pair` and the singular values of size n's fold, gathered here."""
+    X = folded(n, seq)
+    return _lu_pair(X, p), singular_values(X)
 
 
 def _lu_pair(X: np.ndarray, p: ModelParams) -> tuple:
@@ -241,12 +263,14 @@ def _lu_pair(X: np.ndarray, p: ModelParams) -> tuple:
     return log_abs_C, residual
 
 
-#: ``.active`` is set on the threads of the pools :func:`_tasks` starts
+#: ``.active`` is set on the threads of the pools :func:`_tasks` starts, and
+#: on the calling thread while it runs one of their tasks
 _pool_thread = threading.local()
 
 
-def _mark_pool_thread() -> None:
+def _start_pool_thread(gate: threading.Event) -> None:
     _pool_thread.active = True
+    gate.wait()
 
 
 def _blas_pinned() -> bool:
@@ -298,19 +322,57 @@ def _tasks(count: int):
     """``submit(fn, *args)`` for ``count`` independent tasks.
 
     ``submit`` returns a function of no arguments that returns the task's
-    result or raises its exception; call each one once.  The tasks run on
-    min(count, :func:`_worker_count`) threads.  At one worker each runs in
-    the calling thread when its result is asked for.  On exit, tasks not yet
-    started are cancelled.
+    result or raises its exception; call each one once.  The calling thread
+    is one of the min(count, :func:`_worker_count`) workers: asked for a
+    result that is not ready, it runs the tasks no pool thread has started,
+    in submission order, until that result is ready, then waits for it.  It
+    counts as a pool thread while it runs a task.  The pool's threads start
+    no task until the calling thread has started its first (module notes).
+    A pool task runs in a copy of the context it was submitted from.  At one
+    worker each task runs in the calling thread when its result is asked
+    for.  On exit, tasks not yet started are cancelled.
     """
     workers = min(count, _worker_count())
     if workers == 1:
         yield functools.partial
         return
-    pool = ThreadPoolExecutor(workers, initializer=_mark_pool_thread)
+    gate = threading.Event()
+    pool = ThreadPoolExecutor(workers - 1, initializer=_start_pool_thread, initargs=(gate,))
+    tasks = []  # [future, call] per task, in submission order
+
+    def run_here(task):
+        # the task, in the calling thread, unless a pool thread has started it
+        future, call = task
+        if not future.cancel():
+            return
+        task[0] = done = Future()
+        gate.set()
+        _pool_thread.active = True
+        try:
+            done.set_result(call())
+        except Exception as exc:  # noqa: BLE001 - raised where its result is asked for
+            done.set_exception(exc)
+        finally:
+            _pool_thread.active = False
+
+    def submit(fn, *args):
+        call = functools.partial(contextvars.copy_context().run, fn, *args)
+        task = [pool.submit(call), call]
+        tasks.append(task)
+
+        def result():
+            for other in tasks:
+                if task[0].done():
+                    break
+                run_here(other)
+            return task[0].result()
+
+        return result
+
     try:
-        yield lambda fn, *args: pool.submit(fn, *args).result
+        yield submit
     finally:
+        gate.set()  # still shut if the body raised before asking for a result
         pool.shutdown(cancel_futures=True)
 
 

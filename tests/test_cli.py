@@ -352,17 +352,22 @@ class TestExitCodes:
         assert link.is_symlink()
 
     def test_worker_lapack_failure_exits_3(self, tmp_path, monkeypatch, capsys):
-        # one size's SVD fails on a pool thread while the other tasks succeed
+        # one size's SVD fails on a pool thread while the other tasks
+        # succeed: the calling thread's own task, the n = 32 SVD, waits
+        # until the n = 16 SVD has failed, so the pool runs that one
         import xyness.cli as cli
         import xyness.pipeline
 
         real = xyness.pipeline.singular_values
-        failed_on = []
+        failed_on, failed = [], threading.Event()
 
         def no_convergence_at_16(M):
             if M.shape[0] == 16:
                 failed_on.append(threading.current_thread())
+                failed.set()
                 raise np.linalg.LinAlgError("SVD did not converge")
+            if M.shape[0] == 32:
+                assert failed.wait(timeout=30)
             return real(M)
 
         monkeypatch.setattr(xyness.pipeline, "singular_values", no_convergence_at_16)
@@ -374,17 +379,22 @@ class TestExitCodes:
         assert failed_on and failed_on[0] is not threading.main_thread()
 
     def test_spectrum_worker_lapack_failure_exits_3(self, tmp_path, monkeypatch, capsys):
-        # spectrum's n = 128 SVD fails on a pool thread while the other sizes succeed
+        # spectrum's n = 128 SVD fails on a pool thread while the other
+        # sizes succeed: the calling thread's own task, the n = 512 SVD,
+        # waits until the n = 128 SVD has failed, so the pool runs that one
         import xyness.cli as cli
         import xyness.spectral
 
         real = xyness.spectral.singular_values
-        failed_on = []
+        failed_on, failed = [], threading.Event()
 
         def no_convergence_at_128(M):
             if M.shape[0] == 128:
                 failed_on.append(threading.current_thread())
+                failed.set()
                 raise np.linalg.LinAlgError("SVD did not converge")
+            if M.shape[0] == 512:
+                assert failed.wait(timeout=30)
             return real(M)
 
         monkeypatch.setattr(xyness.spectral, "singular_values", no_convergence_at_128)
@@ -527,12 +537,33 @@ class TestSpectrumCommand:
         import xyness.cli as cli
 
         outputs = []
-        for threads in ("1", "2"):
+        for threads in ("1", "2", "3"):
             monkeypatch.setenv("XYNESS_THREADS", threads)
             assert cli.main(["spectrum", *BASE, "--n-max", "512"]) == 0
             outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
         assert [line.split(",")[0] for line in outputs[0].splitlines()[-4:]] == ["64", "128", "256", "512"]
+
+    def test_calling_thread_runs_the_largest_svd(self, monkeypatch, capsys):
+        # at two workers the calling thread is one of them and takes the
+        # n = 512 SVD, and the pool adds one thread
+        import xyness.cli as cli
+        import xyness.spectral
+
+        real = xyness.spectral.singular_values
+        baseline = threading.active_count()
+        calls = []
+
+        def placed(M):
+            calls.append((M.shape[0], threading.current_thread(), threading.active_count()))
+            return real(M)
+
+        monkeypatch.setattr(xyness.spectral, "singular_values", placed)
+        monkeypatch.setenv("XYNESS_THREADS", "2")
+        assert cli.main(["spectrum", *BASE, "--n-max", "512"]) == 0
+        assert sorted(n for n, *_ in calls) == [64, 128, 256, 512]
+        assert [thread for n, thread, _ in calls if n == 512] == [threading.main_thread()]
+        assert max(alive for *_, alive in calls) <= baseline + 1
 
     def test_hot_point_runs(self, capsys):
         # at beta = 1e-4 the symbol norm, 6.5e-5, lies below SPECTRUM_EPS: every

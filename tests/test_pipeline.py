@@ -1,7 +1,10 @@
+import collections
+import contextvars
 import itertools
 import math
 import os
 import re
+import sys
 import threading
 import time
 
@@ -214,9 +217,10 @@ class TestComputeSeries:
         p = ModelParams(*point)
         monkeypatch.setenv("XYNESS_THREADS", "1")
         serial = compute_series(p, n_list=(*DEFAULT_N_LIST, 512))
-        monkeypatch.setenv("XYNESS_THREADS", "2")
-        pooled = compute_series(p, n_list=(*DEFAULT_N_LIST, 512))
-        assert pooled.rows == serial.rows
+        for threads in ("2", "3"):
+            monkeypatch.setenv("XYNESS_THREADS", threads)
+            pooled = compute_series(p, n_list=(*DEFAULT_N_LIST, 512))
+            assert pooled.rows == serial.rows
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_failure_names_smallest_failing_n(self, threads, monkeypatch):
@@ -234,6 +238,45 @@ class TestComputeSeries:
         with pytest.raises(NumericalError, match=r"^fold X is exactly singular at n=1:") as info:
             compute_series(COLD_SET, n_list=COLD_SIZES)
         assert "nan" not in str(info.value)
+
+    def test_calling_thread_runs_the_largest_svd(self, monkeypatch):
+        # at two workers the calling thread is one of them and takes the
+        # n = 512 SVD, and the pool adds one thread
+        real = xyness.pipeline.singular_values
+        baseline = threading.active_count()
+        calls = []
+
+        def placed(M):
+            calls.append((M.shape[0], threading.current_thread(), threading.active_count()))
+            return real(M)
+
+        monkeypatch.setattr(xyness.pipeline, "singular_values", placed)
+        monkeypatch.setenv("XYNESS_THREADS", "2")
+        compute_series(ModelParams(0.5, 0.3, 1.0, 3.0), n_list=(*DEFAULT_N_LIST, 512))
+        assert sorted(n for n, *_ in calls) == [*DEFAULT_N_LIST, 512]
+        assert [thread for n, thread, _ in calls if n == 512] == [threading.main_thread()]
+        assert max(alive for *_, alive in calls) <= baseline + 1
+
+    def test_pool_tasks_see_the_submitters_context(self, monkeypatch):
+        # the calling thread's n = 512 SVD waits until an SVD has run on the
+        # pool thread, which must read the value set before the call
+        var = contextvars.ContextVar("var", default="unset")
+        real = xyness.pipeline.singular_values
+        seen, on_pool = [], threading.Event()
+
+        def read_back(M):
+            if threading.current_thread() is threading.main_thread():
+                assert on_pool.wait(timeout=30)
+            else:
+                seen.append(var.get())
+                on_pool.set()
+            return real(M)
+
+        monkeypatch.setattr(xyness.pipeline, "singular_values", read_back)
+        monkeypatch.setenv("XYNESS_THREADS", "2")
+        var.set("submitter")
+        compute_series(ModelParams(0.5, 0.3, 1.0, 3.0), n_list=(8, 16, 512))
+        assert seen and set(seen) == {"submitter"}
 
     def test_input_validation(self, base_params):
         with pytest.raises(ValueError):
@@ -373,6 +416,47 @@ class TestSweep:
         results = sweep(grid, n_list=(8, 16, 32, 64))
         assert all(r.rows and r.error is None for r in results)
         assert 1 <= peak <= 2
+
+    def test_pool_waits_for_the_calling_threads_first_task(self, monkeypatch):
+        # no pool thread starts a task before the calling thread has started
+        # one, and asked for the second result, the calling thread starts
+        # with the first task, the one submitted first
+        monkeypatch.setenv("XYNESS_THREADS", "2")
+        ran = []
+        with xyness.pipeline._tasks(2) as submit:
+            first = submit(lambda: ran.append(("first", threading.current_thread())))
+            second = submit(lambda: ran.append(("second", threading.current_thread())))
+            time.sleep(0.05)
+            assert ran == []
+            second()
+            first()
+        assert ("first", threading.main_thread()) in ran
+        assert sorted(name for name, _ in ran) == ["first", "second"]
+
+    def test_each_task_runs_once_under_contention(self, monkeypatch):
+        # more workers than cores and a short switch interval: the calling
+        # thread's cancel races the pool threads' start of the same task,
+        # and every task must still run exactly once, its result returned
+        # by the function its submit gave
+        monkeypatch.setenv("XYNESS_THREADS", "4")
+        runs, lock = collections.Counter(), threading.Lock()
+
+        def task(i):
+            with lock:
+                runs[i] += 1
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                runs.clear()
+                with xyness.pipeline._tasks(64) as submit:
+                    results = [submit(task, i) for i in range(64)]
+                    assert [result() for result in results] == [i * i for i in range(64)]
+                assert runs == collections.Counter(range(64))
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
