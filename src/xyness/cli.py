@@ -12,6 +12,7 @@ files (no timestamps, fixed summation orders).
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from contextlib import nullcontext
@@ -23,7 +24,7 @@ from ._version import __version__
 from .bounds import bound_report
 from .fourier import COEFF_TOL, build_block_sequence
 from .model import ModelParams, mu_sup
-from .pipeline import DEFAULT_N_LIST, NumericalError, _tasks, check_sizes, compute_series, sweep
+from .pipeline import DEFAULT_N_LIST, NumericalError, _run_all, _worker_count, check_sizes, compute_series, sweep
 from .quadrature import QuadratureError
 from .selftest import run_selftest
 from .spectral import LIMIT_TOL, avram_parter_gap, avram_parter_limit, indicator_log
@@ -149,21 +150,23 @@ def cmd_spectrum(args) -> int:
     p = ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)
     n_list = args.n_list or _default_n_values(args.n_max, base=(64, 128, 256, 512))
     n_list = check_sizes(n_list)
+    workers = _worker_count()  # read first: a malformed value raises before the quadrature
     g_log = indicator_log(SPECTRUM_EPS)
-    # the size pool of compute_series (pipeline's module notes), entered
-    # first, so a malformed XYNESS_THREADS raises before the quadrature
-    with _tasks(len(n_list) + 2) as submit:
-        *smaller, largest = n_list
-        seq = build_block_sequence(largest, p)
-        # largest n first, then the limits: whichever result the calling
-        # thread asks for first, it starts the largest SVD itself, on the
-        # fold it gathers here; each smaller size gathers its fold in its task
-        pending = {largest: submit(spectral.singular_values, folded(largest, seq))}
-        pending |= {n: submit(_fold_singular_values, n, seq) for n in reversed(smaller)}
-        limits = submit(avram_parter_limit, np.square, p), submit(avram_parter_limit, g_log, p)
-        limit_square, limit_log = (result() for result in limits)
-        # in order: a failure names the smallest failing n
-        summaries = [avram_parter_gap(n, g_log, pending[n](), limit_log) for n in n_list]
+    *smaller, largest = n_list
+    seq = build_block_sequence(largest, p)
+    # the runner of compute_series (pipeline's module notes): the limits,
+    # then the sizes ascending, so the calling thread runs the largest SVD,
+    # on the fold it gathers here; each smaller size gathers its own fold
+    limit_square, limit_log, *values = _run_all(
+        [
+            functools.partial(avram_parter_limit, np.square, p),
+            functools.partial(avram_parter_limit, g_log, p),
+            *(functools.partial(_fold_singular_values, n, seq) for n in smaller),
+            functools.partial(spectral.singular_values, folded(largest, seq)),
+        ],
+        workers,
+    )
+    summaries = [avram_parter_gap(n, g_log, sv, limit_log) for n, sv in zip(n_list, values)]
     header = [
         "n",
         "smin",

@@ -31,40 +31,37 @@ exits 3 (ROADMAP item 1).  The paper's Pfaffian itself is checked against
 log|det X| off this path, by the pivoted :func:`pfaffian` in ``selftest``
 and the tests.
 
-The sizes are independent and run as tasks on ``XYNESS_THREADS`` workers,
-the calling thread among them (:func:`_tasks`).  Unset, the count is the
-usable cores when BLAS is pinned to one thread (``OPENBLAS_NUM_THREADS=1``,
-as the benchmark and CI run) and 1 otherwise, because a pool over
-multithreaded BLAS was measured slower than serial.  The largest size is two
-tasks, its SVD and its LU pair (with both gates), on the fold the calling
-thread gathers; each smaller size is one task that gathers its own fold and
-runs both.  The n = 512 SVD alone is the critical path.  The tasks are
-submitted largest n first, and the calling thread starts with the first
-one, so it runs that SVD itself.  NumPy 2.4 releases the interpreter lock
-only around an SVD of more than 500 columns, and never around slogdet: the
-n = 512 SVD runs beside everything else, while the smaller SVDs and the LUs
-take turns with the Python of the other threads.  So the pool's threads
-wait, behind a gate, until the calling thread has started its first task:
-the n = 512 LU pair, started first on a pool thread, would hold the lock
-and keep the calling thread out of its SVD.  The results are read in
-``n_list`` order, so a failing run raises the error of the smallest failing
-n, as a serial run does; a result not yet ready sets the calling thread to
-run the tasks no pool thread has started, in submission order, so neither
-thread idles while work is left.  At one worker the tasks run in the
-calling thread as their results are read, smallest n first.
-:func:`sweep` runs points on the same helper; a point run on a pool thread,
-or by the calling thread as a task, runs its sizes inline, so pools never
-nest.  Inline, the n = 512 SVD comes last, and so two points run side by
-side drift apart until each one's SVD overlaps the other's Python (README).
-The outputs do not depend on the schedule: each task factors the same
-matrix in the same way on whichever thread runs it.  ``spectrum``
-(:func:`xyness.cli.cmd_spectrum`) submits its four SVDs, largest n first,
-each smaller size on a fold its task gathers, and then its two limit
-integrals to the same helper.  That relies on
-:func:`~xyness.skewlinalg.singular_values` crossing the lock once
-(:mod:`xyness.skewlinalg` notes): each further crossing of the n = 512 SVD
-waits up to 5 ms beside the pool's Python.  README gives the measured
-pairs.
+The sizes are independent calls, run by :func:`_run_all` on
+``XYNESS_THREADS`` workers, the calling thread among them.  Unset, the count
+is the usable cores when BLAS is pinned to one thread
+(``OPENBLAS_NUM_THREADS=1``, as the benchmark and CI run) and 1 otherwise,
+because a pool over multithreaded BLAS was measured slower than serial.  One
+rule sets the schedule: the calls are listed in read order and taken from
+the end.  The list ends with the largest size's two calls, its LU pair (with
+both gates) and then its SVD, on the fold the calling thread gathers; before
+them, each smaller size is one call that gathers its own fold and runs both,
+smallest n first.  The n = 512 SVD alone is the critical path, and the
+calling thread takes it, as the last call, before any other worker starts.
+NumPy 2.4 releases the interpreter lock only around an SVD of more than 500
+columns, and never around slogdet: the n = 512 SVD runs beside everything
+else, while the smaller SVDs and the LUs take turns with the Python of the
+other threads.  So the other workers wait behind a gate until the calling
+thread has taken its call: the n = 512 LU pair, started first on another
+thread, would hold the lock and keep the calling thread out of its SVD.
+Every call runs, and a failing run raises the error of the first failing
+call in the list, the smallest failing n, as a serial run does.  At one
+worker the calls run in list order and the first failure ends the run.
+:func:`sweep` lists its points on the same runner; a point run there runs
+its sizes inline, so pools never nest.  Inline, the n = 512 SVD comes last,
+and so two points run side by side drift apart until each one's SVD
+overlaps the other's Python (README).  The outputs do not depend on the
+schedule: each call factors the same matrix in the same way on whichever
+thread runs it.  ``spectrum`` (:func:`xyness.cli.cmd_spectrum`) lists its
+two limit integrals and then its four SVDs, each smaller size on a fold its
+call gathers.  That relies on :func:`~xyness.skewlinalg.singular_values`
+crossing the lock once (:mod:`xyness.skewlinalg` notes): each further
+crossing of the n = 512 SVD waits up to 5 ms beside the other threads'
+Python.  README gives the measured pairs.
 """
 
 from __future__ import annotations
@@ -73,8 +70,6 @@ import contextvars
 import functools
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,13 +178,14 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST) -> CorrelationSeries:
     values of the fold; ``series.sequence`` keeps the coefficients' error
     estimate.  The decay fit runs over the upper half of the sizes, widened
     to at least 4 of them, and is omitted for fewer than 4 sizes.  The rate
-    bound is integrated to ``LIMIT_TOL``.  The sizes run as tasks on
-    ``XYNESS_THREADS`` workers, the calling thread among them: it gathers
+    bound is integrated to ``LIMIT_TOL``.  The sizes run as calls on
+    ``XYNESS_THREADS`` workers, the calling thread among them, listed
+    smallest n first and taken from the end: the calling thread gathers
     the largest fold and runs the largest SVD, and each smaller size
-    gathers its fold in its own task (module notes).  The rows do not
+    gathers its fold in its own call (module notes).  The rows do not
     depend on the thread count.  A caller that runs this function on
-    threads of its own should set XYNESS_THREADS=1, or each call starts a
-    pool of its own.
+    threads of its own should set XYNESS_THREADS=1, or each call starts
+    threads of its own.
 
     Raises
     ------
@@ -203,19 +199,22 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST) -> CorrelationSeries:
     """
     n_list = check_sizes(n_list)
     *smaller, largest = n_list
-    # entered first, so a malformed XYNESS_THREADS raises before the quadrature
-    with _tasks(len(n_list) + 1) as submit:
-        seq = build_block_sequence(largest, p)
-        X = folded(largest, seq)
-        # submitted largest n first: whichever result the calling thread asks
-        # for first, it starts the largest SVD itself (_tasks)
-        svd, lu = submit(singular_values, X), submit(_lu_pair, X, p)
-        pending = [submit(_size_task, n, seq, p) for n in reversed(smaller)]
-        # in order: a failure names the smallest failing n
-        results = [result() for result in reversed(pending)] + [(lu(), svd())]
+    workers = _worker_count()  # read first: a malformed value raises before the quadrature
+    seq = build_block_sequence(largest, p)
+    X = folded(largest, seq)
+    # the largest size is two calls, its LU pair and then its SVD, listed
+    # last so that the calling thread runs it (module notes)
+    *pairs, largest_lu, largest_sv = _run_all(
+        [
+            *(functools.partial(_size_task, n, seq, p) for n in smaller),
+            functools.partial(_lu_pair, X, p),
+            functools.partial(singular_values, X),
+        ],
+        workers,
+    )
     rows = [
         SeriesRow(n, *lu, smin=float(sv[0]), smax=float(sv[-1]))  # each of R's singular values, once
-        for n, (lu, sv) in zip(n_list, results)
+        for n, (lu, sv) in zip(n_list, [*pairs, (largest_lu, largest_sv)])
     ]
 
     # upper half of the sizes, widened just enough for 4 rows
@@ -263,14 +262,9 @@ def _lu_pair(X: np.ndarray, p: ModelParams) -> tuple:
     return log_abs_C, residual
 
 
-#: ``.active`` is set on the threads of the pools :func:`_tasks` starts, and
-#: on the calling thread while it runs one of their tasks
+#: ``.active`` is set on every thread that takes calls in :func:`_run_all`,
+#: the calling thread only while it does, so a call run there runs inline
 _pool_thread = threading.local()
-
-
-def _start_pool_thread(gate: threading.Event) -> None:
-    _pool_thread.active = True
-    gate.wait()
 
 
 def _blas_pinned() -> bool:
@@ -317,63 +311,56 @@ def _worker_count() -> int:
     return count
 
 
-@contextmanager
-def _tasks(count: int):
-    """``submit(fn, *args)`` for ``count`` independent tasks.
+def _run_all(calls: list, workers: int) -> list:
+    """The results of ``calls``, each a function of no arguments, in list order.
 
-    ``submit`` returns a function of no arguments that returns the task's
-    result or raises its exception; call each one once.  The calling thread
-    is one of the min(count, :func:`_worker_count`) workers: asked for a
-    result that is not ready, it runs the tasks no pool thread has started,
-    in submission order, until that result is ready, then waits for it.  It
-    counts as a pool thread while it runs a task.  The pool's threads start
-    no task until the calling thread has started its first (module notes).
-    A pool task runs in a copy of the context it was submitted from.  At one
-    worker each task runs in the calling thread when its result is asked
-    for.  On exit, tasks not yet started are cancelled.
+    At one worker (or one call) the calls run in list order on the calling
+    thread, and the first that raises stops the run.  Otherwise the calling
+    thread and min(len(calls), workers) - 1 new threads each take the last
+    call left in the list until none is: the calling thread takes its first
+    call, the last in the list, before the new threads start any (module
+    notes).  Each runs in a copy of the calling thread's context, on a
+    thread that counts as a pool thread while it does.  Every call runs,
+    and the exception of the first call in the list that raised is raised.
     """
-    workers = min(count, _worker_count())
+    workers = min(len(calls), workers)
     if workers == 1:
-        yield functools.partial
-        return
-    gate = threading.Event()
-    pool = ThreadPoolExecutor(workers - 1, initializer=_start_pool_thread, initargs=(gate,))
-    tasks = []  # [future, call] per task, in submission order
+        return [call() for call in calls]
+    todo = list(enumerate(calls))
+    results, errors = [None] * len(calls), {}
+    gate, context = threading.Event(), contextvars.copy_context()
 
-    def run_here(task):
-        # the task, in the calling thread, unless a pool thread has started it
-        future, call = task
-        if not future.cancel():
-            return
-        task[0] = done = Future()
-        gate.set()
+    def work():
         _pool_thread.active = True
-        try:
-            done.set_result(call())
-        except Exception as exc:  # noqa: BLE001 - raised where its result is asked for
-            done.set_exception(exc)
-        finally:
-            _pool_thread.active = False
+        while True:
+            try:
+                i, call = todo.pop()  # atomic: no two threads take the same call
+            except IndexError:
+                return
+            gate.set()
+            try:
+                results[i] = context.copy().run(call)
+            except Exception as exc:  # noqa: BLE001 - raised once every call has run
+                errors[i] = exc
 
-    def submit(fn, *args):
-        call = functools.partial(contextvars.copy_context().run, fn, *args)
-        task = [pool.submit(call), call]
-        tasks.append(task)
+    def wait_then_work():
+        gate.wait()
+        work()
 
-        def result():
-            for other in tasks:
-                if task[0].done():
-                    break
-                run_here(other)
-            return task[0].result()
-
-        return result
-
+    threads = [threading.Thread(target=wait_then_work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
     try:
-        yield submit
+        work()
     finally:
-        gate.set()  # still shut if the body raised before asking for a result
-        pool.shutdown(cancel_futures=True)
+        _pool_thread.active = False
+        todo.clear()  # after an interrupt, no thread starts another call
+        gate.set()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def sweep(grid, n_list=DEFAULT_N_LIST) -> list[CorrelationSeries]:
@@ -383,9 +370,10 @@ def sweep(grid, n_list=DEFAULT_N_LIST) -> list[CorrelationSeries]:
     point runs.  A failure at one point is recorded in that point's series
     (empty rows, ``error`` set) without aborting the rest.  Parallelism is
     capped by the XYNESS_THREADS environment variable (default in the
-    module notes); with more than one point the points run in parallel and
-    each point's sizes inline.  Results do not depend on the execution
-    schedule.
+    module notes); with more than one point the points run in parallel,
+    taken from the end of the grid, so the calling thread runs the last
+    point, and each point runs its sizes inline.  Results do not depend on
+    the execution schedule.
     """
     grid = list(grid)
     if not grid:
@@ -399,5 +387,4 @@ def sweep(grid, n_list=DEFAULT_N_LIST) -> list[CorrelationSeries]:
             error = f"{type(exc).__name__}: {exc}"
             return CorrelationSeries(params=p, rows=(), fit=None, bound=None, error=error)
 
-    with _tasks(len(grid)) as submit:
-        return [result() for result in [submit(run, p) for p in grid]]
+    return _run_all([functools.partial(run, p) for p in grid], _worker_count())

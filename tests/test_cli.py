@@ -544,6 +544,17 @@ class TestSpectrumCommand:
         assert outputs[0] == outputs[1] == outputs[2]
         assert [line.split(",")[0] for line in outputs[0].splitlines()[-4:]] == ["64", "128", "256", "512"]
 
+    def test_malformed_thread_count_raises_before_the_quadrature(self, monkeypatch, capsys):
+        import xyness.cli as cli
+
+        def integrate(*args):
+            raise AssertionError("coefficients integrated before XYNESS_THREADS was read")
+
+        monkeypatch.setattr(cli, "build_block_sequence", integrate)
+        monkeypatch.setenv("XYNESS_THREADS", "two")
+        assert cli.main(["spectrum", *BASE, "--n-max", "16"]) == 2
+        assert capsys.readouterr().err == "error: XYNESS_THREADS must be a positive integer, got 'two'\n"
+
     def test_calling_thread_runs_the_largest_svd(self, monkeypatch, capsys):
         # at two workers the calling thread is one of them and takes the
         # n = 512 SVD, and the pool adds one thread

@@ -1,5 +1,6 @@
 import collections
 import contextvars
+import functools
 import itertools
 import math
 import os
@@ -417,28 +418,20 @@ class TestSweep:
         assert all(r.rows and r.error is None for r in results)
         assert 1 <= peak <= 2
 
-    def test_pool_waits_for_the_calling_threads_first_task(self, monkeypatch):
-        # no pool thread starts a task before the calling thread has started
-        # one, and asked for the second result, the calling thread starts
-        # with the first task, the one submitted first
-        monkeypatch.setenv("XYNESS_THREADS", "2")
-        ran = []
-        with xyness.pipeline._tasks(2) as submit:
-            first = submit(lambda: ran.append(("first", threading.current_thread())))
-            second = submit(lambda: ran.append(("second", threading.current_thread())))
-            time.sleep(0.05)
-            assert ran == []
-            second()
-            first()
-        assert ("first", threading.main_thread()) in ran
-        assert sorted(name for name, _ in ran) == ["first", "second"]
+    def test_pool_waits_for_the_calling_threads_first_task(self):
+        # no pool thread starts a call before the calling thread has started
+        # one, and the calling thread's first call is the last in the list
+        for _ in range(20):
+            started = []
+            calls = [functools.partial(started.append, i) for i in range(4)]
+            calls[-1] = lambda: started.append(threading.current_thread())
+            assert xyness.pipeline._run_all(calls, 2) == [None] * 4
+            assert started[0] is threading.main_thread()
+            assert sorted(started[1:]) == [0, 1, 2]
 
-    def test_each_task_runs_once_under_contention(self, monkeypatch):
-        # more workers than cores and a short switch interval: the calling
-        # thread's cancel races the pool threads' start of the same task,
-        # and every task must still run exactly once, its result returned
-        # by the function its submit gave
-        monkeypatch.setenv("XYNESS_THREADS", "4")
+    def test_each_task_runs_once_under_contention(self):
+        # more workers than cores and a short switch interval: every call is
+        # taken from the shared list exactly once, its result in list order
         runs, lock = collections.Counter(), threading.Lock()
 
         def task(i):
@@ -451,12 +444,30 @@ class TestSweep:
         try:
             for _ in range(20):
                 runs.clear()
-                with xyness.pipeline._tasks(64) as submit:
-                    results = [submit(task, i) for i in range(64)]
-                    assert [result() for result in results] == [i * i for i in range(64)]
+                calls = [functools.partial(task, i) for i in range(64)]
+                assert xyness.pipeline._run_all(calls, 4) == [i * i for i in range(64)]
                 assert runs == collections.Counter(range(64))
         finally:
             sys.setswitchinterval(interval)
+
+    def test_first_failing_call_raises_after_every_call_ran(self):
+        # the last call fails first, on the calling thread; call 2 fails
+        # later, and as the first failing call in the list its error is raised
+        ran = []
+
+        def call(i):
+            ran.append(i)
+            if i in (2, 7):
+                raise NumericalError(f"failed at {i}")
+
+        with pytest.raises(NumericalError, match="failed at 2"):
+            xyness.pipeline._run_all([functools.partial(call, i) for i in range(8)], 2)
+        assert ran[0] == 7 and sorted(ran) == list(range(8))
+        # at one worker the run stops at the first failure
+        ran.clear()
+        with pytest.raises(NumericalError, match="failed at 2"):
+            xyness.pipeline._run_all([functools.partial(call, i) for i in range(8)], 1)
+        assert ran == [0, 1, 2]
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -472,9 +483,9 @@ class TestSweep:
                 xyness.pipeline.sweep([base_params], n_list=n_list)
 
     def test_pool_threads_are_released(self, monkeypatch):
-        # a ThreadPoolExecutor left running raises no ResourceWarning, so the
-        # thread count is the only witness that _tasks shuts each pool down,
-        # on success and when a task raises
+        # a thread left running raises no ResourceWarning, so the thread
+        # count is the only witness that _run_all joins its threads, on
+        # success and when a call raises
         monkeypatch.setenv("XYNESS_THREADS", "2")
         p = ModelParams(0.5, 0.3, 1.0, 3.0)
         baseline = threading.active_count()
