@@ -1,7 +1,8 @@
 """Command-line surface: one deterministic CSV emitter over the pipeline.
 
 Exit codes (stable contract): 0 success, 1 selftest failure, 2 usage error
-or unwritable output path, 3 numerical failure, LAPACK's included.  ``--out``
+or unwritable output path, 3 numerical failure, LAPACK's, running out of
+memory and a size over the coefficient engine's budget included.  ``--out``
 is opened before any computing; a run that fails removes it if it is a
 regular file.  Output is locale-independent: '.' decimal separator, LF line
 endings, reals in 17-significant-digit scientific notation.  Repeated runs
@@ -24,11 +25,11 @@ from ._version import __version__
 from .bounds import bound_report
 from .fourier import COEFF_TOL, build_block_sequence
 from .model import ModelParams, mu_sup
-from .pipeline import DEFAULT_N_LIST, NumericalError, _run_all, _worker_count, check_sizes, compute_series, sweep
+from .pipeline import DEFAULT_N_LIST, NumericalError, _per_size, _worker_count, check_sizes, compute_series, sweep
 from .quadrature import QuadratureError
 from .selftest import run_selftest
 from .spectral import LIMIT_TOL, avram_parter_gap, avram_parter_limit, indicator_log
-from .toeplitz import assemble, dump_matrix, folded
+from .toeplitz import assemble, dump_matrix
 from .toeplitz import symbol_norm  # noqa: F401 (perfbench/tracer.py wraps this binding)
 
 EXIT_OK = 0
@@ -138,35 +139,17 @@ def cmd_correlations(args) -> int:
     return EXIT_OK
 
 
-def _fold_singular_values(n: int, seq) -> np.ndarray:
-    """The singular values of size n's fold, gathered here.
-
-    Through spectral's binding, the one perfbench/tracer.py wraps.
-    """
-    return spectral.singular_values(folded(n, seq))
-
-
 def cmd_spectrum(args) -> int:
     p = ModelParams(args.gamma, args.lam, args.beta_l, args.beta_r)
     n_list = args.n_list or _default_n_values(args.n_max, base=(64, 128, 256, 512))
     n_list = check_sizes(n_list)
     workers = _worker_count()  # read first: a malformed value raises before the quadrature
     g_log = indicator_log(SPECTRUM_EPS)
-    *smaller, largest = n_list
-    seq = build_block_sequence(largest, p)
-    # the runner of compute_series (pipeline's module notes): the limits,
-    # then the sizes ascending, so the calling thread runs the largest SVD,
-    # on the fold it gathers here; each smaller size gathers its own fold
-    limit_square, limit_log, *values = _run_all(
-        [
-            functools.partial(avram_parter_limit, np.square, p),
-            functools.partial(avram_parter_limit, g_log, p),
-            *(functools.partial(_fold_singular_values, n, seq) for n in smaller),
-            functools.partial(spectral.singular_values, folded(largest, seq)),
-        ],
-        workers,
-    )
-    summaries = [avram_parter_gap(n, g_log, sv, limit_log) for n, sv in zip(n_list, values)]
+    seq = build_block_sequence(n_list[-1], p)
+    # the limits lead the sizes' schedule (pipeline's module notes); the SVD
+    # goes through spectral's binding, the one perfbench/tracer.py wraps
+    limits = (functools.partial(avram_parter_limit, np.square, p), functools.partial(avram_parter_limit, g_log, p))
+    (limit_square, limit_log), results = _per_size(seq, n_list, (spectral.singular_values,), workers, head=limits)
     header = [
         "n",
         "smin",
@@ -180,20 +163,21 @@ def cmd_spectrum(args) -> int:
         "gap_square",
     ]
     rows = []
-    for n, s_log in zip(n_list, summaries):
-        emp_square = float(np.mean(np.square(s_log.values)))
+    for n, (sv,) in zip(n_list, results):
+        s_log = avram_parter_gap(n, g_log, sv, limit_log)
+        s_square = avram_parter_gap(n, np.square, sv, limit_square)
         rows.append(
             [
                 n,
-                float(s_log.values[0]),
-                float(s_log.values[-1]),
+                float(sv[0]),
+                float(sv[-1]),
                 int(np.count_nonzero(s_log.values <= SPECTRUM_EPS)),
                 s_log.empirical_mean,
                 limit_log,
                 s_log.gap,
-                emp_square,
+                s_square.empirical_mean,
                 limit_square,
-                abs(emp_square - limit_square),
+                s_square.gap,
             ]
         )
     meta = {"tol": COEFF_TOL, "n_list": ",".join(str(n) for n in n_list), "eps": SPECTRUM_EPS}
@@ -351,6 +335,9 @@ def main(argv=None) -> int:
     # LinAlgError subclasses ValueError, so the numerical clause comes first
     except (QuadratureError, NumericalError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -78,7 +78,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ModelParams, _symbol_weights
-from .quadrature import _NODES, _WEIGHTS, QuadratureError, _refine, _split_edges
+from .quadrature import _MAX_ENTRIES, _NODES, _WEIGHTS, QuadratureError, _refine, _split_edges
 from .quadrature import adaptive_panels  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
 #: above this highest frequency, base panels are split to ~12 of its periods each
@@ -237,14 +237,15 @@ def _coefficients(n_max: int, p: ModelParams) -> tuple[np.ndarray, float]:
     circle panels it stands for, and the panel budget counts it as two.
     Only the parts the real gauge keeps are integrated.  The panel arrays
     hold one column per coefficient, 3N - 1, so the memory of a refinement
-    level grows as O(N * panels).
+    level grows as O(N * panels), within the budget ``_MAX_ENTRIES``.
 
     Raises
     ------
     QuadratureError
-        Naming the component whose weight breaks its parity at a node pair,
-        the coefficient with the largest achieved error when the panel
-        budget runs out, or the first non-finite one.
+        Naming n_max if its first refinement level exceeds ``_MAX_ENTRIES``,
+        the component whose weight breaks its parity at a node pair, the
+        coefficient with the largest achieved error when a budget runs out,
+        or the first non-finite one.
     """
 
     def name(column: int) -> str:
@@ -262,7 +263,14 @@ def _coefficients(n_max: int, p: ModelParams) -> tuple[np.ndarray, float]:
     max_width = _PERIODS_PER_PANEL * math.tau / n_max if n_max > _OSC_SPLIT_THRESHOLD else None
     # the breakpoints are symmetric under xi -> 2pi - xi: kappa is odd, mu even
     edges = breakpoints(p)
-    lo, hi = _split_edges(np.append(edges[edges < math.pi], math.pi), max_width)
+    edges = np.append(edges[edges < math.pi], math.pi)
+    # before any array of the size: the first level evaluates each base panel and
+    # its halves, and _split_edges makes at most pi / max_width plus one per edge
+    entries = 3 * (len(edges) + (math.pi / max_width if max_width else 0)) * (3 * n_max - 1)
+    if entries > _MAX_ENTRIES:
+        message = f"coefficients at n_max={n_max} need {entries:.3g} panel entries, over the budget {_MAX_ENTRIES}"
+        raise QuadratureError(message, math.inf)
+    lo, hi = _split_edges(edges, max_width)
     try:
         vals, errs = _refine(rule, lo, hi, COEFF_TOL * math.tau, math.pi, panel_cost=2)
     except QuadratureError as exc:

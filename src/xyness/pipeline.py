@@ -32,36 +32,28 @@ log|det X| off this path, by the pivoted :func:`pfaffian` in ``selftest``
 and the tests.
 
 The sizes are independent calls, run by :func:`_run_all` on
-``XYNESS_THREADS`` workers, the calling thread among them.  Unset, the count
-is the usable cores when BLAS is pinned to one thread
-(``OPENBLAS_NUM_THREADS=1``, as the benchmark and CI run) and 1 otherwise,
-because a pool over multithreaded BLAS was measured slower than serial.  One
-rule sets the schedule: the calls are listed in read order and taken from
-the end.  The list ends with the largest size's two calls, its LU pair (with
-both gates) and then its SVD, on the fold the calling thread gathers; before
-them, each smaller size is one call that gathers its own fold and runs both,
-smallest n first.  The n = 512 SVD alone is the critical path, and the
-calling thread takes it, as the last call, before any other worker starts.
-NumPy 2.4 releases the interpreter lock only around an SVD of more than 500
-columns, and never around slogdet: the n = 512 SVD runs beside everything
-else, while the smaller SVDs and the LUs take turns with the Python of the
-other threads.  So the other workers wait behind a gate until the calling
-thread has taken its call: the n = 512 LU pair, started first on another
-thread, would hold the lock and keep the calling thread out of its SVD.
-Every call runs, and a failing run raises the error of the first failing
-call in the list, the smallest failing n, as a serial run does.  At one
-worker the calls run in list order and the first failure ends the run.
-:func:`sweep` lists its points on the same runner; a point run there runs
-its sizes inline, so pools never nest.  Inline, the n = 512 SVD comes last,
-and so two points run side by side drift apart until each one's SVD
-overlaps the other's Python (README).  The outputs do not depend on the
+``XYNESS_THREADS`` workers, the calling thread among them (default in
+:func:`_worker_count`).  One rule sets the schedule: the calls are listed
+in read order and taken from the end, and :func:`_per_size` lists them for
+both LAPACK subcommands, given the steps each runs on a fold: an LU pair
+(with both gates) and an SVD for :func:`compute_series`, an SVD after two
+limit integrals for ``spectrum`` (:func:`xyness.cli.cmd_spectrum`).  Each
+smaller size is one call that gathers its own fold and runs every step,
+smallest n first; the list ends with each step on the largest fold,
+gathered by the calling thread, as its own call, the SVD last.  The
+n = 512 SVD alone is the critical path, and the calling thread takes it
+before any other worker starts.  NumPy 2.4 releases the interpreter lock
+only around an SVD of more than 500 columns, and never around slogdet, so
+the other workers wait behind a gate until the calling thread has taken
+its call: the n = 512 LU pair, started first on another thread, would hold
+the lock and keep the calling thread out of its SVD.  That relies on
+:func:`~xyness.skewlinalg.singular_values` crossing the lock once
+(:mod:`xyness.skewlinalg` notes).  A failing run raises the error of the
+smallest failing n at any worker count.  :func:`sweep` lists its points on
+the same runner; a point run there runs its sizes inline, so pools never
+nest (README gives the measured pairs).  The outputs do not depend on the
 schedule: each call factors the same matrix in the same way on whichever
-thread runs it.  ``spectrum`` (:func:`xyness.cli.cmd_spectrum`) lists its
-two limit integrals and then its four SVDs, each smaller size on a fold its
-call gathers.  That relies on :func:`~xyness.skewlinalg.singular_values`
-crossing the lock once (:mod:`xyness.skewlinalg` notes): each further
-crossing of the n = 512 SVD waits up to 5 ms beside the other threads'
-Python.  README gives the measured pairs.
+thread runs it.
 """
 
 from __future__ import annotations
@@ -178,12 +170,10 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST) -> CorrelationSeries:
     values of the fold; ``series.sequence`` keeps the coefficients' error
     estimate.  The decay fit runs over the upper half of the sizes, widened
     to at least 4 of them, and is omitted for fewer than 4 sizes.  The rate
-    bound is integrated to ``LIMIT_TOL``.  The sizes run as calls on
-    ``XYNESS_THREADS`` workers, the calling thread among them, listed
-    smallest n first and taken from the end: the calling thread gathers
-    the largest fold and runs the largest SVD, and each smaller size
-    gathers its fold in its own call (module notes).  The rows do not
-    depend on the thread count.  A caller that runs this function on
+    bound is integrated to ``LIMIT_TOL``.  The sizes run on
+    ``XYNESS_THREADS`` workers, the calling thread among them, on the
+    schedule of :func:`_per_size` (module notes).  The rows do not depend
+    on the thread count.  A caller that runs this function on
     threads of its own should set XYNESS_THREADS=1, or each call starts
     threads of its own.
 
@@ -198,23 +188,12 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST) -> CorrelationSeries:
         some n.
     """
     n_list = check_sizes(n_list)
-    *smaller, largest = n_list
     workers = _worker_count()  # read first: a malformed value raises before the quadrature
-    seq = build_block_sequence(largest, p)
-    X = folded(largest, seq)
-    # the largest size is two calls, its LU pair and then its SVD, listed
-    # last so that the calling thread runs it (module notes)
-    *pairs, largest_lu, largest_sv = _run_all(
-        [
-            *(functools.partial(_size_task, n, seq, p) for n in smaller),
-            functools.partial(_lu_pair, X, p),
-            functools.partial(singular_values, X),
-        ],
-        workers,
-    )
+    seq = build_block_sequence(n_list[-1], p)
+    _, results = _per_size(seq, n_list, (functools.partial(_lu_pair, p=p), singular_values), workers)
     rows = [
         SeriesRow(n, *lu, smin=float(sv[0]), smax=float(sv[-1]))  # each of R's singular values, once
-        for n, (lu, sv) in zip(n_list, [*pairs, (largest_lu, largest_sv)])
+        for n, (lu, sv) in zip(n_list, results)
     ]
 
     # upper half of the sizes, widened just enough for 4 rows
@@ -228,10 +207,23 @@ def compute_series(p: ModelParams, n_list=DEFAULT_N_LIST) -> CorrelationSeries:
     )
 
 
-def _size_task(n: int, seq: BlockSequence, p: ModelParams) -> tuple:
-    """The :func:`_lu_pair` and the singular values of size n's fold, gathered here."""
-    X = folded(n, seq)
-    return _lu_pair(X, p), singular_values(X)
+def _per_size(seq: BlockSequence, n_list: list, steps: tuple, workers: int, head: tuple = ()) -> tuple:
+    """The results of ``head``, and per size the results of ``steps`` on its fold.
+
+    Each step is a function of one fold; the calls run on :func:`_run_all`
+    in the order of the module notes.
+    """
+    *smaller, largest = n_list
+
+    def run_steps(n):
+        X = folded(n, seq)
+        return [step(X) for step in steps]
+
+    X = folded(largest, seq)
+    sizes = [functools.partial(run_steps, n) for n in smaller]
+    results = _run_all([*head, *sizes, *(functools.partial(step, X) for step in steps)], workers)
+    split = len(head) + len(smaller)
+    return results[: len(head)], [*results[len(head) : split], results[split:]]
 
 
 def _lu_pair(X: np.ndarray, p: ModelParams) -> tuple:

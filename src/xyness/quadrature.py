@@ -24,6 +24,12 @@ GAUSS_ORDER = 40
 _NODES, _WEIGHTS = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 #: most halvings of a base panel; the width floor total * 2**-46 comes first
 MAX_DEPTH = 52
+#: most panel evaluations times integrals per panel in one refinement, beside
+#: the 400k panel budget of ``_refine``: it caps the memory, ~24 bytes each.
+#: The coefficients' first level takes ~0.38 N^2, 6.34e6 at N = 4096 at CI's
+#: critical points and 1.60e6 at N = 2048, the largest any test, CI step,
+#: demo or workload runs; the cap is 5.3 times the first, up to N ~ 9400
+_MAX_ENTRIES = 2**25
 
 
 class QuadratureError(RuntimeError):
@@ -117,9 +123,10 @@ def _refine(
     reaches the width floor ``total * 2**-46`` without passing is accepted
     with its whole magnitude charged to the error estimate.
 
-    The arrays of a level are (panels, K), so memory grows as panels * K;
-    ``max_panels`` counts panel evaluations only, whatever K is, each one as
-    ``panel_cost`` (2 for a panel that stands for itself and its mirror).
+    The arrays of a level are (panels, K), so memory grows as panels * K.
+    Two budgets bound the panel evaluations: ``max_panels`` counts each one
+    as ``panel_cost`` (2 for a panel that stands for itself and its mirror),
+    whatever K is, and :data:`_MAX_ENTRIES` counts each one as K.
 
     Returns
     -------
@@ -130,8 +137,8 @@ def _refine(
     Raises
     ------
     QuadratureError
-        If the panel budget or depth is exhausted first; ``column`` names the
-        column with the largest achieved error estimate.
+        If either budget or the depth is exhausted first; ``column`` names
+        the column with the largest achieved error estimate.
     """
     width_floor = total * 2.0**-46
     coarse = rule(lo, hi)
@@ -160,7 +167,8 @@ def _refine(
         lo = np.concatenate([lo[keep], mid[keep]])
         hi = np.concatenate([mid[keep], hi[keep]])
         coarse = np.concatenate([left[keep], right[keep]])
-        if (n_evals + 2 * lo.size) * panel_cost > max_panels:
+        evals = n_evals + 2 * lo.size  # after the next level
+        if evals * panel_cost > max_panels or evals * coarse.shape[1] > _MAX_ENTRIES:
             _raise_unfinished("panel budget exhausted", acc_err + [err[keep]])
     if lo.size:
         _raise_unfinished("max refinement depth reached", acc_err)

@@ -1,9 +1,12 @@
 import argparse
+import collections
 import math
+import os
 import re
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -406,6 +409,41 @@ class TestExitCodes:
         assert failed_on and failed_on[0] is not threading.main_thread()
 
 
+#: runs the CLI under a 4 GiB address-space limit, set before numpy loads
+UNDER_4_GIB = """
+import resource, runpy, sys
+resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+sys.argv = ["xyness", *sys.argv[1:]]
+runpy.run_module("xyness.cli", run_name="__main__")
+"""
+
+
+def run_under_4_gib(*args):
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run(
+        [sys.executable, "-c", UNDER_4_GIB, *args], capture_output=True, text=True, timeout=60, env=env
+    )
+
+
+@pytest.mark.parametrize("subcommand", ["correlations", "spectrum"])
+def test_oversized_size_exits_3_in_one_line(subcommand):
+    # at N = 1e7 the first refinement level would hold ~4e13 entries, 90.9 TiB
+    # in one of its arrays; the entry budget refuses it before any is built
+    start = time.perf_counter()
+    r = run_under_4_gib(subcommand, "--n-max", "10000000")
+    assert r.returncode == 3, r.stderr
+    assert time.perf_counter() - start < 30
+    assert r.stdout == ""
+    [line] = r.stderr.splitlines()
+    assert line.startswith("numerical failure: coefficients at n_max=10000000 need "), line
+
+
+def test_oversized_sweep_point_records_the_budget():
+    r = run_under_4_gib("sweep", "--n-max", "10000000", "--point", "0.5,0.3,1,3")
+    assert r.returncode == 0, r.stderr
+    assert "# point_0_error=QuadratureError: coefficients at n_max=10000000 need " in r.stdout
+
+
 #: runs every subcommand but selftest with scipy made unimportable
 WITHOUT_SCIPY = """
 import sys
@@ -556,25 +594,48 @@ class TestSpectrumCommand:
         assert capsys.readouterr().err == "error: XYNESS_THREADS must be a positive integer, got 'two'\n"
 
     def test_calling_thread_runs_the_largest_svd(self, monkeypatch, capsys):
-        # at two workers the calling thread is one of them and takes the
-        # n = 512 SVD, and the pool adds one thread
+        # at one worker the calls run in read order: the two limit integrals,
+        # then the SVDs smallest first; at two and three workers the calling
+        # thread is one of them and takes the n = 512 SVD first, every call
+        # still runs once, and the pool adds workers - 1 threads
         import xyness.cli as cli
         import xyness.spectral
 
-        real = xyness.spectral.singular_values
-        baseline = threading.active_count()
+        real_sv, real_limit = xyness.spectral.singular_values, cli.avram_parter_limit
         calls = []
 
+        def record(call):
+            calls.append((*call, threading.current_thread(), threading.active_count()))
+
         def placed(M):
-            calls.append((M.shape[0], threading.current_thread(), threading.active_count()))
-            return real(M)
+            record(("SVD", M.shape[0]))
+            return real_sv(M)
+
+        def limit(g, p):
+            record(("limit", "square" if g is np.square else "chi_log"))
+            return real_limit(g, p)
 
         monkeypatch.setattr(xyness.spectral, "singular_values", placed)
-        monkeypatch.setenv("XYNESS_THREADS", "2")
-        assert cli.main(["spectrum", *BASE, "--n-max", "512"]) == 0
-        assert sorted(n for n, *_ in calls) == [64, 128, 256, 512]
-        assert [thread for n, thread, _ in calls if n == 512] == [threading.main_thread()]
-        assert max(alive for *_, alive in calls) <= baseline + 1
+        monkeypatch.setattr(cli, "avram_parter_limit", limit)
+        schedules = {}
+        for workers in (1, 2, 3):
+            calls.clear()
+            baseline = threading.active_count()
+            monkeypatch.setenv("XYNESS_THREADS", str(workers))
+            assert cli.main(["spectrum", *BASE, "--n-max", "512"]) == 0
+            assert max(alive for *_, alive in calls) <= baseline + workers - 1
+            schedules[workers] = list(calls)
+        serial = [call[:2] for call in schedules[1]]
+        assert serial == [
+            ("limit", "square"), ("limit", "chi_log"), ("SVD", 64), ("SVD", 128), ("SVD", 256), ("SVD", 512),
+        ]
+        assert {call[2] for call in schedules[1]} == {threading.main_thread()}
+        for workers in (2, 3):
+            schedule = schedules[workers]
+            on_caller = [call[:2] for call in schedule if call[2] is threading.main_thread()]
+            assert on_caller[0] == ("SVD", 512)
+            assert collections.Counter(call[:2] for call in schedule) == collections.Counter(serial)
+            assert [call[2] for call in schedule if call[:2] == ("SVD", 512)] == [threading.main_thread()]
 
     def test_hot_point_runs(self, capsys):
         # at beta = 1e-4 the symbol norm, 6.5e-5, lies below SPECTRUM_EPS: every

@@ -417,6 +417,28 @@ class TestBlockSequence:
             tracemalloc.stop()
         assert peak <= 64 * 2**20
 
+    def test_entry_budget_refuses_before_building(self, base_params, monkeypatch):
+        # N = 1e7 would need ~4e13 entries in its first level: refused before
+        # the symbol is evaluated or any panel array is built
+        def never(*args):
+            raise AssertionError("panel arrays built past the entry budget")
+
+        monkeypatch.setattr(xyness.fourier, "_split_edges", never)
+        with pytest.raises(QuadratureError, match=r"^coefficients at n_max=10000000 need 3\.75e\+13 "):
+            build_block_sequence(10_000_000, base_params)
+
+    @pytest.mark.parametrize(
+        "point",
+        [(0, 0.68559, 1.4701, 0.7152), (1e-9, 1, 1.4701, 0.7152), (0, -1, 2, 0.5),
+         (1e-9, 0.999999999999, 1.4701, 0.7152), (0, 1.000000000001, 1.4701, 0.7152)],
+        ids=str,
+    )
+    def test_entry_budget_admits_4096_at_critical_points(self, point):
+        # the CI's critical and near-critical points, where the coefficients
+        # at N = 4096 take 6.34e6 entries of the 2**25 budget
+        seq = build_block_sequence(4096, ModelParams(*point))
+        assert seq.err_estimate <= TOL
+
     def test_rebuild_is_bitwise_equal(self, base_params):
         a = build_block_sequence(5, base_params)
         b = build_block_sequence(5, base_params)

@@ -241,22 +241,40 @@ class TestComputeSeries:
         assert "nan" not in str(info.value)
 
     def test_calling_thread_runs_the_largest_svd(self, monkeypatch):
-        # at two workers the calling thread is one of them and takes the
-        # n = 512 SVD, and the pool adds one thread
-        real = xyness.pipeline.singular_values
-        baseline = threading.active_count()
+        # at one worker the calls run in read order: each smaller size's LU
+        # pair and SVD, smallest first, then the largest size's; at two and
+        # three workers the calling thread is one of them and takes the
+        # n = 512 SVD first, every call still runs once, and the pool adds
+        # workers - 1 threads
+        sizes = (*DEFAULT_N_LIST, 512)
         calls = []
 
-        def placed(M):
-            calls.append((M.shape[0], threading.current_thread(), threading.active_count()))
-            return real(M)
+        def traced(name, real):
+            def call(M):
+                calls.append((name, M.shape[0], threading.current_thread(), threading.active_count()))
+                return real(M)
 
-        monkeypatch.setattr(xyness.pipeline, "singular_values", placed)
-        monkeypatch.setenv("XYNESS_THREADS", "2")
-        compute_series(ModelParams(0.5, 0.3, 1.0, 3.0), n_list=(*DEFAULT_N_LIST, 512))
-        assert sorted(n for n, *_ in calls) == [*DEFAULT_N_LIST, 512]
-        assert [thread for n, thread, _ in calls if n == 512] == [threading.main_thread()]
-        assert max(alive for *_, alive in calls) <= baseline + 1
+            return call
+
+        monkeypatch.setattr(xyness.pipeline, "log_det", traced("LU", xyness.pipeline.log_det))
+        monkeypatch.setattr(xyness.pipeline, "singular_values", traced("SVD", xyness.pipeline.singular_values))
+        schedules = {}
+        for workers in (1, 2, 3):
+            calls.clear()
+            baseline = threading.active_count()
+            monkeypatch.setenv("XYNESS_THREADS", str(workers))
+            compute_series(ModelParams(0.5, 0.3, 1.0, 3.0), n_list=sizes)
+            assert max(alive for *_, alive in calls) <= baseline + workers - 1
+            schedules[workers] = list(calls)
+        serial = [(name, n) for name, n, *_ in schedules[1]]
+        assert serial == [(name, n) for n in sizes for name in ("LU", "LU", "SVD")]
+        assert {thread for _, _, thread, _ in schedules[1]} == {threading.main_thread()}
+        for workers in (2, 3):
+            schedule = schedules[workers]
+            on_caller = [(name, n) for name, n, thread, _ in schedule if thread is threading.main_thread()]
+            assert on_caller[0] == ("SVD", 512)
+            assert collections.Counter((name, n) for name, n, *_ in schedule) == collections.Counter(serial)
+            assert [t for name, n, t, _ in schedule if (name, n) == ("SVD", 512)] == [threading.main_thread()]
 
     def test_pool_tasks_see_the_submitters_context(self, monkeypatch):
         # the calling thread's n = 512 SVD waits until an SVD has run on the

@@ -80,6 +80,25 @@ def test_panel_cost_counts_against_the_budget():
     assert evaluations(200, 2) < evaluations(200, 1)
 
 
+
+def test_entry_budget_counts_each_column(monkeypatch):
+    # the entry budget counts a panel evaluation once per column: with K
+    # columns it runs out after the evaluations a panel budget of
+    # _MAX_ENTRIES / K allows
+    def evaluations(columns, **budget):
+        sizes = []
+
+        def rule(lo, hi):
+            sizes.append(lo.size)
+            return np.repeat(np.sqrt(hi - lo)[:, None], columns, axis=1)  # halves never agree
+
+        with pytest.raises(QuadratureError, match="panel budget exhausted"):
+            _refine(rule, np.array([0.0]), np.array([1.0]), 1e-12, 1.0, **budget)
+        return sum(sizes)
+
+    monkeypatch.setattr(xyness.quadrature, "_MAX_ENTRIES", 12_000)
+    assert evaluations(12, max_panels=2000) == evaluations(1, max_panels=1000)
+
 def test_invalid_tol():
     with pytest.raises(ValueError):
         adaptive_panels(np.sin, [0.0, 1.0], 0.0)
