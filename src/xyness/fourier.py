@@ -81,8 +81,7 @@ from .model import ModelParams, _symbol_weights
 from .quadrature import _MAX_ENTRIES, _NODES, _WEIGHTS, QuadratureError, _refine, _split_edges
 from .quadrature import adaptive_panels  # noqa: F401  (perfbench/tracer.py wraps this binding)
 
-#: above this highest frequency, base panels are split to ~12 of its periods each
-_OSC_SPLIT_THRESHOLD = 64
+#: base panels are split to at most this many periods of the highest frequency
 _PERIODS_PER_PANEL = 12.0
 #: frequencies per row of the factored phase table; a power of two, since
 #: the table is built by doubling
@@ -260,13 +259,13 @@ def _coefficients(n_max: int, p: ModelParams) -> tuple[np.ndarray, float]:
             _panel_sums(lo[part], hi[part], p, n_max, out[part])
         return out
 
-    max_width = _PERIODS_PER_PANEL * math.tau / n_max if n_max > _OSC_SPLIT_THRESHOLD else None
+    max_width = _PERIODS_PER_PANEL * math.tau / n_max
     # the breakpoints are symmetric under xi -> 2pi - xi: kappa is odd, mu even
     edges = breakpoints(p)
     edges = np.append(edges[edges < math.pi], math.pi)
     # before any array of the size: the first level evaluates each base panel and
     # its halves, and _split_edges makes at most pi / max_width plus one per edge
-    entries = 3 * (len(edges) + (math.pi / max_width if max_width else 0)) * (3 * n_max - 1)
+    entries = 3 * (len(edges) + math.pi / max_width) * (3 * n_max - 1)
     if entries > _MAX_ENTRIES:
         message = f"coefficients at n_max={n_max} need {entries:.3g} panel entries, over the budget {_MAX_ENTRIES}"
         raise QuadratureError(message, math.inf)

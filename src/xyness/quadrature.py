@@ -49,17 +49,11 @@ def _gauss_batch(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.asarray(f(x)) @ _WEIGHTS * half
 
 
-def _split_edges(edges: np.ndarray, max_width: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """Base panels between consecutive edges, each at most max_width wide."""
-    lo_list, hi_list = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        parts = 1 if max_width is None else max(1, int(np.ceil((b - a) / max_width)))
-        cuts = np.linspace(a, b, parts + 1)
-        lo_list.append(cuts[:-1])
-        hi_list.append(cuts[1:])
-    return np.concatenate(lo_list), np.concatenate(hi_list)
+def _split_edges(edges: np.ndarray, max_width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Base panels between strictly ascending edges, each at most max_width (inf: no cap) wide."""
+    pairs = zip(edges[:-1], edges[1:])
+    cuts = [np.linspace(a, b, max(1, int(np.ceil((b - a) / max_width))) + 1) for a, b in pairs]
+    return np.concatenate([c[:-1] for c in cuts]), np.concatenate([c[1:] for c in cuts])
 
 
 def adaptive_panels(f, edges, tol: float) -> tuple[complex, float]:
@@ -71,8 +65,8 @@ def adaptive_panels(f, edges, tol: float) -> tuple[complex, float]:
         Vectorized integrand; called with a float array of any shape and must
         return an array of the same shape (real or complex).
     edges : array_like
-        Sorted panel boundaries; the integrand must be smooth strictly inside
-        each [edges[i], edges[i+1]].
+        At least two finite, strictly ascending boundaries; the integrand must
+        be smooth strictly inside each [edges[i], edges[i+1]].
     tol : float
         Absolute error target for the whole integral.
 
@@ -86,6 +80,8 @@ def adaptive_panels(f, edges, tol: float) -> tuple[complex, float]:
 
     Raises
     ------
+    ValueError
+        If ``tol`` is not positive or ``edges`` is not as above.
     QuadratureError
         If the panel budget or recursion depth is exhausted first, or if the
         total is not finite (inf or nan).
@@ -93,7 +89,10 @@ def adaptive_panels(f, edges, tol: float) -> tuple[complex, float]:
     if not tol > 0:
         raise ValueError("tol must be positive")
     edges = np.asarray(edges, dtype=float)
-    lo, hi = _split_edges(edges, None)
+    ascending = edges.ndim == 1 and edges.size >= 2 and np.all(edges[1:] > edges[:-1])
+    if not (ascending and np.all(np.isfinite(edges))):
+        raise ValueError("edges must hold at least two finite, strictly ascending values")
+    lo, hi = _split_edges(edges, np.inf)
     vals, errs = _refine(
         lambda a, b: _gauss_batch(f, a, b)[:, None], lo, hi, tol, edges[-1] - edges[0]
     )

@@ -64,7 +64,7 @@ def per_coefficient_route(n_max, p, tol):
     edges = np.concatenate([breakpoints(p), [TWO_PI]])
 
     def coefficient(weight, x):
-        max_width = 8.0 * TWO_PI / abs(x) if abs(x) > 64 else None
+        max_width = 8.0 * TWO_PI / abs(x) if abs(x) > 64 else math.inf
         lo, hi = _split_edges(edges, max_width)
         value, _ = adaptive_panels(
             lambda xi: weight(xi) * np.exp(-1j * x * xi), np.append(lo, hi[-1]), tol * TWO_PI
@@ -114,6 +114,15 @@ def set_id(p):
     return f"{p.gamma:g},{p.lam:g},{p.beta_l:g},{p.beta_r:g}"
 
 
+#: every oracle set at N = 32, 64 and 512, each with its own panel set;
+#: N = 512 keeps the bare set id
+ROUTE_CASES = [
+    pytest.param(p, n_max, id=set_id(p) if n_max == 512 else f"{set_id(p)}-N{n_max}")
+    for n_max in (32, 64, 512)
+    for p in ORACLE_SETS
+]
+
+
 @pytest.fixture(scope="module")
 def engine512():
     return {p: build_block_sequence(512, p) for p in ORACLE_SETS}
@@ -139,11 +148,12 @@ class TestEngineOracles:
         for a, b in zip(coarse, fine):
             assert np.max(np.abs(a - b)) <= 1e-20
 
-    @pytest.mark.parametrize("p", ORACLE_SETS, ids=set_id)
-    def test_matches_per_coefficient_route(self, p, engine512):
-        got_app, got_apm = paper_coefficients(engine512[p])
-        app, apm = per_coefficient_route(512, p, TOL)
-        assert np.max(np.abs(got_app[511:] - app)) <= 2 * TOL
+    @pytest.mark.parametrize("p, n_max", ROUTE_CASES)
+    def test_matches_per_coefficient_route(self, p, n_max, engine512):
+        seq = engine512[p] if n_max == 512 else build_block_sequence(n_max, p)
+        got_app, got_apm = paper_coefficients(seq)
+        app, apm = per_coefficient_route(n_max, p, TOL)
+        assert np.max(np.abs(got_app[n_max - 1 :] - app)) <= 2 * TOL
         assert np.max(np.abs(got_apm - apm)) <= 2 * TOL
 
 
@@ -160,6 +170,28 @@ class TestFold:
         monkeypatch.setattr(xyness.fourier, "_refine", spy)
         build_block_sequence(4, base_params)
         assert budgets == [2]
+
+    @pytest.mark.parametrize("n_max", [16, 32, 64, 512])
+    @pytest.mark.parametrize(
+        "p", [ModelParams(0.5, 0.3, 1.0, 3.0), CRITICAL_SET, ModelParams(0.5, 1.5, 2.0, 2.0)], ids=set_id
+    )
+    def test_one_panel_rule_at_every_size(self, p, n_max, monkeypatch):
+        # at every N the base panels tile [0, pi], each at most
+        # _PERIODS_PER_PANEL periods of the highest frequency N wide
+        # (up to linspace's rounding of the cuts)
+        base = []
+
+        def spy(rule, lo, hi, *args, **kwargs):
+            base.append((lo, hi))
+            return _refine(rule, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(xyness.fourier, "_refine", spy)
+        build_block_sequence(n_max, p)
+        [(lo, hi)] = base
+        assert lo[0] == 0.0 and hi[-1] == math.pi
+        assert np.array_equal(lo[1:], hi[:-1])
+        assert np.all(hi > lo)
+        assert np.all(hi - lo <= xyness.fourier._PERIODS_PER_PANEL * TWO_PI / n_max * (1 + 1e-12))
 
 
 class TestPhaseTable:

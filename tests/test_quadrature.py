@@ -111,6 +111,14 @@ def test_nan_tol_rejected():
         adaptive_panels(np.sin, [0.0, 1.0], math.nan)
 
 
+@pytest.mark.parametrize("edges", [[1.0, 1.0], [2.0, 1.0], [0.0], [0.0, math.nan], [0.0, math.inf]], ids=str)
+def test_invalid_edges_rejected(edges):
+    # refused before any panel is built: a repeated, descending or single
+    # edge leaves no panel, and a nan or inf edge has no finite width to halve
+    with pytest.raises(ValueError, match="^edges must hold at least two finite, strictly ascending values$"):
+        adaptive_panels(np.sin, edges, 1e-10)
+
+
 def test_deterministic():
     def f(x):
         return np.log(np.maximum(x, 1e-300)) * np.sin(3 * x)
