@@ -271,21 +271,14 @@ def _coefficients(n_max: int, p: ModelParams) -> tuple[np.ndarray, float]:
         raise QuadratureError(message, math.inf)
     lo, hi = _split_edges(edges, max_width)
     try:
-        vals, errs = _refine(rule, lo, hi, COEFF_TOL * math.tau, math.pi, panel_cost=2)
+        values, errors = _refine(rule, lo, hi, COEFF_TOL * math.tau, math.pi, panel_cost=2)
     except QuadratureError as exc:
         if exc.column is None:
             raise
         raise QuadratureError(
-            f"coefficient {name(exc.column)} did not converge", exc.achieved_error / math.tau
+            f"coefficient {name(exc.column)} did not converge: {exc.args[0]}", exc.achieved_error / math.tau
         ) from exc
-    values = vals.sum(axis=0) / math.tau
-    errors = errs.sum(axis=0) / math.tau
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise QuadratureError(
-            f"coefficient {name(bad[0])} did not converge: non-finite integral", errors[bad[0]]
-        )
-    return values, float(errors.max())
+    return values / math.tau, float(errors.max() / math.tau)
 
 
 def build_block_sequence(n_max: int, p: ModelParams) -> BlockSequence:

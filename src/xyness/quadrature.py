@@ -8,6 +8,8 @@ nodes) array, which keeps the Python overhead per level instead of per panel.
 One refinement loop (``_refine``) also serves batches of integrals over a
 shared panel set, such as every Fourier coefficient of the symbol at once: a
 panel is then accepted only when every integral of the batch passes on it.
+It ends every integral alike: a sum over the accepted panels in left-endpoint
+order, whatever the refinement schedule, that must be finite.
 
 Integrable endpoint singularities (the log-type ones of the decay-rate
 integrand at zeros of mu) are handled by grading: panels touching a
@@ -36,10 +38,13 @@ class QuadratureError(RuntimeError):
     """Adaptive refinement exhausted its budget before reaching the tolerance."""
 
     def __init__(self, message: str, achieved_error: float, column: int | None = None):
-        super().__init__(f"{message} (achieved error estimate {achieved_error:.3e})")
+        super().__init__(message, achieved_error, column)  # args[0]: the bare reason
         self.achieved_error = achieved_error
-        #: for a batch of integrals, the one with the largest achieved error
+        #: for a batch of integrals, the first non-finite one or the one with the largest error
         self.column = column
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (achieved error estimate {self.achieved_error:.3e})"
 
 
 def _gauss_batch(f, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -93,14 +98,10 @@ def adaptive_panels(f, edges, tol: float) -> tuple[complex, float]:
     if not (ascending and np.all(np.isfinite(edges))):
         raise ValueError("edges must hold at least two finite, strictly ascending values")
     lo, hi = _split_edges(edges, np.inf)
-    vals, errs = _refine(
+    (value,), (err,) = _refine(
         lambda a, b: _gauss_batch(f, a, b)[:, None], lo, hi, tol, edges[-1] - edges[0]
     )
-    vals, errs = vals[:, 0], errs[:, 0]
-    value = vals.sum()
-    if not np.isfinite(value):
-        raise QuadratureError("non-finite integral", float(errs.sum()))
-    return (complex(value) if np.iscomplexobj(vals) else float(value)), float(errs.sum())
+    return (complex(value) if np.iscomplexobj(value) else float(value)), float(err)
 
 
 def _refine(
@@ -130,14 +131,15 @@ def _refine(
     Returns
     -------
     values, errors : np.ndarray
-        (panels, K) arrays over the accepted panels, sorted by left endpoint,
-        so that column sums do not depend on the refinement schedule.
+        (K,) arrays: each column's integral and error estimate, summed over the
+        accepted panels in left-endpoint order, whatever the refinement schedule.
 
     Raises
     ------
     QuadratureError
-        If either budget or the depth is exhausted first; ``column`` names
-        the column with the largest achieved error estimate.
+        If either budget or the depth is exhausted first (``column``: the one
+        with the largest achieved error estimate), or a column's sum is not
+        finite (``"non-finite integral"``, ``column``: the first such).
     """
     width_floor = total * 2.0**-46
     coarse = rule(lo, hi)
@@ -173,7 +175,11 @@ def _refine(
         _raise_unfinished("max refinement depth reached", acc_err)
 
     order = np.argsort(np.concatenate(acc_lo), kind="stable")
-    return np.concatenate(acc_val)[order], np.concatenate(acc_err)[order]
+    values, errors = (np.concatenate(acc)[order].sum(axis=0) for acc in (acc_val, acc_err))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise QuadratureError("non-finite integral", float(errors[bad[0]]), int(bad[0]))
+    return values, errors
 
 
 def _raise_unfinished(message: str, errors: list) -> None:

@@ -373,9 +373,29 @@ class TestBlockSequence:
     def test_budget_failure_names_coefficient(self, base_params, monkeypatch):
         # a budget of 8 panel evaluations runs out after the first refinement
         monkeypatch.setattr(xyness.fourier, "_refine", functools.partial(_refine, max_panels=8))
-        with pytest.raises(QuadratureError, match=r"coefficient P[PM]\[-?\d+\] did not converge") as info:
+        with pytest.raises(
+            QuadratureError, match=r"^coefficient P[PM]\[-?\d+\] did not converge: panel budget exhausted "
+        ) as info:
             build_block_sequence(4, base_params)
         assert "panel budget exhausted" in str(info.value.__cause__)
+
+    def test_overflowing_weight_names_coefficient_and_reason(self, base_params, monkeypatch):
+        # a PM weight scaled by 1e308 leaves no room for the error test: under
+        # a budget the unscaled build keeps, the error names a PM coefficient
+        # and the refinement's reason
+        monkeypatch.setattr(xyness.fourier, "_refine", functools.partial(_refine, max_panels=2000))
+        build_block_sequence(8, base_params)
+        weights = xyness.fourier._symbol_weights
+
+        def scaled(xi, q):
+            pp, pm = weights(xi, q)
+            return pp, 1e308 * pm
+
+        monkeypatch.setattr(xyness.fourier, "_symbol_weights", scaled)
+        reason = r"^coefficient PM\[-?\d+\] did not converge: panel budget exhausted "
+        # the panel sums overflow to inf, whose differences are nan
+        with pytest.raises(QuadratureError, match=reason), np.errstate(over="ignore", invalid="ignore"):
+            build_block_sequence(8, base_params)
 
     @pytest.mark.parametrize("p", GAUGE_SETS, ids=set_id)
     def test_gauge_drops_only_noise(self, p):

@@ -48,18 +48,39 @@ def test_non_finite_total_raises():
 
 def test_batch_refines_until_every_column_passes():
     # one shared panel set for a smooth and an oscillatory integral: the
-    # smooth column passes on the single base panel, the other does not
+    # smooth column alone passes on the single base panel, after its two
+    # halves (3 panel evaluations); the batch refines until the other passes
     k = 200.0
+    integrands = (np.cos, lambda x: np.cos(k * x))
 
+    def refine(*fs):
+        sizes = []
+
+        def rule(lo, hi):
+            sizes.append(lo.size)
+            return np.stack([_gauss_batch(f, lo, hi) for f in fs], axis=1)
+
+        return _refine(rule, np.array([0.0]), np.array([1.0]), 1e-12, 1.0), sum(sizes)
+
+    _, smooth_evals = refine(integrands[0])
+    (vals, errs), evals = refine(*integrands)
+    assert smooth_evals == 3 and evals > 3
+    assert vals.shape == errs.shape == (2,)
+    assert vals[0] == pytest.approx(math.sin(1.0), abs=1e-12)
+    assert vals[1] == pytest.approx(math.sin(k) / k, abs=1e-12)
+    assert np.all(errs <= 1e-12)
+
+
+def test_refine_raises_on_first_non_finite_column():
+    # every panel passes with finite values, but the sums of the second and
+    # third columns overflow: the error names the second
     def rule(lo, hi):
-        return np.stack([_gauss_batch(np.cos, lo, hi), _gauss_batch(lambda x: np.cos(k * x), lo, hi)], axis=1)
+        width = hi - lo
+        return np.stack([width, 1e308 * width, 1e308 * width], axis=1)
 
-    vals, errs = _refine(rule, np.array([0.0]), np.array([1.0]), 1e-12, 1.0)
-    assert vals.shape[1] == 2 and vals.shape[0] > 1
-    total = vals.sum(axis=0)
-    assert total[0] == pytest.approx(math.sin(1.0), abs=1e-12)
-    assert total[1] == pytest.approx(math.sin(k) / k, abs=1e-12)
-    assert np.all(errs.sum(axis=0) <= 1e-12)
+    with pytest.raises(QuadratureError, match="^non-finite integral ") as info, np.errstate(over="ignore"):
+        _refine(rule, np.array([0.0, 1.0]), np.array([1.0, 2.0]), 1e-12, 2.0)
+    assert info.value.column == 1
 
 
 def test_panel_cost_counts_against_the_budget():
