@@ -7,14 +7,17 @@ Two upper bounds on the exponential decay of |C(n)|:
       B = (1/2) Int_0^{2pi} d(xi)/2pi log[ tanh(beta_l*mu/2) * tanh(beta_r*mu/2) ],
 
   which bounds limsup log|C(n)| / n and is strictly negative for all finite
-  admissible parameters in exact arithmetic, but reads exactly 0 once
-  beta_l*mu/2 exceeds ~19 on the whole circle, where tanh rounds to 1
-  (``bound --beta-l 100 --beta-r 100``).  B is the Avram-Parter limit of
-  the singular-value mean of log: |Pf Omega(n)|^2 = |det Omega(n)| = prod_j
-  s_j over the 2n singular values, so (1/n) log|C(n)| = (1/2n) sum_j log
-  s_j, and :func:`spectral.avram_parter_limit` integrates that mean's limit
-  for any g.  At critical parameters log has integrable singularities at
-  the zeros of mu, handled by the same graded panel refinement;
+  admissible parameters in exact arithmetic; in floating point it reaches 0
+  only once exp(-beta*mu) underflows on the whole circle.  B is the Avram-Parter limit of the singular-value
+  mean of log: |Pf Omega(n)|^2 = |det Omega(n)| = prod_j s_j over the 2n
+  singular values, so (1/n) log|C(n)| = (1/2n) sum_j log s_j.  It is
+  integrated from mu, not through :func:`spectral.avram_parter_limit`,
+  which hands g the value tanh(x), x = beta*mu/2: once tanh rounds to 1 (x
+  beyond ~19, as everywhere at ``bound --beta-l 100 --beta-r 100``),
+  log(tanh(x)) reads 0 where B is -5.95e-22, while log1p(-2e/(1 + e)), e =
+  exp(-2x), keeps every digit.  At critical parameters log tanh has
+  integrable singularities at the zeros of mu, handled by the graded panel
+  refinement;
 
 * the cruder all-n bound on the determinant,
 
@@ -30,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams
-from .quadrature import adaptive_panels  # noqa: F401 (perfbench/tracer.py wraps this binding)
-from .spectral import avram_parter_limit
+from .fourier import breakpoints
+from .model import ModelParams, mu
+from .quadrature import adaptive_panels
+from .spectral import LIMIT_TOL
 from .toeplitz import symbol_norm
 
 
@@ -48,15 +52,26 @@ class BoundReport:
     weak_rate: float  # 2 * log tanh(beta_r * mu_sup / 2), bounds log|det|/n
 
 
-def _floored_log(s):
-    # a Gauss node on a width-floor panel can land on an exact zero of mu,
-    # where the singular value is 0
-    return np.log(np.maximum(s, np.finfo(float).tiny))
+def _log_tanh(x):
+    """log tanh(x) on an array of x >= 0, floored at log(tiny).
+
+    Below x = 1 it is log(tanh(x)); from x = 1 on, log1p(-2e / (1 + e)) with
+    e = exp(-2x), which keeps the digits that log(tanh(x)) loses as tanh(x)
+    nears 1.  The floor: a Gauss node on a width-floor panel can land on an
+    exact zero of mu, where tanh(x) = 0.
+    """
+    out = np.log(np.maximum(np.tanh(x), np.finfo(float).tiny))
+    far = x >= 1.0
+    e = np.exp(-x[far]) ** 2  # 2x can overflow where x does not
+    out[far] = np.log1p(-2.0 * e / (1.0 + e))
+    return out
 
 
 def theorem_bound(p: ModelParams) -> float:
-    """The rate integral B: :func:`avram_parter_limit` of log, to absolute
-    error ``spectral.LIMIT_TOL``.
+    """The rate integral B to absolute error ``spectral.LIMIT_TOL``.
+
+    Integrated over panels split at :func:`fourier.breakpoints`, which hold
+    every zero of mu.
 
     Raises
     ------
@@ -64,7 +79,13 @@ def theorem_bound(p: ModelParams) -> float:
         If refinement near the zeros of mu exhausts its budget; the
         exception reports the achieved error.
     """
-    return avram_parter_limit(_floored_log, p)
+
+    def integrand(xi):
+        m = mu(xi, p)
+        return 0.5 * (_log_tanh(0.5 * p.beta_l * m) + _log_tanh(0.5 * p.beta_r * m))
+
+    value, _ = adaptive_panels(integrand, np.append(breakpoints(p), math.tau), LIMIT_TOL * math.tau)
+    return value / math.tau
 
 
 def weak_rate(p: ModelParams) -> float:

@@ -119,7 +119,7 @@ def breakpoints(p: ModelParams) -> np.ndarray:
     parameters): at gamma = 0 they are the roots of cos(xi) = lam, otherwise
     0 or pi.  They also hold the minimum of mu, the stationary point of
     mu^2 in cos(xi), so they are the panel edges of every symbol mean as
-    well (:func:`spectral.avram_parter_limit`).
+    well (:func:`spectral.avram_parter_limit`, :func:`bounds.theorem_bound`).
     """
     pts = [0.0, math.pi]
     ratio = p.lam / (1.0 - p.gamma**2)

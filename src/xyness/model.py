@@ -165,7 +165,8 @@ def symbol_singular_values(xi, p: ModelParams):
 
     Equal to (phi_beta - phi_delta, phi_beta + phi_delta) by sum-to-product
     hyperbolic identities; this closed form is what every symbol mean over
-    the circle integrates, the rate bound B included.  The values are
+    the circle integrates.  The rate bound B integrates log tanh from
+    :func:`mu` instead, which keeps the digits of tanh near 1.  The values are
     exactly even in xi and exactly 0 at xi = +-acos(lam) when gamma = 0.
     """
     m = mu(xi, p)

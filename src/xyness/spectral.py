@@ -88,8 +88,10 @@ def avram_parter_limit(g, p: ModelParams) -> float:
     g is integrated over the symbol's closed-form singular values
     (:func:`symbol_singular_values`), with panels split at
     :func:`fourier.breakpoints`, which hold every zero and the minimum of mu.
-    g may be log-integrable rather than bounded at 0: with g = log (floored)
-    the limit is the rate bound B of :func:`bounds.theorem_bound`.
+    g may be log-integrable rather than bounded at 0.  With g = log the
+    limit is the rate bound B, which :func:`bounds.theorem_bound` integrates
+    from mu instead: g gets tanh(beta*mu/2), whose digits are gone where it
+    rounds to 1.
 
     Raises
     ------

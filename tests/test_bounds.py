@@ -56,6 +56,33 @@ class TestTheoremBound:
         B = theorem_bound(p)
         assert B <= 0.0 and B > -1e-10
 
+    @pytest.mark.parametrize(
+        "point", [(0.5, 0.3, 100.0, 100.0), (0.5, 2.0, 30.0, 30.0), (0.5, 0.3, 60.0, 60.0), (0.5, 0.3, 30.0, 30.0)],
+        ids=str,
+    )
+    def test_cold_points_against_mpmath(self, point):
+        # beta*mu/2 beyond ~19 rounds tanh to 1, where log(tanh) reads 0 and
+        # B did; it keeps every digit against a 40-digit mpmath quadrature
+        # split at the zeros of kappa, from mu in mpmath
+        mpmath = pytest.importorskip("mpmath")
+        p = ModelParams(*point)
+        mp = mpmath.mp
+        with mp.workdps(40):
+            gamma, lam = mp.mpf(p.gamma), mp.mpf(p.lam)
+
+            def log_tanh_mean(xi):
+                m = mp.sqrt((mp.cos(xi) - lam) ** 2 + (gamma * mp.sin(xi)) ** 2)
+                return (mp.log(mp.tanh(p.beta_l * m / 2)) + mp.log(mp.tanh(p.beta_r * m / 2))) / 2
+
+            cuts = [mp.zero, mp.pi, 2 * mp.pi]
+            ratio = lam / (1 - gamma**2)
+            if abs(ratio) <= 1:
+                cuts += [mp.acos(ratio), 2 * mp.pi - mp.acos(ratio)]
+            ref = float(mp.quad(log_tanh_mean, sorted(cuts)) / (2 * mp.pi))
+        B = theorem_bound(p)
+        assert B < 0.0
+        assert abs(B - ref) <= 1e-13 * abs(ref)
+
     def test_negative_for_all_acceptance_sets(self):
         for p in (*ACCEPTANCE_SETS, CRITICAL_SET):
             B = theorem_bound(p)
@@ -172,7 +199,8 @@ class TestWeakBound:
     )
     def test_rate_integral_within_half_the_weak_rate(self, p):
         # t_l <= t_r <= symbol_norm(p) on the circle, so B <= log symbol_norm
-        # = weak_rate / 2; at beta = 100 both read 0.0 (saturated tanh)
+        # = weak_rate / 2; at beta = 100 weak_rate reads 0.0 (saturated
+        # tanh) and B = -5.95e-22 lies strictly below it
         rep = bound_report(p)
         assert rep.theorem_rate <= 0.5 * rep.weak_rate + 2 * LIMIT_TOL
 

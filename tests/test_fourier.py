@@ -16,6 +16,7 @@ from xyness import (
     symbol_matrices,
 )
 import xyness.fourier
+from xyness.model import _symbol_weights
 from xyness.quadrature import _NODES, _refine, _split_edges, adaptive_panels
 from conftest import ACCEPTANCE_SETS, CRITICAL_SET, mp_coefficient_sums, paper_coefficients, random_points
 
@@ -620,3 +621,73 @@ class TestFarTail:
         # 1e-6 misses by far more than the bound
         moved = jump_term(p, xis[0] + 1e-6, jumps[0], x) + sum(terms[1:])
         assert abs(im_app - moved.imag) > 10.0 * bound
+
+
+def fft_apm(p, n_max):
+    """apm[-N .. N-2] (N = n_max) from one FFT of the PM weight, with its tail and scale.
+
+    The PM weight (cos xi - lam - i*gamma*sin xi) * phi_beta(mu) / mu is
+    analytic on the circle at every admissible point, critical points
+    included: phi_beta(mu) / mu is even in mu, so analytic in mu^2.  So the
+    trapezoid sum on M uniform nodes, one FFT, converges exponentially in M.
+    M starts at 4N and doubles until the upper half of the spectrum,
+    |y| >= M/4, falls below 1e-16 of its largest coefficient.  That half's
+    largest magnitude, the tail, bounds the aliasing of every |y| <= N and
+    the FFT's own rounding.  The scale is the weight's largest magnitude on
+    the nodes.  Only the weight comes from the package.
+    """
+    m = 4 * n_max
+    while True:
+        weight = _symbol_weights(np.arange(m) * (TWO_PI / m), p)[1]
+        spectrum = np.fft.fft(weight) / m
+        tail = np.abs(spectrum[m // 4 : 3 * m // 4]).max()
+        if tail <= 1e-16 * np.abs(spectrum).max():
+            return spectrum[np.arange(-n_max, n_max - 1)].real, tail, np.abs(weight).max()
+        m *= 2
+
+
+def apm_misses(blocks, err_estimate, p):
+    """The y whose apm[y] in ``blocks`` misses :func:`fft_apm` by more than the error bound.
+
+    The bound is the sequence's ``err_estimate``, plus the FFT's tail, plus
+    eps * log2(N) times the weight's scale for the engine's rounding, which
+    ``err_estimate`` does not count: each phase entry is log2(N) roundings
+    from its exponential.  Without that term, 3 of 12 points probed at
+    N = 512 miss by up to 2.5 eps times the scale.
+    """
+    n_max = (blocks.shape[0] + 1) // 2
+    ref, tail, scale = fft_apm(p, n_max)
+    bound = err_estimate + tail + np.finfo(float).eps * math.log2(n_max) * scale
+    return np.flatnonzero(np.abs(-blocks[:, 0, 1] - ref) > bound) - n_max
+
+
+#: generic, critical at gamma = 0 and at |lam| = 1, cold, hot, |gamma| -> 1,
+#: and the two equilibrium points whose rows past n ~ 20 sit at quadrature noise
+FFT_SETS = (
+    ModelParams(0.5, 0.3, 1.0, 3.0),
+    ModelParams(0.0, 0.5, 1.0, 3.0),
+    ModelParams(0.5, 1.0, 1.0, 3.0),
+    ModelParams(0.5, 0.3, 100.0, 100.0),
+    ModelParams(0.5, 0.3, 1e-6, 1e-6),
+    ModelParams(0.999, 0.3, 1.0, 3.0),
+    ModelParams(0.5, 1.5, 2.0, 2.0),
+    ModelParams(-0.4, 1.7, 2.0, 2.0),
+)
+
+
+class TestFFTOracle:
+    """Every apm coefficient against one FFT of its weight (ROADMAP item 22, apm half)."""
+
+    @pytest.mark.parametrize("n_max", [512, 4096])
+    @pytest.mark.parametrize("p", FFT_SETS, ids=set_id)
+    def test_every_apm_within_error_bound(self, p, n_max):
+        seq = build_block_sequence(n_max, p)
+        assert apm_misses(seq.blocks, seq.err_estimate, p).tolist() == []
+
+    def test_changed_coefficient_misses(self):
+        # negative control: 1e-12 added to one mid-range coefficient, apm[256]
+        p = FFT_SETS[0]
+        seq = build_block_sequence(512, p)
+        blocks = seq.blocks.copy()
+        blocks[256 + 512, 0, 1] -= 1e-12
+        assert apm_misses(blocks, seq.err_estimate, p).tolist() == [256]
