@@ -7,17 +7,16 @@ Two upper bounds on the exponential decay of |C(n)|:
       B = (1/2) Int_0^{2pi} d(xi)/2pi log[ tanh(beta_l*mu/2) * tanh(beta_r*mu/2) ],
 
   which bounds limsup log|C(n)| / n and is strictly negative for all finite
-  admissible parameters in exact arithmetic; in floating point it reaches 0
-  only once exp(-beta*mu) underflows on the whole circle.  B is the Avram-Parter limit of the singular-value
-  mean of log: |Pf Omega(n)|^2 = |det Omega(n)| = prod_j s_j over the 2n
-  singular values, so (1/n) log|C(n)| = (1/2n) sum_j log s_j.  It is
-  integrated from mu, not through :func:`spectral.avram_parter_limit`,
-  which hands g the value tanh(x), x = beta*mu/2: once tanh rounds to 1 (x
-  beyond ~19, as everywhere at ``bound --beta-l 100 --beta-r 100``),
-  log(tanh(x)) reads 0 where B is -5.95e-22, while log1p(-2e/(1 + e)), e =
-  exp(-2x), keeps every digit.  At critical parameters log tanh has
-  integrable singularities at the zeros of mu, handled by the graded panel
-  refinement;
+  admissible parameters in exact arithmetic.  B is the Avram-Parter limit
+  of the singular-value mean of log: |Pf Omega(n)|^2 = |det Omega(n)| =
+  prod_j s_j over the 2n singular values, so (1/n) log|C(n)| = (1/2n)
+  sum_j log s_j.  It is integrated from mu rather than through
+  :func:`spectral.avram_parter_limit`, whose g sees tanh(beta*mu/2) after
+  rounding: at ``bound --beta-l 100 --beta-r 100`` that is 1 on the whole
+  circle, where B = -5.95e-22 (:func:`_log_tanh`).  B reaches 0 only where
+  exp(-beta*mu) underflows on the whole circle.  At critical parameters
+  log tanh has integrable singularities at the zeros of mu, handled by the
+  graded panel refinement;
 
 * the cruder all-n bound on the determinant,
 

@@ -35,7 +35,7 @@ _MAX_ENTRIES = 2**25
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement exhausted its budget before reaching the tolerance."""
+    """Adaptive refinement exhausted its budget before reaching the tolerance, or an integral is not finite."""
 
     def __init__(self, message: str, achieved_error: float, column: int | None = None):
         super().__init__(message, achieved_error, column)  # args[0]: the bare reason

@@ -61,9 +61,9 @@ class TestTheoremBound:
         ids=str,
     )
     def test_cold_points_against_mpmath(self, point):
-        # beta*mu/2 beyond ~19 rounds tanh to 1, where log(tanh) reads 0 and
-        # B did; it keeps every digit against a 40-digit mpmath quadrature
-        # split at the zeros of kappa, from mu in mpmath
+        # beta*mu/2 beyond ~19 rounds tanh to 1, where log(tanh) reads 0; B
+        # keeps its digits against a 40-digit mpmath quadrature of log tanh,
+        # split at the zeros of kappa, with mu computed in mpmath
         mpmath = pytest.importorskip("mpmath")
         p = ModelParams(*point)
         mp = mpmath.mp
