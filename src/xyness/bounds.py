@@ -10,13 +10,13 @@ Two upper bounds on the exponential decay of |C(n)|:
   admissible parameters in exact arithmetic.  B is the Avram-Parter limit
   of the singular-value mean of log: |Pf Omega(n)|^2 = |det Omega(n)| =
   prod_j s_j over the 2n singular values, so (1/n) log|C(n)| = (1/2n)
-  sum_j log s_j.  It is integrated from mu rather than through
-  :func:`spectral.avram_parter_limit`, whose g sees tanh(beta*mu/2) after
-  rounding: at ``bound --beta-l 100 --beta-r 100`` that is 1 on the whole
-  circle, where B = -5.95e-22 (:func:`_log_tanh`).  B reaches 0 only where
-  exp(-beta*mu) underflows on the whole circle.  At critical parameters
-  log tanh has integrable singularities at the zeros of mu, handled by the
-  graded panel refinement;
+  sum_j log s_j.  It shares the limits' integrand over mu with a log tanh
+  of its own, rather than going through :func:`spectral.avram_parter_limit`,
+  whose g sees tanh(beta*mu/2) after rounding: at ``bound --beta-l 100
+  --beta-r 100`` that is 1 on the whole circle, where B = -5.95e-22
+  (:func:`_log_tanh`).  B reaches 0 only where exp(-beta*mu) underflows on
+  the whole circle.  At critical parameters log tanh has integrable
+  singularities at the zeros of mu, handled by the graded panel refinement;
 
 * the cruder all-n bound on the determinant,
 
@@ -32,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import breakpoints
-from .model import ModelParams, mu
+from .model import ModelParams
 from .quadrature import adaptive_panels
-from .spectral import LIMIT_TOL
+from .spectral import LIMIT_TOL, _symbol_mean_integrand
 from .toeplitz import symbol_norm
 
 
@@ -69,8 +68,7 @@ def _log_tanh(x):
 def theorem_bound(p: ModelParams) -> float:
     """The rate integral B to absolute error ``spectral.LIMIT_TOL``.
 
-    Integrated over panels split at :func:`fourier.breakpoints`, which hold
-    every zero of mu.
+    The symbol mean of :func:`_log_tanh` (:func:`spectral._symbol_mean_integrand`).
 
     Raises
     ------
@@ -78,12 +76,8 @@ def theorem_bound(p: ModelParams) -> float:
         If refinement near the zeros of mu exhausts its budget; the
         exception reports the achieved error.
     """
-
-    def integrand(xi):
-        m = mu(xi, p)
-        return 0.5 * (_log_tanh(0.5 * p.beta_l * m) + _log_tanh(0.5 * p.beta_r * m))
-
-    value, _ = adaptive_panels(integrand, np.append(breakpoints(p), math.tau), LIMIT_TOL * math.tau)
+    integrand, edges = _symbol_mean_integrand(_log_tanh, p)
+    value, _ = adaptive_panels(integrand, edges, LIMIT_TOL * math.tau)
     return value / math.tau
 
 

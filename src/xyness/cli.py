@@ -171,7 +171,7 @@ def cmd_spectrum(args) -> int:
                 n,
                 float(sv[0]),
                 float(sv[-1]),
-                int(np.count_nonzero(s_log.values <= SPECTRUM_EPS)),
+                2 * int(np.count_nonzero(sv <= SPECTRUM_EPS)),  # each of X's values twice
                 s_log.empirical_mean,
                 limit_log,
                 s_log.gap,

@@ -102,7 +102,8 @@ class BlockSequence:
     exactly: app[x] = 1j * blocks[x+N-1, 0, 0] for x in [-(N-1), N-1]
     (negative x filled by the oddness symmetry) and apm[y] = -blocks[y+N,
     0, 1] for y in [-N, N-2].  ``err_estimate`` is the largest
-    per-coefficient quadrature error estimate, at most :data:`COEFF_TOL`.
+    per-coefficient truncation estimate of the refinement, at most
+    :data:`COEFF_TOL`; it leaves out the engine's rounding (README).
     """
 
     n_max: int

@@ -164,9 +164,9 @@ def symbol_singular_values(xi, p: ModelParams):
     """The two singular values of a(xi): (tanh(beta_l*mu/2), tanh(beta_r*mu/2)).
 
     Equal to (phi_beta - phi_delta, phi_beta + phi_delta) by sum-to-product
-    hyperbolic identities; this closed form is what every symbol mean over
-    the circle integrates.  The rate bound B integrates log tanh from
-    :func:`mu` instead, which keeps the digits of tanh near 1.  The values are
+    hyperbolic identities; every Avram-Parter limit integrates this closed
+    form from :func:`mu`.  The rate bound B integrates a log tanh of its own,
+    which keeps the digits of tanh near 1.  The values are
     exactly even in xi and exactly 0 at xi = +-acos(lam) when gamma = 0.
     """
     m = mu(xi, p)

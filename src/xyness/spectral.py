@@ -16,9 +16,10 @@ The truncation's singular values are those of its n x n fold X, each
 counted twice: the reflection symmetry J T_n J = -T_n of the real gauge
 makes T_n orthogonally similar to [[0, X], [-X^T, 0]].  Each size gathers X
 straight from the coefficient blocks (:func:`toeplitz.folded`) without
-building T_n and takes one SVD of it; :func:`avram_parter_gap` repeats X's
-values in place, still ascending.  The caller takes the SVD, so that it can
-run the sizes' SVDs on threads of its own while it integrates the limits.
+building T_n and takes one SVD of it; a mean over the 2n values is a mean
+over X's n values, and only a census doubles X's count.  The caller takes
+the SVD, so that it can run the sizes' SVDs on threads of its own while it
+integrates the limits.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fourier import breakpoints
-from .model import ModelParams, symbol_singular_values
+from .model import ModelParams, mu
 from .quadrature import adaptive_panels
 from .skewlinalg import singular_values  # noqa: F401 (cmd_spectrum calls it here; perfbench/tracer.py wraps it)
 from .toeplitz import assemble  # noqa: F401 (perfbench/tracer.py wraps this binding)
@@ -43,7 +44,6 @@ LIMIT_TOL = 1e-9
 class SpectralSummary:
     """Singular-value diagnostics of one truncation size."""
 
-    values: np.ndarray  # ascending, length 2n
     empirical_mean: float
     gap: float  # |empirical_mean - limit|
 
@@ -82,28 +82,35 @@ def indicator_log(eps: float):
     return g
 
 
+def _symbol_mean_integrand(h, p: ModelParams):
+    """(1/2)[h(beta_l*mu/2) + h(beta_r*mu/2)] in xi, every symbol mean's integrand.
+
+    Each limit here and B integrate it over its edges, :func:`fourier.breakpoints`
+    and 2*pi, which hold every zero and the minimum of mu.
+    """
+
+    def integrand(xi):
+        m = mu(xi, p)
+        return 0.5 * (h(0.5 * p.beta_l * m) + h(0.5 * p.beta_r * m))
+
+    return integrand, np.append(breakpoints(p), math.tau)
+
+
 def avram_parter_limit(g, p: ModelParams) -> float:
     """Limit of the singular-value mean of g, to absolute error ``LIMIT_TOL``.
 
-    g is integrated over the symbol's closed-form singular values
-    (:func:`symbol_singular_values`), with panels split at
-    :func:`fourier.breakpoints`, which hold every zero and the minimum of mu.
-    g may be log-integrable rather than bounded at 0.  With g = log the
-    limit is the rate bound B, which :func:`bounds.theorem_bound` integrates
-    from mu instead: g gets tanh(beta*mu/2), whose digits are gone where it
-    rounds to 1.
+    g is integrated over the symbol's singular values tanh(beta*mu/2), and
+    may be log-integrable rather than bounded at 0.  With g = log the limit
+    is the rate bound B, which :func:`bounds.theorem_bound` integrates with a
+    log tanh of its own: g gets tanh(beta*mu/2), whose digits are gone where
+    it rounds to 1.
 
     Raises
     ------
     QuadratureError
         If refinement near a singularity of g exhausts the panel budget.
     """
-
-    def integrand(xi):
-        lo, hi = symbol_singular_values(xi, p)
-        return 0.5 * (np.asarray(g(lo)) + np.asarray(g(hi)))
-
-    edges = np.append(breakpoints(p), math.tau)
+    integrand, edges = _symbol_mean_integrand(lambda x: g(np.tanh(x)), p)
     value, _ = adaptive_panels(integrand, edges, LIMIT_TOL * math.tau)
     return float(np.real(value)) / math.tau
 
@@ -113,12 +120,12 @@ def avram_parter_gap(n: int, g, sv: np.ndarray, limit: float) -> SpectralSummary
 
     ``sv`` holds the n singular values of the size's fold X, ascending:
     :func:`skewlinalg.singular_values` of :func:`toeplitz.folded` (n, seq).
-    The summary repeats each in place (module notes).  ``g`` must be
-    vectorized and continuous on [0, 1]; every value it meets lies in
-    [0, symbol_norm].  ``limit`` is :func:`avram_parter_limit` of the same g
-    and the sequence's parameters; it does not depend on n, so a caller that
-    compares several sizes integrates it once, and may do so while the SVDs
-    run.
+    Their mean of g is the mean over the truncation's 2n values (module
+    notes).  ``g`` must be vectorized and continuous on [0, 1]; every value
+    it meets lies in [0, symbol_norm].  ``limit`` is
+    :func:`avram_parter_limit` of the same g and the sequence's parameters;
+    it does not depend on n, so a caller that compares several sizes
+    integrates it once, and may do so while the SVDs run.
 
     Raises
     ------
@@ -127,6 +134,5 @@ def avram_parter_gap(n: int, g, sv: np.ndarray, limit: float) -> SpectralSummary
     """
     if np.shape(sv) != (n,):
         raise ValueError(f"expected the {n} singular values of the n = {n} fold, got shape {np.shape(sv)}")
-    values = np.repeat(sv, 2)
-    empirical = float(np.mean(g(values)))
-    return SpectralSummary(values=values, empirical_mean=empirical, gap=abs(empirical - limit))
+    empirical = float(np.mean(g(sv)))
+    return SpectralSummary(empirical_mean=empirical, gap=abs(empirical - limit))

@@ -25,6 +25,19 @@ from conftest import ACCEPTANCE_SETS, CRITICAL_SET
 # (its own accuracy near the two log singularities)
 B_FROZEN_CRITICAL_FREE = -0.83605549673591661
 
+#: cold point -> (relative, absolute) tolerance of B against a converged
+#: 40-digit oracle; measured at most 1.0e-14 relative off the critical set,
+#: and 1.4e-14 and 3.1e-14 absolute at the critical points
+COLD_ORACLE_TOLERANCES = {
+    (0.5, 0.3, 100.0, 100.0): (1e-13, 0.0),  # B = -5.95e-22
+    (0.5, 2.0, 30.0, 30.0): (1e-13, 0.0),
+    (0.5, 0.3, 60.0, 60.0): (1e-13, 0.0),
+    (0.5, 0.3, 30.0, 30.0): (1e-13, 0.0),
+    (0.5, 0.3, 200.0, 200.0): (1e-13, 0.0),  # B = -1.78e-42
+    (0.0, 0.5, 60.0, 60.0): (0.0, 1e-12),  # critical: log singularities at mu = 0
+    (0.0, 0.2, 100.0, 100.0): (0.0, 1e-12),
+}
+
 
 class TestTheoremBound:
     def test_frozen_regression_constant(self):
@@ -56,14 +69,18 @@ class TestTheoremBound:
         B = theorem_bound(p)
         assert B <= 0.0 and B > -1e-10
 
-    @pytest.mark.parametrize(
-        "point", [(0.5, 0.3, 100.0, 100.0), (0.5, 2.0, 30.0, 30.0), (0.5, 0.3, 60.0, 60.0), (0.5, 0.3, 30.0, 30.0)],
-        ids=str,
-    )
+    @pytest.mark.parametrize("point", COLD_ORACLE_TOLERANCES, ids=str)
     def test_cold_points_against_mpmath(self, point):
         # beta*mu/2 beyond ~19 rounds tanh to 1, where log(tanh) reads 0; B
-        # keeps its digits against a 40-digit mpmath quadrature of log tanh,
-        # split at the zeros of kappa, with mu computed in mpmath
+        # keeps its digits against a 40-digit mpmath quadrature of log tanh
+        # x = log1p(-e) - log1p(e), e = exp(-2x), with mu computed in mpmath.
+        # At beta = 200, 1 - tanh(x) ~ 1e-42 keeps no digit at 40 digits, and
+        # a quadrature of log(tanh(x)) wandered by up to 5e-8 relative
+        # between 16 and 512 pieces.  Each interval between the zeros of
+        # kappa is split into pieces, doubled until the result moves by
+        # < 1e-9 relative; tanh-sinh takes the log singularities at critical
+        # points, Gauss-Legendre the analytic peak of width ~beta^(-1/2) at
+        # the minimum of mu
         mpmath = pytest.importorskip("mpmath")
         p = ModelParams(*point)
         mp = mpmath.mp
@@ -72,16 +89,30 @@ class TestTheoremBound:
 
             def log_tanh_mean(xi):
                 m = mp.sqrt((mp.cos(xi) - lam) ** 2 + (gamma * mp.sin(xi)) ** 2)
-                return (mp.log(mp.tanh(p.beta_l * m / 2)) + mp.log(mp.tanh(p.beta_r * m / 2))) / 2
+                es = (mp.exp(-beta * m) for beta in (p.beta_l, p.beta_r))
+                return sum(mp.log1p(-e) - mp.log1p(e) for e in es) / 2
 
             cuts = [mp.zero, mp.pi, 2 * mp.pi]
             ratio = lam / (1 - gamma**2)
             if abs(ratio) <= 1:
                 cuts += [mp.acos(ratio), 2 * mp.pi - mp.acos(ratio)]
-            ref = float(mp.quad(log_tanh_mean, sorted(cuts)) / (2 * mp.pi))
+            cuts = sorted(cuts)
+            method = "tanh-sinh" if p.critical else "gauss-legendre"
+
+            def oracle(pieces):
+                nodes = [a + (b - a) * j / pieces for a, b in zip(cuts, cuts[1:]) for j in range(pieces)]
+                return mp.quad(log_tanh_mean, [*nodes, cuts[-1]], method=method) / (2 * mp.pi)
+
+            pieces, prev, ref = 2, oracle(1), oracle(2)
+            while abs(ref - prev) >= 1e-9 * abs(ref):
+                assert pieces < 256
+                pieces *= 2
+                prev, ref = ref, oracle(pieces)
+            ref = float(ref)
         B = theorem_bound(p)
+        rel, absolute = COLD_ORACLE_TOLERANCES[point]
         assert B < 0.0
-        assert abs(B - ref) <= 1e-13 * abs(ref)
+        assert abs(B - ref) <= rel * abs(ref) + absolute, (B, ref, pieces)
 
     def test_negative_for_all_acceptance_sets(self):
         for p in (*ACCEPTANCE_SETS, CRITICAL_SET):

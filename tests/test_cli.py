@@ -637,6 +637,26 @@ class TestSpectrumCommand:
             assert collections.Counter(call[:2] for call in schedule) == collections.Counter(serial)
             assert [call[2] for call in schedule if call[:2] == ("SVD", 512)] == [threading.main_thread()]
 
+    @pytest.mark.parametrize("point", [("0.5", "1.5", "2", "2"), ("0.5", "0.3", "1", "3")], ids=str)
+    def test_count_small_is_twice_the_folds_count(self, point, capsys):
+        # the census of the 2n values, X's each counted twice, without
+        # building them; at the noise point one exponentially small pair
+        import xyness.cli as cli
+
+        gamma, lam, beta_l, beta_r = point
+        argv = ["spectrum", f"--gamma={gamma}", f"--lambda={lam}", "--beta-l", beta_l, "--beta-r", beta_r]
+        assert cli.main(argv) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        seq = build_block_sequence(512, ModelParams(*map(float, point)))
+        counts = []
+        for row in rows:
+            sv = xyness.singular_values(xyness.folded(int(row["n"]), seq))
+            counts.append(int(row["count_small"]))
+            assert counts[-1] == 2 * int(np.count_nonzero(sv <= SPECTRUM_EPS))
+            assert counts[-1] == int(np.count_nonzero(np.repeat(sv, 2) <= SPECTRUM_EPS))
+        assert counts == ([2] * 4 if lam == "1.5" else [0] * 4)
+
     def test_hot_point_runs(self, capsys):
         # at beta = 1e-4 the symbol norm, 6.5e-5, lies below SPECTRUM_EPS: every
         # singular value is small, and the chi_log columns are exactly 0

@@ -21,8 +21,10 @@ from xyness import (
 )
 import xyness.spectral
 import xyness.toeplitz
+from xyness.cli import SPECTRUM_EPS
 from xyness.quadrature import adaptive_panels
 from xyness.spectral import LIMIT_TOL
+from test_golden import POINTS
 TWO_PI = 2.0 * math.pi
 
 
@@ -32,8 +34,8 @@ def summary(n, g, seq, limit):
 
 
 def census(n, eps, seq):
-    """Number of the n-block truncation's 2n singular values in [0, eps]."""
-    return int(np.count_nonzero(summary(n, np.square, seq, 0.0).values <= eps))
+    """Number of the n-block truncation's 2n singular values in [0, eps]: X's, each twice."""
+    return 2 * int(np.count_nonzero(singular_values(folded(n, seq)) <= eps))
 
 
 class TestSmoothIndicator:
@@ -67,7 +69,7 @@ class TestSmoothIndicator:
 
 
 class TestCountSmall:
-    """The census of ``spectrum``'s ``count_small`` column, read from the summary's values."""
+    """The census of ``spectrum``'s ``count_small`` column: twice the count of X's values."""
 
     def test_trivial_bounds(self, base_params, base_seq):
         sv_min = float(np.min(np.abs(np.linalg.svd(assemble(8, base_seq), compute_uv=False))))
@@ -104,15 +106,17 @@ class TestNoAssembly:
         # the spectrum's route never builds the 2n x 2n truncation
         g = np.square
         limit = avram_parter_limit(g, base_params)
-        expected = summary(16, g, base_seq, limit)
+        expected_sv = singular_values(folded(16, base_seq))
+        expected = avram_parter_gap(16, g, expected_sv, limit)
 
         def refuse(*args, **kwargs):
             raise AssertionError("assemble called")
 
         monkeypatch.setattr(xyness.toeplitz, "assemble", refuse)
         monkeypatch.setattr(xyness.spectral, "assemble", refuse)
-        got = summary(16, g, base_seq, limit)
-        assert got.values.tobytes() == expected.values.tobytes()
+        sv = singular_values(folded(16, base_seq))
+        got = avram_parter_gap(16, g, sv, limit)
+        assert sv.tobytes() == expected_sv.tobytes()
         assert got.gap == expected.gap
 
 
@@ -178,12 +182,10 @@ class TestAvramParter:
 
     def test_values_within_norm_bound(self, base_params, base_seq):
         bound = symbol_norm(base_params)
-        g = np.square
-        limit = avram_parter_limit(g, base_params)
         for n in (8, 32):
-            s = summary(n, g, base_seq, limit)
-            assert s.values[0] >= 0.0
-            assert s.values[-1] <= bound + 1e-8
+            sv = singular_values(folded(n, base_seq))
+            assert sv[0] >= 0.0
+            assert sv[-1] <= bound + 1e-8
 
     def test_proof_chain_inequality(self, base_params, base_seq):
         # log|det T_n| <= sum_j chi_eps(s_j) log s_j, term-by-term justified
@@ -193,11 +195,27 @@ class TestAvramParter:
         limit = avram_parter_limit(g, base_params)
         for n in (4, 16, 32):
             T = assemble(n, base_seq)
-            s = summary(n, g, base_seq, limit)
+            sv = singular_values(folded(n, base_seq))
+            s = avram_parter_gap(n, g, sv, limit)
             lhs = log_det(T).log_abs
-            rhs = float(np.sum(g(s.values)))
+            rhs = 2.0 * float(np.sum(g(sv)))  # the 2n values: X's, each twice
             assert lhs <= rhs + 1e-10
-            assert np.all(s.values < 1.0)
+            assert rhs == pytest.approx(2 * n * s.empirical_mean, rel=1e-13)
+            assert np.all(sv < 1.0)
+
+
+class TestFoldMeans:
+    """Each mean over X's n values against the mean over the 2n-value doubled spectrum."""
+
+    @pytest.mark.parametrize("point", POINTS.values(), ids=POINTS.keys())
+    def test_within_two_ulp_of_the_doubled_spectrum(self, point):
+        seq = build_block_sequence(512, ModelParams(*map(float, point)))
+        for n in (64, 128, 256, 512):
+            sv = singular_values(folded(n, seq))
+            for g in (indicator_log(SPECTRUM_EPS), np.square):
+                doubled = float(np.mean(g(np.repeat(sv, 2))))
+                got = avram_parter_gap(n, g, sv, 0.0).empirical_mean
+                assert abs(got - doubled) <= 2.0 * np.spacing(abs(doubled)), (n, got, doubled)
 
 
 class TestEmpiricalMeanCrossChecks:
@@ -227,9 +245,12 @@ class TestEmpiricalMeanCrossChecks:
         seq = build_block_sequence(max(n_list), p)
         for row in compute_series(p, n_list=n_list).rows:
             n = row.n
-            s = summary(n, g, seq, 0.0)
             X = folded(n, seq)
+            sv = singular_values(X)
+            s = avram_parter_gap(n, g, sv, 0.0)
             frobenius = float(np.sum(X * X)) / n
-            assert float(np.mean(np.square(s.values))) == pytest.approx(frobenius, rel=1e-13, abs=0.0)
-            if s.values[0] > eps + eps * eps:
+            assert avram_parter_gap(n, np.square, sv, 0.0).empirical_mean == pytest.approx(
+                frobenius, rel=1e-13, abs=0.0
+            )
+            if sv[0] > eps + eps * eps:
                 assert s.empirical_mean == pytest.approx(row.log_abs_C / n, rel=0.0, abs=1e-13)
